@@ -14,6 +14,7 @@ same residual code.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,14 +220,11 @@ def cm3_H1(cfg: CMConfig3) -> complex:
 _EPS = cmath.exp(2j * cmath.pi / 3)
 ETA = (0j, complex(0, 3 ** -0.5), complex(0, -(3 ** -0.5)))
 
-_HEX_CACHE: list = []
 
-
+@functools.cache
 def hexagonal_lattice() -> Lattice:
     """The tau = e^{2 pi i/3} cell carrying the Z3 symmetry; g2 = 0."""
-    if not _HEX_CACHE:
-        _HEX_CACHE.append(make_lattice(HEX_TAU))
-    return _HEX_CACHE[0]
+    return make_lattice(HEX_TAU)
 
 
 def hexagonal_fold_residual(z: complex) -> complex:

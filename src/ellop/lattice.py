@@ -1,10 +1,13 @@
 """Numerical Weierstrass functions on a lattice Z + tau*Z.
 
-Evaluation goes through Jacobi theta functions after reducing the argument
-to a minimal representative in the fundamental cell; near the pole the
-truncated Laurent series takes over.  Derivatives of order two and higher
-come from the algebraic recurrences implied by the defining relation, never
-from numerical differentiation.
+make_lattice reduces tau once to tau' in the SL2(Z) fundamental domain, with
+Z + tau*Z = mu*(Z + tau'*Z), so that wp(z) = mu^-2 wp(z/mu; tau') and
+wp'(z) = mu^-3 wp'(z/mu; tau') (DLMF 23.18).  On the reduced lattice a short
+fixed float64 theta series gives wp and wp' as theta quotients (DLMF 23.6);
+near the pole the truncated Laurent series takes over.  Derivatives of order
+two and higher come from the algebraic recurrences implied by the defining
+relation, never from numerical differentiation.  Only the invariants g2, g3
+are computed in mpmath, once per lattice.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -27,7 +31,22 @@ class NearPoleError(ValueError):
 
 
 _DPS = 30
-_SERIES_TERMS = 60
+# After reduction |q| = e^(-2 pi Im tau') <= e^(-pi sqrt 3) ~ 0.0043, so
+# |q|^n drops below 10^-(_DPS+5) by n = 15.
+_EISENSTEIN_TERMS = 16
+_SERIES_TERMS = 80
+# After reduction the n-th theta term is at most e^(-pi Im tau' n^2) times the
+# first (see _wp01_theta), and Im tau' >= sqrt(3)/2: the first omitted term,
+# n = 6, is below e^-97 even with the factor (2n+1)^3 of the third derivative.
+_THETA_TERMS = 6
+_ODD = tuple((2 * n + 1, (2 * n + 1) ** 2, (2 * n + 1) ** 3) for n in range(_THETA_TERMS))
+# Boundary points of the fundamental domain (|tau| = 1, Re tau = +-1/2) stay
+# where they are, with mu = 1, when they are off by rounding only.
+_EDGE = Fraction(1, 10**12)
+# Each inversion is a step of Gauss's lattice reduction, which takes
+# O(log 1/Im tau) steps: about 250 for the smallest positive Im tau a float
+# holds.
+_MAX_REDUCTION_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -35,48 +54,100 @@ class Lattice:
     tau: complex
     g2: complex
     g3: complex
-    nome: complex                 # e^(2 pi i tau)
     shortest: float               # norm of the shortest nonzero period
+    tau_reduced: complex          # tau' in the SL2(Z) fundamental domain
+    mu: complex                   # Z + tau*Z = mu*(Z + tau'*Z)
+    theta_exponents: tuple        # log (-1)^n p^(n(n+1)), p = e^(i pi tau')
+    wp_shift: complex             # pi^2 theta1'''(0) / (3 theta1'(0)) at tau'
+    wp_laurent: tuple             # wp(w; tau') coefficients of w^-2, w^-1, ...
 
     def j(self) -> complex:
         d = self.g2**3 - 27 * self.g3**2
         return 1728 * self.g2**3 / d
 
 
-def lattice_invariants(tau: complex):
-    """(g2, g3) of Z + tau*Z via normalized Eisenstein q-series."""
+def _check_tau(tau) -> complex:
     tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise InvalidLatticeError("tau must be finite")
     if tau.imag <= 0:
         raise InvalidLatticeError("tau must have positive imaginary part")
+    return tau
+
+
+def _reduce(tau: complex):
+    """(tau', mu) with tau' in the fundamental domain and
+    Z + tau*Z = mu*(Z + tau'*Z).
+
+    The float tau is taken as exact and the unimodular (a, b; c, d) with
+    tau' = (a tau + b)/(c tau + d) and mu = c tau + d is found in rational
+    arithmetic, so that thin lattices lose nothing to cancellation and tau',
+    mu are correctly rounded.
+    """
+    x, y = Fraction(tau.real), Fraction(tau.imag)
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(_MAX_REDUCTION_STEPS):
+        # tau' = ((a x + b) + i a y) / ((c x + d) + i c y)
+        num, den = a * x + b, c * x + d
+        den2 = den * den + (c * y) ** 2
+        re = (num * den + a * c * y * y) / den2
+        if abs(re) > Fraction(1, 2) + _EDGE:
+            n = round(re)                   # the same lattice
+            a, b, num, re = a - n * c, b - n * d, num - n * den, re - n
+        if num * num + (a * y) ** 2 >= (1 - _EDGE) ** 2 * den2:
+            return complex(re, y / den2), complex(den, c * y)
+        a, b, c, d = -c, -d, a, b           # tau' -> -1/tau'
+    raise InvalidLatticeError(f"tau did not reduce in {_MAX_REDUCTION_STEPS} steps")
+
+
+def _invariants(tau_r: complex, mu: complex):
+    """(g2, g3) of mu*(Z + tau_r*Z) via normalized Eisenstein q-series at the
+    reduced tau_r, scaled by mu^-4 and mu^-6."""
     with mp.workdps(_DPS):
-        q = mp.e ** (2j * mp.pi * mp.mpc(tau))
+        q = mp.e ** (2j * mp.pi * mp.mpc(tau_r))
         e4 = mp.mpf(1)
         e6 = mp.mpf(1)
-        n = 1
-        while True:
+        for n in range(1, _EISENSTEIN_TERMS + 1):
             qn = q**n
             if abs(qn) < mp.mpf(10) ** (-_DPS - 5):
                 break
             e4 += 240 * n**3 * qn / (1 - qn)
             e6 -= 504 * n**5 * qn / (1 - qn)
-            n += 1
-            if n > 4000:
-                break
-        g2 = 4 * mp.pi**4 / 3 * e4
-        g3 = 8 * mp.pi**6 / 27 * e6
+        else:
+            raise ArithmeticError(f"Eisenstein series at tau = {tau_r} did not converge")
+        m = mp.mpc(mu)
+        g2 = 4 * mp.pi**4 / 3 * e4 / m**4
+        g3 = 8 * mp.pi**6 / 27 * e6 / m**6
         return complex(g2), complex(g3)
 
 
+def lattice_invariants(tau: complex):
+    """(g2, g3) of Z + tau*Z via normalized Eisenstein q-series."""
+    return _invariants(*_reduce(_check_tau(tau)))
+
+
 def make_lattice(tau: complex) -> Lattice:
-    tau = complex(tau)
-    g2, g3 = lattice_invariants(tau)
-    shortest = min(
-        abs(m + n * tau)
-        for m in range(-2, 3)
-        for n in range(-2, 3)
+    tau = _check_tau(tau)
+    tau_r, mu = _reduce(tau)
+    g2, g3 = _invariants(tau_r, mu)
+    shortest = abs(mu) * min(
+        abs(m + n * tau_r)
+        for m in (-1, 0, 1)
+        for n in (-1, 0, 1)
         if (m, n) != (0, 0)
     )
-    return Lattice(tau, g2, g3, cmath.exp(2j * cmath.pi * tau), shortest)
+    # theta1(v) = 2 p^(1/4) sum_n (-1)^n p^(n(n+1)) sin((2n+1)v); the common
+    # factor p^(1/4) cancels in every quotient and would underflow first
+    exponents = tuple(1j * math.pi * (tau_r * n * (n + 1) + n) for n in range(_THETA_TERMS))
+    weights = [cmath.exp(e) for e in exponents]
+    d1 = sum(w * k for w, (k, _, _) in zip(weights, _ODD))
+    d3 = -sum(w * k3 for w, (_, _, k3) in zip(weights, _ODD))
+    laurent = wp_series_numeric(_SERIES_TERMS, g2 * mu**4, g3 * mu**6)
+    return Lattice(
+        tau, g2, g3, shortest, tau_r, mu, exponents,
+        math.pi**2 * d3 / (3 * d1),
+        tuple(laurent.get(k, 0j) for k in range(-2, max(laurent) + 1)),
+    )
 
 
 HEX_TAU = complex(-0.5, math.sqrt(3) / 2)  # the hexagonal (equianharmonic) cell
@@ -84,50 +155,76 @@ HEX_TAU = complex(-0.5, math.sqrt(3) / 2)  # the hexagonal (equianharmonic) cell
 
 def reduce_to_cell(z: complex, lat: Lattice) -> complex:
     """Minimal-norm representative of z modulo the lattice."""
-    z = complex(z)
-    tau = lat.tau
-    b = z.imag / tau.imag
-    a = z.real - b * tau.real
-    z0 = z - round(a) - round(b) * tau
-    best = z0
+    tau = lat.tau_reduced
+    w = complex(z) / lat.mu
+    b = w.imag / tau.imag
+    a = w.real - b * tau.real
+    w0 = w - round(a) - round(b) * tau
+    best = w0
     for m in (-1, 0, 1):
         for n in (-1, 0, 1):
-            cand = z0 - m - n * tau
+            cand = w0 - m - n * tau
             if abs(cand) < abs(best):
                 best = cand
-    return best
+    return lat.mu * best
 
 
 def _wp01_theta(z: complex, lat: Lattice):
-    """(wp, wp') by theta quotients; z already reduced, away from 0."""
-    with mp.workdps(_DPS):
-        p = mp.e ** (1j * mp.pi * mp.mpc(lat.tau))
-        v = mp.pi * mp.mpc(z)
-        t0 = mp.jtheta(1, v, p)
-        t1 = mp.jtheta(1, v, p, 1)
-        t2 = mp.jtheta(1, v, p, 2)
-        t3 = mp.jtheta(1, v, p, 3)
-        d1 = mp.jtheta(1, 0, p, 1)
-        d3 = mp.jtheta(1, 0, p, 3)
-        r1 = t1 / t0
-        wp = -mp.pi**2 * (t2 / t0 - r1**2) + mp.pi**2 * d3 / (3 * d1)
-        wpp = -mp.pi**3 * (t3 / t0 - 3 * r1 * t2 / t0 + 2 * r1**3)
-        return complex(wp), complex(wpp)
+    """(wp, wp') by theta quotients on the reduced lattice; z away from the
+    lattice points."""
+    tau = lat.tau_reduced
+    w = complex(z) / lat.mu
+    w -= round(w.imag / tau.imag) * tau
+    w -= round(w.real)
+    flip = w.imag < 0                   # wp is even, wp' odd
+    if flip:
+        w = -w
+    # Now |Re w| <= 1/2 and 0 <= Im w <= Im tau'/2.  Times 2 e^(iv), v = pi w,
+    # the n-th term of theta1 and its derivatives is a_n - b_n (sine) or
+    # a_n + b_n (cosine) times a power of 2n+1, where
+    # b_n = (-1)^n p^(n(n+1)) e^(-2inv) has modulus at most e^(-pi Im tau' n^2)
+    # and a_n = b_n e^(2i(2n+1)v) is no larger, so nothing overflows.
+    v = math.pi * w
+    s = cmath.exp(2j * v)
+    s2 = s * s
+    sk = s
+    s0 = c1 = s2_sum = c3 = 0j
+    for n, (e, (k, k2, k3)) in enumerate(zip(lat.theta_exponents, _ODD)):
+        b = cmath.exp(e - 2j * n * v)
+        a = b * sk
+        sk *= s2
+        s0 += a - b
+        c1 += k * (a + b)
+        s2_sum += k2 * (a - b)
+        c3 += k3 * (a + b)
+    # theta1'/theta1 = i u, theta1''/theta1 = -r2, theta1'''/theta1 = -i c3/s0
+    u = c1 / s0
+    r2 = s2_sum / s0
+    wp = math.pi**2 * (r2 - u * u) + lat.wp_shift
+    wpp = 1j * math.pi**3 * (c3 / s0 - 3 * u * r2 + 2 * u**3)
+    if flip:
+        wpp = -wpp
+    m = 1 / lat.mu
+    return wp * m * m, wpp * m * m * m
 
 
 def _wp01_series(z: complex, lat: Lattice):
-    coeffs = wp_series_numeric(_SERIES_TERMS, lat.g2, lat.g3)
+    w = complex(z) / lat.mu
     wp = 0j
     wpp = 0j
-    for k, c in coeffs.items():
-        zk = z**k
-        wp += c * zk
-        wpp += k * c * zk / z
-    return wp, wpp
+    for k, c in enumerate(lat.wp_laurent, -2):
+        if c:
+            wk = w**k
+            wp += c * wk
+            wpp += k * c * wk / w
+    m = 1 / lat.mu
+    return wp * m * m, wpp * m * m * m
 
 
 def wp_eval(z: complex, lat: Lattice, d: int = 0) -> complex:
-    """wp^(d)(z) for 0 <= d <= 5, absolute accuracy about 1e-10."""
+    """wp^(d)(z) for 0 <= d <= 5, absolute accuracy about 1e-10 in units
+    where the shortest period is 1, for every tau.  The rounding of z itself,
+    about 1e-16*|z|, adds to this when z lies many shortest periods out."""
     if not 0 <= d <= 5:
         raise ValueError("derivative order must be 0..5")
     z0 = reduce_to_cell(z, lat)

@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .lattice import Lattice, wp_eval
+from .lattice import _SERIES_TERMS, Lattice, wp_eval
 from .operators import GlobalEllipticOperator
-from .series import wp_series_numeric
 
 DEFAULT_LAMBDAS = (1 + 0j, -2 + 1j, 5j)
 
-_SERIES_TERMS = 80
 _SAFE_FACTOR = 0.35              # series truncation error ~ (0.35)^80 here
 
 
@@ -100,11 +98,10 @@ def elliptic_evaluator(op: GlobalEllipticOperator, values: dict, lat: Lattice):
 
 
 def _wp_numeric_series(lat: Lattice):
-    """(low, coefficient list) Laurent data of wp around 0, cached per call."""
-    d = wp_series_numeric(_SERIES_TERMS, lat.g2, lat.g3)
-    hi = max(d)
-    cs = [d.get(k, 0j) for k in range(-2, hi + 1)]
-    return -2, cs
+    """(low, coefficient list) Laurent data of wp around 0: the lattice's
+    series in w = z/mu, rescaled to z."""
+    m = 1 / lat.mu
+    return -2, [c * m ** (k + 2) for k, c in enumerate(lat.wp_laurent, -2)]
 
 
 def _ser_mul(a, b, cut: int):

@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import random
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from ellop.lattice import (
@@ -12,6 +15,7 @@ from ellop.lattice import (
     make_lattice,
     lattice_invariants,
     rational_kernel,
+    _wp01_theta,
     reduce_to_cell,
     trigonometric_kernel,
     wp_eval,
@@ -20,6 +24,38 @@ from ellop.lattice import (
 
 SQ = make_lattice(1j)
 HX = make_lattice(HEX_TAU)
+
+# square, hexagonal, oblique, thin, and thin and skewed
+TAUS = (1j, HEX_TAU, 0.3 + 1.1j, 0.2j, 0.1j, 0.05j, 2.5 + 0.07j)
+
+
+def reference_wp01(z, tau):
+    """(wp, wp') from 30-digit mpmath theta quotients on Z + tau*Z; z a
+    minimal representative away from 0."""
+    with mp.workdps(30):
+        p = mp.e ** (1j * mp.pi * mp.mpc(tau))
+        v = mp.pi * mp.mpc(z)
+        t0 = mp.jtheta(1, v, p)
+        t1 = mp.jtheta(1, v, p, 1)
+        t2 = mp.jtheta(1, v, p, 2)
+        t3 = mp.jtheta(1, v, p, 3)
+        d1 = mp.jtheta(1, 0, p, 1)
+        d3 = mp.jtheta(1, 0, p, 3)
+        r1 = t1 / t0
+        wp = -mp.pi**2 * (t2 / t0 - r1**2) + mp.pi**2 * d3 / (3 * d1)
+        wpp = -mp.pi**3 * (t3 / t0 - 3 * r1 * t2 / t0 + 2 * r1**3)
+        return complex(wp), complex(wpp)
+
+
+def sample_points(lat, count, margin, seed=0):
+    """Seeded points of the cell at least margin*shortest from the poles."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        z = rng.uniform(0, 1) + rng.uniform(0, 1) * lat.tau
+        if abs(reduce_to_cell(z, lat)) >= margin * lat.shortest:
+            points.append(z)
+    return points
 
 
 def test_square_lattice_is_lemniscatic():
@@ -38,6 +74,48 @@ def test_invalid_tau_rejected():
         lattice_invariants(0.5 - 1j)
     with pytest.raises(InvalidLatticeError):
         make_lattice(2.0)
+    for tau in (complex(math.nan, 1), complex(math.inf, 1), complex(0, math.inf)):
+        with pytest.raises(InvalidLatticeError):
+            make_lattice(tau)
+
+
+def test_invariants_of_thin_lattices_match_the_modular_transform():
+    # g2(tau) = tau^-4 g2(-1/tau), g3(tau) = tau^-6 g3(-1/tau); the q-series
+    # at tau itself would need far more than a few thousand terms here
+    for tau in (0.001j, 0.0005j, 0.3 + 0.002j):
+        g2, g3 = lattice_invariants(tau)
+        h2, h3 = lattice_invariants(-1 / tau)
+        assert abs(g2 - h2 / tau**4) <= 1e-12 * abs(h2 / tau**4)
+        assert abs(g3 - h3 / tau**6) <= 1e-12 * abs(h3 / tau**6)
+
+
+def test_fundamental_domain_shapes_are_not_rescaled():
+    # the last tau lies on |tau| = 1 but its float norm rounds below 1
+    for tau in (1j, HEX_TAU, 0.3 + 1.1j, -HEX_TAU.conjugate(),
+                complex(-0.45072413583555554, 0.8926632922750277)):
+        lat = make_lattice(tau)
+        assert lat.mu == 1
+        assert lat.tau_reduced == tau
+
+
+def test_reduction_keeps_the_lattice():
+    # mu and mu*tau' are a basis of Z + tau*Z: integer coordinates with
+    # determinant +-1 in the basis (1, tau).  Both are correctly rounded, to
+    # the float tau taken as exact, also where the basis change has entries
+    # near 1000 and float arithmetic would cancel away digits.
+    for tau in TAUS + (0.001j, 7.3 + 0.4j, -0.31 + 0.02j, 0.3819660112501051 + 1e-6j):
+        lat = make_lattice(tau)
+        assert abs(lat.tau_reduced.real) <= 0.5 + 1e-12
+        assert abs(lat.tau_reduced) >= 1 - 1e-12
+        coords = []
+        for period in (lat.mu, lat.mu * lat.tau_reduced):
+            n = round(period.imag / tau.imag)
+            m = round(period.real - n * tau.real)
+            exact = complex(m + n * Fraction(tau.real), n * Fraction(tau.imag))
+            assert abs(period - exact) <= 1e-15 * abs(exact)
+            coords.append((m, n))
+        (a, b), (c, d) = coords
+        assert abs(a * d - b * c) == 1
 
 
 def test_reduce_to_cell():
@@ -55,6 +133,51 @@ def test_wp_defining_relation():
         lhs = w1 * w1
         rhs = 4 * w**3 - lat.g2 * w - lat.g3
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
+
+
+def test_wp_matches_the_mpmath_reference():
+    # in units where the shortest period is 1: wp scales like length^-2,
+    # wp' like length^-3
+    for tau in TAUS:
+        lat = make_lattice(tau)
+        s = lat.shortest
+        near_pole = [0.06 * s * cmath.exp(1j * k) for k in range(3)]
+        for z in sample_points(lat, 12, 0.15) + near_pole:
+            ref, ref1 = reference_wp01(reduce_to_cell(z, lat), tau)
+            assert abs(wp_eval(z, lat, 0) - ref) * s**2 <= 1e-11
+            assert abs(wp_eval(z, lat, 1) - ref1) * s**3 <= 1e-11
+
+
+def test_wp_residuals_on_thin_lattices():
+    # the defining relation scales like length^-6, wp like length^-2
+    for tau in TAUS + (0.4 + 0.05j, -0.3 + 0.6j):
+        lat = make_lattice(tau)
+        s = lat.shortest
+        for z in sample_points(lat, 40, 0.25):
+            w = wp_eval(z, lat, 0)
+            w1 = wp_eval(z, lat, 1)
+            relation = abs(w1 * w1 - 4 * w**3 + lat.g2 * w + lat.g3) * s**6
+            assert relation <= 1e-10
+            for period in (1, lat.tau, 1 + lat.tau):
+                assert abs(wp_eval(z + period, lat, 0) - w) * s**2 <= 1e-10
+
+
+def test_wp_on_a_very_thin_lattice_is_the_trigonometric_limit():
+    # Z + 0.001i*Z = mu*(Z + 1000i*Z) with mu = 0.001i; on the reduced
+    # lattice wp(w) = pi^2/sin^2(pi w) - pi^2/3 up to e^(-2000 pi)
+    lat = make_lattice(0.001j)
+    mu = lat.mu
+    for w in (0.3 - 0.1j, 0.3 + 0.1j, -0.2 + 0.35j, 0.4 - 300j, 0.4 + 300j):
+        if abs(w.imag) < 1:
+            want = (math.pi**2 / cmath.sin(math.pi * w) ** 2 - math.pi**2 / 3) / mu**2
+        else:
+            want = -math.pi**2 / 3 / mu**2
+        got = wp_eval(mu * w, lat, 0)
+        assert abs(got - want) * lat.shortest**2 <= 1e-12
+        # the theta path reduces its argument itself; the shift by 2000i
+        # costs about 2000 ulps of w
+        far = _wp01_theta(mu * (w + 3 + 2 * lat.tau_reduced), lat)[0]
+        assert abs(far - want) * lat.shortest**2 <= 1e-10
 
 
 def test_wp_is_even():

@@ -87,16 +87,17 @@ def test_verdict_serialization():
 
 def test_evaluator_series_matches_direct_path():
     # the precomputed Laurent series takes over inside the safe disk; both
-    # paths must agree where they meet
-    ev = elliptic_evaluator(LAME, {}, SQ)
-    inner = 0.3 * SQ.shortest * np.exp(0.4j)
-    outer = 0.4 * SQ.shortest * np.exp(0.4j)
+    # paths must agree where they meet, also on a rescaled (thin) lattice
     from ellop.lattice import wp_eval
 
-    for z in (inner, outer):
-        got = ev(complex(z))[0]
-        want = -2 * wp_eval(complex(z), SQ, 0)
-        assert abs(got - want) < 1e-9 * max(1.0, abs(want))
+    for lat in (SQ, make_lattice(0.2j)):
+        ev = elliptic_evaluator(LAME, {}, lat)
+        inner = 0.3 * lat.shortest * np.exp(0.4j)
+        outer = 0.4 * lat.shortest * np.exp(0.4j)
+        for z in (inner, outer):
+            got = ev(complex(z))[0]
+            want = -2 * wp_eval(complex(z), lat, 0)
+            assert abs(got - want) < 1e-9 * max(1.0, abs(want))
 
 
 def test_evaluator_symbolic_values():
