@@ -570,36 +570,55 @@ def criterion_many_body(seed=0):
     return True, "single/double pole cross-checks pass; Newton converged"
 
 
+#: samples each check of criterion_symmetric_third_order takes, and the most
+#: draws it may spend on them; a draw whose evaluation raises is skipped
+_SYMMETRIC_SAMPLES = 20
+_SYMMETRIC_DRAWS = 200
+
+
+def _bounded_samples(attempt):
+    """_SYMMETRIC_SAMPLES results of attempt(), or None if that many do not
+    evaluate within _SYMMETRIC_DRAWS attempts."""
+    out = []
+    for _ in range(_SYMMETRIC_DRAWS):
+        try:
+            out.append(attempt())
+        except Exception:
+            continue
+        if len(out) == _SYMMETRIC_SAMPLES:
+            return out
+    return None
+
+
 def criterion_symmetric_third_order(seed=0):
     """The folded-orbit identity and the Hamiltonian gradient equivalence."""
     rng = random.Random(seed)
-    worst_id = 0.0
-    count = 0
-    while count < 20:
+
+    def fold_residual():
         z = complex(rng.uniform(-0.45, 0.45), rng.uniform(-0.45, 0.45))
-        try:
-            worst_id = max(worst_id, abs(hexagonal_fold_residual(z)))
-        except Exception:
-            continue
-        count += 1
-    if worst_id > 1e-10:
-        return False, f"fold identity residual {worst_id}"
-    worst = 0.0
-    count = 0
-    while count < 20:
+        return abs(hexagonal_fold_residual(z))
+
+    def gradient_gap():
         zs = [complex(rng.uniform(0.1, 0.45), rng.uniform(0.05, 0.3)),
               complex(rng.uniform(-0.45, -0.1), rng.uniform(0.3, 0.5))]
         ps = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
         alphas = [complex(rng.uniform(-2, 2)) for _ in range(3)]
         betas = [complex(rng.uniform(-2, 2)) for _ in range(3)]
-        try:
-            cfg = Cryst3Config(zs, ps, alphas, betas)
-            res = cryst3_residuals(cfg)
-            grd = cryst3_grad_H(cfg)
-        except Exception:
-            continue
-        worst = max(worst, max(abs(a - b) for a, b in zip(res, grd)))
-        count += 1
+        cfg = Cryst3Config(zs, ps, alphas, betas)
+        return max(abs(a - b) for a, b in zip(cryst3_residuals(cfg), cryst3_grad_H(cfg)))
+
+    short = (f"fewer than {_SYMMETRIC_SAMPLES} of {_SYMMETRIC_DRAWS} "
+             "sampled points evaluate")
+    ids = _bounded_samples(fold_residual)
+    if ids is None:
+        return False, f"fold identity: {short}"
+    worst_id = max(ids)
+    if worst_id > 1e-10:
+        return False, f"fold identity residual {worst_id}"
+    gaps = _bounded_samples(gradient_gap)
+    if gaps is None:
+        return False, f"residual/gradient: {short}"
+    worst = max(gaps)
     if worst > 1e-8:
         return False, f"residual/gradient mismatch {worst}"
     return True, f"identity {worst_id:.2e}, gradient agreement {worst:.2e}"

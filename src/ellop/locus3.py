@@ -128,16 +128,8 @@ def _normalize(p: MultiPoly, assignments, relation) -> MultiPoly:
     return p.primitive()
 
 
-def _monomial_vars(p: MultiPoly):
-    """Variables with positive exponent, if p is a single monomial."""
-    if len(p.terms) != 1:
-        return None
-    expo = next(iter(p.terms))
-    return [v for v, k in zip(p.vars, expo) if k > 0]
-
-
 def _single_var_monomial(p: MultiPoly):
-    vs = _monomial_vars(p)
+    vs = p.monomial_vars()
     if vs is not None and len(vs) == 1:
         return vs[0]
     return None
@@ -189,7 +181,7 @@ def _run(state: _State, sink: list):
         if p.is_constant():
             sink.append((state, p))
             return
-        mono = _monomial_vars(p)
+        mono = p.monomial_vars()
         if mono is not None:
             cands = [v for v in mono if v not in state.nonzero]
             if not cands:

@@ -1,24 +1,46 @@
 """Sparse multivariate polynomials and rational functions over exact rationals.
 
-Monomials are stored as a dict mapping exponent tuples to nonzero rational
-coefficients.  The variable universe is an ordered tuple of names; binary
-operations extend it to the union automatically.  Printing and "leading
-coefficient" use graded lexicographic order, graded by the homothety weights
-deg(e)=1, deg(c)=2, deg(lambda)=3, deg(g2)=4, deg(g3)=6 (other variables
-weigh 0, so they compare by plain lex within a grade).
+A MultiPoly over the ordered variable universe ``vars`` stores integer
+numerators over one positive common denominator: the coefficient of a
+monomial is ``terms[key] / denom``.  The form is kept reduced, so that
+gcd(content of the numerators, denom) = 1 and the zero polynomial has
+denom 1; equal polynomials over one universe then have equal terms and
+denom.  Binary operations extend the universe to the union automatically.
+
+Each monomial key is a single int holding the exponents in fixed-width
+fields of _BITS = 16 bits, the first variable in the most significant field.
+Multiplying two monomials is one integer addition, and comparing two keys
+compares their exponent tuples lexicographically.  The top bit of every
+field is a guard bit, so exponents range over 0 .. MAX_EXPONENT = 32767: a
+sum of two exponents never carries into the neighbouring field, and an
+operation whose result would hold a larger exponent raises OverflowError
+instead of returning a wrong polynomial.  Nothing
+outside this module reads keys; `items`, `from_terms`, `leading` and
+`monomial_vars` speak in exponent tuples.
+
+Printing and "leading coefficient" use graded lexicographic order, graded by
+the homothety weights deg(e)=1, deg(c)=2, deg(lambda)=3, deg(g2)=4,
+deg(g3)=6 (other variables weigh 0, so they compare by plain lex within a
+grade).
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
-from .rationals import ONE, Rat, ZERO, as_rat, rat_str
+from .rationals import Rat, ZERO, as_rat, rat_str
 
 # Canonical position of the well-known variables; anything else sorts after
 # them alphabetically.
 _CANON = {"c": 0, "e": 1, "g2": 2, "g3": 3, "lambda": 4, "q": 5, "w": 6, "m": 7}
 
 WEIGHTS = {"e": 1, "c": 2, "lambda": 3, "g2": 4, "g3": 6, "w": 2}
+
+_BITS = 16
+_MASK = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
 
 
 def _var_key(name: str):
@@ -31,58 +53,155 @@ def sort_vars(names):
     return tuple(sorted(set(names), key=_var_key))
 
 
+@functools.lru_cache(maxsize=1024)
+def _union(a: tuple, b: tuple) -> tuple:
+    return sort_vars(a + b)
+
+
+@functools.cache
+def _guard(n: int) -> int:
+    """The guard bits of n packed fields."""
+    return sum(1 << (_BITS * i + _BITS - 1) for i in range(n))
+
+
+def _pack(expo) -> int:
+    key = 0
+    for p in expo:
+        if p < 0:
+            raise ValueError(f"negative exponent {p}")
+        if p > MAX_EXPONENT:
+            raise OverflowError(f"exponent {p} exceeds {MAX_EXPONENT}")
+        key = (key << _BITS) | p
+    return key
+
+
+def _unpack(key: int, n: int):
+    return tuple((key >> (_BITS * (n - 1 - i))) & _MASK for i in range(n))
+
+
+def _check_overflow(keys, n: int):
+    if keys and functools.reduce(operator.or_, keys) & _guard(n):
+        raise OverflowError(f"an exponent exceeds {MAX_EXPONENT}")
+
+
+@functools.lru_cache(maxsize=1024)
+def _segments(old: tuple, new: tuple):
+    """How to move packed keys from universe old to universe new.
+
+    Returns (segments, dropped): one (old shift, mask, new shift) per run of
+    old variables that stays contiguous in new, and the mask of the fields
+    of old variables missing from new.
+    """
+    pos = {v: i for i, v in enumerate(new)}
+    segs = []
+    dropped = 0
+    j = len(old) - 1
+    while j >= 0:
+        if old[j] not in pos:
+            dropped |= _MASK << (_BITS * (len(old) - 1 - j))
+            j -= 1
+            continue
+        hi = j
+        while hi > 0 and pos.get(old[hi - 1], -2) == pos[old[hi]] - 1:
+            hi -= 1
+        segs.append((_BITS * (len(old) - 1 - j), (1 << (_BITS * (j - hi + 1))) - 1,
+                     _BITS * (len(new) - 1 - pos[old[j]])))
+        j = hi - 1
+    return tuple(segs), dropped
+
+
+def _lowest_terms(variables, terms: dict, denom: int) -> "MultiPoly":
+    """MultiPoly of numerators `terms` over denom > 0, reduced."""
+    if denom != 1:
+        g = math.gcd(denom, *terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+            denom //= g
+    return MultiPoly(variables, terms, denom)
+
+
 class MultiPoly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("vars", "terms")
+    ``terms`` maps packed monomial keys to nonzero int numerators over the
+    positive int ``denom`` (see the module docstring).
+    """
 
-    def __init__(self, variables=(), terms=None):
+    __slots__ = ("vars", "terms", "denom")
+
+    def __init__(self, variables=(), terms=None, denom: int = 1):
         self.vars = tuple(variables)
         self.terms = {} if terms is None else terms
+        self.denom = denom
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def const(cls, value, variables=()):
-        value = as_rat(value)
-        variables = tuple(variables)
-        if value == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(variables): value})
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            value = as_rat(value)
+            num, den = int(value.numerator), int(value.denominator)
+        return cls(tuple(variables), {0: num} if num else {}, den if num else 1)
 
     @classmethod
     def var(cls, name, power: int = 1, coeff=1):
         coeff = as_rat(coeff)
+        key = _pack((power,))
         if coeff == 0:
-            return cls((name,), {})
-        return cls((name,), {(power,): coeff})
+            return cls((name,))
+        return cls((name,), {key: int(coeff.numerator)}, int(coeff.denominator))
 
     @classmethod
     def zero(cls, variables=()):
-        return cls(tuple(variables), {})
+        return cls(tuple(variables))
+
+    @classmethod
+    def from_terms(cls, variables, terms):
+        """Polynomial with coefficient terms[expo] at each exponent tuple."""
+        variables = tuple(variables)
+        rats = {}
+        for expo, cf in terms.items():
+            if len(expo) != len(variables):
+                raise ValueError(f"exponent {expo} does not match {variables}")
+            cf = as_rat(cf)
+            if cf != 0:
+                rats[_pack(expo)] = cf
+        denom = math.lcm(*(int(cf.denominator) for cf in rats.values()))
+        return cls(variables, {k: int(cf.numerator) * (denom // int(cf.denominator))
+                               for k, cf in rats.items()}, denom)
+
+    def items(self):
+        """[(exponent tuple, rational coefficient)] of every term, in term order."""
+        n = len(self.vars)
+        return [(_unpack(k, n), Rat(c, self.denom)) for k, c in self.terms.items()]
 
     # -- universe handling ------------------------------------------------
 
     def in_universe(self, variables) -> "MultiPoly":
-        """Re-express self over a superset universe (order-canonical)."""
+        """Re-express self over another universe holding every used variable."""
         variables = tuple(variables)
         if variables == self.vars:
             return self
-        pos = {v: i for i, v in enumerate(variables)}
-        idx = [pos[v] for v in self.vars]
-        terms = {}
-        for expo, cf in self.terms.items():
-            new = [0] * len(variables)
-            for i, p in zip(idx, expo):
-                new[i] = p
-            terms[tuple(new)] = cf
-        return MultiPoly(variables, terms)
+        if not self.vars:  # a constant: its only key is 0 in every universe
+            return MultiPoly(variables, self.terms, self.denom)
+        segs, dropped = _segments(self.vars, variables)
+        if dropped and self.terms and functools.reduce(operator.or_, self.terms) & dropped:
+            raise ValueError(f"{self} uses variables missing from {variables}")
+        if len(segs) == 1:
+            ((so, mask, sn),) = segs
+            terms = {((k >> so) & mask) << sn: c for k, c in self.terms.items()}
+        else:
+            terms = {sum(((k >> so) & mask) << sn for so, mask, sn in segs): c
+                     for k, c in self.terms.items()}
+        return MultiPoly(variables, terms, self.denom)
 
     @staticmethod
     def align(a: "MultiPoly", b: "MultiPoly"):
         if a.vars == b.vars:
             return a, b
-        uni = sort_vars(a.vars + b.vars)
+        uni = _union(a.vars, b.vars)
         return a.in_universe(uni), b.in_universe(uni)
 
     # -- predicates -------------------------------------------------------
@@ -91,22 +210,28 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(p == 0 for p in expo) for expo in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self):
         if not self.terms:
             return ZERO
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return next(iter(self.terms.values()))
+        return Rat(self.terms[0], self.denom)
 
     def used_vars(self):
-        used = set()
-        for expo in self.terms:
-            for v, p in zip(self.vars, expo):
-                if p:
-                    used.add(v)
-        return used
+        if not self.terms:
+            return set()
+        seen = functools.reduce(operator.or_, self.terms)
+        return {v for v, p in zip(self.vars, _unpack(seen, len(self.vars))) if p}
+
+    def monomial_vars(self):
+        """Variables with positive exponent, in universe order, if self is a
+        single term; None otherwise."""
+        if len(self.terms) != 1:
+            return None
+        (key,) = self.terms
+        return [v for v, p in zip(self.vars, _unpack(key, len(self.vars))) if p]
 
     # -- arithmetic -------------------------------------------------------
 
@@ -119,19 +244,26 @@ class MultiPoly:
         if not isinstance(other, (MultiPoly, int, Rat)) and not hasattr(other, "numerator"):
             return NotImplemented
         a, b = MultiPoly.align(self, self._coerce(other))
-        terms = dict(a.terms)
-        for expo, cf in b.terms.items():
-            s = terms.get(expo, ZERO) + cf
-            if s == 0:
-                terms.pop(expo, None)
+        if a.denom == b.denom:
+            denom, sa, sb = a.denom, 1, 1
+        else:
+            g = math.gcd(a.denom, b.denom)
+            sa, sb = b.denom // g, a.denom // g
+            denom = a.denom * sa
+        terms = dict(a.terms) if sa == 1 else {k: c * sa for k, c in a.terms.items()}
+        get = terms.get
+        for k, c in b.terms.items():
+            s = get(k, 0) + c * sb
+            if s:
+                terms[k] = s
             else:
-                terms[expo] = s
-        return MultiPoly(a.vars, terms)
+                del terms[k]
+        return _lowest_terms(a.vars, terms, denom)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly(self.vars, {k: -c for k, c in self.terms.items()}, self.denom)
 
     def __sub__(self, other):
         return self + (-self._coerce(other) if not isinstance(other, MultiPoly) else -other)
@@ -145,20 +277,37 @@ class MultiPoly:
                 cf = as_rat(other)
             except TypeError:
                 return NotImplemented
-            if cf == 0:
-                return MultiPoly(self.vars, {})
-            return MultiPoly(self.vars, {e: c * cf for e, c in self.terms.items()})
+            num, den = int(cf.numerator), int(cf.denominator)
+            if not num or not self.terms:
+                return MultiPoly(self.vars)
+            g = math.gcd(num, self.denom)
+            h = math.gcd(den, *self.terms.values()) if den != 1 else 1
+            num //= g
+            return MultiPoly(self.vars, {k: c // h * num for k, c in self.terms.items()},
+                             self.denom // g * (den // h))
         a, b = MultiPoly.align(self, other)
+        if not a.terms or not b.terms:
+            return MultiPoly(a.vars)
         terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                expo = tuple(x + y for x, y in zip(e1, e2))
-                s = terms.get(expo, ZERO) + c1 * c2
-                if s == 0:
-                    terms.pop(expo, None)
+        get = terms.get
+        bterms = b.terms.items()
+        for k1, c1 in a.terms.items():
+            for k2, c2 in bterms:
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
+                if s:
+                    terms[k] = s
                 else:
-                    terms[expo] = s
-        return MultiPoly(a.vars, terms)
+                    del terms[k]
+        _check_overflow(terms, len(a.vars))
+        # numerators coprime to their own denominator: by Gauss's lemma only
+        # a's content against b's denominator and vice versa can cancel
+        g = math.gcd(b.denom, *a.terms.values()) if b.denom != 1 else 1
+        if a.denom != 1:
+            g *= math.gcd(a.denom, *b.terms.values())
+        if g != 1:
+            terms = {k: c // g for k, c in terms.items()}
+        return MultiPoly(a.vars, terms, a.denom * b.denom // g)
 
     __rmul__ = __mul__
 
@@ -177,57 +326,56 @@ class MultiPoly:
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             a, b = MultiPoly.align(self, other)
-            return a.terms == b.terms
+            return a.denom == b.denom and a.terms == b.terms
         try:
             cf = as_rat(other)
         except TypeError:
             return NotImplemented
-        return self.is_constant() and (not self.terms or self.constant_value() == cf)
+        return self.is_constant() and self.constant_value() == cf
 
     def __hash__(self):
-        # hash by content-free canonical form is overkill; use term data over
-        # the used universe only
-        used = sort_vars(self.used_vars())
-        p = self.in_universe(used) if used != self.vars else self
-        return hash((p.vars, frozenset(p.terms.items())))
+        # equal values hash equal across universes and against rationals
+        if self.is_constant():
+            return hash(self.constant_value())
+        p = self.in_universe(sort_vars(self.used_vars()))
+        return hash((p.vars, p.denom, frozenset(p.terms.items())))
 
     # -- degrees and ordering --------------------------------------------
 
     def total_degree(self):
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        n = len(self.vars)
+        return max(sum(_unpack(k, n)) for k in self.terms)
 
-    def _weights(self):
-        return tuple(WEIGHTS.get(v, 0) for v in self.vars)
+    def _order(self):
+        """Sort key of a packed monomial: (homothety weight, key), so weight
+        first, then lex."""
+        n = len(self.vars)
+        fields = [(_BITS * (n - 1 - i), WEIGHTS[v]) for i, v in enumerate(self.vars) if v in WEIGHTS]
+        return lambda k: (sum(((k >> s) & _MASK) * w for s, w in fields), k)
 
     def weighted_degree(self):
         """Max homothety weight over terms; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        w = self._weights()
-        return max(sum(p * wi for p, wi in zip(e, w)) for e in self.terms)
+        order = self._order()
+        return max(order(k)[0] for k in self.terms)
 
     def is_weighted_homogeneous(self):
-        if not self.terms:
-            return True
-        w = self._weights()
-        degs = {sum(p * wi for p, wi in zip(e, w)) for e in self.terms}
-        return len(degs) == 1
-
-    def _mono_key(self, expo):
-        w = self._weights()
-        return (sum(p * wi for p, wi in zip(expo, w)), expo)
+        order = self._order()
+        return len({order(k)[0] for k in self.terms}) <= 1
 
     def sorted_monomials(self):
-        return sorted(self.terms, key=self._mono_key, reverse=True)
+        n = len(self.vars)
+        return [_unpack(k, n) for k in sorted(self.terms, key=self._order(), reverse=True)]
 
     def leading(self):
         """(exponent tuple, coefficient) of the greatest monomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        expo = max(self.terms, key=self._mono_key)
-        return expo, self.terms[expo]
+        key = max(self.terms, key=self._order())
+        return _unpack(key, len(self.vars)), Rat(self.terms[key], self.denom)
 
     def leading_coeff(self):
         return self.leading()[1]
@@ -237,32 +385,25 @@ class MultiPoly:
     def content(self):
         """Positive rational c such that self/c has coprime integer coefficients."""
         if not self.terms:
-            return ONE
-        num_gcd = 0
-        den_lcm = 1
-        for cf in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(int(cf.numerator)))
-            d = int(cf.denominator)
-            den_lcm = den_lcm * d // math.gcd(den_lcm, d)
-        return Rat(num_gcd, den_lcm)
+            return Rat(1)
+        return Rat(math.gcd(*self.terms.values()), self.denom)
 
     def primitive(self):
         """self divided by signed content: content 1, positive leading coeff."""
         if not self.terms:
             return self
-        c = self.content()
-        if self.leading_coeff() < 0:
-            c = -c
-        inv = 1 / c
-        return MultiPoly(self.vars, {e: cf * inv for e, cf in self.terms.items()})
+        g = math.gcd(*self.terms.values())
+        if self.terms[max(self.terms, key=self._order())] < 0:
+            g = -g
+        return MultiPoly(self.vars, {k: c // g for k, c in self.terms.items()})
 
     # -- structure queries ------------------------------------------------
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars or not self.terms:
             return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        shift = _BITS * (len(self.vars) - 1 - self.vars.index(name))
+        return max((k >> shift) & _MASK for k in self.terms)
 
     def coefficients_in(self, name: str):
         """Split as a univariate polynomial in `name`: {power: MultiPoly}."""
@@ -270,13 +411,13 @@ class MultiPoly:
             return {0: self} if self.terms else {}
         i = self.vars.index(name)
         rest = self.vars[:i] + self.vars[i + 1 :]
+        shift = _BITS * (len(self.vars) - 1 - i)
+        low = (1 << shift) - 1
         out = {}
-        for expo, cf in self.terms.items():
-            p = expo[i]
-            sub = expo[:i] + expo[i + 1 :]
-            d = out.setdefault(p, {})
-            d[sub] = d.get(sub, ZERO) + cf
-        return {p: MultiPoly(rest, {e: c for e, c in d.items() if c != 0}) for p, d in out.items() if any(c != 0 for c in d.values())}
+        for k, c in self.terms.items():
+            sub = ((k >> (shift + _BITS)) << shift) | (k & low)
+            out.setdefault((k >> shift) & _MASK, {})[sub] = c
+        return {p: _lowest_terms(rest, d, self.denom) for p, d in out.items()}
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         return self.coefficients_in(name).get(power, MultiPoly.zero(self.vars))
@@ -305,7 +446,7 @@ class MultiPoly:
             one = MultiPoly.const(1)
         out = zero
         cache = {}
-        for expo, cf in self.terms.items():
+        for expo, cf in self.items():
             term = one * cf
             for v, p in zip(self.vars, expo):
                 if p == 0:
@@ -323,7 +464,7 @@ class MultiPoly:
     def evaluate(self, mapping):
         """Numeric evaluation; mapping must cover every used variable."""
         out = 0
-        for expo, cf in self.terms.items():
+        for expo, cf in self.items():
             t = complex(int(cf.numerator)) / complex(int(cf.denominator))
             for v, p in zip(self.vars, expo):
                 if p:
@@ -334,7 +475,7 @@ class MultiPoly:
     def evaluate_exact(self, mapping):
         """Evaluate at exact rational points for the given variables."""
         out = ZERO
-        for expo, cf in self.terms.items():
+        for expo, cf in self.items():
             t = cf
             for v, p in zip(self.vars, expo):
                 if p:
@@ -348,10 +489,11 @@ class MultiPoly:
         if not self.terms:
             return "0"
         chunks = []
-        for expo in self.sorted_monomials():
-            cf = self.terms[expo]
+        n = len(self.vars)
+        for key in sorted(self.terms, key=self._order(), reverse=True):
+            cf = Rat(self.terms[key], self.denom)
             factors = []
-            for v, p in zip(self.vars, expo):
+            for v, p in zip(self.vars, _unpack(key, n)):
                 if p == 1:
                     factors.append(v)
                 elif p > 1:
@@ -386,26 +528,44 @@ def try_div(a: MultiPoly, b: MultiPoly):
     if b.is_constant():
         return a * (1 / b.constant_value())
     a, b = MultiPoly.align(a, b)
-    lead_b, cb = b.leading()
+    order = a._order()
+    guard = _guard(len(a.vars))
+    lead_b = max(b.terms, key=order)
+    cb = b.terms[lead_b]
+    # divide the numerators of a by those of b; the remainder is rem / rden
     quot = {}
     rem = dict(a.terms)
-    key = a._mono_key if a.vars else None
+    rden = 1
     while rem:
-        expo = max(rem, key=a._mono_key)
-        cf = rem[expo]
-        qe = tuple(x - y for x, y in zip(expo, lead_b))
-        if any(p < 0 for p in qe):
+        expo = max(rem, key=order)
+        qe = (expo | guard) - lead_b
+        if qe & guard != guard:
             return None
-        qc = cf / cb
-        quot[qe] = quot.get(qe, ZERO) + qc
+        qe ^= guard
+        g = math.gcd(rem[expo], cb)
+        u, v = rem[expo] // g, cb // g
+        if v != 1:
+            rem = {k: c * v for k, c in rem.items()}
+            rden *= v
+        quot[qe] = (u, rden)
+        get = rem.get
         for be, bc in b.terms.items():
-            te = tuple(x + y for x, y in zip(qe, be))
-            s = rem.get(te, ZERO) - qc * bc
-            if s == 0:
-                rem.pop(te, None)
-            else:
+            te = qe + be
+            if te & guard:
+                raise OverflowError(f"an exponent exceeds {MAX_EXPONENT}")
+            s = get(te, 0) - u * bc
+            if s:
                 rem[te] = s
-    return MultiPoly(a.vars, {e: c for e, c in quot.items() if c != 0})
+            else:
+                del rem[te]
+        if v != 1:
+            g = math.gcd(rden, *rem.values())
+            if g != 1:
+                rem = {k: c // g for k, c in rem.items()}
+                rden //= g
+    denom = math.lcm(*(d for _, d in quot.values()))
+    terms = {k: u * (denom // d) * b.denom for k, (u, d) in quot.items()}
+    return _lowest_terms(a.vars, terms, denom * a.denom)
 
 
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
@@ -441,10 +601,7 @@ def gcd_univariate(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
             fa = [c - k * fb[i - off] if i >= off else c for i, c in enumerate(fa[:-1])]
             fa = norm(fa)
         fa, fb = fb, fa
-    out = MultiPoly.zero((name,))
-    for i, c in enumerate(fa):
-        if c != 0:
-            out = out + MultiPoly.var(name, i, c)
+    out = MultiPoly.from_terms((name,), {(i,): c for i, c in enumerate(fa)})
     return out.primitive() if not out.is_zero() else MultiPoly.const(1)
 
 

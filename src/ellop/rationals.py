@@ -1,10 +1,10 @@
 """Exact rational scalars.
 
-The whole symbolic layer runs on arbitrary-precision rationals.  When gmpy2
-is importable we use its compiled ``mpq`` type for the scalar arithmetic,
-which is several times faster on the deep Frobenius recursions; otherwise we
-fall back to the stdlib ``fractions.Fraction``.  Set ``ELLOP_PURE_RATIONAL=1``
-to force the pure-Python backend (used by the benchmark).
+Rational scalars (indicial values, coefficients handed in and out of the
+polynomial layer) are ``Rat``: gmpy2's ``mpq`` when gmpy2 is importable,
+the stdlib ``fractions.Fraction`` otherwise.  Set ``ELLOP_PURE_RATIONAL=1``
+to force the stdlib backend.  Polynomials keep their coefficients as
+integers (see ``poly``), so the backend only affects scalar arithmetic.
 """
 
 import math

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from ellop import acceptance
 from ellop.cli import main
 
 
@@ -136,10 +137,30 @@ def test_usage_errors_exit_2(capsys):
                "--lambda", "1")[0] == 2
 
 
-def test_verify_paper_passes(capsys):
+def test_verify_paper_passes(capsys, monkeypatch, verify_results):
+    # the criteria themselves are asserted in test_acceptance; this checks
+    # how the CLI reports the same run_all(0) result
+    seeds = []
+
+    def run_all(seed=0):
+        seeds.append(seed)
+        return verify_results
+
+    monkeypatch.setattr(acceptance, "run_all", run_all)
     code, out, _ = run(capsys, "verify-paper")
+    assert seeds == [0]
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[-1] == "11/11 criteria passed"
-    assert sum(1 for ln in lines if ln.startswith("PASS")) == 11
-    assert not any(ln.startswith("FAIL") for ln in lines)
+    assert out.splitlines() == [
+        f"PASS  {name}: {detail}" for name, _, detail in verify_results
+    ] + ["11/11 criteria passed"]
+    assert all(ok for _, ok, _ in verify_results)
+
+
+def test_verify_paper_exits_1_on_a_failed_criterion(capsys, monkeypatch):
+    results = [("first", True, "fine"), ("second", False, "off by 1e-3")]
+    monkeypatch.setattr(acceptance, "run_all", lambda seed=0: results)
+    code, out, _ = run(capsys, "--seed", "7", "verify-paper")
+    assert code == 1
+    assert out.splitlines() == [
+        "PASS  first: fine", "FAIL  second: off by 1e-3", "1/2 criteria passed",
+    ]

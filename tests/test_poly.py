@@ -1,12 +1,15 @@
 """Exact scalar and polynomial layer."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellop.rationals import Rat, as_rat, falling_factorial, rat_str
-from ellop.poly import MultiPoly, RatFunc, exact_div, try_div
+from ellop.poly import (MAX_EXPONENT, WEIGHTS, MultiPoly, RatFunc, exact_div, sort_vars,
+                        try_div)
 
 
 rats = st.fractions(
@@ -118,3 +121,273 @@ def test_ratfunc_substitute_pole():
     f = c / e
     with pytest.raises(ZeroDivisionError):
         f.substitute({"e": MultiPoly.zero()})
+
+
+# -- regressions --------------------------------------------------------------
+
+
+def test_zero_is_not_equal_to_a_nonzero_constant():
+    assert not (MultiPoly.zero() == 5)
+    assert MultiPoly.zero() != Rat(1, 2)
+    assert MultiPoly.zero(("c",)) == 0
+    assert MultiPoly.const(5, ("c", "e")) == 5
+    assert MultiPoly.var("c") != 5
+
+
+def test_hash_ignores_unused_universe_variables():
+    p = MultiPoly.var("c") * 0 + MultiPoly.var("e")
+    assert p.vars == ("c", "e")
+    q = MultiPoly.var("e")
+    assert p == q and hash(p) == hash(q)
+    assert len({p, q}) == 1
+    # the same value built over differently ordered universes
+    a = MultiPoly.from_terms(("g2", "e", "c"), {(0, 2, 1): Rat(3, 4), (1, 0, 0): 1})
+    b = MultiPoly.from_terms(("c", "e", "g2"), {(0, 0, 1): 1, (1, 2, 0): Rat(3, 4)})
+    assert a == b and hash(a) == hash(b)
+    assert hash(MultiPoly.const(Rat(5, 2), ("c",))) == hash(Rat(5, 2))
+    den = MultiPoly.var("g2") + 1
+    assert hash(RatFunc(p, den)) == hash(RatFunc(q, den))
+
+
+# -- the packed kernel against a dict-of-Fraction reference -------------------
+
+
+class RefPoly:
+    """Reference polynomial: exponent tuples to nonzero Fractions.
+
+    The loops are those of the plain dict-of-rationals kernel the packed
+    one replaced, so the kernel must reproduce its terms in the same order.
+    """
+
+    def __init__(self, variables, terms):
+        self.vars = tuple(variables)
+        self.terms = terms
+
+    def in_universe(self, variables):
+        pos = {v: i for i, v in enumerate(variables)}
+        terms = {}
+        for expo, cf in self.terms.items():
+            new = [0] * len(variables)
+            for v, p in zip(self.vars, expo):
+                new[pos[v]] = p
+            terms[tuple(new)] = cf
+        return RefPoly(variables, terms)
+
+    @staticmethod
+    def align(a, b):
+        if a.vars == b.vars:
+            return a, b
+        uni = sort_vars(a.vars + b.vars)
+        return a.in_universe(uni), b.in_universe(uni)
+
+    def __add__(self, other):
+        a, b = RefPoly.align(self, other)
+        terms = dict(a.terms)
+        for expo, cf in b.terms.items():
+            s = terms.get(expo, 0) + cf
+            if s == 0:
+                terms.pop(expo, None)
+            else:
+                terms[expo] = s
+        return RefPoly(a.vars, terms)
+
+    def __neg__(self):
+        return RefPoly(self.vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, RefPoly):
+            other = Fraction(other)
+            if other == 0:
+                return RefPoly(self.vars, {})
+            return RefPoly(self.vars, {e: c * other for e, c in self.terms.items()})
+        a, b = RefPoly.align(self, other)
+        terms = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                expo = tuple(x + y for x, y in zip(e1, e2))
+                s = terms.get(expo, 0) + c1 * c2
+                if s == 0:
+                    terms.pop(expo, None)
+                else:
+                    terms[expo] = s
+        return RefPoly(a.vars, terms)
+
+    def __pow__(self, k):
+        out = RefPoly(self.vars, {(0,) * len(self.vars): Fraction(1)})
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    def order_key(self, expo):
+        w = [WEIGHTS.get(v, 0) for v in self.vars]
+        return (sum(p * wi for p, wi in zip(expo, w)), expo)
+
+    def leading(self):
+        expo = max(self.terms, key=self.order_key)
+        return expo, self.terms[expo]
+
+    def primitive(self):
+        if not self.terms:
+            return self
+        num = math.gcd(*(c.numerator for c in self.terms.values()))
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        c = Fraction(num, den) * (1 if self.leading()[1] > 0 else -1)
+        return RefPoly(self.vars, {e: cf / c for e, cf in self.terms.items()})
+
+    def coefficients_in(self, name):
+        if name not in self.vars:
+            return {0: self} if self.terms else {}
+        i = self.vars.index(name)
+        rest = self.vars[:i] + self.vars[i + 1:]
+        out = {}
+        for expo, cf in self.terms.items():
+            out.setdefault(expo[i], {})[expo[:i] + expo[i + 1:]] = cf
+        return {p: RefPoly(rest, d) for p, d in out.items()}
+
+    def substitute(self, mapping):
+        out = RefPoly((), {})
+        one = RefPoly((), {(): Fraction(1)})
+        for expo, cf in self.terms.items():
+            term = one * cf
+            for v, p in zip(self.vars, expo):
+                if p:
+                    term = term * (mapping[v] ** p if v in mapping
+                                   else RefPoly((v,), {(p,): Fraction(1)}))
+            out = out + term
+        return out
+
+    def text(self):
+        if not self.terms:
+            return "0"
+        chunks = []
+        for expo in sorted(self.terms, key=self.order_key, reverse=True):
+            cf = self.terms[expo]
+            factors = [v if p == 1 else f"{v}^{p}" for v, p in zip(self.vars, expo) if p]
+            if not factors:
+                body = rat_str(abs(cf))
+            elif abs(cf) == 1:
+                body = "*".join(factors)
+            else:
+                body = rat_str(abs(cf)) + "*" + "*".join(factors)
+            chunks.append(("-" if cf < 0 else "+", body))
+        out = ("-" if chunks[0][0] == "-" else "") + chunks[0][1]
+        return out + "".join(f" {s} {b}" for s, b in chunks[1:])
+
+
+def ref_try_div(a, b):
+    if set(b.terms) <= {(0,) * len(b.vars)}:
+        return a * (1 / b.terms[(0,) * len(b.vars)])
+    a, b = RefPoly.align(a, b)
+    lead_b, cb = b.leading()
+    quot = {}
+    rem = dict(a.terms)
+    while rem:
+        expo = max(rem, key=a.order_key)
+        qe = tuple(x - y for x, y in zip(expo, lead_b))
+        if any(p < 0 for p in qe):
+            return None
+        qc = rem[expo] / cb
+        quot[qe] = qc
+        for be, bc in b.terms.items():
+            te = tuple(x + y for x, y in zip(qe, be))
+            s = rem.get(te, 0) - qc * bc
+            if s == 0:
+                rem.pop(te, None)
+            else:
+                rem[te] = s
+    return RefPoly(a.vars, quot)
+
+
+REF_VARS = ("c", "e", "g2", "g3", "lambda", "u1", "x")
+
+
+def random_pair(rng, max_terms=6, max_expo=4):
+    """The same random polynomial as (MultiPoly, RefPoly), on a random
+    universe, sometimes holding unused variables or in non-canonical order."""
+    universe = rng.sample(REF_VARS, rng.randint(0, 4))
+    if rng.random() < 0.7:
+        universe = list(sort_vars(universe))
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        expo = tuple(rng.randint(0, max_expo) for _ in universe)
+        if rng.random() < 0.5:
+            expo = tuple(p if rng.random() < 0.5 else 0 for p in expo)
+        cf = Fraction(rng.randint(-24, 24), rng.choice((1, 1, 2, 3, 4, 6, 9)))
+        if cf:
+            terms[expo] = cf
+    return MultiPoly.from_terms(universe, terms), RefPoly(universe, terms)
+
+
+def assert_same(p, ref):
+    assert p.vars == ref.vars
+    assert p.items() == list(ref.terms.items())
+    assert p.text() == ref.text()
+    # == compares the stored form, so this also checks that p is reduced
+    assert p == MultiPoly.from_terms(ref.vars, ref.terms)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_matches_reference(seed):
+    rng = random.Random(seed)
+    (a, ra), (b, rb), (c, rc) = (random_pair(rng) for _ in range(3))
+    assert_same(a, ra)
+    assert_same(a + b, ra + rb)
+    assert_same(a - b, ra - rb)
+    assert_same(a - a, ra - ra)
+    assert_same(-a, -ra)
+    assert_same(a * b, ra * rb)
+    assert_same((a * b) * c + a, (ra * rb) * rc + ra)
+    k = rng.randint(0, 3)
+    assert_same(a ** k, ra ** k)
+    s = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+    assert_same(a * s, ra * s)
+    assert_same(a.primitive(), ra.primitive())
+    for name in (a.vars + ("absent",)):
+        parts = a.coefficients_in(name)
+        ref_parts = ra.coefficients_in(name)
+        assert list(parts) == list(ref_parts)
+        for p in parts:
+            assert_same(parts[p], ref_parts[p])
+    # exact division: divisible and (almost always) not divisible
+    if not b.is_zero():
+        assert_same(try_div(a * b, b), ref_try_div(ra * rb, rb))
+        q, rq = try_div(a + c, b), ref_try_div(ra + rc, rb)
+        assert (q is None) == (rq is None)
+        if q is not None:
+            assert_same(q, rq)
+    # polynomial substitution into the variables of a
+    mapping, ref_mapping = {}, {}
+    for v in a.vars:
+        if rng.random() < 0.6:
+            mapping[v], ref_mapping[v] = random_pair(rng, max_terms=3, max_expo=2)
+    assert_same(a.substitute(mapping), ra.substitute(ref_mapping))
+
+
+def test_exponent_overflow_raises():
+    top = MultiPoly.var("x", MAX_EXPONENT)
+    assert (MultiPoly.var("x", MAX_EXPONENT - 1) * MultiPoly.var("x")) == top
+    with pytest.raises(OverflowError):
+        top * MultiPoly.var("x")
+    # the carry must not land in the neighbouring field (e here)
+    ce = MultiPoly.var("c", MAX_EXPONENT) * MultiPoly.var("e")
+    with pytest.raises(OverflowError):
+        ce * MultiPoly.var("c")
+    with pytest.raises(OverflowError):
+        MultiPoly.var("e") ** (MAX_EXPONENT + 1)
+    with pytest.raises(OverflowError):
+        MultiPoly.var("x", MAX_EXPONENT + 1)
+    with pytest.raises(OverflowError):
+        MultiPoly.from_terms(("c", "e"), {(0, MAX_EXPONENT + 1): 1})
+    # the quotient times a lower term of the divisor overflows e
+    a = MultiPoly.var("c") * MultiPoly.var("e", MAX_EXPONENT - 1)
+    with pytest.raises(OverflowError):
+        try_div(a, MultiPoly.var("e", 2) + MultiPoly.var("c"))
+    with pytest.raises(ValueError):
+        MultiPoly.var("x", -1)
