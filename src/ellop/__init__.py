@@ -17,7 +17,7 @@ Layers, bottom to top:
 
 from .rationals import Rat, as_rat, BACKEND
 from .poly import MultiPoly, RatFunc
-from .series import LaurentSeries, ShiftedSeries, TruncationError, wp_series
+from .series import LaurentSeries, TruncationError, wp_series
 from .elliptic import EllipticElement
 from .operators import (
     GlobalEllipticOperator,

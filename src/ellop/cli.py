@@ -18,8 +18,10 @@ from .operators import (
     GlobalEllipticOperator,
     IndexData,
     InvalidGapsError,
+    _rational_roots,
     cyclic_L0,
     find_commuting,
+    indicial_coefficients,
     third_order_from_gaps,
 )
 from .locus3 import (
@@ -204,28 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_indicial(args) -> int:
-    from .monodromy import _indicial_value
-    from .operators import _rational_roots
-
     n = args.n
     if n < 2:
         print("order must be at least 2", file=sys.stderr)
         return 2
     bs = {i: getattr(args, f"b{i}", Rat(0)) for i in range(2, n + 1)}
-    x = MultiPoly.var("m")
-    prod = MultiPoly.const(1)
-    ffs = {0: MultiPoly.const(1)}
-    for k in range(1, n + 1):
-        prod = prod * (x - Rat(k - 1))
-        ffs[k] = prod
-    P = ffs[n]
-    for i in range(2, n + 1):
-        if bs[i] != 0:
-            P = P + ffs[n - i] * bs[i]
-    coeffs = P.coefficients_in("m")
-    lst = [coeffs.get(d, MultiPoly.zero()).constant_value()
-           if d in coeffs else Rat(0) for d in range(max(coeffs) + 1)]
-    roots = _rational_roots(lst)
+    roots = _rational_roots(indicial_coefficients(n, bs))
     print(json.dumps({"n": n,
                       "roots": sorted(str(rt) for rt in roots)}))
     return 0

@@ -49,10 +49,6 @@ def _poly_mul(a, b):
     return _trim(out)
 
 
-def _poly_scale(a, c):
-    return _trim([x * c for x in a])
-
-
 def _wp_cubic():
     # 4P^3 - g2 P - g3 as a list in P
     return [
@@ -92,9 +88,6 @@ class EllipticElement:
     def is_constant(self):
         """No P or P' dependence (the coefficient may still involve g2, g3)."""
         return not self.part1 and len(self.part0) <= 1
-
-    def constant_part(self) -> MultiPoly:
-        return self.part0[0] if self.part0 else MultiPoly.zero()
 
     def pole_order(self) -> int:
         """Order of the pole at z = 0 (0 for constants/zero)."""

@@ -6,7 +6,7 @@ from .rationals import ONE, ZERO, as_rat
 from .poly import MultiPoly, RatFunc
 
 
-class ReconstructionError(Exception):
+class ReconstructionError(ArithmeticError):
     """No rational function within the degree bounds matches the samples."""
 
 

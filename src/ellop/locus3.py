@@ -15,7 +15,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .rationals import ONE, Rat, ZERO, as_rat
+from .rationals import ONE, Rat
 from .poly import MultiPoly, RatFunc
 from .monodromy import Condition, ConstraintSet, trivial_monodromy_constraints
 from .operators import InvalidGapsError, third_order_from_gaps
@@ -94,12 +94,6 @@ def j_invariant(g2, g3):
     return g2**3 * 1728 / disc
 
 
-def _num_primitive(v) -> MultiPoly:
-    if isinstance(v, RatFunc):
-        v = v.num
-    return v.primitive()
-
-
 def _reduce_relation_poly(p: MultiPoly, var: str, val: RatFunc) -> RatFunc:
     """Rewrite p modulo var^2 = val; result has var-degree <= 1."""
     out = RatFunc(0)
@@ -112,15 +106,45 @@ def _reduce_relation_poly(p: MultiPoly, var: str, val: RatFunc) -> RatFunc:
     return out
 
 
+def _vars(expr):
+    if isinstance(expr, RatFunc):
+        return expr.num.used_vars() | expr.den.used_vars()
+    return expr.used_vars()
+
+
+def _close(targets: dict, assignments: dict, numerator: bool = False) -> dict:
+    """Substitute assigned variables into every target until none is left.
+
+    Each sweep substitutes into the targets in order and stores the results
+    at once, so closing an assignment dict against itself uses each new
+    value within the same sweep.  With numerator=True a target is a
+    polynomial equation and keeps only the numerator of each substitution.
+    An acyclic assignment closes within len(assignments) sweeps; raises
+    ArithmeticError if assigned variables are left after the bound.
+    """
+    bound = len(assignments) + 2
+    for sweep in range(bound + 1):
+        changed = False
+        for name, expr in targets.items():
+            sub = {v: assignments[v] for v in _vars(expr) if v in assignments}
+            if not sub:
+                continue
+            if sweep == bound:
+                raise ArithmeticError(
+                    f"assignments do not close: {name} still depends on "
+                    + ", ".join(sorted(sub))
+                )
+            expr = expr.substitute(sub)
+            if numerator and isinstance(expr, RatFunc):
+                expr = expr.num
+            targets[name] = expr
+            changed = True
+        if not changed:
+            return targets
+
+
 def _normalize(p: MultiPoly, assignments, relation) -> MultiPoly:
-    # substitution is simultaneous; iterate until no assigned variable is left
-    for _ in range(len(assignments) + 2):
-        used = set(p.used_vars())
-        sub = {v: x for v, x in assignments.items() if v in used}
-        if not sub:
-            break
-        q = p.substitute(sub)
-        p = q.num if isinstance(q, RatFunc) else q
+    p = _close({"condition": p}, assignments, numerator=True)["condition"]
     if relation is not None and relation[0] in p.used_vars():
         p = _reduce_relation_poly(p, relation[0], relation[1]).num
     if p.is_zero():
@@ -254,41 +278,18 @@ def _try_square(state: _State, p: MultiPoly) -> bool:
     return True
 
 
-def _ratfunc_vars(expr: RatFunc):
-    return set(expr.num.used_vars()) | set(expr.den.used_vars())
-
-
 def _close_assignments(assignments, relation):
     closed = dict(assignments)
-    for _ in range(len(closed) + 2):
-        changed = False
-        for x, expr in closed.items():
-            sub = {v: closed[v] for v in _ratfunc_vars(expr) if v in closed and v != x}
-            if sub:
-                closed[x] = expr.substitute(sub)
-                changed = True
-        if not changed:
-            break
+    _close(closed, closed)
     if relation is not None:
-        expr = relation[1]
-        for _ in range(len(closed) + 2):
-            sub = {v: closed[v] for v in _ratfunc_vars(expr) if v in closed}
-            if not sub:
-                break
-            expr = expr.substitute(sub)
-        relation = (relation[0], expr)
+        var, expr = relation
+        relation = (var, _close({var: expr}, closed)[var])
     return closed, relation
 
 
 def _verify(original, assignments, relation):
     for p in original:
-        val = RatFunc(p)
-        for _ in range(len(assignments) + 2):
-            used = _ratfunc_vars(val)
-            sub = {v: x for v, x in assignments.items() if v in used}
-            if not sub:
-                break
-            val = val.substitute(sub)
+        val = _close({"condition": RatFunc(p)}, assignments)["condition"]
         if relation is not None:
             num = _reduce_relation_poly(val.num, relation[0], relation[1])
             val = num / RatFunc(val.den)
@@ -351,7 +352,7 @@ _BOUNDS = {
     (4, "c2/g2"): (2, 0),
     (7, "c2/g2"): (4, 2),
     (8, "g3/e6"): (18, 24),
-    (8, "j"): (14, 16),
+    (8, "j"): (26, 28),
     (10, "j"): (14, 16),
     (13, "j"): (20, 22),
 }
@@ -385,26 +386,25 @@ def branch_quantity(branch: LocusBranch, quantity: str):
     flip = False
     if target == "c2":  # the inverted spelling c^2 / g2
         target, base, flip = base, "c2", True
-    basevar = base[0]
-    point = {basevar: ONE}
     if target == "c" and branch.relation is not None:
         raise ValueError("c is determined only up to sign on this branch")
     expr = branch.assignments.get(target)
     if expr is None:
         raise ValueError(f"{target} is not determined on this branch")
-    if base == "c2" and branch.relation is not None:
-        # express through c^2 = V: evaluate at the base variable of V
-        val = branch.relation[1]
-        vvars = set(val.num.used_vars()) | set(val.den.used_vars())
-        if vvars:
-            raise ValueError("square relation is not constant")
-        c2 = val.constant_value()
-        num = expr.evaluate_exact({ "c": 1 })
-        v = num / c2 if c2 != 0 else None
-        if v is None:
-            raise ValueError("zero square relation")
-        return 1 / v if flip else v
+    # with c^2 = V the base is V: evaluate at c = 1, then divide by V
+    relation = branch.relation if base == "c2" else None
+    if relation is not None and _vars(relation[1]):
+        raise ValueError("square relation is not constant")
+    point = {base[0]: ONE}
+    if not _vars(expr) <= point.keys():
+        # another variable stays free, so the ratio has no value
+        raise ValueError(f"{quantity} is not determined on this branch")
     v = expr.evaluate_exact(point)
+    if relation is not None:
+        c2 = relation[1].constant_value()
+        if c2 == 0:
+            raise ValueError("zero square relation")
+        v = v / c2
     return 1 / v if flip else v
 
 
@@ -542,12 +542,7 @@ def _var_text(b: LocusBranch, v: str, curve: str = "generic") -> str:
     if v in ("g2", "g3") and curve != "generic":
         # w may itself have been forced to zero on this branch
         val = RatFunc(_CURVE_SUBS[curve][v])
-        for _ in range(3):
-            sub = {x: b.assignments[x] for x in _ratfunc_vars(val) if x in b.assignments}
-            if not sub:
-                break
-            val = val.substitute(sub)
-        return val.text()
+        return _close({v: val}, b.assignments)[v].text()
     a = b.assignments.get(v)
     if a is None:
         return "free"

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .rationals import Rat, ZERO, as_rat, falling_factorial
 from .poly import MultiPoly
-from .series import LaurentSeries, ShiftedSeries, TruncationError
-from .operators import LocalOperator, IndexData, homogeneous_integrable
+from .series import LaurentSeries, TruncationError
+from .operators import LocalOperator, _rational_roots, homogeneous_integrable
 
 
 @dataclass(frozen=True)
@@ -80,25 +80,15 @@ class ConstraintSet:
 
 @dataclass
 class FrobeniusSolution:
-    psi: ShiftedSeries
+    psi: LaurentSeries       # 1 + sum f_k z^k; the solution is z^m * psi
     obstructions: list       # (offset k, MultiPoly inhomogeneous term)
     free_parameters: list    # names of parameters introduced at resonances
 
 
-def _constant_b(op: LocalOperator):
-    bs = {}
-    for i in range(2, op.n + 1):
-        b = op.b(i)
-        if not b.is_constant():
-            raise ValueError("leading Laurent coefficients must be rational")
-        bs[i] = b.constant_value()
-    return bs
-
-
-def _indicial_value(n: int, bs: dict, x):
-    v = falling_factorial(x, n)
-    for i in range(2, n + 1):
-        v = v + bs[i] * falling_factorial(x, n - i)
+def _horner(coeffs, x):
+    v = ZERO
+    for c in reversed(coeffs):
+        v = v * x + c
     return v
 
 
@@ -112,15 +102,16 @@ def frobenius_solve(op: LocalOperator, m, K: int, lam=None,
     """
     m = as_rat(m)
     n = op.n
-    bs = _constant_b(op)
-    if _indicial_value(n, bs, m) != 0:
+    P = op.indicial_coefficients()
+    if _horner(P, m) != 0:
         raise ValueError(f"{m} is not an indicial root")
     if lam is None:
         lam = MultiPoly.var("lambda")
     elif not isinstance(lam, MultiPoly):
         lam = MultiPoly.const(as_rat(lam))
     # refuse truncations that cannot see every resonance
-    offsets = _resonance_offsets(n, bs, m)
+    offsets = [int(rt - m) for rt in _rational_roots(P)
+               if (rt - m).denominator == 1 and rt > m]
     if offsets and K < max(offsets):
         raise TruncationError(
             f"K={K} below deepest resonance offset {max(offsets)}"
@@ -142,7 +133,7 @@ def frobenius_solve(op: LocalOperator, m, K: int, lam=None,
                 inhom = inhom - A * f[kp] * falling_factorial(m + kp, n - i)
         if k >= n:
             inhom = inhom + lam * f[k - n]
-        c = _indicial_value(n, bs, m + k)
+        c = _horner(P, m + k)
         if c != 0:
             f[k] = inhom * (1 / c)
         else:
@@ -150,37 +141,8 @@ def frobenius_solve(op: LocalOperator, m, K: int, lam=None,
             name = f"{param_prefix}{len(free) + 1}"
             free.append(name)
             f[k] = MultiPoly.var(name)
-    series = LaurentSeries(0, [f[k] for k in range(K + 1)], K + 1)
-    psi = ShiftedSeries(MultiPoly.const(m), series)
+    psi = LaurentSeries(0, [f[k] for k in range(K + 1)], K + 1)
     return FrobeniusSolution(psi, obstructions, free)
-
-
-def _resonance_offsets(n: int, bs: dict, m):
-    """Positive integer offsets k with indicial value zero at m + k."""
-    from .operators import _rational_roots
-
-    x = MultiPoly.var("m")
-    P = _ff_sym(n)
-    for i in range(2, n + 1):
-        if bs[i] != 0:
-            P = P + _ff_sym(n - i) * bs[i]
-    coeffs = P.coefficients_in("m")
-    lst = [coeffs[d].constant_value() if d in coeffs else ZERO
-           for d in range(max(coeffs) + 1)]
-    roots = _rational_roots(lst)
-    out = []
-    for rt in roots:
-        d = rt - m
-        if d.denominator == 1 and d > 0:
-            out.append(int(d))
-    return out
-
-
-def _ff_sym(k: int) -> MultiPoly:
-    out = MultiPoly.const(1, ("m",))
-    for j in range(k):
-        out = out * (MultiPoly.var("m") - Rat(j))
-    return out
 
 
 def _split_coefficients(poly: MultiPoly, names):

@@ -8,9 +8,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .rationals import Rat, ZERO, as_rat
+from .rationals import ONE, Rat, ZERO, as_rat
 from .poly import MultiPoly, RatFunc
-from .series import LaurentSeries, ShiftedSeries
+from .series import LaurentSeries
 from .elliptic import EllipticElement
 from .linalg import solve_linear_over_field
 
@@ -108,12 +108,30 @@ def homogeneous_integrable(idx: IndexData, n: int):
 # -- local operators --------------------------------------------------------
 
 
-def _ff_poly(k: int) -> MultiPoly:
-    """m(m-1)...(m-k+1) as a polynomial in m."""
-    out = MultiPoly.const(1, ("m",))
+def _times_linear(p, a):
+    """Coefficients of p(m) * (m - a), for p given low to high."""
+    return [(p[d - 1] if d else ZERO) - (a * p[d] if d < len(p) else ZERO)
+            for d in range(len(p) + 1)]
+
+
+def _falling(k: int):
+    """Coefficients of m(m-1)...(m-k+1), low to high."""
+    p = [ONE]
     for j in range(k):
-        out = out * (MultiPoly.var("m") - Rat(j))
-    return out
+        p = _times_linear(p, j)
+    return p
+
+
+def indicial_coefficients(n: int, bs: dict):
+    """Coefficients, low to high, of the indicial polynomial
+    m(m-1)...(m-n+1) + sum_i b_i m(m-1)...(m-n+i+1) of an order-n operator
+    whose coefficient a_i of d^(n-i) has leading term b_i z^-i."""
+    P = _falling(n)
+    for i in range(2, n + 1):
+        b = bs.get(i, ZERO)
+        for d, c in enumerate(_falling(n - i)):
+            P[d] += b * c
+    return P
 
 
 class LocalOperator:
@@ -140,45 +158,27 @@ class LocalOperator:
         """Leading Laurent coefficient of a_i at z^-i."""
         return self.coeffs[i].coefficient(-i)
 
-    def indicial_polynomial(self) -> MultiPoly:
-        P = _ff_poly(self.n)
+    def indicial_coefficients(self):
+        """The indicial polynomial's coefficients, low to high."""
+        bs = {}
         for i in range(2, self.n + 1):
-            P = P + self.b(i) * _ff_poly(self.n - i)
-        return P
+            b = self.b(i)
+            if not b.is_constant():
+                raise ValueError("indicial polynomial has symbolic coefficients")
+            bs[i] = b.constant_value()
+        return indicial_coefficients(self.n, bs)
 
     def indices(self):
-        """(IndexData or None, unresolved_factor or None).
+        """(IndexData or None, unresolved coefficients or None).
 
         Indices are the rational roots of the indicial polynomial; if some
-        roots are irrational the residual factor is reported unresolved.
+        roots are irrational its coefficient list is reported unresolved.
         """
-        P = self.indicial_polynomial()
-        coeffs = P.coefficients_in("m")
-        if any(not c.is_constant() for c in coeffs.values()):
-            raise ValueError("indicial polynomial has symbolic coefficients")
-        deg = max(coeffs)
-        poly = [
-            coeffs[k].constant_value() if k in coeffs else ZERO
-            for k in range(deg + 1)
-        ]
-        roots = _rational_roots(poly)
-        if len(roots) == deg:
+        P = self.indicial_coefficients()
+        roots = _rational_roots(P)
+        if len(roots) == self.n:
             return IndexData(roots), None
         return (IndexData(roots) if roots else None), P
-
-    def apply(self, psi: ShiftedSeries, lam=None) -> ShiftedSeries:
-        """(L - lambda) psi for a shifted series psi."""
-        derivs = [psi]
-        for _ in range(self.n):
-            derivs.append(derivs[-1].differentiate())
-        out = derivs[self.n]
-        for i in range(2, self.n + 1):
-            out = out + self.coeffs[i] * derivs[self.n - i]
-        if lam is not None:
-            if not isinstance(lam, MultiPoly):
-                lam = MultiPoly.const(as_rat(lam))
-            out = out + ShiftedSeries(psi.expo, psi.series * (-lam))
-        return out
 
     def as_opdict(self, lead_order=None):
         if lead_order is None:
@@ -201,13 +201,6 @@ def _rational_roots(poly):
     while poly and poly[0] == 0:
         roots.append(ZERO)
         poly = poly[1:]
-    if len(poly) <= 1:
-        return roots
-    den_lcm = 1
-    for c in poly:
-        d = int(c.denominator)
-        den_lcm = den_lcm * d // math.gcd(den_lcm, d)
-    ipoly = [int(c * den_lcm) for c in poly]
 
     def divisors(v):
         v = abs(v)
@@ -223,7 +216,8 @@ def _rational_roots(poly):
     changed = True
     while changed and len(poly) > 1:
         changed = False
-        a0, an = ipoly[0], ipoly[-1]
+        den_lcm = math.lcm(*(c.denominator for c in poly))
+        a0, an = int(poly[0] * den_lcm), int(poly[-1] * den_lcm)
         cands = sorted(
             {Rat(sp * p, qq) for p in divisors(a0) for qq in divisors(an) for sp in (1, -1)},
             key=lambda x: (abs(x), x < 0),
@@ -241,11 +235,6 @@ def _rational_roots(poly):
                     carry = carry * cand + c
                     new.append(carry)
                 poly = list(reversed(new))
-                den_lcm = 1
-                for c in poly:
-                    d = int(c.denominator)
-                    den_lcm = den_lcm * d // math.gcd(den_lcm, d)
-                ipoly = [int(c * den_lcm) for c in poly]
                 changed = True
                 break
     return roots
@@ -338,17 +327,10 @@ def third_order_indices(q: int, r: int) -> IndexData:
     return IndexData((m0, m1, m2))
 
 
-def third_order_from_gaps(q: int, r: int, c=None, e=None, check: bool = True) -> GlobalEllipticOperator:
+def third_order_from_gaps(q: int, r: int, c=None, e=None) -> GlobalEllipticOperator:
     """The one-pole operator D^3 + (a*P + c)D + (b*P' + e*P) whose indicial
     roots realize the gaps (q, r); a and b are forced by the roots."""
-    if check:
-        idx = third_order_indices(q, r)
-    else:
-        m0 = Rat(3 - (2 * q + r), 3)
-        m1 = Rat(3 + (q - r), 3)
-        m2 = Rat(3 + (2 * r + q), 3)
-        idx = IndexData((m0, m1, m2))
-    m0, m1, m2 = idx.indices
+    m0, m1, m2 = third_order_indices(q, r).indices
     a = m0 * m1 + m0 * m2 + m1 * m2 - 2
     b = m0 * m1 * m2 / 2
     if c is None:
@@ -363,19 +345,16 @@ def third_order_from_gaps(q: int, r: int, c=None, e=None, check: bool = True) ->
 def coefficients_from_indices(idx: IndexData):
     """Leading Laurent coefficients b_2..b_n matching the indicial roots."""
     n = idx.n
-    target = MultiPoly.const(1, ("m",))
+    target = [ONE]
     for m in idx.indices:
-        target = target * (MultiPoly.var("m") - m)
-    R = target - _ff_poly(n)
+        target = _times_linear(target, m)
+    R = [t - f for t, f in zip(target, _falling(n))]
     bs = {}
     for i in range(2, n + 1):
         deg = n - i
-        cf = R.coefficient_of("m", deg)
-        b_i = cf.constant_value() if not cf.is_zero() else ZERO
-        bs[i] = b_i
-        if b_i != 0:
-            R = R - _ff_poly(deg) * b_i
-    if not R.is_zero():
+        bs[i] = R[deg]
+        R = [r - bs[i] * f for r, f in zip(R, _falling(deg) + [ZERO] * i)]
+    if any(R):
         raise ArithmeticError("indicial matching failed")
     return bs
 

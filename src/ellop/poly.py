@@ -366,10 +366,6 @@ class MultiPoly:
         order = self._order()
         return len({order(k)[0] for k in self.terms}) <= 1
 
-    def sorted_monomials(self):
-        n = len(self.vars)
-        return [_unpack(k, n) for k in sorted(self.terms, key=self._order(), reverse=True)]
-
     def leading(self):
         """(exponent tuple, coefficient) of the greatest monomial."""
         if not self.terms:

@@ -163,15 +163,6 @@ class LaurentSeries:
             self.low, [c.substitute(mapping) for c in self.coeffs], self.order
         )
 
-    def equal_to(self, other: "LaurentSeries") -> bool:
-        """Equality of all coefficients on the common trusted range."""
-        order = min(self.order, other.order)
-        low = min(self.low, other.low)
-        for k in range(low, order):
-            if self.coefficient(k) != other.coefficient(k):
-                return False
-        return True
-
     def text(self) -> str:
         s = self.normalized()
         if s.is_zero_to_order():
@@ -199,48 +190,6 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"LaurentSeries({self.text()})"
-
-
-class ShiftedSeries:
-    """z^m * (Laurent series), with a possibly symbolic exponent m.
-
-    Supports the odd corner of the series arithmetic contract: the shift
-    exponent may be a polynomial (e.g. an index), and differentiation then
-    multiplies coefficients by the symbolic exponent m + k.
-    """
-
-    __slots__ = ("expo", "series")
-
-    def __init__(self, expo, series: LaurentSeries):
-        if not isinstance(expo, MultiPoly):
-            expo = MultiPoly.const(as_rat(expo))
-        self.expo = expo
-        self.series = series
-
-    def differentiate(self) -> "ShiftedSeries":
-        coeffs = []
-        for k in range(self.series.low, self.series.order):
-            factor = self.expo + Rat(k)
-            coeffs.append(self.series.coeffs[k - self.series.low] * factor)
-        return ShiftedSeries(
-            self.expo, LaurentSeries(self.series.low - 1, coeffs, self.series.order - 1)
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, ShiftedSeries):
-            return ShiftedSeries(self.expo + other.expo, self.series * other.series)
-        return ShiftedSeries(self.expo, self.series * other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if not isinstance(other, ShiftedSeries) or not (self.expo - other.expo).is_zero():
-            raise ValueError("can only add shifted series with equal shift exponents")
-        return ShiftedSeries(self.expo, self.series + other.series)
-
-    def coefficient(self, k: int) -> MultiPoly:
-        """Coefficient of z^(m+k)."""
-        return self.series.coefficient(k)
 
 
 def wp_series(K: int, g2=None, g3=None) -> LaurentSeries:

@@ -65,6 +65,32 @@ def test_reconstruct(capsys):
     assert doc["value"] == "(-3)/(q^2 + 2*q + 1)"
 
 
+@pytest.mark.parametrize("r,quantity", [
+    ("4", "g2/e4"), ("7", "g2/e4"), ("5", "g2/c2"), ("5", "c2/g2"),
+])
+def test_reconstruct_of_an_unbound_quantity_exits_2(capsys, r, quantity):
+    # the branch leaves a variable besides the base one free, so the ratio
+    # has no value: a usage error, not a KeyError traceback
+    code, out, err = run(capsys, "reconstruct", "--r", r, "--quantity", quantity)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {quantity} is not determined on this branch\n"
+
+
+def test_reconstruction_error_exits_2(capsys, monkeypatch):
+    from ellop import cli
+    from ellop.interp import ReconstructionError
+
+    def fail(r, quantity):
+        raise ReconstructionError("no rational function within the degree bounds")
+
+    monkeypatch.setattr(cli, "reconstruct_in_q", fail)
+    code, out, err = run(capsys, "reconstruct", "--r", "8", "--quantity", "j")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no rational function within the degree bounds\n"
+
+
 def test_jtable(capsys):
     code, out, _ = run(capsys, "jtable", "--r", "1", "--count", "2")
     assert code == 0

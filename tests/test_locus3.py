@@ -8,6 +8,8 @@ from ellop.rationals import Rat
 from ellop.poly import MultiPoly, RatFunc
 from ellop.operators import InvalidGapsError
 from ellop.locus3 import (
+    _close_assignments,
+    _normalize,
     constraints_for,
     j_invariant,
     reconstruct_in_q,
@@ -106,3 +108,22 @@ def test_high_r_branches_are_not_solvable():
     assert {row.classification for row in report.rows} <= {
         "cyclic-point", "inconsistent"
     }
+
+
+def test_assignments_that_do_not_close_raise():
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    cycle = {"x": RatFunc(y), "y": RatFunc(x)}
+    with pytest.raises(ArithmeticError):
+        _close_assignments(cycle, None)
+    with pytest.raises(ArithmeticError):
+        _normalize(x + 1, cycle, None)
+
+
+def test_closing_assignments_back_substitutes_a_chain():
+    x, y, z = (MultiPoly.var(v) for v in "xyz")
+    closed, relation = _close_assignments(
+        {"x": RatFunc(y + 1), "y": RatFunc(z * 2)}, ("c", RatFunc(x * y)))
+    assert closed == {"x": RatFunc(z * 2 + 1), "y": RatFunc(z * 2)}
+    assert relation == ("c", RatFunc((z * 2 + 1) * z * 2))
+    assert _normalize(x * 2 + y, {"x": RatFunc(y + 1), "y": RatFunc(z)}, None) \
+        == z * 3 + 2

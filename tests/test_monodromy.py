@@ -40,6 +40,33 @@ def test_frobenius_upper_root_has_no_resonance():
     assert all(p.is_zero() for _, p in sol.obstructions)
 
 
+@pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2)])
+def test_frobenius_solution_solves_the_operator(q, r):
+    # independent of the recursion: apply L - lambda to psi = z^m * sol.psi
+    # with series arithmetic.  Offset k lands at z^(m+k-3); it must vanish
+    # except at a resonance, where f_k is free and what is left is minus
+    # the recorded obstruction
+    K = 10
+    op = third_order_from_gaps(q, r).localize(K)
+    lam = MultiPoly.var("lambda")
+    idx, _ = op.indices()
+    for m in idx.indices:
+        sol = frobenius_solve(op, m, K)
+        psi = sol.psi.shift(int(m))
+        d1 = psi.differentiate()
+        d3 = d1.differentiate().differentiate()
+        out = d3 + op.coeffs[2] * d1 + op.coeffs[3] * psi - psi * lam
+        assert out.order >= m + K - 2          # every offset k <= K is trusted
+        obstruction = {int(m) + k - 3: p for k, p in sol.obstructions}
+        for e in range(out.low, out.order):
+            got = out.coefficient(e)
+            if e in obstruction:
+                assert (got + obstruction.pop(e)).is_zero(), (m, e)
+            else:
+                assert got.is_zero(), (m, e, got.text())
+        assert not obstruction
+
+
 def test_trivial_monodromy_detects_generic_failure():
     op = GlobalEllipticOperator(
         2, {2: EllipticElement([0, MultiPoly.var("a")])}

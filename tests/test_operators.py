@@ -10,9 +10,12 @@ from ellop.operators import (
     GlobalEllipticOperator,
     IndexData,
     InvalidGapsError,
+    _rational_roots,
+    coefficients_from_indices,
     cyclic_L0,
     find_commuting,
     homogeneous_integrable,
+    indicial_coefficients,
     op_commutator,
     op_compose,
     op_order,
@@ -162,3 +165,12 @@ def test_find_commuting_requires_coprime_orders():
     L = GlobalEllipticOperator(2, {2: EllipticElement([0, -2])})
     with pytest.raises(ValueError):
         find_commuting(L, 4)
+
+
+@pytest.mark.parametrize("indices", [(-1, 1, 3), (-3, 2, 4), (-1, 1, 2, 4), (-2, 3)])
+def test_indicial_coefficients_invert_coefficients_from_indices(indices):
+    idx = IndexData(indices)
+    bs = coefficients_from_indices(idx)
+    P = indicial_coefficients(idx.n, bs)
+    assert P[-1] == 1 and len(P) == idx.n + 1
+    assert IndexData(_rational_roots(P)) == idx
