@@ -79,6 +79,7 @@ from .oracle import (
     PathError,
     elliptic_evaluator,
     integrability_verdict,
+    monodromy_matrices,
     monodromy_matrix,
 )
 from .acceptance import run_all as run_verification

@@ -41,7 +41,13 @@ from .locus3 import (
 )
 from .lattice import HEX_TAU, make_lattice, wp_eval
 from .series import wp_series_numeric
-from .oracle import elliptic_evaluator, integrability_verdict, monodromy_matrix
+from .oracle import (
+    DEFAULT_LAMBDAS,
+    elliptic_evaluator,
+    integrability_verdict,
+    monodromy_matrices,
+    monodromy_matrix,
+)
 from .cm import (
     CMConfig2,
     CMConfig3,
@@ -438,9 +444,8 @@ def criterion_numerical_monodromy(seed=0):
     hx = make_lattice(HEX_TAU)
     L = GlobalEllipticOperator(2, {2: EllipticElement([0, -2])})
     ev = elliptic_evaluator(L, {}, sq)
-    for _ in range(5):
-        lam = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        rep = monodromy_matrix(ev, 2, 0, 0.1 * sq.shortest, lam)
+    lams = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(5)]
+    for rep in monodromy_matrices(ev, 2, 0, 0.1 * sq.shortest, lams):
         if rep.deviation > 1e-8:
             return False, f"integrable order-2 deviation {rep.deviation}"
         if abs(rep.determinant - 1) > 1e-8:
@@ -458,10 +463,9 @@ def criterion_numerical_monodromy(seed=0):
     ]
     for op, lat, fac in cyclics:
         evc = elliptic_evaluator(op, {}, lat)
-        worst = max(
-            monodromy_matrix(evc, op.n, 0, fac * lat.shortest, lam).deviation
-            for lam in (1.0, -2 + 1j, 5j)
-        )
+        reports = monodromy_matrices(evc, op.n, 0, fac * lat.shortest,
+                                     DEFAULT_LAMBDAS)
+        worst = max(rep.deviation for rep in reports)
         if worst > 1e-7:
             return False, f"cyclic order-{op.n} deviation {worst}"
     # exact locus membership vs loop transport, 10 randomized points
@@ -525,10 +529,9 @@ def criterion_many_body(seed=0):
     def pair_coeffs(z):
         return [-2 * wp_eval(z - z1, lat) - 2 * wp_eval(z - z2, lat), 0j]
 
-    worst = max(
-        monodromy_matrix(pair_coeffs, 2, z1, 0.15 * lat.shortest, lam).deviation
-        for lam in (1.0, -2 + 1j, 5j)
-    )
+    reports = monodromy_matrices(pair_coeffs, 2, z1, 0.15 * lat.shortest,
+                                 DEFAULT_LAMBDAS)
+    worst = max(rep.deviation for rep in reports)
     if worst > 1e-7:
         return False, f"half-period pair deviation {worst}"
     # gradient structure of the cubic system

@@ -125,6 +125,9 @@ def _rat_arg(text: str) -> Rat:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
+_INDICIAL_MAX_N = 6             # the highest order with a --bN option
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ellop",
                                 description="exact and numeric finite-gap "
@@ -135,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("indicial", help="roots of the indicial polynomial")
     s.add_argument("--n", type=int, required=True)
-    for i in range(2, 7):
+    for i in range(2, _INDICIAL_MAX_N + 1):
         s.add_argument(f"--b{i}", type=_rat_arg, default=Rat(0))
 
     s = sub.add_parser("homog-check",
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
                                                "double-pole potential")
     s.add_argument("--tau", type=_parse_complex, default=1j)
     s.add_argument("--points", required=True)
-    s.add_argument("--ms", required=True, help="four comma-separated values")
+    s.add_argument("--ms", required=True, help="four semicolon-separated values")
 
     s = sub.add_parser("monodromy", help="loop transport around the pole")
     s.add_argument("--operator", required=True)
@@ -210,7 +213,10 @@ def _cmd_indicial(args) -> int:
     if n < 2:
         print("order must be at least 2", file=sys.stderr)
         return 2
-    bs = {i: getattr(args, f"b{i}", Rat(0)) for i in range(2, n + 1)}
+    if n > _INDICIAL_MAX_N:
+        raise ValueError(f"order must be at most {_INDICIAL_MAX_N}: "
+                         f"only --b2 .. --b{_INDICIAL_MAX_N} exist")
+    bs = {i: getattr(args, f"b{i}") for i in range(2, n + 1)}
     roots = _rational_roots(indicial_coefficients(n, bs))
     print(json.dumps({"n": n,
                       "roots": sorted(str(rt) for rt in roots)}))

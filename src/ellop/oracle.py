@@ -3,14 +3,17 @@
 Independent check of trivial monodromy: write (L - lambda) psi = 0 as a
 first order companion system, integrate a fundamental matrix once around a
 small circle enclosing the pole, and measure the distance of the result
-from the identity.  Coefficients come from the lattice evaluator, which
-switches to the truncated Laurent series automatically inside its safe disk,
-so the circle never sees evaluator blow-up.
+from the identity.  The matrices of all spectral values on one loop are
+integrated together, since the coefficients do not depend on lambda.
+Coefficients come from the lattice evaluator, which switches to the
+truncated Laurent series automatically inside its safe disk, so the circle
+never sees evaluator blow-up.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,43 +155,67 @@ def _coeff_series(p0, p1, lat: Lattice):
     return acc
 
 
-def monodromy_matrix(evaluator, n: int, center: complex, radius: float,
-                     lam: complex, tol: float = 1e-12) -> MonodromyReport:
-    """Fundamental matrix around the circle |z - center| = radius.
+def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
+                       lams, tol: float = 1e-12) -> list:
+    """Fundamental matrices around the circle |z - center| = radius, one
+    MonodromyReport per spectral value in lams, in that order.
 
     Columns start as the identity at the base point center + radius; the
     loop runs counterclockwise once.  deviation is the max-norm distance of
-    the result from the identity.
+    the result from the identity.  All spectral values share one
+    integration, so each right-hand-side call evaluates the coefficients
+    once.
     """
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"loop radius must be finite and positive, "
+                         f"got {radius}")
+    lams = [complex(v) for v in lams]
+    if not lams:
+        raise ValueError("need at least one spectral value")
     center = complex(center)
-    lam = complex(lam)
+    count = len(lams)
+    lam_col = np.array(lams)[:, None]
 
     def rhs(theta, y):
-        z = center + radius * np.exp(1j * theta)
-        dz = 1j * radius * np.exp(1j * theta)
-        Y = y.reshape(n, n)
+        turn = np.exp(1j * theta)
+        z = center + radius * turn
+        dz = 1j * radius * turn
+        Y = y.reshape(count, n, n)
         c = evaluator(z)
         dY = np.empty_like(Y)
-        dY[:-1] = Y[1:]
-        top = lam * Y[0]
+        dY[:, :-1] = Y[:, 1:]
+        top = lam_col * Y[:, 0]
         for k in range(n):
             ck = c[k]
             if ck:
-                top = top - ck * Y[k]
-        dY[-1] = top
+                top = top - ck * Y[:, k]
+        dY[:, -1] = top
         return (dz * dY).reshape(-1)
 
-    y0 = np.eye(n, dtype=complex).reshape(-1)
+    y0 = np.tile(np.eye(n, dtype=complex), (count, 1, 1)).reshape(-1)
+    # a step is accepted when the RMS of error / (atol + rtol*|y|) over all
+    # count*n*n components is <= 1; at tol/sqrt(count) its square is
+    # sum_l e_l^2, e_l being spectral value l's own RMS at tol, so every
+    # e_l <= 1, as a solo run at tol demands
+    step_tol = tol / math.sqrt(count)
     sol = solve_ivp(rhs, (0.0, 2 * np.pi), y0, method="DOP853",
-                    rtol=tol, atol=tol)
+                    rtol=step_tol, atol=step_tol)
     if not sol.success:
         raise PathError(f"loop integration failed: {sol.message}")
     # rows of Y carry derivative orders, columns the transported solutions;
     # the start basis is the identity in those coordinates
-    Mfull = sol.y[:, -1].reshape(n, n)
-    dev = float(np.max(np.abs(Mfull - np.eye(n))))
-    det = complex(np.linalg.det(Mfull))
-    return MonodromyReport(Mfull, dev, det, lam, (center, radius))
+    reports = []
+    for lam, M in zip(lams, sol.y[:, -1].reshape(count, n, n)):
+        dev = float(np.max(np.abs(M - np.eye(n))))
+        det = complex(np.linalg.det(M))
+        reports.append(MonodromyReport(M, dev, det, lam, (center, radius)))
+    return reports
+
+
+def monodromy_matrix(evaluator, n: int, center: complex, radius: float,
+                     lam: complex, tol: float = 1e-12) -> MonodromyReport:
+    """The MonodromyReport of one spectral value; see monodromy_matrices."""
+    return monodromy_matrices(evaluator, n, center, radius, [lam], tol)[0]
 
 
 def integrability_verdict(evaluator, n: int, radius: float,
@@ -201,8 +228,7 @@ def integrability_verdict(evaluator, n: int, radius: float,
     lambdas = [complex(v) for v in lambdas]
     if len(lambdas) < 3:
         raise ValueError("need at least 3 spectral samples")
-    reports = [monodromy_matrix(evaluator, n, center, radius, lam, tol)
-               for lam in lambdas]
+    reports = monodromy_matrices(evaluator, n, center, radius, lambdas, tol)
     devs = [r.deviation for r in reports]
     if all(d < 10 * tol for d in devs):
         verdict = "trivial"

@@ -155,6 +155,37 @@ def test_outputs_are_deterministic(capsys):
     assert a == b
 
 
+def test_indicial_rejects_an_order_without_coefficient_options(capsys):
+    # only --b2 .. --b6 exist; a higher order must not read b7.. as zero
+    for n in ("7", "8"):
+        code, out, err = run(capsys, "indicial", "--n", n)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+    assert run(capsys, "indicial", "--n", "6", "--b2", "1")[0] == 0
+    assert run(capsys, "indicial", "--n", "1") == (
+        2, "", "order must be at least 2\n")
+
+
+def test_inozemtsev_ms_takes_the_documented_separator(capsys):
+    code, out, _ = run(capsys, "inozemtsev-grad", "--help")
+    assert code == 0
+    assert "four semicolon-separated values" in " ".join(out.split())
+    code, out, _ = run(capsys, "inozemtsev-grad", "--points",
+                       "0.21+0.33j;0.57-0.12j", "--ms", "1;0.5;0.25;0.1")
+    assert code == 0
+    assert len(json.loads(out)["gradient"]) == 2
+
+
+@pytest.mark.parametrize("radius", ["0", "-0.1", "nan", "inf"])
+def test_monodromy_rejects_a_degenerate_loop(capsys, radius):
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1", f"--radius={radius}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "radius" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "indicial")[0] == 2                       # missing --n
