@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .rationals import ONE, Rat
 from .poly import MultiPoly, RatFunc
@@ -32,8 +32,9 @@ def constraints_for(q: int, r: int) -> ConstraintSet:
         raise InvalidGapsError("gaps must be positive")
     op = third_order_from_gaps(q, r).localize(r + 4)
     cs = trivial_monodromy_constraints(op, mode="middle-only")
-    cs.conditions.sort(key=lambda c: -c.lambda_degree)
-    cs.q, cs.r = q, r
+    cs = replace(
+        cs, conditions=tuple(sorted(cs.conditions, key=lambda c: -c.lambda_degree)),
+        q=q, r=r)
     for c in cs.conditions:
         if not c.poly.is_weighted_homogeneous():
             raise ArithmeticError("condition not weighted-homogeneous")
@@ -53,7 +54,7 @@ def substitute_constraints(cs: ConstraintSet, mapping) -> ConstraintSet:
         if p.is_zero():
             continue
         out.append(Condition(p.primitive(), c.lambda_degree, c.provenance))
-    return ConstraintSet(cs.n, out, q=cs.q, r=cs.r)
+    return ConstraintSet(cs.n, tuple(out), q=cs.q, r=cs.r)
 
 
 # -- branch solving ----------------------------------------------------------

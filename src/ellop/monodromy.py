@@ -11,10 +11,10 @@ coefficients with those auxiliary variables stripped off.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .rationals import Rat, ZERO, as_rat, falling_factorial
-from .poly import MultiPoly
+from .poly import MultiPoly, sort_vars, sum_of_products
 from .series import LaurentSeries, TruncationError
 from .operators import LocalOperator, _rational_roots, homogeneous_integrable
 
@@ -29,12 +29,12 @@ class Condition:
         return self.poly.text()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstraintSet:
-    """Parameter conditions cutting out an integrability locus."""
+    """Parameter conditions cutting out an integrability locus (immutable)."""
 
     n: int
-    conditions: list = field(default_factory=list)
+    conditions: tuple = ()
     unsatisfiable: bool = False
     reason: str | None = None
     q: int | None = None
@@ -116,31 +116,44 @@ def frobenius_solve(op: LocalOperator, m, K: int, lam=None,
         raise TruncationError(
             f"K={K} below deepest resonance offset {max(offsets)}"
         )
-    f = {0: MultiPoly.const(1)}
+    # every coefficient, lambda and f_k lives over one universe, which grows
+    # by u_i at the resonance that introduces it
+    universe = sort_vars(lam.vars + tuple(v for a_i in op.coeffs.values()
+                                          for c in a_i.coeffs for v in c.vars))
+    lam = lam.in_universe(universe)
+    f = {0: MultiPoly.const(1, universe)}
+    local = {}  # (i, j) -> coefficient of z^j in a_i
     obstructions = []
     free = []
     for k in range(1, K + 1):
-        inhom = MultiPoly.zero()
+        # f_k * indicial(m + k) = sum of these products; at a resonance
+        # the sum is the obstruction
+        triples = []
         for i in range(2, n + 1):
             a_i = op.coeffs[i]
             for j in range(a_i.low, k - i + 1):
                 if j == -i:
                     continue
-                A = a_i.coefficient(j)
-                if A.is_zero():
-                    continue
-                kp = k - i - j
-                inhom = inhom - A * f[kp] * falling_factorial(m + kp, n - i)
+                A = local.get((i, j))
+                if A is None:
+                    A = local[i, j] = a_i.coefficient(j).in_universe(universe)
+                if A.terms:
+                    kp = k - i - j
+                    triples.append((-falling_factorial(m + kp, n - i), A, f[kp]))
         if k >= n:
-            inhom = inhom + lam * f[k - n]
+            triples.append((1, lam, f[k - n]))
         c = _horner(P, m + k)
         if c != 0:
-            f[k] = inhom * (1 / c)
-        else:
-            obstructions.append((k, inhom))
-            name = f"{param_prefix}{len(free) + 1}"
-            free.append(name)
-            f[k] = MultiPoly.var(name)
+            f[k] = sum_of_products(universe, triples, c)
+            continue
+        obstructions.append((k, sum_of_products(universe, triples)))
+        name = f"{param_prefix}{len(free) + 1}"
+        free.append(name)
+        universe = sort_vars(universe + (name,))
+        lam = lam.in_universe(universe)
+        local = {ij: A.in_universe(universe) for ij, A in local.items()}
+        f = {kp: p.in_universe(universe) for kp, p in f.items()}
+        f[k] = MultiPoly.var(name).in_universe(universe)
     psi = LaurentSeries(0, [f[k] for k in range(K + 1)], K + 1)
     return FrobeniusSolution(psi, obstructions, free)
 
@@ -204,7 +217,7 @@ def trivial_monodromy_constraints(op: LocalOperator, mode: str = "full") -> Cons
                     continue
                 seen.add(key)
                 conditions.append(Condition(p, expo[0], (n, m, offset)))
-    return ConstraintSet(n, conditions)
+    return ConstraintSet(n, tuple(conditions))
 
 
 def second_order_conditions(m: int, u: LaurentSeries) -> ConstraintSet:
@@ -223,7 +236,7 @@ def second_order_conditions(m: int, u: LaurentSeries) -> ConstraintSet:
         if cj.is_zero():
             continue
         conditions.append(Condition(cj.primitive(), 0, (2, Rat(-m), j + 2)))
-    return ConstraintSet(2, conditions)
+    return ConstraintSet(2, tuple(conditions))
 
 
 def two_gap_conditions(a_coeffs, b_coeffs) -> ConstraintSet:
@@ -246,7 +259,7 @@ def two_gap_conditions(a_coeffs, b_coeffs) -> ConstraintSet:
         if p.is_zero():
             continue
         conditions.append(Condition(p.primitive(), 0, (3, Rat(-1), offset)))
-    return ConstraintSet(3, conditions)
+    return ConstraintSet(3, tuple(conditions))
 
 
 def _as_mp(x):

@@ -192,7 +192,8 @@ class LocalOperator:
 
 def _rational_roots(poly):
     """Rational roots (with multiplicity) of a rational-coefficient
-    polynomial given as a coefficient list, low to high."""
+    polynomial given as a coefficient list, low to high, in the order
+    (|root|, negative after positive)."""
     poly = [as_rat(c) for c in poly]
     while poly and poly[-1] == 0:
         poly.pop()
@@ -201,6 +202,12 @@ def _rational_roots(poly):
     while poly and poly[0] == 0:
         roots.append(ZERO)
         poly = poly[1:]
+    # clear denominators once; a root p/q in lowest terms has p | a_0 and
+    # q | a_d, and so does every root of a quotient
+    scale = math.lcm(*(c.denominator for c in poly))
+    a = [int(c * scale) for c in poly]
+    if len(a) < 2:
+        return roots
 
     def divisors(v):
         v = abs(v)
@@ -213,30 +220,29 @@ def _rational_roots(poly):
             f += 1
         return out
 
-    changed = True
-    while changed and len(poly) > 1:
-        changed = False
-        den_lcm = math.lcm(*(c.denominator for c in poly))
-        a0, an = int(poly[0] * den_lcm), int(poly[-1] * den_lcm)
-        cands = sorted(
-            {Rat(sp * p, qq) for p in divisors(a0) for qq in divisors(an) for sp in (1, -1)},
-            key=lambda x: (abs(x), x < 0),
-        )
-        for cand in cands:
-            val = ZERO
-            for c in reversed(poly):
-                val = val * cand + c
-            if val == 0:
-                roots.append(cand)
-                # synthetic division
-                new = []
-                carry = ZERO
-                for c in reversed(poly[1:]):
-                    carry = carry * cand + c
-                    new.append(carry)
-                poly = list(reversed(new))
-                changed = True
+    top = abs(a[-1])
+    cands = set()
+    for p in divisors(a[0]):
+        for q in divisors(top):
+            g = math.gcd(p, q)
+            cands.update(((p // g, q // g), (-p // g, q // g)))
+    # by |p/q|, positive first; |p/q| * top is an integer, as q divides top
+    for p, q in sorted(cands, key=lambda c: (abs(c[0]) * (top // c[1]), c[0] < 0)):
+        while len(a) > 1:
+            # q^d * P(p/q) by integer Horner
+            val, qk = a[-1], 1
+            for c in reversed(a[:-1]):
+                qk *= q
+                val = val * p + c * qk
+            if val:
                 break
+            roots.append(Rat(p, q))
+            # divide by q*x - p; the quotient is integral (Gauss's lemma)
+            quot, carry = [], 0
+            for c in reversed(a[1:]):
+                carry = (c + p * carry) // q
+                quot.append(carry)
+            a = quot[::-1]
     return roots
 
 

@@ -164,7 +164,9 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
     loop runs counterclockwise once.  deviation is the max-norm distance of
     the result from the identity.  All spectral values share one
     integration, so each right-hand-side call evaluates the coefficients
-    once.
+    once.  Raises ValueError for a degenerate loop, an empty batch, or a tol
+    that is not finite and positive or that the batch tightens below the
+    integrator's floor (tol/sqrt(len(lams)) < 100 eps).
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"loop radius must be finite and positive, "
@@ -174,6 +176,13 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
         raise ValueError("need at least one spectral value")
     center = complex(center)
     count = len(lams)
+    # scipy raises an rtol below 100*eps to that floor with only a warning
+    floor = 100 * np.finfo(float).eps
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    if tol / math.sqrt(count) < floor:
+        raise ValueError(f"tolerance {tol} over {count} spectral values is below "
+                         f"the integrator floor: tol/sqrt({count}) < {floor:.3g}")
     lam_col = np.array(lams)[:, None]
 
     def rhs(theta, y):

@@ -18,6 +18,18 @@ instead of returning a wrong polynomial.  Nothing
 outside this module reads keys; `items`, `from_terms`, `leading` and
 `monomial_vars` speak in exponent tuples.
 
+Sums of products go through one kernel, `sum_of_products`: (sum of s*P*Q) /
+divisor over one universe, accumulated in a single integer dict over the lcm
+of the denominators and reduced once, in the term order that P*Q followed by
+`+` would give when each P is a single term.  The Frobenius recursion makes
+one call per coefficient, and `MultiPoly.substitute` makes one call with a
+(monomial, cached power product) pair per term whenever every value is a
+polynomial, a rational, or a RatFunc with a constant denominator; it returns
+a RatFunc exactly when some value is a RatFunc.  A value with a non-constant
+denominator sends the whole substitution down the term-by-term RatFunc path
+(`_substitute_fractions`), because RatFunc normalization is not canonical
+and the order of those steps decides the printed numerator and denominator.
+
 Printing and "leading coefficient" use graded lexicographic order, graded by
 the homothety weights deg(e)=1, deg(c)=2, deg(lambda)=3, deg(g2)=4,
 deg(g3)=6 (other variables weigh 0, so they compare by plain lex within a
@@ -118,6 +130,46 @@ def _lowest_terms(variables, terms: dict, denom: int) -> "MultiPoly":
             terms = {k: c // g for k, c in terms.items()}
             denom //= g
     return MultiPoly(variables, terms, denom)
+
+
+def sum_of_products(variables, triples, divisor=1) -> "MultiPoly":
+    """(sum of s*P*Q over (s, P, Q) in triples) / divisor, reduced.
+
+    s and divisor are ints or rationals, and P and Q are MultiPolys over the
+    universe `variables` exactly.  Every term product lands in one integer
+    dict over the lcm of the denominators, and the result is reduced once.
+    When each P is a single term, the keys come out in the order that P*Q
+    followed by `+` gives.  Triples with s = 0 or a zero factor are skipped.
+    """
+    variables = tuple(variables)
+    dnum, dden = divisor.numerator, divisor.denominator
+    if not dnum:
+        raise ZeroDivisionError("sum of products divided by zero")
+    if dnum < 0:  # keep the denominator positive
+        dnum, dden = -dnum, -dden
+    parts = []
+    for s, p, q in triples:
+        if p.vars != variables or q.vars != variables:
+            raise ValueError(f"factor not over the universe {variables}")
+        if s and p.terms and q.terms:
+            parts.append((s.numerator, s.denominator * p.denom * q.denom, p.terms, q.terms))
+    denom = math.lcm(*(d for _, d, _, _ in parts))
+    terms = {}
+    get = terms.get
+    for num, d, pterms, qterms in parts:
+        scale = num * (denom // d) * dden
+        qitems = qterms.items()
+        for k1, c1 in pterms.items():
+            c1 *= scale
+            for k2, c2 in qitems:
+                k = k1 + k2
+                c = get(k, 0) + c1 * c2
+                if c:
+                    terms[k] = c
+                else:
+                    del terms[k]
+    _check_overflow(terms, len(variables))
+    return _lowest_terms(variables, terms, denom * dnum)
 
 
 class MultiPoly:
@@ -426,21 +478,57 @@ class MultiPoly:
         Returns a MultiPoly if every value is polynomial, else a RatFunc.
         Raises ZeroDivisionError if a substituted denominator vanishes.
         """
-        from_ratfunc = any(isinstance(v, RatFunc) for v in mapping.values())
+        if any(isinstance(v, RatFunc) and not v.den.is_constant() for v in mapping.values()):
+            return self._substitute_fractions(mapping)
         vals = {}
         for k, v in mapping.items():
-            if isinstance(v, (MultiPoly, RatFunc)):
+            if isinstance(v, RatFunc):
+                vals[k] = v.as_poly()
+            elif isinstance(v, MultiPoly):
                 vals[k] = v
             else:
                 vals[k] = MultiPoly.const(as_rat(v))
-        if from_ratfunc:
-            vals = {k: (v if isinstance(v, RatFunc) else RatFunc(v)) for k, v in vals.items()}
-            zero = RatFunc(MultiPoly.zero())
-            one = RatFunc(MultiPoly.const(1))
-        else:
-            zero = MultiPoly.zero()
-            one = MultiPoly.const(1)
-        out = zero
+        n = len(self.vars)
+        used = _unpack(functools.reduce(operator.or_, self.terms, 0), n)
+        universe = sort_vars([u for v, p in zip(self.vars, used) if p
+                              for u in (vals[v].vars if v in vals else (v,))])
+        shift = {v: _BITS * (len(universe) - 1 - i) for i, v in enumerate(universe)}
+        # one (monomial, power product) pair per term, in term order, so the
+        # sum makes the dict operations of term-by-term products and `+`
+        powers = {}
+        products = {}
+        triples = []
+        for key, c in self.terms.items():
+            mono = 0
+            subs = []
+            for v, p in zip(self.vars, _unpack(key, n)):
+                if not p:
+                    continue
+                if v in vals:
+                    subs.append((v, p))
+                else:
+                    mono += p << shift[v]
+            subs = tuple(subs)
+            prod = products.get(subs)
+            if prod is None:
+                prod = MultiPoly.const(1)
+                for vp in subs:
+                    if vp not in powers:
+                        powers[vp] = vals[vp[0]] ** vp[1]
+                    prod = prod * powers[vp]
+                prod = products[subs] = prod.in_universe(universe)
+            triples.append((c, MultiPoly(universe, {mono: 1}), prod))
+        out = sum_of_products(universe, triples, self.denom)
+        if any(isinstance(v, RatFunc) for v in mapping.values()):
+            return RatFunc(out)
+        return out
+
+    def _substitute_fractions(self, mapping):
+        """substitute, term by term in RatFunc arithmetic: the path for
+        values with a non-constant denominator."""
+        vals = {k: RatFunc.from_value(v) for k, v in mapping.items()}
+        out = RatFunc(MultiPoly.zero())
+        one = RatFunc(MultiPoly.const(1))
         cache = {}
         for expo, cf in self.items():
             term = one * cf

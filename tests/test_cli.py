@@ -186,6 +186,15 @@ def test_monodromy_rejects_a_degenerate_loop(capsys, radius):
     assert err.startswith("error: ") and "radius" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-14"])
+def test_monodromy_rejects_an_invalid_tolerance(capsys, tol):
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "tolerance" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "indicial")[0] == 2                       # missing --n

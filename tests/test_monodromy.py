@@ -1,13 +1,16 @@
 """Frobenius recursion, resonance obstructions, closed-form conditions."""
 
+import dataclasses
+
 import pytest
 
-from ellop.rationals import Rat
+from ellop.rationals import Rat, falling_factorial
 from ellop.poly import MultiPoly
 from ellop.series import wp_series
 from ellop.elliptic import EllipticElement
 from ellop.operators import GlobalEllipticOperator, third_order_from_gaps
 from ellop.monodromy import (
+    _horner,
     frobenius_solve,
     second_order_conditions,
     trivial_monodromy_constraints,
@@ -65,6 +68,81 @@ def test_frobenius_solution_solves_the_operator(q, r):
             else:
                 assert got.is_zero(), (m, e, got.text())
         assert not obstruction
+
+
+def reference_recursion(op, m, K):
+    """The recursion one summand at a time in MultiPoly arithmetic: f_k and
+    the obstructions, {k: MultiPoly} each."""
+    n = op.n
+    P = op.indicial_coefficients()
+    lam = MultiPoly.var("lambda")
+    f = {0: MultiPoly.const(1)}
+    obstructions = {}
+    for k in range(1, K + 1):
+        inhom = MultiPoly.zero()
+        for i in range(2, n + 1):
+            a_i = op.coeffs[i]
+            for j in range(a_i.low, k - i + 1):
+                if j == -i:
+                    continue
+                A = a_i.coefficient(j)
+                if A.is_zero():
+                    continue
+                kp = k - i - j
+                inhom = inhom - A * f[kp] * falling_factorial(m + kp, n - i)
+        if k >= n:
+            inhom = inhom + lam * f[k - n]
+        c = _horner(P, m + k)
+        if c != 0:
+            f[k] = inhom * (1 / c)
+        else:
+            obstructions[k] = inhom
+            f[k] = MultiPoly.var(f"u{len(obstructions)}")
+    return f, obstructions
+
+
+def assert_matches_reference(op, m, K):
+    sol = frobenius_solve(op, m, K)
+    f, obstructions = reference_recursion(op, m, K)
+    for k in range(K + 1):
+        got = sol.psi.coefficient(k)
+        assert got == f[k] and got.text() == f[k].text(), (m, k)
+    assert [k for k, _ in sol.obstructions] == list(obstructions)
+    for k, p in sol.obstructions:
+        assert p == obstructions[k] and p.text() == obstructions[k].text(), (m, k)
+    return sol
+
+
+# (1, 4), (2, 5) and (1, 7) have zero falling factorials among the products
+@pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (1, 4), (2, 5), (1, 7), (7, 4), (10, 10)])
+def test_recursion_matches_the_summand_by_summand_reference(q, r):
+    # from the middle index, as constraints_for runs it: the indicial value
+    # at m + k is k(k - r)(k + q), negative for 0 < k < r
+    op = third_order_from_gaps(q, r).localize(r + 4)
+    idx, _ = op.indices()
+    sol = assert_matches_reference(op, idx.indices[1], r)
+    assert [k for k, _ in sol.obstructions] == [r]
+
+
+@pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2), (1, 4)])
+def test_recursion_matches_the_reference_across_a_resonance(q, r):
+    # full mode from the lowest index: the free parameter u1 enters at the
+    # middle index and the later f_k and the obstruction at the top use it
+    op = third_order_from_gaps(q, r).localize(q + r + 4)
+    idx, _ = op.indices()
+    low, mid, top = idx.indices
+    sol = assert_matches_reference(op, low, int(top - low))
+    assert sol.free_parameters == ["u1", "u2"]
+    assert "u1" in sol.psi.coefficient(int(top - low) - 1).used_vars()
+
+
+def test_constraint_sets_are_immutable():
+    cs = constraints_for(5, 5)
+    assert isinstance(cs.conditions, tuple) and (cs.q, cs.r) == (5, 5)
+    for name, value in (("q", 7), ("conditions", ()), ("unsatisfiable", True)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cs, name, value)
+    assert hash(cs) == hash(constraints_for(5, 5))
 
 
 def test_trivial_monodromy_detects_generic_failure():

@@ -1,5 +1,8 @@
 """Differential operator algebra: composition, adjoints, indicial data."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -174,3 +177,59 @@ def test_indicial_coefficients_invert_coefficients_from_indices(indices):
     P = indicial_coefficients(idx.n, bs)
     assert P[-1] == 1 and len(P) == idx.n + 1
     assert IndexData(_rational_roots(P)) == idx
+
+
+def reference_rational_roots(poly):
+    """Rational roots in Fraction arithmetic: candidates from the current
+    quotient, Horner over the rationals, rational synthetic division."""
+    poly = [Rat(c) for c in poly]
+    while poly and poly[-1] == 0:
+        poly.pop()
+    roots = []
+    while poly and poly[0] == 0:
+        roots.append(Rat(0))
+        poly = poly[1:]
+
+    def divisors(v):
+        v = abs(v)
+        small = [f for f in range(1, math.isqrt(v) + 1) if v % f == 0]
+        return set(small) | {v // f for f in small}
+
+    changed = True
+    while changed and len(poly) > 1:
+        changed = False
+        den = math.lcm(*(c.denominator for c in poly))
+        a0, an = int(poly[0] * den), int(poly[-1] * den)
+        cands = sorted({Rat(s * p, q) for p in divisors(a0) for q in divisors(an)
+                        for s in (1, -1)}, key=lambda x: (abs(x), x < 0))
+        for cand in cands:
+            val = Rat(0)
+            for c in reversed(poly):
+                val = val * cand + c
+            if val == 0:
+                roots.append(cand)
+                new, carry = [], Rat(0)
+                for c in reversed(poly[1:]):
+                    carry = carry * cand + c
+                    new.append(carry)
+                poly = new[::-1]
+                changed = True
+                break
+    return roots
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_rational_roots_match_the_fraction_reference(seed):
+    # products of rational linear factors, repeated ones, irreducible
+    # quadratics and a rational scale, as low-to-high coefficient lists
+    rng = random.Random(seed)
+    poly = [Rat(rng.randint(1, 9), rng.randint(1, 4)) * rng.choice((1, -1))]
+    for _ in range(rng.randint(0, 5)):
+        root = Rat(rng.randint(-6, 6), rng.randint(1, 3))
+        factor = [-root, Rat(1)] if rng.random() < 0.8 else [Rat(rng.randint(1, 4)), Rat(0), Rat(1)]
+        for _ in range(rng.choice((1, 1, 2))):
+            poly = [sum(poly[i] * factor[k - i] for i in range(len(poly))
+                        if 0 <= k - i < len(factor)) for k in range(len(poly) + len(factor) - 1)]
+    roots = _rational_roots(poly)
+    assert roots == reference_rational_roots(poly)
+    assert all(type(x) is Rat for x in roots)

@@ -215,3 +215,20 @@ def test_empty_batch_is_rejected():
     ev = elliptic_evaluator(LAME, {}, SQ)
     with pytest.raises(ValueError):
         monodromy_matrices(ev, 2, 0, 0.15 * SQ.shortest, [])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_invalid_tolerance_is_rejected(tol):
+    ev = elliptic_evaluator(LAME, {}, SQ)
+    with pytest.raises(ValueError, match="tolerance"):
+        monodromy_matrix(ev, 2, 0, 0.15 * SQ.shortest, 1.0, tol)
+
+
+def test_tolerance_below_the_integrator_floor_is_rejected():
+    # scipy raises a tolerance below 100*eps (about 2.2e-14) silently; the
+    # batch tightens tol by sqrt(len(lams)), so 4e-14 fails for 4 values
+    ev = elliptic_evaluator(LAME, {}, SQ)
+    with pytest.raises(ValueError, match="tolerance"):
+        monodromy_matrices(ev, 2, 0, 0.15 * SQ.shortest, LAMS[:4], 4e-14)
+    with pytest.raises(ValueError, match="tolerance"):
+        monodromy_matrix(ev, 2, 0, 0.15 * SQ.shortest, 1.0, 1e-14)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellop.rationals import Rat, as_rat, falling_factorial, rat_str
 from ellop.poly import (MAX_EXPONENT, WEIGHTS, MultiPoly, RatFunc, exact_div, sort_vars,
-                        try_div)
+                        sum_of_products, try_div)
 
 
 rats = st.fractions(
@@ -391,3 +391,121 @@ def test_exponent_overflow_raises():
         try_div(a, MultiPoly.var("e", 2) + MultiPoly.var("c"))
     with pytest.raises(ValueError):
         MultiPoly.var("x", -1)
+
+
+# -- the fused sum-of-products kernel -----------------------------------------
+
+
+def ref_sum_of_products(variables, triples, divisor=1):
+    """Reference: every term product added into one dict of Fractions, in
+    triple order, P's terms outside Q's, a key removed when it sums to 0."""
+    acc = {}
+    for s, rp, rq in triples:
+        for e1, c1 in rp.terms.items():
+            for e2, c2 in rq.terms.items():
+                expo = tuple(x + y for x, y in zip(e1, e2))
+                v = acc.get(expo, 0) + Fraction(s) * c1 * c2
+                if v:
+                    acc[expo] = v
+                else:
+                    acc.pop(expo, None)
+    return RefPoly(variables, {e: c / Fraction(divisor) for e, c in acc.items()})
+
+
+def random_triples(rng, count):
+    pairs = [random_pair(rng, max_terms=5, max_expo=3) for _ in range(2 * count)]
+    universe = sort_vars([v for p, _ in pairs for v in p.vars])
+    scalars = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(count)]
+    triples, ref_triples = [], []
+    for s, (p, rp), (q, rq) in zip(scalars, pairs[::2], pairs[1::2]):
+        triples.append((s, p.in_universe(universe), q.in_universe(universe)))
+        ref_triples.append((s, rp.in_universe(universe), rq.in_universe(universe)))
+    return universe, triples, ref_triples
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sum_of_products_matches_reference(seed):
+    rng = random.Random(seed)
+    universe, triples, ref_triples = random_triples(rng, rng.randint(1, 5))
+    divisor = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+    got = sum_of_products(universe, triples, divisor)
+    assert_same(got, ref_sum_of_products(universe, ref_triples, divisor))
+    # and the same value as the ring operations of RefPoly
+    value = RefPoly(universe, {})
+    for s, rp, rq in ref_triples:
+        value = value + (rp * rq) * s
+    assert got == MultiPoly.from_terms(universe, (value * (1 / divisor)).terms)
+
+
+def test_sum_of_products_edge_cases():
+    uni = ("c", "e")
+    c, e = (MultiPoly.var(v).in_universe(uni) for v in uni)
+    one = MultiPoly.const(1, uni)
+    # no triples: the zero polynomial over the universe
+    zero = sum_of_products(uni, [])
+    assert zero.vars == uni and zero.is_zero() and zero.denom == 1
+    # a zero scalar is skipped, even when its product's keys are not yet in
+    # the sum (multiplying by it would delete keys that are not there)
+    assert sum_of_products(uni, [(0, c, e), (Rat(0), c, c), (2, c, one)]) == c * 2
+    # a sum that cancels to 0
+    total = sum_of_products(uni, [(1, c + e, c - e), (-1, c, c), (1, e, e)])
+    assert total.is_zero() and total.vars == uni and total.denom == 1
+    # a negative divisor keeps the denominator positive and the form reduced
+    got = sum_of_products(uni, [(Rat(3, 2), c, e), (1, e, one * Rat(1, 4))], Rat(-9, 2))
+    assert got.denom > 0
+    assert got == (c * e * Rat(3, 2) + e * Rat(1, 4)) * Rat(-2, 9)
+    assert got.text() == "-1/3*c*e - 1/18*e"
+    assert sum_of_products(uni, [(1, c, one)], -1) == -c
+    with pytest.raises(ZeroDivisionError):
+        sum_of_products(uni, [(1, c, one)], 0)
+    # every factor must be over the universe itself
+    with pytest.raises(ValueError):
+        sum_of_products(uni, [(1, MultiPoly.var("c"), one)])
+
+
+# -- substitute: polynomial values against the RatFunc path -------------------
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_substitute_polynomial_ratfunc_values_match_the_ratfunc_path(seed):
+    rng = random.Random(seed)
+    a, _ = random_pair(rng, max_terms=8)
+    mapping = {}
+    for v in a.vars:
+        if rng.random() < 0.6:
+            mapping[v] = random_pair(rng, max_terms=3, max_expo=2)[0]
+    if not mapping or rng.random() < 0.5:
+        # one RatFunc value makes the result a RatFunc, used or not
+        mapping["absent"] = Rat(rng.randint(-3, 3), 2)
+    wrapped = {v: RatFunc(p) for v, p in mapping.items()}
+    got = a.substitute(wrapped)
+    want = a._substitute_fractions(wrapped)
+    assert isinstance(got, RatFunc)
+    assert got == want
+    assert (got.num.text(), got.den.text()) == (want.num.text(), want.den.text())
+    assert got.num == want.num and got.den == want.den
+    # the same value as with plain polynomial values, which give a MultiPoly
+    plain = a.substitute(mapping)
+    assert isinstance(plain, MultiPoly) and plain == got.num
+
+
+def test_substitute_with_a_non_constant_denominator_takes_the_ratfunc_path():
+    c, e, g2 = MultiPoly.var("c"), MultiPoly.var("e"), MultiPoly.var("g2")
+    p = c * c * 3 + c * e * Rat(1, 2) - g2 * e + 5
+    out = p.substitute({"c": RatFunc(e, g2 + 1)})
+    assert isinstance(out, RatFunc)
+    assert out.num.text() == ("-e*g2^4 - 3*e*g2^3 + 5*g2^3 + 1/2*e^2*g2^2 - 3*e*g2^2"
+                              " + 15*g2^2 + 4*e^2*g2 - e*g2 + 15*g2 + 7/2*e^2 + 5")
+    assert out.den.text() == "g2^3 + 3*g2^2 + 3*g2 + 1"
+    # one non-constant denominator sends every value down that path
+    mixed = {"c": RatFunc(e, g2 + 1), "g2": RatFunc(e * e * 2 - 1)}
+    out = p.substitute(mixed)
+    assert out == p._substitute_fractions(mixed)
+    assert out.num.text() == ("-2*e^3*g2^3 + e*g2^3 + 5*g2^3 - 6*e^3*g2^2 + 1/2*e^2*g2^2"
+                              " + 3*e*g2^2 + 15*g2^2 - 6*e^3*g2 + 4*e^2*g2 + 3*e*g2"
+                              " + 15*g2 - 2*e^3 + 7/2*e^2 + e + 5")
+    assert out.den.text() == "g2^3 + 3*g2^2 + 3*g2 + 1"
+    # a polynomial RatFunc value still returns a RatFunc
+    out = p.substitute({"c": RatFunc(e * 2 + g2), "e": Rat(1, 3)})
+    assert isinstance(out, RatFunc) and out.den == 1
+    assert out.text() == "3*g2^2 + 12*e*g2 - 1/6*g2 + 12*e^2 + 1/3*e + 5"
