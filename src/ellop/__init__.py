@@ -24,6 +24,7 @@ from .operators import (
     IndexData,
     InvalidGapsError,
     LocalOperator,
+    VerificationError,
     cyclic_L0,
     find_commuting,
     homogeneous_integrable,

@@ -18,6 +18,7 @@ from .operators import (
     GlobalEllipticOperator,
     IndexData,
     InvalidGapsError,
+    VerificationError,
     _rational_roots,
     cyclic_L0,
     find_commuting,
@@ -403,6 +404,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.command](args)
+    except VerificationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

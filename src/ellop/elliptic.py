@@ -168,9 +168,9 @@ class EllipticElement:
         P = wp_series(guard)
         Pp = P.differentiate()
         out = LaurentSeries.zero(guard)
-        pw = LaurentSeries.monomial(1, 0, guard)
-        powers = [pw]
-        for _ in range(max(len(self.part0), len(self.part1)) + 1):
+        powers = [LaurentSeries.monomial(1, 0, guard)]
+        # the sums below read P^i only for i < the longer part's length
+        for _ in range(max(len(self.part0), len(self.part1)) - 1):
             powers.append(powers[-1] * P)
         for i, c in enumerate(self.part0):
             if not c.is_zero():

@@ -16,9 +16,9 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .rationals import ONE, Rat
-from .poly import MultiPoly, RatFunc
+from .poly import MultiPoly, RatFunc, try_div
 from .monodromy import Condition, ConstraintSet, trivial_monodromy_constraints
-from .operators import InvalidGapsError, third_order_from_gaps
+from .operators import InvalidGapsError, VerificationError, third_order_from_gaps
 from .interp import ReconstructionError, rational_interpolate
 
 GENERIC_UNIVERSE = ("c", "e", "g2", "g3")
@@ -37,9 +37,9 @@ def constraints_for(q: int, r: int) -> ConstraintSet:
         q=q, r=r)
     for c in cs.conditions:
         if not c.poly.is_weighted_homogeneous():
-            raise ArithmeticError("condition not weighted-homogeneous")
+            raise VerificationError("condition not weighted-homogeneous")
         if c.poly.weighted_degree() != r - 3 * c.lambda_degree:
-            raise ArithmeticError("condition weight inconsistent with gap r")
+            raise VerificationError("condition weight inconsistent with gap r")
     return cs
 
 
@@ -49,8 +49,6 @@ def substitute_constraints(cs: ConstraintSet, mapping) -> ConstraintSet:
     out = []
     for c in cs.conditions:
         p = c.poly.substitute(mapping)
-        if isinstance(p, RatFunc):
-            p = p.num
         if p.is_zero():
             continue
         out.append(Condition(p.primitive(), c.lambda_degree, c.provenance))
@@ -64,8 +62,8 @@ def substitute_constraints(cs: ConstraintSet, mapping) -> ConstraintSet:
 class LocusBranch:
     q: int
     r: int
-    assignments: dict            # var -> RatFunc, fully back-substituted
-    relation: tuple | None       # ("c", RatFunc value of c^2) or None
+    assignments: dict            # var -> MultiPoly in unassigned variables
+    relation: tuple | None       # ("c", MultiPoly value of c^2) or None
     free: list
     nonzero: list                # variables assumed nonzero on this branch
     residuals: list              # unsolved leftover conditions
@@ -73,7 +71,7 @@ class LocusBranch:
     witness: MultiPoly | None = None
 
     def curve(self):
-        """(g2, g3) as RatFunc or None when unconstrained."""
+        """(g2, g3) as MultiPoly or None when unconstrained."""
         return self.assignments.get("g2"), self.assignments.get("g3")
 
     def j(self):
@@ -95,59 +93,23 @@ def j_invariant(g2, g3):
     return g2**3 * 1728 / disc
 
 
-def _reduce_relation_poly(p: MultiPoly, var: str, val: RatFunc) -> RatFunc:
+def _reduce_relation_poly(p: MultiPoly, var: str, val: MultiPoly) -> MultiPoly:
     """Rewrite p modulo var^2 = val; result has var-degree <= 1."""
-    out = RatFunc(0)
-    x = RatFunc(MultiPoly.var(var))
+    out = MultiPoly.zero()
+    x = MultiPoly.var(var)
     for pw, cf in p.coefficients_in(var).items():
-        t = RatFunc(cf) * val ** (pw // 2)
+        t = cf * val ** (pw // 2)
         if pw % 2:
             t = t * x
         out = out + t
     return out
 
 
-def _vars(expr):
-    if isinstance(expr, RatFunc):
-        return expr.num.used_vars() | expr.den.used_vars()
-    return expr.used_vars()
-
-
-def _close(targets: dict, assignments: dict, numerator: bool = False) -> dict:
-    """Substitute assigned variables into every target until none is left.
-
-    Each sweep substitutes into the targets in order and stores the results
-    at once, so closing an assignment dict against itself uses each new
-    value within the same sweep.  With numerator=True a target is a
-    polynomial equation and keeps only the numerator of each substitution.
-    An acyclic assignment closes within len(assignments) sweeps; raises
-    ArithmeticError if assigned variables are left after the bound.
-    """
-    bound = len(assignments) + 2
-    for sweep in range(bound + 1):
-        changed = False
-        for name, expr in targets.items():
-            sub = {v: assignments[v] for v in _vars(expr) if v in assignments}
-            if not sub:
-                continue
-            if sweep == bound:
-                raise ArithmeticError(
-                    f"assignments do not close: {name} still depends on "
-                    + ", ".join(sorted(sub))
-                )
-            expr = expr.substitute(sub)
-            if numerator and isinstance(expr, RatFunc):
-                expr = expr.num
-            targets[name] = expr
-            changed = True
-        if not changed:
-            return targets
-
-
 def _normalize(p: MultiPoly, assignments, relation) -> MultiPoly:
-    p = _close({"condition": p}, assignments, numerator=True)["condition"]
+    if not p.used_vars().isdisjoint(assignments):
+        p = p.substitute(assignments)
     if relation is not None and relation[0] in p.used_vars():
-        p = _reduce_relation_poly(p, relation[0], relation[1]).num
+        p = _reduce_relation_poly(p, *relation)
     if p.is_zero():
         return p
     return p.primitive()
@@ -161,6 +123,10 @@ def _single_var_monomial(p: MultiPoly):
 
 
 class _State:
+    """One branch of the solve.  No assignment or relation value uses an
+    assigned variable, so substituting the assignments once closes any
+    polynomial."""
+
     __slots__ = ("conds", "assignments", "relation", "nonzero", "residuals")
 
     def __init__(self, conds, assignments, relation, nonzero, residuals):
@@ -175,15 +141,35 @@ class _State:
             self.conds, self.assignments, self.relation, self.nonzero, self.residuals
         )
 
+    def assign(self, x: str, value: MultiPoly):
+        """Record x = value, a polynomial in unassigned variables other than
+        x, and substitute it into the earlier values."""
+        sub = {x: value}
+        for v, a in self.assignments.items():
+            if x in a.used_vars():
+                self.assignments[v] = a.substitute(sub)
+        self.assignments[x] = value
+        if self.relation is None:
+            return
+        var, square = self.relation
+        if var == x:
+            # c = value turns c^2 = square into a condition
+            self.conds.insert(0, value * value - square)
+            self.relation = None
+        elif x in square.used_vars():
+            self.relation = (var, square.substitute(sub))
+
 
 def triangular_solve(cs: ConstraintSet, universe=GENERIC_UNIVERSE):
     """Solve the conditions by sequential elimination with branching.
 
     Rules, in order, applied to each condition after substituting what is
     already solved: pure monomials force a variable to zero (branching when
-    several could vanish); conditions linear in the highest-weight unsolved
-    variable are solved for it, branching on the vanishing of a monomial
-    pivot coefficient; a pure quadratic in c is kept as a square relation.
+    several could vanish); a condition A*x + B linear in the highest-weight
+    unsolved variable x is solved for x = -B/A when that quotient is a
+    polynomial, i.e. when A is a nonzero constant or a single-variable
+    monomial dividing B, and in the monomial case the branch forks on the
+    vanishing of A; a pure quadratic in c is kept as a square relation.
     Anything else is left as an unsolved residual.  Every surviving branch
     is verified by exact back-substitution.
     """
@@ -216,10 +202,10 @@ def _run(state: _State, sink: list):
             for pos, v in enumerate(cands[1:], start=1):
                 side = state.fork()
                 side.nonzero.extend(cands[:pos])
-                _assign_zero(side, v)
+                side.assign(v, MultiPoly.zero())
                 side.conds.insert(0, p)
                 _run(side, sink)
-            _assign_zero(state, cands[0])
+            state.assign(cands[0], MultiPoly.zero())
             continue
         if _try_linear(state, p, sink):
             continue
@@ -229,17 +215,10 @@ def _run(state: _State, sink: list):
     sink.append((state, None))
 
 
-def _assign_zero(state: _State, v: str):
-    state.assignments[v] = RatFunc(0)
-    if state.relation is not None and state.relation[0] == v:
-        # c = 0 forces the squared value to vanish too
-        state.conds.insert(0, state.relation[1].num)
-        state.relation = None
-
-
 def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
+    # p is normalized, so every variable it uses is unassigned
     for x in PRECEDENCE:
-        if x not in p.used_vars() or x in state.assignments:
+        if x not in p.used_vars():
             continue
         if state.relation is not None and state.relation[0] == x:
             continue
@@ -248,21 +227,23 @@ def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
         A = p.coefficient_of(x, 1)
         B = p.coefficient_of(x, 0)
         if A.is_constant():
-            state.assignments[x] = RatFunc(-B) / RatFunc(A)
+            state.assign(x, B * (-1 / A.constant_value()))
             return True
         v = _single_var_monomial(A)
-        if v is not None and v != x:
-            if v in state.nonzero:
-                state.assignments[x] = RatFunc(-B) / RatFunc(A)
-                return True
+        if v is None:
+            continue
+        value = try_div(-B, A)
+        if value is None:
+            continue
+        if v not in state.nonzero:
             # pivot coefficient may vanish: fork on v = 0
             side = state.fork()
-            _assign_zero(side, v)
+            side.assign(v, MultiPoly.zero())
             side.conds.insert(0, p)
             _run(side, sink)
             state.nonzero.append(v)
-            state.assignments[x] = RatFunc(-B) / RatFunc(A)
-            return True
+        state.assign(x, value)
+        return True
     return False
 
 
@@ -275,31 +256,21 @@ def _try_square(state: _State, p: MultiPoly) -> bool:
     if not A.is_constant():
         return False
     B = p.coefficient_of("c", 0)
-    state.relation = ("c", RatFunc(-B) / RatFunc(A))
+    state.relation = ("c", B * (-1 / A.constant_value()))
     return True
-
-
-def _close_assignments(assignments, relation):
-    closed = dict(assignments)
-    _close(closed, closed)
-    if relation is not None:
-        var, expr = relation
-        relation = (var, _close({var: expr}, closed)[var])
-    return closed, relation
 
 
 def _verify(original, assignments, relation):
     for p in original:
-        val = _close({"condition": RatFunc(p)}, assignments)["condition"]
+        val = p.substitute(assignments)
         if relation is not None:
-            num = _reduce_relation_poly(val.num, relation[0], relation[1])
-            val = num / RatFunc(val.den)
+            val = _reduce_relation_poly(val, *relation)
         if not val.is_zero():
-            raise ArithmeticError("branch fails back-substitution")
+            raise VerificationError("branch fails back-substitution")
 
 
 def _finalize(state: _State, witness, original, universe, q, r) -> LocusBranch:
-    assignments, relation = _close_assignments(state.assignments, state.relation)
+    assignments, relation = state.assignments, state.relation
     free = [
         v
         for v in universe
@@ -394,10 +365,10 @@ def branch_quantity(branch: LocusBranch, quantity: str):
         raise ValueError(f"{target} is not determined on this branch")
     # with c^2 = V the base is V: evaluate at c = 1, then divide by V
     relation = branch.relation if base == "c2" else None
-    if relation is not None and _vars(relation[1]):
+    if relation is not None and relation[1].used_vars():
         raise ValueError("square relation is not constant")
     point = {base[0]: ONE}
-    if not _vars(expr) <= point.keys():
+    if not expr.used_vars() <= point.keys():
         # another variable stays free, so the ratio has no value
         raise ValueError(f"{quantity} is not determined on this branch")
     v = expr.evaluate_exact(point)
@@ -531,10 +502,8 @@ def _check_cyclic_point(cs: ConstraintSet):
     zero = MultiPoly.zero()
     for c in cs.conditions:
         v = c.poly.substitute({"c": zero, "e": zero, "g2": zero})
-        if isinstance(v, RatFunc):
-            v = v.num
         if not v.is_zero():
-            raise ArithmeticError("cyclic point fails the constraints")
+            raise VerificationError("cyclic point fails the constraints")
 
 
 def _var_text(b: LocusBranch, v: str, curve: str = "generic") -> str:
@@ -542,8 +511,7 @@ def _var_text(b: LocusBranch, v: str, curve: str = "generic") -> str:
         return f"c^2 = {b.relation[1].text()}"
     if v in ("g2", "g3") and curve != "generic":
         # w may itself have been forced to zero on this branch
-        val = RatFunc(_CURVE_SUBS[curve][v])
-        return _close({v: val}, b.assignments)[v].text()
+        return _CURVE_SUBS[curve][v].substitute(b.assignments).text()
     a = b.assignments.get(v)
     if a is None:
         return "free"

@@ -55,11 +55,7 @@ class ConstraintSet:
     def satisfied_at(self, mapping) -> bool:
         if self.unsatisfiable:
             return False
-        for c in self.conditions:
-            v = c.poly.substitute(mapping)
-            if not (v.is_zero() if isinstance(v, MultiPoly) else v.is_zero()):
-                return False
-        return True
+        return all(c.poly.substitute(mapping).is_zero() for c in self.conditions)
 
     def to_json(self) -> str:
         doc = {"n": self.n}

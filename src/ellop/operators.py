@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 from .rationals import ONE, Rat, ZERO, as_rat
-from .poly import MultiPoly, RatFunc
+from .poly import MultiPoly
 from .series import LaurentSeries
 from .elliptic import EllipticElement
 from .linalg import solve_linear_over_field
@@ -19,10 +19,14 @@ class InvalidGapsError(ValueError):
     pass
 
 
+class VerificationError(ArithmeticError):
+    """A result failed the program's own exact certificate."""
+
+
 # -- generic operator algebra ----------------------------------------------
 #
 # An operator is a dict {power: coefficient}; coefficients live in any ring
-# with +, *, unary -, and .derivative() (LaurentSeries or EllipticElement).
+# with +, *, unary -, and .derivative() (EllipticElement).
 
 
 def _binom(i, k):
@@ -179,15 +183,6 @@ class LocalOperator:
         if len(roots) == self.n:
             return IndexData(roots), None
         return (IndexData(roots) if roots else None), P
-
-    def as_opdict(self, lead_order=None):
-        if lead_order is None:
-            lead_order = min(c.order for c in self.coeffs.values())
-        d = {self.n: LaurentSeries.monomial(1, 0, lead_order + self.n + 2)}
-        for i, c in self.coeffs.items():
-            if not c.is_zero_to_order():
-                d[self.n - i] = c
-        return d
 
 
 def _rational_roots(poly):
@@ -453,8 +448,6 @@ def find_commuting(L: GlobalEllipticOperator, m: int, pole_bound: int | None = N
     for eq in equations:
         row = [eq.coefficient_of(u, 1).substitute(zero_subs) for u in unknowns]
         const = eq.substitute(zero_subs)
-        if isinstance(const, RatFunc):
-            const = const.as_poly()
         rows.append(row)
         rhs.append(-const)
     sol = solve_linear_over_field(rows, rhs)
@@ -476,5 +469,5 @@ def find_commuting(L: GlobalEllipticOperator, m: int, pole_bound: int | None = N
     # never trust the ansatz: re-verify the commutator exactly
     check = op_commutator(L.as_opdict(), out)
     if check:
-        raise ArithmeticError("candidate certificate fails to commute")
+        raise VerificationError("candidate certificate fails to commute")
     return out

@@ -23,12 +23,10 @@ divisor over one universe, accumulated in a single integer dict over the lcm
 of the denominators and reduced once, in the term order that P*Q followed by
 `+` would give when each P is a single term.  The Frobenius recursion makes
 one call per coefficient, and `MultiPoly.substitute` makes one call with a
-(monomial, cached power product) pair per term whenever every value is a
-polynomial, a rational, or a RatFunc with a constant denominator; it returns
-a RatFunc exactly when some value is a RatFunc.  A value with a non-constant
-denominator sends the whole substitution down the term-by-term RatFunc path
-(`_substitute_fractions`), because RatFunc normalization is not canonical
-and the order of those steps decides the printed numerator and denominator.
+(monomial, cached power product) pair per term.  Substitution takes
+polynomial and rational values only and always returns a MultiPoly; a
+RatFunc is substituted into by `RatFunc.substitute`, numerator and
+denominator apart.
 
 Printing and "leading coefficient" use graded lexicographic order, graded by
 the homothety weights deg(e)=1, deg(c)=2, deg(lambda)=3, deg(g2)=4,
@@ -473,21 +471,13 @@ class MultiPoly:
     # -- substitution and evaluation --------------------------------------
 
     def substitute(self, mapping):
-        """Ring-homomorphic substitution var -> MultiPoly / RatFunc / rational.
+        """Ring-homomorphic substitution var -> MultiPoly or rational.
 
-        Returns a MultiPoly if every value is polynomial, else a RatFunc.
-        Raises ZeroDivisionError if a substituted denominator vanishes.
+        Returns a MultiPoly, made by one `sum_of_products` call.  Any other
+        value, a RatFunc included, raises TypeError.
         """
-        if any(isinstance(v, RatFunc) and not v.den.is_constant() for v in mapping.values()):
-            return self._substitute_fractions(mapping)
-        vals = {}
-        for k, v in mapping.items():
-            if isinstance(v, RatFunc):
-                vals[k] = v.as_poly()
-            elif isinstance(v, MultiPoly):
-                vals[k] = v
-            else:
-                vals[k] = MultiPoly.const(as_rat(v))
+        vals = {k: v if isinstance(v, MultiPoly) else MultiPoly.const(as_rat(v))
+                for k, v in mapping.items()}
         n = len(self.vars)
         used = _unpack(functools.reduce(operator.or_, self.terms, 0), n)
         universe = sort_vars([u for v, p in zip(self.vars, used) if p
@@ -518,32 +508,7 @@ class MultiPoly:
                     prod = prod * powers[vp]
                 prod = products[subs] = prod.in_universe(universe)
             triples.append((c, MultiPoly(universe, {mono: 1}), prod))
-        out = sum_of_products(universe, triples, self.denom)
-        if any(isinstance(v, RatFunc) for v in mapping.values()):
-            return RatFunc(out)
-        return out
-
-    def _substitute_fractions(self, mapping):
-        """substitute, term by term in RatFunc arithmetic: the path for
-        values with a non-constant denominator."""
-        vals = {k: RatFunc.from_value(v) for k, v in mapping.items()}
-        out = RatFunc(MultiPoly.zero())
-        one = RatFunc(MultiPoly.const(1))
-        cache = {}
-        for expo, cf in self.items():
-            term = one * cf
-            for v, p in zip(self.vars, expo):
-                if p == 0:
-                    continue
-                if v in vals:
-                    key = (v, p)
-                    if key not in cache:
-                        cache[key] = vals[v] ** p
-                    term = term * cache[key]
-                else:
-                    term = term * MultiPoly.var(v, p)
-            out = out + term
-        return out
+        return sum_of_products(universe, triples, self.denom)
 
     def evaluate(self, mapping):
         """Numeric evaluation; mapping must cover every used variable."""
@@ -820,12 +785,11 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def substitute(self, mapping):
-        num = self.num.substitute(mapping)
+        """Substitute polynomial or rational values into num and den."""
         den = self.den.substitute(mapping)
-        num, den = RatFunc.from_value(num), RatFunc.from_value(den)
         if den.is_zero():
             raise ZeroDivisionError("substitution produced a zero denominator")
-        return num / den
+        return RatFunc(self.num.substitute(mapping), den)
 
     def evaluate(self, mapping):
         d = self.den.evaluate(mapping)

@@ -91,6 +91,34 @@ def test_reconstruction_error_exits_2(capsys, monkeypatch):
     assert err == "error: no rational function within the degree bounds\n"
 
 
+def test_a_failed_certificate_exits_1(capsys, monkeypatch):
+    from ellop import locus3
+    from ellop.monodromy import Condition, ConstraintSet
+    from ellop.poly import MultiPoly
+
+    # a weight-4 condition for gap r = 2 fails constraints_for's weight check
+    monkeypatch.setattr(locus3, "trivial_monodromy_constraints", lambda op, mode:
+                        ConstraintSet(3, (Condition(MultiPoly.var("g2"), 0, "test"),)))
+    code, out, err = run(capsys, "constraints", "--q", "2", "--r", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: condition weight inconsistent with gap r\n"
+    # a condition that the cyclic point c = e = g2 = 0 does not satisfy
+    monkeypatch.setattr(locus3, "constraints_for", lambda q, r: ConstraintSet(
+        3, (Condition(MultiPoly.var("g3"), 0, "test"),), q=q, r=r))
+    code, out, err = run(capsys, "locus", "--r", "2", "--q-max", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: cyclic point fails the constraints\n"
+
+
+def test_no_solved_branch_exits_2(capsys, monkeypatch):
+    from ellop import locus3
+
+    monkeypatch.setattr(locus3, "triangular_solve", lambda cs: [])
+    code, out, err = run(capsys, "reconstruct", "--r", "2", "--quantity", "c/e2")
+    assert (code, out) == (2, "")
+    assert err == "error: expected one solved branch for (2,2), got 0\n"
+
+
 def test_jtable(capsys):
     code, out, _ = run(capsys, "jtable", "--r", "1", "--count", "2")
     assert code == 0

@@ -6,10 +6,14 @@ import pytest
 
 from ellop.rationals import Rat
 from ellop.poly import MultiPoly, RatFunc
-from ellop.operators import InvalidGapsError
+from ellop import locus3
+from ellop.monodromy import Condition, ConstraintSet
+from ellop.operators import InvalidGapsError, VerificationError
 from ellop.locus3 import (
-    _close_assignments,
+    _State,
+    _check_cyclic_point,
     _normalize,
+    _verify,
     constraints_for,
     j_invariant,
     reconstruct_in_q,
@@ -110,20 +114,59 @@ def test_high_r_branches_are_not_solvable():
     }
 
 
-def test_assignments_that_do_not_close_raise():
-    x, y = MultiPoly.var("x"), MultiPoly.var("y")
-    cycle = {"x": RatFunc(y), "y": RatFunc(x)}
-    with pytest.raises(ArithmeticError):
-        _close_assignments(cycle, None)
-    with pytest.raises(ArithmeticError):
-        _normalize(x + 1, cycle, None)
-
-
-def test_closing_assignments_back_substitutes_a_chain():
+def test_assign_keeps_every_value_closed():
     x, y, z = (MultiPoly.var(v) for v in "xyz")
-    closed, relation = _close_assignments(
-        {"x": RatFunc(y + 1), "y": RatFunc(z * 2)}, ("c", RatFunc(x * y)))
-    assert closed == {"x": RatFunc(z * 2 + 1), "y": RatFunc(z * 2)}
-    assert relation == ("c", RatFunc((z * 2 + 1) * z * 2))
-    assert _normalize(x * 2 + y, {"x": RatFunc(y + 1), "y": RatFunc(z)}, None) \
-        == z * 3 + 2
+    state = _State([], {}, ("c", x * y), [], [])
+    state.assign("x", y + 1)
+    assert state.assignments == {"x": y + 1}
+    assert state.relation == ("c", (y + 1) * y)
+    state.assign("y", z * 2)
+    assert state.assignments == {"x": z * 2 + 1, "y": z * 2}
+    assert state.relation == ("c", (z * 2 + 1) * z * 2)
+    assert _normalize(x * 2 + y, state.assignments, None) == z * 3 + 1
+    # assigning c itself turns the square relation into a condition
+    state.assign("c", MultiPoly.zero())
+    assert state.relation is None
+    assert _normalize(state.conds[0], state.assignments, None) == z * z * 2 + z
+
+
+def test_linear_rule_needs_a_polynomial_quotient():
+    # e is a monomial pivot for g3 (and g3 one for e), but neither divides
+    # c^3, so no rule applies and the condition stays unsolved
+    c, e, g3 = (MultiPoly.var(v) for v in ("c", "e", "g3"))
+    p = e * g3 + c * c * c
+    branches = triangular_solve(ConstraintSet(3, (Condition(p, 0, "test"),)))
+    assert [b.classification for b in branches] == ["unsolved"]
+    assert branches[0].residuals == [p]
+    assert branches[0].assignments == {}
+
+
+def test_failed_back_substitution_is_a_verification_error():
+    x = MultiPoly.var("x")
+    _verify([x * x - 1], {"x": MultiPoly.const(1)}, None)
+    with pytest.raises(VerificationError, match="back-substitution"):
+        _verify([x - 1], {"x": MultiPoly.const(2)}, None)
+    with pytest.raises(VerificationError, match="back-substitution"):
+        _verify([x - 1], {}, ("x", MultiPoly.const(1)))
+
+
+def test_a_condition_off_the_cyclic_point_is_a_verification_error():
+    c = MultiPoly.var("c")
+    _check_cyclic_point(ConstraintSet(3, (Condition(c * c, 0, "test"),)))
+    with pytest.raises(VerificationError, match="cyclic point"):
+        _check_cyclic_point(ConstraintSet(3, (Condition(c + 1, 0, "test"),)))
+
+
+@pytest.mark.parametrize("poly,message", [
+    ("c + e", "not weighted-homogeneous"),
+    ("g2", "weight inconsistent"),
+])
+def test_conditions_of_the_wrong_weight_are_a_verification_error(
+        monkeypatch, poly, message):
+    cond = {"c + e": MultiPoly.var("c") + MultiPoly.var("e"),
+            "g2": MultiPoly.var("g2")}[poly]
+    monkeypatch.setattr(
+        locus3, "trivial_monodromy_constraints",
+        lambda op, mode: ConstraintSet(3, (Condition(cond, 0, "test"),)))
+    with pytest.raises(VerificationError, match=message):
+        constraints_for(2, 2)

@@ -13,6 +13,7 @@ from ellop.operators import (
     GlobalEllipticOperator,
     IndexData,
     InvalidGapsError,
+    VerificationError,
     _rational_roots,
     coefficients_from_indices,
     cyclic_L0,
@@ -157,6 +158,23 @@ def test_find_commuting_integrable_point():
     assert M is not None
     comm = op_commutator(L.as_opdict(), M)
     assert all(c.is_zero() for c in comm.values())
+
+
+def test_a_partner_that_fails_the_recheck_is_a_verification_error(monkeypatch):
+    from ellop import operators
+
+    calls = []
+
+    def commutator(a, b):
+        calls.append(b)
+        # the solve sees the true commutator, the re-check a nonzero one
+        return op_commutator(a, b) if len(calls) == 1 else {0: EllipticElement.const(1)}
+
+    monkeypatch.setattr(operators, "op_commutator", commutator)
+    L = GlobalEllipticOperator(2, {2: EllipticElement([0, -2])})
+    with pytest.raises(VerificationError, match="fails to commute"):
+        find_commuting(L, 3)
+    assert len(calls) == 2
 
 
 def test_find_commuting_generic_point_fails():
