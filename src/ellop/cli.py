@@ -65,16 +65,9 @@ def _parse_operator(spec: str):
     second:a=-2            order 2, d^2 + a*P
     third:q=2,r=2,c=-3,e=3 the third order gap family at numeric (c, e)
     cyclic:n=4,indices=-1|1|2|4,curve=lemniscatic
-    """
-    def rat_or_none(text):
-        try:
-            if "/" in text:
-                n, d = text.split("/")
-                return Rat(int(n), int(d))
-            return Rat(int(text))
-        except ValueError:
-            return None
 
+    A value that is not an exact rational is taken as a complex number.
+    """
     try:
         kind, _, body = spec.partition(":")
         kv = {}
@@ -84,12 +77,11 @@ def _parse_operator(spec: str):
             k, _, v = chunk.partition("=")
             kv[k.strip()] = v.strip()
         if kind == "second":
-            a = rat_or_none(kv["a"])
-            if a is not None:
-                elem = EllipticElement([0, a])
-                return GlobalEllipticOperator(2, {2: elem}), {}
-            elem = EllipticElement([0, MultiPoly.var("a")])
-            return GlobalEllipticOperator(2, {2: elem}), {"a": complex(kv["a"])}
+            try:
+                a, vals = _rat_arg(kv["a"]), {}
+            except argparse.ArgumentTypeError:
+                a, vals = MultiPoly.var("a"), {"a": complex(kv["a"])}
+            return GlobalEllipticOperator(2, {2: EllipticElement([0, a])}), vals
         if kind == "third":
             q, r = int(kv["q"]), int(kv["r"])
             op = third_order_from_gaps(q, r)
@@ -97,10 +89,9 @@ def _parse_operator(spec: str):
             subs = {}
             for name in ("c", "e"):
                 text = kv.get(name, "0")
-                exact = rat_or_none(text)
-                if exact is not None:
-                    subs[name] = MultiPoly.const(exact)
-                else:
+                try:
+                    subs[name] = MultiPoly.const(_rat_arg(text))
+                except argparse.ArgumentTypeError:
                     vals[name] = complex(text)
             if subs:
                 op = op.substitute(subs)
@@ -117,6 +108,7 @@ def _parse_operator(spec: str):
 
 
 def _rat_arg(text: str) -> Rat:
+    """An integer or p/q as an exact rational; also an argparse type."""
     try:
         if "/" in text:
             n, d = text.split("/")

@@ -473,15 +473,22 @@ class NewtonResult:
     trace: list = field(default_factory=list)
 
 
-def newton_critical(func, guess, step: float = 1e-7, tol: float = 1e-10,
-                    max_iter: int = 100, rank_tol: float = 1e-8) -> NewtonResult:
+#: newton_critical's forward-difference step, success threshold on the
+#: residual max-norm, iteration cap, and relative singular-value cut for rank
+_NEWTON_STEP = 1e-7
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 100
+_NEWTON_RANK_TOL = 1e-8
+
+
+def newton_critical(func, guess) -> NewtonResult:
     """Damped complex Newton iteration on a square residual system.
 
     func maps a complex vector to a complex residual vector of equal length
     (gauge freedom must already be fixed by the caller).  The Jacobian is
-    forward-differenced with the given step; singular Jacobians fall back to
-    a least-squares step and set a flag.  Success means residual max-norm
-    below tol within max_iter iterations.
+    forward-differenced; singular Jacobians fall back to a least-squares
+    step and set a flag.  Success means residual max-norm below
+    _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
     """
     x = np.asarray([complex(v) for v in guess], dtype=complex)
     m = len(x)
@@ -494,17 +501,21 @@ def newton_critical(func, guess, step: float = 1e-7, tol: float = 1e-10,
             raise ValueError("residual system is not square after gauge fixing")
         return out
 
+    def jacobian(v, fv):
+        J = np.empty((m, m), dtype=complex)
+        for k in range(m):
+            vp = v.copy()
+            vp[k] += _NEWTON_STEP
+            J[:, k] = (F(vp) - fv) / _NEWTON_STEP
+        return J
+
     fx = F(x)
     norm = float(np.max(np.abs(fx))) if m else 0.0
     trace.append(norm)
     it = 0
     rank = None
-    while norm >= tol and it < max_iter:
-        J = np.empty((m, m), dtype=complex)
-        for k in range(m):
-            xp = x.copy()
-            xp[k] += step
-            J[:, k] = (F(xp) - fx) / step
+    while norm >= _NEWTON_TOL and it < _NEWTON_MAX_ITER:
+        J = jacobian(x, fx)
         try:
             delta = np.linalg.solve(J, -fx)
             if not np.all(np.isfinite(delta)):
@@ -512,41 +523,22 @@ def newton_critical(func, guess, step: float = 1e-7, tol: float = 1e-10,
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(J, -fx, rcond=None)[0]
             used_lstsq = True
-        # damp: halve until the residual actually drops
+        # damp: halve until the residual drops; when no step of the 30
+        # descends, the last (t = 2^-29) is taken all the same
         t = 1.0
         for _ in range(30):
             cand = x + t * delta
             fc = F(cand)
             cn = float(np.max(np.abs(fc)))
-            if cn < norm or t < 1e-9:
+            if cn < norm:
                 break
             t /= 2
-        if cn >= norm and t >= 1e-9:
-            break  # no descent direction left
         x, fx, norm = cand, fc, cn
         it += 1
         trace.append(norm)
-    success = norm < tol
+    success = norm < _NEWTON_TOL
     if m:
-        J = np.empty((m, m), dtype=complex)
-        for k in range(m):
-            xp = x.copy()
-            xp[k] += step
-            J[:, k] = (F(xp) - fx) / step
-        sv = np.linalg.svd(J, compute_uv=False)
-        cut = rank_tol * (sv[0] if sv[0] > 0 else 1.0)
+        sv = np.linalg.svd(jacobian(x, fx), compute_uv=False)
+        cut = _NEWTON_RANK_TOL * (sv[0] if sv[0] > 0 else 1.0)
         rank = int(np.sum(sv > cut))
     return NewtonResult(success, list(x), norm, it, rank, used_lstsq, trace)
-
-
-# -- JSON helpers ---------------------------------------------------------------
-
-
-def complex_to_json(z: complex):
-    return [z.real, z.imag]
-
-
-def complex_from_json(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])

@@ -8,7 +8,7 @@ content-1 normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .poly import MultiPoly, RatFunc, exact_div
 

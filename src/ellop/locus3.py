@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field, replace
 
 from .rationals import ONE, Rat
@@ -380,7 +379,7 @@ def branch_quantity(branch: LocusBranch, quantity: str):
     return 1 / v if flip else v
 
 
-def reconstruct_in_q(r: int, quantity: str, samples=None) -> RatFunc:
+def reconstruct_in_q(r: int, quantity: str) -> RatFunc:
     """Recover a locus quantity as an exact rational function of q by
     exact sampling at valid gaps and kernel interpolation."""
     if quantity not in _QUANTITIES:
@@ -388,20 +387,15 @@ def reconstruct_in_q(r: int, quantity: str, samples=None) -> RatFunc:
     dn, dd = _BOUNDS.get((r, quantity), (10, 10))
     for attempt in range(2):
         dn_a, dd_a = dn + 2 + 4 * attempt, dd + 2 + 4 * attempt
-        need = dn_a + dd_a + 1 + 2
-        qs = samples if samples is not None else [r + 3 * t for t in range(need)]
-        if len(qs) < dn_a + dd_a + 1:
-            raise ReconstructionError("not enough samples for the bounds")
         pts = []
-        for qv in qs:
+        for qv in range(r, r + 3 * (dn_a + dd_a + 3), 3):
             b = solved_branch(qv, r)
             pts.append((Rat(qv), branch_quantity(b, quantity)))
         try:
             return rational_interpolate(pts, dn_a, dd_a, var="q")
         except ReconstructionError:
-            if attempt == 1 or samples is not None:
+            if attempt == 1:
                 raise
-    raise ReconstructionError("reconstruction failed")  # pragma: no cover
 
 
 # -- grid scans --------------------------------------------------------------
@@ -440,19 +434,6 @@ class ScanReport:
             w.writerow([row.r, row.q, row.branch, row.classification,
                         row.c_text, row.g2_text, row.g3_text, row.j_text])
         return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "curve": self.curve,
-            "supports_conjecture": self.supports_conjecture,
-            "rows": [
-                {"r": row.r, "q": row.q, "branch": row.branch,
-                 "classification": row.classification, "c_over_e2": row.c_text,
-                 "g2_relation": row.g2_text, "g3_relation": row.g3_text,
-                 "j": row.j_text}
-                for row in self.rows
-            ],
-        })
 
 
 _CURVE_SUBS = {

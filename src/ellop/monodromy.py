@@ -88,23 +88,19 @@ def _horner(coeffs, x):
     return v
 
 
-def frobenius_solve(op: LocalOperator, m, K: int, lam=None,
-                    param_prefix: str = "u") -> FrobeniusSolution:
+def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     """Run the recursion psi = z^m (1 + sum f_k z^k) up to order K.
 
-    lam is the spectral parameter (symbolic by default).  At a resonant
-    offset k (indicial value of m + k is zero) the inhomogeneous term is
-    recorded as an obstruction and f_k becomes a fresh free parameter.
+    The spectral parameter is the symbol lambda.  At a resonant offset k
+    (indicial value of m + k is zero) the inhomogeneous term is recorded as
+    an obstruction and f_k becomes a fresh free parameter u1, u2, ...
     """
     m = as_rat(m)
     n = op.n
     P = op.indicial_coefficients()
     if _horner(P, m) != 0:
         raise ValueError(f"{m} is not an indicial root")
-    if lam is None:
-        lam = MultiPoly.var("lambda")
-    elif not isinstance(lam, MultiPoly):
-        lam = MultiPoly.const(as_rat(lam))
+    lam = MultiPoly.var("lambda")
     # refuse truncations that cannot see every resonance
     offsets = [int(rt - m) for rt in _rational_roots(P)
                if (rt - m).denominator == 1 and rt > m]
@@ -143,7 +139,7 @@ def frobenius_solve(op: LocalOperator, m, K: int, lam=None,
             f[k] = sum_of_products(universe, triples, c)
             continue
         obstructions.append((k, sum_of_products(universe, triples)))
-        name = f"{param_prefix}{len(free) + 1}"
+        name = f"u{len(free) + 1}"
         free.append(name)
         universe = sort_vars(universe + (name,))
         lam = lam.in_universe(universe)

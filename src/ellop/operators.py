@@ -415,20 +415,18 @@ def _elliptic_basis(max_pole: int):
     return sorted(out, key=lambda ab: (2 * ab[0] + 3 * ab[1], ab[1]))
 
 
-def find_commuting(L: GlobalEllipticOperator, m: int, pole_bound: int | None = None):
+def find_commuting(L: GlobalEllipticOperator, m: int):
     """Search for a monic order-m operator M with [L, M] = 0, with
-    coefficient pole orders <= pole_bound + i.  Returns an operator dict
-    {power: EllipticElement} or None."""
+    coefficient pole orders <= n + m + i for L of order n.  Returns an
+    operator dict {power: EllipticElement} or None."""
     n = L.order
     if math.gcd(n, m) != 1:
         raise ValueError(f"order {m} not coprime to {n}")
-    if pole_bound is None:
-        pole_bound = n + m
     unknowns = []
     M = {m: EllipticElement.const(1)}
     for i in range(1, m + 1):
         acc = EllipticElement.zero()
-        for a, b in _elliptic_basis(pole_bound + i):
+        for a, b in _elliptic_basis(n + m + i):
             name = f"u{len(unknowns) + 1}"
             unknowns.append(name)
             mono = EllipticElement.P() ** a

@@ -25,6 +25,7 @@ from .operators import GlobalEllipticOperator
 DEFAULT_LAMBDAS = (1 + 0j, -2 + 1j, 5j)
 
 _SAFE_FACTOR = 0.35              # series truncation error ~ (0.35)^80 here
+_VERDICT_TOL = 1e-12             # integration tolerance of integrability_verdict
 
 
 class PathError(RuntimeError):
@@ -227,17 +228,17 @@ def monodromy_matrix(evaluator, n: int, center: complex, radius: float,
     return monodromy_matrices(evaluator, n, center, radius, [lam], tol)[0]
 
 
-def integrability_verdict(evaluator, n: int, radius: float,
-                          lambdas=None, tol: float = 1e-12,
-                          center: complex = 0j):
-    """(verdict, reports): trivial iff every deviation < 10*tol, nontrivial
-    iff any deviation > 1e3*tol, inconclusive in between."""
+def integrability_verdict(evaluator, n: int, radius: float, lambdas=None):
+    """(verdict, reports) of the loop around the pole at 0, integrated at
+    tol = 1e-12: trivial iff every deviation < 10*tol, nontrivial iff any
+    deviation > 1e3*tol, inconclusive in between."""
     if lambdas is None:
         lambdas = DEFAULT_LAMBDAS
     lambdas = [complex(v) for v in lambdas]
     if len(lambdas) < 3:
         raise ValueError("need at least 3 spectral samples")
-    reports = monodromy_matrices(evaluator, n, center, radius, lambdas, tol)
+    tol = _VERDICT_TOL
+    reports = monodromy_matrices(evaluator, n, 0j, radius, lambdas, tol)
     devs = [r.deviation for r in reports]
     if all(d < 10 * tol for d in devs):
         verdict = "trivial"
@@ -246,10 +247,3 @@ def integrability_verdict(evaluator, n: int, radius: float,
     else:
         verdict = "inconclusive"
     return verdict, reports
-
-
-def verdict_json(verdict: str, reports) -> str:
-    return json.dumps({
-        "verdict": verdict,
-        "reports": [json.loads(r.to_json()) for r in reports],
-    })

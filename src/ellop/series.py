@@ -192,7 +192,7 @@ class LaurentSeries:
         return f"LaurentSeries({self.text()})"
 
 
-def wp_series(K: int, g2=None, g3=None) -> LaurentSeries:
+def wp_series(K: int) -> LaurentSeries:
     """Weierstrass P as a Laurent series, trusted through z^(K-1).
 
     Coefficients are polynomials in g2, g3 determined by the defining
@@ -202,12 +202,9 @@ def wp_series(K: int, g2=None, g3=None) -> LaurentSeries:
     """
     if K < 0:
         raise ValueError("K must be nonnegative")
-    if g2 is None:
-        g2 = MultiPoly.var("g2")
-    if g3 is None:
-        g3 = MultiPoly.var("g3")
     kmax = (K + 1) // 2  # need c_k for 2k-2 <= K-1
-    c = {2: _coerce_coeff(g2) * Rat(1, 20), 3: _coerce_coeff(g3) * Rat(1, 28)}
+    c = {2: MultiPoly.var("g2", 1, Rat(1, 20)),
+         3: MultiPoly.var("g3", 1, Rat(1, 28))}
     for k in range(4, kmax + 1):
         s = MultiPoly.zero()
         for m in range(2, k - 1):

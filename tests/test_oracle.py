@@ -16,7 +16,6 @@ from ellop.oracle import (
     integrability_verdict,
     monodromy_matrices,
     monodromy_matrix,
-    verdict_json,
 )
 
 
@@ -79,14 +78,6 @@ def test_report_serialization():
     assert doc["path"]["radius"] == pytest.approx(0.15 * SQ.shortest)
     M = np.array([[complex(*v) for v in row] for row in doc["matrix"]])
     assert np.max(np.abs(M - rep.matrix)) < 1e-12
-
-
-def test_verdict_serialization():
-    ev = elliptic_evaluator(LAME, {}, SQ)
-    verdict, reports = integrability_verdict(ev, 2, 0.15 * SQ.shortest)
-    doc = json.loads(verdict_json(verdict, reports))
-    assert doc["verdict"] == "trivial"
-    assert len(doc["reports"]) == 3
 
 
 def test_evaluator_series_matches_direct_path():
