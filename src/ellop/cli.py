@@ -8,6 +8,7 @@ mismatch, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -46,9 +47,12 @@ def _pair(z: complex):
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        z = complex(text.replace(" ", ""))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}")
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"not a finite complex number: {text!r}")
+    return z
 
 
 def _parse_clist(text: str):
@@ -80,7 +84,7 @@ def _parse_operator(spec: str):
             try:
                 a, vals = _rat_arg(kv["a"]), {}
             except argparse.ArgumentTypeError:
-                a, vals = MultiPoly.var("a"), {"a": complex(kv["a"])}
+                a, vals = MultiPoly.var("a"), {"a": _parse_complex(kv["a"])}
             return GlobalEllipticOperator(2, {2: EllipticElement([0, a])}), vals
         if kind == "third":
             q, r = int(kv["q"]), int(kv["r"])
@@ -92,7 +96,7 @@ def _parse_operator(spec: str):
                 try:
                     subs[name] = MultiPoly.const(_rat_arg(text))
                 except argparse.ArgumentTypeError:
-                    vals[name] = complex(text)
+                    vals[name] = _parse_complex(text)
             if subs:
                 op = op.substitute(subs)
             return op, vals
@@ -102,7 +106,8 @@ def _parse_operator(spec: str):
             curve = {"generic": "generic", "equianharmonic": "g2=0",
                      "lemniscatic": "g3=0"}[kv.get("curve", "generic")]
             return cyclic_L0(n, idx, curve), {}
-    except (KeyError, ValueError, InvalidGapsError) as exc:
+    except (KeyError, ValueError, InvalidGapsError,
+            argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad operator spec {spec!r}: {exc}")
     raise argparse.ArgumentTypeError(f"unknown operator kind in {spec!r}")
 
@@ -114,7 +119,7 @@ def _rat_arg(text: str) -> Rat:
             n, d = text.split("/")
             return Rat(int(n), int(d))
         return Rat(int(text))
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 

@@ -221,20 +221,24 @@ def _wp01_series(z: complex, lat: Lattice):
     return wp * m * m, wpp * m * m * m
 
 
+def wp01(z: complex, lat: Lattice):
+    """(wp(z), wp'(z)): the Laurent series below 0.1 of the shortest period
+    from the nearest lattice point, theta quotients elsewhere."""
+    z0 = reduce_to_cell(z, lat)
+    if abs(z0) < 1e-8:
+        raise NearPoleError(f"z is within 1e-8 of a lattice point: {z}")
+    if abs(z0) < 0.1 * lat.shortest:
+        return _wp01_series(z0, lat)
+    return _wp01_theta(z0, lat)
+
+
 def wp_eval(z: complex, lat: Lattice, d: int = 0) -> complex:
     """wp^(d)(z) for 0 <= d <= 5, absolute accuracy about 1e-10 in units
     where the shortest period is 1, for every tau.  The rounding of z itself,
     about 1e-16*|z|, adds to this when z lies many shortest periods out."""
     if not 0 <= d <= 5:
         raise ValueError("derivative order must be 0..5")
-    z0 = reduce_to_cell(z, lat)
-    if abs(z0) < 1e-8:
-        raise NearPoleError(f"z is within 1e-8 of a lattice point: {z}")
-    if abs(z0) < 0.1 * lat.shortest:
-        wp, wpp = _wp01_series(z0, lat)
-    else:
-        wp, wpp = _wp01_theta(z0, lat)
-    return _from_wp01(wp, wpp, lat.g2, d)
+    return _from_wp01(*wp01(z, lat), lat.g2, d)
 
 
 def _from_wp01(wp: complex, wpp: complex, g2: complex, d: int) -> complex:

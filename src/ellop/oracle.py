@@ -5,9 +5,9 @@ first order companion system, integrate a fundamental matrix once around a
 small circle enclosing the pole, and measure the distance of the result
 from the identity.  The matrices of all spectral values on one loop are
 integrated together, since the coefficients do not depend on lambda.
-Coefficients come from the lattice evaluator, which switches to the
-truncated Laurent series automatically inside its safe disk, so the circle
-never sees evaluator blow-up.
+The coefficients are polynomials in (wp, wp'), which come from the
+lattice's own wp path (lattice.wp01) once per point; the oracle keeps no
+series of its own.
 """
 
 from __future__ import annotations
@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .lattice import _SERIES_TERMS, Lattice, wp_eval
+from .lattice import Lattice, wp01
 from .operators import GlobalEllipticOperator
 
 DEFAULT_LAMBDAS = (1 + 0j, -2 + 1j, 5j)
 
-_SAFE_FACTOR = 0.35              # series truncation error ~ (0.35)^80 here
 _VERDICT_TOL = 1e-12             # integration tolerance of integrability_verdict
 
 
@@ -74,20 +73,9 @@ def elliptic_evaluator(op: GlobalEllipticOperator, values: dict, lat: Lattice):
         if p0 or p1:
             data[n - i] = (p0, p1)
 
-    safe = _SAFE_FACTOR * lat.shortest
-    series = {k: _coeff_series(p0, p1, lat) for k, (p0, p1) in data.items()}
-
     def coeffs(z: complex):
+        w, w1 = wp01(z, lat)
         out = [0j] * n
-        if abs(z) < safe:
-            for k, (low, cs) in series.items():
-                acc = 0j
-                for a in reversed(cs):
-                    acc = acc * z + a
-                out[k] = acc * z**low
-            return out
-        w = wp_eval(z, lat, 0)
-        w1 = wp_eval(z, lat, 1)
         for k, (p0, p1) in data.items():
             v = 0j
             for a in reversed(p0):
@@ -99,61 +87,6 @@ def elliptic_evaluator(op: GlobalEllipticOperator, values: dict, lat: Lattice):
         return out
 
     return coeffs
-
-
-def _wp_numeric_series(lat: Lattice):
-    """(low, coefficient list) Laurent data of wp around 0: the lattice's
-    series in w = z/mu, rescaled to z."""
-    m = 1 / lat.mu
-    return -2, [c * m ** (k + 2) for k, c in enumerate(lat.wp_laurent, -2)]
-
-
-def _ser_mul(a, b, cut: int):
-    la, ca = a
-    lb, cb = b
-    low = la + lb
-    out = [0j] * min(len(ca) + len(cb) - 1, cut - low)
-    for i, x in enumerate(ca):
-        if not x:
-            continue
-        for j, y in enumerate(cb):
-            if i + j >= len(out):
-                break
-            out[i + j] += x * y
-    return low, out
-
-
-def _ser_axpy(acc, s, scale):
-    low_s, cs = s
-    low, out = acc
-    if not out:
-        return (low_s, [v * scale for v in cs])
-    new_low = min(low, low_s)
-    hi = max(low + len(out), low_s + len(cs))
-    merged = [0j] * (hi - new_low)
-    for i, v in enumerate(out):
-        merged[low - new_low + i] += v
-    for i, v in enumerate(cs):
-        merged[low_s - new_low + i] += v * scale
-    return new_low, merged
-
-
-def _coeff_series(p0, p1, lat: Lattice):
-    """Numeric Laurent series of sum p0[i] wp^i + sum p1[i] wp^i wp'."""
-    cut = _SERIES_TERMS - 2
-    wp = _wp_numeric_series(lat)
-    lw, cw = wp
-    wp1 = (lw - 1, [k * c for k, c in zip(range(lw, lw + len(cw)), cw)])
-    acc = (0, [])
-    power = (0, [1 + 0j])
-    for i in range(max(len(p0), len(p1))):
-        if i:
-            power = _ser_mul(power, wp, cut)
-        if i < len(p0) and p0[i]:
-            acc = _ser_axpy(acc, power, p0[i])
-        if i < len(p1) and p1[i]:
-            acc = _ser_axpy(acc, _ser_mul(power, wp1, cut), p1[i])
-    return acc
 
 
 def monodromy_matrices(evaluator, n: int, center: complex, radius: float,

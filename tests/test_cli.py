@@ -223,6 +223,62 @@ def test_monodromy_rejects_an_invalid_tolerance(capsys, tol):
     assert err.startswith("error: ") and "tolerance" in err
 
 
+def _finite_json(text):
+    def reject(name):
+        raise ValueError(f"non-finite number {name} in JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_monodromy_on_a_thin_lattice(capsys):
+    # the loop's coefficients come from the lattice's wp, which stays in
+    # range for every shortest period
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1", "--tau", "1e-5j")
+    assert (code, err) == (0, "")
+    doc = _finite_json(out)
+    assert doc["path"]["radius"] == pytest.approx(0.2e-5)
+
+
+def test_monodromy_loop_too_close_to_the_pole_exits_2(capsys):
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1", "--radius", "1e-9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: z is within 1e-8 of a lattice point")
+
+
+@pytest.mark.parametrize("argv", [
+    ("indicial", "--n", "3", "--b2=1/0"),
+    ("monodromy", "--operator", "third:q=2,r=2,c=1/0", "--lambda", "1"),
+    ("monodromy", "--operator", "second:a=1/0", "--lambda", "1"),
+])
+def test_a_zero_denominator_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "'1/0'" in err
+    assert "Traceback" not in err and "Fraction" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("inozemtsev-grad", "--points", "0.1+0.2j", "--ms", "1;2;3;nan"),
+    ("inozemtsev-grad", "--points", "0.1+0.2j;infj", "--ms", "1;2;3;4"),
+    ("monodromy", "--operator", "second:a=-2", "--lambda", "nan"),
+    ("monodromy", "--operator", "second:a=-2", "--lambda", "inf"),
+    ("monodromy", "--operator", "third:q=2,r=2,c=nan", "--lambda", "1"),
+    ("monodromy", "--operator", "second:a=-inf", "--lambda", "1"),
+    ("cm3-crit", "--points", "0.1;0.3", "--momenta", "1;2", "--c", "nan"),
+    ("monodromy", "--operator", "second:a=-2", "--lambda", "1",
+     "--tau", "nan"),
+])
+def test_a_non_finite_complex_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "not a finite complex number" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "indicial")[0] == 2                       # missing --n

@@ -80,15 +80,16 @@ def test_report_serialization():
     assert np.max(np.abs(M - rep.matrix)) < 1e-12
 
 
-def test_evaluator_series_matches_direct_path():
-    # the precomputed Laurent series takes over inside the safe disk; both
-    # paths must agree where they meet, also on a rescaled (thin) lattice
+def test_evaluator_is_minus_two_wp_on_both_sides_of_the_series_switch():
+    # the coefficients come from the lattice's wp, whose Laurent series
+    # takes over below 0.1 of the shortest period; both sides must give
+    # -2 wp, also on rescaled (thin) lattices
     from ellop.lattice import wp_eval
 
-    for lat in (SQ, make_lattice(0.2j)):
+    for lat in (SQ, make_lattice(0.2j), make_lattice(1e-5j)):
         ev = elliptic_evaluator(LAME, {}, lat)
-        inner = 0.3 * lat.shortest * np.exp(0.4j)
-        outer = 0.4 * lat.shortest * np.exp(0.4j)
+        inner = 0.09 * lat.shortest * np.exp(0.4j)
+        outer = 0.11 * lat.shortest * np.exp(0.4j)
         for z in (inner, outer):
             got = ev(complex(z))[0]
             want = -2 * wp_eval(complex(z), lat, 0)
