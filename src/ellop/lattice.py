@@ -223,10 +223,12 @@ def _wp01_series(z: complex, lat: Lattice):
 
 def wp01(z: complex, lat: Lattice):
     """(wp(z), wp'(z)): the Laurent series below 0.1 of the shortest period
-    from the nearest lattice point, theta quotients elsewhere."""
+    from the nearest lattice point, theta quotients elsewhere; NearPoleError
+    within 1e-8 of the shortest period from a lattice point."""
     z0 = reduce_to_cell(z, lat)
-    if abs(z0) < 1e-8:
-        raise NearPoleError(f"z is within 1e-8 of a lattice point: {z}")
+    if abs(z0) < 1e-8 * lat.shortest:
+        raise NearPoleError(f"z is within 1e-8 of a lattice point, in units "
+                            f"of the shortest period: {z}")
     if abs(z0) < 0.1 * lat.shortest:
         return _wp01_series(z0, lat)
     return _wp01_theta(z0, lat)

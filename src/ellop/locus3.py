@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field, replace
+from functools import cache
 
 from .rationals import ONE, Rat
 from .poly import MultiPoly, RatFunc, try_div
@@ -24,9 +25,11 @@ GENERIC_UNIVERSE = ("c", "e", "g2", "g3")
 PRECEDENCE = ("g3", "g2", "c", "e", "w")
 
 
+@cache
 def constraints_for(q: int, r: int) -> ConstraintSet:
     """Integrability conditions for the gap-(q, r) one-pole family,
-    ordered by spectral-parameter degree, descending."""
+    ordered by spectral-parameter degree, descending; cached, since
+    ConstraintSet is immutable."""
     if q < 1 or r < 1:
         raise InvalidGapsError("gaps must be positive")
     op = third_order_from_gaps(q, r).localize(r + 4)

@@ -7,7 +7,9 @@ from the identity.  The matrices of all spectral values on one loop are
 integrated together, since the coefficients do not depend on lambda.
 The coefficients are polynomials in (wp, wp'), which come from the
 lattice's own wp path (lattice.wp01) once per point; the oracle keeps no
-series of its own.
+series of its own.  The loop is integrated by the package's own DOP853
+(ellop.dop853), which takes scipy's steps, and so inherits scipy's floor
+of 100 machine epsilons on the tolerance.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .dop853 import integrate
 from .lattice import Lattice, wp01
 from .operators import GlobalEllipticOperator
 
@@ -110,7 +112,8 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
         raise ValueError("need at least one spectral value")
     center = complex(center)
     count = len(lams)
-    # scipy raises an rtol below 100*eps to that floor with only a warning
+    # ellop.dop853 inherits scipy's floor: scipy raises an rtol below
+    # 100*eps to it, so below it the two no longer take the same steps
     floor = 100 * np.finfo(float).eps
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -141,14 +144,14 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
     # sum_l e_l^2, e_l being spectral value l's own RMS at tol, so every
     # e_l <= 1, as a solo run at tol demands
     step_tol = tol / math.sqrt(count)
-    sol = solve_ivp(rhs, (0.0, 2 * np.pi), y0, method="DOP853",
-                    rtol=step_tol, atol=step_tol)
-    if not sol.success:
-        raise PathError(f"loop integration failed: {sol.message}")
+    y = integrate(rhs, y0, 2 * np.pi, step_tol)
+    if y is None:
+        raise PathError("loop integration failed: Required step size is less "
+                        "than spacing between numbers.")
     # rows of Y carry derivative orders, columns the transported solutions;
     # the start basis is the identity in those coordinates
     reports = []
-    for lam, M in zip(lams, sol.y[:, -1].reshape(count, n, n)):
+    for lam, M in zip(lams, y.reshape(count, n, n)):
         dev = float(np.max(np.abs(M - np.eye(n))))
         det = complex(np.linalg.det(M))
         reports.append(MonodromyReport(M, dev, det, lam, (center, radius)))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 from .rationals import Rat, as_rat
 from .poly import MultiPoly
 
@@ -192,8 +194,10 @@ class LaurentSeries:
         return f"LaurentSeries({self.text()})"
 
 
+@cache
 def wp_series(K: int) -> LaurentSeries:
-    """Weierstrass P as a Laurent series, trusted through z^(K-1).
+    """Weierstrass P as a Laurent series, trusted through z^(K-1); cached,
+    since LaurentSeries and its MultiPoly coefficients are never mutated.
 
     Coefficients are polynomials in g2, g3 determined by the defining
     relation (P')^2 = 4 P^3 - g2 P - g3:

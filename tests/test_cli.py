@@ -1,6 +1,10 @@
 """Command line surface: output formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,7 +95,7 @@ def test_reconstruction_error_exits_2(capsys, monkeypatch):
     assert err == "error: no rational function within the degree bounds\n"
 
 
-def test_a_failed_certificate_exits_1(capsys, monkeypatch):
+def test_a_failed_certificate_exits_1(capsys, monkeypatch, uncached_constraints):
     from ellop import locus3
     from ellop.monodromy import Condition, ConstraintSet
     from ellop.poly import MultiPoly
@@ -314,3 +318,16 @@ def test_verify_paper_exits_1_on_a_failed_criterion(capsys, monkeypatch):
     assert out.splitlines() == [
         "PASS  first: fine", "FAIL  second: off by 1e-3", "1/2 criteria passed",
     ]
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is a test-only reference; the runtime integrates its loops with
+    # ellop.dop853, so no process start pays for importing scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ellop, ellop.cli, ellop.acceptance; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -222,6 +222,19 @@ def test_near_pole_error():
         wp_eval(1 + SQ.tau + 1e-12, SQ, 0)
 
 
+def test_the_pole_guard_is_relative_to_the_shortest_period():
+    # on Z + 1e-9i*Z every point of the cell lies within 1e-8 of a lattice
+    # point, yet 3e-10+1e-10j is 0.32 shortest periods from the nearest one
+    lat = make_lattice(1e-9j)
+    s = lat.shortest
+    z = 3e-10 + 1e-10j
+    w = wp_eval(z, lat, 0)
+    w1 = wp_eval(z, lat, 1)
+    assert abs(w1 * w1 - 4 * w**3 + lat.g2 * w + lat.g3) * s**6 <= 1e-9
+    with pytest.raises(NearPoleError):
+        wp_eval(1e-18, lat, 0)
+
+
 def test_rational_kernel():
     z = 0.3 + 0.4j
     assert abs(rational_kernel(z) - 1 / z**2) < 1e-15

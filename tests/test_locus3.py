@@ -158,7 +158,7 @@ def test_a_condition_off_the_cyclic_point_is_a_verification_error():
     ("g2", "weight inconsistent"),
 ])
 def test_conditions_of_the_wrong_weight_are_a_verification_error(
-        monkeypatch, poly, message):
+        monkeypatch, uncached_constraints, poly, message):
     cond = {"c + e": MultiPoly.var("c") + MultiPoly.var("e"),
             "g2": MultiPoly.var("g2")}[poly]
     monkeypatch.setattr(

@@ -217,7 +217,7 @@ def test_invalid_tolerance_is_rejected(tol):
 
 
 def test_tolerance_below_the_integrator_floor_is_rejected():
-    # scipy raises a tolerance below 100*eps (about 2.2e-14) silently; the
+    # the integrator's floor is scipy's, 100*eps (about 2.2e-14); the
     # batch tightens tol by sqrt(len(lams)), so 4e-14 fails for 4 values
     ev = elliptic_evaluator(LAME, {}, SQ)
     with pytest.raises(ValueError, match="tolerance"):
