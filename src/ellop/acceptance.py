@@ -68,6 +68,7 @@ from .cm import (
     finite_gap_residuals,
     hexagonal_fold_residual,
     newton_critical,
+    pinned_cm3_system,
 )
 
 
@@ -483,13 +484,8 @@ def criterion_many_body(seed=0):
         return False, f"finite-difference gradient mismatch {diff}"
     # Newton locates a genuine two-pole critical point
     z1p = 0.17 + 0.05j
-
-    def system(x):
-        z2v, p1, p2, cv = x
-        return cm3_residuals(CMConfig3([z1p, z2v], [p1, p2], cv), lat)
-
-    out = newton_critical(system, [z1p + 0.52, 0.9, -0.9,
-                                   3 * wp_eval(0.52, lat)])
+    guess = CMConfig3([z1p, z1p + 0.52], [0.9, -0.9], 3 * wp_eval(0.52, lat))
+    out = newton_critical(*pinned_cm3_system(guess, lat))
     if not out.success or out.residual_norm > 1e-10:
         return False, f"Newton residual {out.residual_norm}"
     return True, "single/double pole cross-checks pass; Newton converged"

@@ -294,27 +294,16 @@ def _cmd_cm2(args) -> int:
 
 
 def _cmd_cm3(args) -> int:
-    from .cm import CMConfig3, cm3_residuals, newton_critical
+    from .cm import CMConfig3, cm3_residuals, newton_critical, pinned_cm3_system
 
     lat = make_lattice(args.tau)
-    zs = _parse_clist(args.points)
-    ps = _parse_clist(args.momenta)
+    cfg = CMConfig3(_parse_clist(args.points), _parse_clist(args.momenta), args.c)
     if not args.solve:
-        res = cm3_residuals(CMConfig3(zs, ps, args.c), lat)
+        res = cm3_residuals(cfg, lat)
         print(json.dumps({"residuals": [_pair(v) for v in res],
                           "max_abs": _sig15(max(abs(v) for v in res))}))
         return 0
-    z1 = zs[0]
-
-    def system(x):
-        rest = list(x)
-        zz = [z1] + rest[: len(zs) - 1]
-        pp = rest[len(zs) - 1: len(zs) - 1 + len(ps)]
-        cv = rest[-1]
-        return cm3_residuals(CMConfig3(zz, pp, cv), lat)
-
-    guess = list(zs[1:]) + list(ps) + [args.c]
-    out = newton_critical(system, guess)
+    out = newton_critical(*pinned_cm3_system(cfg, lat))
     print(json.dumps({
         "success": out.success,
         "residual_norm": out.residual_norm,

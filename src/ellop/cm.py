@@ -4,62 +4,34 @@ Second order multi-pole operators lead to the residual system of odd
 derivative sums; third order ones to critical points of a cubic Hamiltonian
 F + c*H1; the Z3-symmetric third order family to critical points of the
 crystallographic Hamiltonian on the hexagonal lattice.  A damped Newton
-solver locates critical points numerically.
+solver locates critical points numerically; pinned_cm3_system holds z_1 of
+the translation-invariant cubic system fixed and solves for z_2..z_n,
+p_1..p_n and c, 2n unknowns for the 2n residuals.
 
 All evaluators accept either a Lattice or a bare kernel(z, d) callable, so
 the rational (1/z^2) and trigonometric (1/sin^2) degenerations reuse the
-same residual code.
+same residual code.  A point, or a difference of two points, within 1e-8 of
+a pole is rejected; the poles are the lattice points for a Lattice, pi*Z for
+trigonometric_kernel, and {0} for any other callable.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice import (
     HEX_TAU,
-    InvalidLatticeError,
     Lattice,
-    NearPoleError,
-    lattice_invariants,
     make_lattice,
-    rational_kernel,
     reduce_to_cell,
     trigonometric_kernel,
     wp_eval,
 )
-
-__all__ = [
-    "InvalidConfigurationError",
-    "CMConfig2",
-    "CMConfig3",
-    "Cryst3Config",
-    "finite_gap_residuals",
-    "cm3_residuals",
-    "cm3_F",
-    "cm3_H1",
-    "cryst3_residuals",
-    "cryst3_grad_H",
-    "cryst3_H",
-    "hexagonal_fold_residual",
-    "inozemtsev_U",
-    "inozemtsev_gradient",
-    "NewtonResult",
-    "newton_critical",
-    "wp_kernel",
-    "hexagonal_lattice",
-    "Lattice",
-    "lattice_invariants",
-    "make_lattice",
-    "wp_eval",
-    "rational_kernel",
-    "trigonometric_kernel",
-    "InvalidLatticeError",
-    "NearPoleError",
-]
 
 
 class InvalidConfigurationError(ValueError):
@@ -69,42 +41,45 @@ class InvalidConfigurationError(ValueError):
 _COLLISION_TOL = 1e-8
 
 
-def wp_kernel(lat: Lattice):
-    """Evaluator kernel(z, d) = wp^(d)(z) bound to a lattice."""
-
-    def kernel(z: complex, d: int = 0) -> complex:
-        return wp_eval(z, lat, d)
-
-    return kernel
-
-
-def _as_kernel(ev):
+def _on_pole(z: complex, ev) -> bool:
+    """Is z within _COLLISION_TOL of a pole of the kernel ev stands for?"""
     if isinstance(ev, Lattice):
-        return wp_kernel(ev)
+        z = reduce_to_cell(z, ev)
+    elif ev is trigonometric_kernel:
+        x = z.real % math.pi
+        z = complex(min(x, math.pi - x), z.imag)
+    return abs(z) < _COLLISION_TOL
+
+
+class _Poles:
+    """The validation shared by configurations of distinct poles."""
+
+    def validate(self, ev=None):
+        zs = self.points
+        for i in range(len(zs)):
+            if _on_pole(zs[i], ev):
+                raise InvalidConfigurationError(
+                    f"points[{i}] sits on a pole of the kernel"
+                )
+            for j in range(i):
+                if _on_pole(zs[i] - zs[j], ev):
+                    raise InvalidConfigurationError(
+                        f"points[{i}] and points[{j}] coincide modulo the lattice"
+                    )
+
+
+def _kernel(cfg: _Poles, ev):
+    """Validate cfg against ev, then return ev's kernel(z, d)."""
+    cfg.validate(ev)
+    if isinstance(ev, Lattice):
+        return lambda z, d=0: wp_eval(z, ev, d)
     if callable(ev):
         return ev
     raise TypeError("expected a Lattice or a kernel callable")
 
 
-def _near_lattice(z: complex, lat: Lattice | None) -> bool:
-    if lat is None:
-        return abs(z) < _COLLISION_TOL
-    return abs(reduce_to_cell(z, lat)) < _COLLISION_TOL
-
-
-def _check_distinct(points, lat, what="points"):
-    for i in range(len(points)):
-        if _near_lattice(points[i], lat):
-            raise InvalidConfigurationError(f"{what}[{i}] sits on a pole of the kernel")
-        for j in range(i):
-            if _near_lattice(points[i] - points[j], lat):
-                raise InvalidConfigurationError(
-                    f"{what}[{i}] and {what}[{j}] coincide modulo the lattice"
-                )
-
-
 @dataclass(frozen=True)
-class CMConfig2:
+class CMConfig2(_Poles):
     """Pole positions and multiplicities of a second order candidate."""
 
     points: tuple
@@ -120,9 +95,6 @@ class CMConfig2:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "multiplicities", mult)
 
-    def validate(self, lat: Lattice | None = None):
-        _check_distinct(self.points, lat)
-
 
 def finite_gap_residuals(cfg: CMConfig2, ev) -> list:
     """Residuals sum_{j != i} m_j (m_j + 1) wp^(2s-1)(z_i - z_j), s = 1..m_i.
@@ -130,9 +102,7 @@ def finite_gap_residuals(cfg: CMConfig2, ev) -> list:
     All residuals vanish iff the configuration carries a finite-gap second
     order operator.  Flat list ordered by pole index, then s.
     """
-    lat = ev if isinstance(ev, Lattice) else None
-    cfg.validate(lat)
-    kernel = _as_kernel(ev)
+    kernel = _kernel(cfg, ev)
     zs, ms = cfg.points, cfg.multiplicities
     out = []
     for i, mi in enumerate(ms):
@@ -147,7 +117,7 @@ def finite_gap_residuals(cfg: CMConfig2, ev) -> list:
 
 
 @dataclass(frozen=True)
-class CMConfig3:
+class CMConfig3(_Poles):
     """Positions, momenta and the coupling constant of the cubic system."""
 
     points: tuple
@@ -163,9 +133,6 @@ class CMConfig3:
         object.__setattr__(self, "momenta", momenta)
         object.__setattr__(self, "c", complex(c))
 
-    def validate(self, lat: Lattice | None = None):
-        _check_distinct(self.points, lat)
-
 
 def cm3_residuals(cfg: CMConfig3, ev) -> list:
     """Critical-point residuals of F + c*H1.
@@ -174,9 +141,7 @@ def cm3_residuals(cfg: CMConfig3, ev) -> list:
     d(F + c*H1)/dp_i.  Last N entries: 3 sum_{j != i} (p_i + p_j)
     wp'(z_i - z_j), which is -d(F + c*H1)/dz_i.
     """
-    lat = ev if isinstance(ev, Lattice) else None
-    cfg.validate(lat)
-    kernel = _as_kernel(ev)
+    kernel = _kernel(cfg, ev)
     zs, ps, c = cfg.points, cfg.momenta, cfg.c
     n = len(zs)
     fam_p = []
@@ -197,9 +162,7 @@ def cm3_residuals(cfg: CMConfig3, ev) -> list:
 
 def cm3_F(cfg: CMConfig3, ev) -> complex:
     """F = sum p_i^3 - (3/2) sum_{i != j} (p_i + p_j) wp(z_i - z_j)."""
-    lat = ev if isinstance(ev, Lattice) else None
-    cfg.validate(lat)
-    kernel = _as_kernel(ev)
+    kernel = _kernel(cfg, ev)
     zs, ps = cfg.points, cfg.momenta
     n = len(zs)
     val = sum(p**3 for p in ps)
@@ -213,6 +176,22 @@ def cm3_F(cfg: CMConfig3, ev) -> complex:
 
 def cm3_H1(cfg: CMConfig3) -> complex:
     return sum(cfg.momenta)
+
+
+def pinned_cm3_system(cfg: CMConfig3, ev):
+    """(system, guess) for newton_critical: cm3_residuals with z_1 held fixed.
+
+    The unknowns are z_2..z_n, p_1..p_n, c, and the guess is cfg's values.
+    """
+    n = len(cfg.points)
+    if not n:
+        raise InvalidConfigurationError("the pinned system needs at least one point")
+    z1 = cfg.points[0]
+
+    def system(x):
+        return cm3_residuals(CMConfig3([z1, *x[: n - 1]], x[n - 1 : -1], x[-1]), ev)
+
+    return system, [*cfg.points[1:], *cfg.momenta, cfg.c]
 
 
 # -- crystallographic order 3 on the hexagonal lattice ------------------------
@@ -271,30 +250,31 @@ class Cryst3Config:
     def B(self):
         return tuple(a / 2 - b for a, b in zip(self.alphas, self.betas))
 
-    C = 1.0
-
     def validate(self):
         lat = hexagonal_lattice()
         zs = self.points
         for i, z in enumerate(zs):
-            for eta in ETA:
-                if _near_lattice(z - eta, lat):
-                    raise InvalidConfigurationError(
-                        f"points[{i}] hits a fixed point of the Z3 action"
-                    )
+            if any(_on_pole(z - eta, lat) for eta in ETA):
+                raise InvalidConfigurationError(
+                    f"points[{i}] hits a fixed point of the Z3 action"
+                )
         # whole orbits must stay apart, including a point from its own images
         for i in range(len(zs)):
-            for s in (1, 2):
-                if _near_lattice(zs[i] - _EPS**s * zs[i], lat):
-                    raise InvalidConfigurationError(
-                        f"points[{i}] collides with its own Z3 image"
-                    )
+            if any(_on_pole(zs[i] - _EPS**s * zs[i], lat) for s in (1, 2)):
+                raise InvalidConfigurationError(
+                    f"points[{i}] collides with its own Z3 image"
+                )
             for j in range(i):
-                for s in (0, 1, 2):
-                    if _near_lattice(zs[i] - _EPS**s * zs[j], lat):
-                        raise InvalidConfigurationError(
-                            f"points[{i}] and points[{j}] share a Z3 orbit"
-                        )
+                if any(_on_pole(zs[i] - _EPS**s * zs[j], lat) for s in (0, 1, 2)):
+                    raise InvalidConfigurationError(
+                        f"points[{i}] and points[{j}] share a Z3 orbit"
+                    )
+
+
+def _cryst3_input(cfg: Cryst3Config):
+    """Validate cfg, then return (lattice, n, z, p, A, B)."""
+    cfg.validate()
+    return hexagonal_lattice(), len(cfg.points), cfg.points, cfg.momenta, cfg.A, cfg.B
 
 
 def cryst3_residuals(cfg: Cryst3Config) -> list:
@@ -306,11 +286,7 @@ def cryst3_residuals(cfg: Cryst3Config) -> list:
     wp''(z_i - eta_r)) - 3 sum_{j != i, s} wp'(z_i - eps^s z_j)
     (p_i + eps^{-s} p_j).
     """
-    cfg.validate()
-    lat = hexagonal_lattice()
-    zs, ps = cfg.points, cfg.momenta
-    A, B = cfg.A, cfg.B
-    n = len(zs)
+    lat, n, zs, ps, A, B = _cryst3_input(cfg)
     fam_p = []
     fam_z = []
     for i in range(n):
@@ -336,12 +312,8 @@ def cryst3_residuals(cfg: Cryst3Config) -> list:
 
 def cryst3_H(cfg: Cryst3Config) -> complex:
     """H = sum p_i^3 + sum_{i,r} (A_r wp(z_i - eta_r) p_i + B_r wp'(z_i -
-    eta_r)) - 3C sum_{i != j, s} wp(z_i - eps^s z_j) p_i."""
-    cfg.validate()
-    lat = hexagonal_lattice()
-    zs, ps = cfg.points, cfg.momenta
-    A, B = cfg.A, cfg.B
-    n = len(zs)
+    eta_r)) - 3 sum_{i != j, s} wp(z_i - eps^s z_j) p_i."""
+    lat, n, zs, ps, A, B = _cryst3_input(cfg)
     val = sum(p**3 for p in ps)
     for i in range(n):
         for r in range(3):
@@ -351,7 +323,7 @@ def cryst3_H(cfg: Cryst3Config) -> complex:
             if j == i:
                 continue
             for s in range(3):
-                val -= 3 * cfg.C * wp_eval(zs[i] - _EPS**s * zs[j], lat, 0) * ps[i]
+                val -= 3 * wp_eval(zs[i] - _EPS**s * zs[j], lat, 0) * ps[i]
     return val
 
 
@@ -363,11 +335,7 @@ def cryst3_grad_H(cfg: Cryst3Config) -> list:
     so agreement with cryst3_residuals is a genuine numerical check of the
     Z3 homogeneity of wp on this cell.
     """
-    cfg.validate()
-    lat = hexagonal_lattice()
-    zs, ps = cfg.points, cfg.momenta
-    A, B = cfg.A, cfg.B
-    n = len(zs)
+    lat, n, zs, ps, A, B = _cryst3_input(cfg)
     grad_p = []
     grad_z = []
     for i in range(n):
@@ -381,10 +349,10 @@ def cryst3_grad_H(cfg: Cryst3Config) -> list:
             if j == i:
                 continue
             for s in range(3):
-                gp -= 3 * cfg.C * wp_eval(zs[i] - _EPS**s * zs[j], lat, 0)
-                gz -= 3 * cfg.C * wp_eval(zs[i] - _EPS**s * zs[j], lat, 1) * ps[i]
+                gp -= 3 * wp_eval(zs[i] - _EPS**s * zs[j], lat, 0)
+                gz -= 3 * wp_eval(zs[i] - _EPS**s * zs[j], lat, 1) * ps[i]
                 # term wp(z_j - eps^s z_i) p_j differentiated in z_i
-                gz -= 3 * cfg.C * (-(_EPS**s)) * wp_eval(
+                gz -= 3 * (-(_EPS**s)) * wp_eval(
                     zs[j] - _EPS**s * zs[i], lat, 1
                 ) * ps[j]
         grad_p.append(gp)
@@ -395,19 +363,33 @@ def cryst3_grad_H(cfg: Cryst3Config) -> list:
 # -- Inozemtsev potential ------------------------------------------------------
 
 
-def _half_periods(lat: Lattice):
-    return (0j, 0.5 + 0j, lat.tau / 2, (1 + lat.tau) / 2)
+def _inozemtsev_input(points, ms, lat: Lattice):
+    """(z_j, m_r, w_r) as complex values, w_r the half periods 0, 1/2, tau/2
+    and (1 + tau)/2, after checking that no point sits on a pole of U."""
+    zs = [complex(z) for z in points]
+    ms = [complex(m) for m in ms]
+    if len(ms) != 4:
+        raise InvalidConfigurationError("need the four parameters m0..m3")
+    ws = (0j, 0.5 + 0j, lat.tau / 2, (1 + lat.tau) / 2)
+    for j, z in enumerate(zs):
+        if any(_on_pole(z - w, lat) for w in ws):
+            raise InvalidConfigurationError(f"points[{j}] hits a half-period point")
+        for k in range(j):
+            if _on_pole(z - zs[k], lat) or _on_pole(z + zs[k], lat):
+                raise InvalidConfigurationError(
+                    f"points[{j}] meets the reflection orbit of points[{k}]"
+                )
+        if _on_pole(2 * z, lat):
+            raise InvalidConfigurationError(
+                f"points[{j}] collides with its own reflection"
+            )
+    return zs, ms, ws
 
 
 def inozemtsev_U(points, ms, lat: Lattice) -> complex:
     """U = sum_{i,j} (m_i + 1/2)^2 wp(z_j - w_i)
     + sum_{k != j} (wp(z_j - z_k) + wp(z_j + z_k))."""
-    zs = [complex(z) for z in points]
-    ms = [complex(m) for m in ms]
-    if len(ms) != 4:
-        raise InvalidConfigurationError("need the four parameters m0..m3")
-    ws = _half_periods(lat)
-    _validate_inozemtsev(zs, ws, lat)
+    zs, ms, ws = _inozemtsev_input(points, ms, lat)
     val = 0j
     for z in zs:
         for mi, w in zip(ms, ws):
@@ -420,32 +402,9 @@ def inozemtsev_U(points, ms, lat: Lattice) -> complex:
     return val
 
 
-def _validate_inozemtsev(zs, ws, lat):
-    for j, z in enumerate(zs):
-        for w in ws:
-            if _near_lattice(z - w, lat):
-                raise InvalidConfigurationError(
-                    f"points[{j}] hits a half-period point"
-                )
-        for k in range(j):
-            if _near_lattice(z - zs[k], lat) or _near_lattice(z + zs[k], lat):
-                raise InvalidConfigurationError(
-                    f"points[{j}] meets the reflection orbit of points[{k}]"
-                )
-        if _near_lattice(2 * z, lat):
-            raise InvalidConfigurationError(
-                f"points[{j}] collides with its own reflection"
-            )
-
-
 def inozemtsev_gradient(points, ms, lat: Lattice) -> list:
     """dU/dz_j; critical points carry finite-gap even second order operators."""
-    zs = [complex(z) for z in points]
-    ms = [complex(m) for m in ms]
-    if len(ms) != 4:
-        raise InvalidConfigurationError("need the four parameters m0..m3")
-    ws = _half_periods(lat)
-    _validate_inozemtsev(zs, ws, lat)
+    zs, ms, ws = _inozemtsev_input(points, ms, lat)
     out = []
     for j, z in enumerate(zs):
         g = 0j

@@ -89,15 +89,6 @@ class EllipticElement:
         """No P or P' dependence (the coefficient may still involve g2, g3)."""
         return not self.part1 and len(self.part0) <= 1
 
-    def pole_order(self) -> int:
-        """Order of the pole at z = 0 (0 for constants/zero)."""
-        o = 0
-        if self.part0:
-            o = max(o, 2 * (len(self.part0) - 1))
-        if self.part1:
-            o = max(o, 2 * (len(self.part1) - 1) + 3)
-        return o
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

@@ -40,8 +40,8 @@ def _kernel_vector(rows, ncols):
     return vec
 
 
-def rational_interpolate(points, dn: int, dd: int, var: str = "q") -> RatFunc:
-    """Unique rational function with num degree <= dn, den degree <= dd
+def rational_interpolate(points, dn: int, dd: int) -> RatFunc:
+    """Unique rational function of q with num degree <= dn, den degree <= dd
     passing through the given (q0, value) exact samples.
 
     Raises ReconstructionError if the samples are inconsistent with the
@@ -63,21 +63,21 @@ def rational_interpolate(points, dn: int, dd: int, var: str = "q") -> RatFunc:
     vec = _kernel_vector(rows, ncols)
     if vec is None:
         raise ReconstructionError("no rational function within the degree bounds")
-    num = MultiPoly.zero((var,))
+    num = MultiPoly.zero(("q",))
     for j, cf in enumerate(vec[: dn + 1]):
         if cf != 0:
-            num = num + MultiPoly.var(var, j, cf)
-    den = MultiPoly.zero((var,))
+            num = num + MultiPoly.var("q", j, cf)
+    den = MultiPoly.zero(("q",))
     for j, cf in enumerate(vec[dn + 1 :]):
         if cf != 0:
-            den = den + MultiPoly.var(var, j, cf)
+            den = den + MultiPoly.var("q", j, cf)
     if den.is_zero():
         raise ReconstructionError("degenerate kernel: zero denominator")
     f = RatFunc(num, den)
     # kernel solutions can hide a pole at a sample; verify every point
     for x, v in pts:
         try:
-            if f.evaluate_exact({var: x}) != v:
+            if f.evaluate_exact({"q": x}) != v:
                 raise ReconstructionError("interpolant misses a sample point")
         except ZeroDivisionError as exc:
             raise ReconstructionError("interpolant has a pole at a sample") from exc

@@ -19,10 +19,6 @@ class LinearSolution:
     free_variables: list    # column indices with no pivot
     conditions: list        # MultiPoly compatibility conditions, content 1
 
-    @property
-    def consistent_generically(self) -> bool:
-        return not self.conditions
-
 
 def _as_poly_rows(matrix, rhs):
     rows = []

@@ -395,7 +395,7 @@ def reconstruct_in_q(r: int, quantity: str) -> RatFunc:
             b = solved_branch(qv, r)
             pts.append((Rat(qv), branch_quantity(b, quantity)))
         try:
-            return rational_interpolate(pts, dn_a, dd_a, var="q")
+            return rational_interpolate(pts, dn_a, dd_a)
         except ReconstructionError:
             if attempt == 1:
                 raise

@@ -40,22 +40,11 @@ class ConstraintSet:
     q: int | None = None
     r: int | None = None
 
-    def polys(self):
-        return [c.poly for c in self.conditions]
-
-    def is_empty(self) -> bool:
-        return not self.unsatisfiable and not self.conditions
-
     def satisfied(self) -> bool:
         """For constant conditions: does the data lie on the locus?"""
         if self.unsatisfiable:
             return False
         return all(c.poly.is_zero() for c in self.conditions)
-
-    def satisfied_at(self, mapping) -> bool:
-        if self.unsatisfiable:
-            return False
-        return all(c.poly.substitute(mapping).is_zero() for c in self.conditions)
 
     def to_json(self) -> str:
         doc = {"n": self.n}

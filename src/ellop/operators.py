@@ -328,18 +328,15 @@ def third_order_indices(q: int, r: int) -> IndexData:
     return IndexData((m0, m1, m2))
 
 
-def third_order_from_gaps(q: int, r: int, c=None, e=None) -> GlobalEllipticOperator:
+def third_order_from_gaps(q: int, r: int) -> GlobalEllipticOperator:
     """The one-pole operator D^3 + (a*P + c)D + (b*P' + e*P) whose indicial
-    roots realize the gaps (q, r); a and b are forced by the roots."""
+    roots realize the gaps (q, r); a and b are forced by the roots, and c, e
+    are the free variables of the locus."""
     m0, m1, m2 = third_order_indices(q, r).indices
     a = m0 * m1 + m0 * m2 + m1 * m2 - 2
     b = m0 * m1 * m2 / 2
-    if c is None:
-        c = MultiPoly.var("c")
-    if e is None:
-        e = MultiPoly.var("e")
-    a2 = EllipticElement([c, a])
-    a3 = EllipticElement([0, e], [b])
+    a2 = EllipticElement([MultiPoly.var("c"), a])
+    a3 = EllipticElement([0, MultiPoly.var("e")], [b])
     return GlobalEllipticOperator(3, {2: a2, 3: a3})
 
 

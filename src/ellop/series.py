@@ -44,10 +44,6 @@ class LaurentSeries:
         return cls(order, [], order)
 
     @classmethod
-    def one(cls, order: int):
-        return cls.monomial(1, 0, order)
-
-    @classmethod
     def monomial(cls, coeff, expo: int, order: int):
         if expo >= order:
             return cls.zero(order)

@@ -167,6 +167,15 @@ def test_cm3_solve(capsys):
     assert doc["residual_norm"] < 1e-10
 
 
+def test_cm3_solve_without_points_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "cm3-crit", "--points", "", "--momenta", "",
+                         "--c", "1", "--solve")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_monodromy_json(capsys):
     code, out, _ = run(capsys, "monodromy", "--operator", "second:a=-2",
                        "--lambda", "1.5")

@@ -1,10 +1,11 @@
 """Many-body critical point systems and the Newton solver."""
 
 import cmath
+import math
 
 import pytest
 
-from ellop.lattice import make_lattice, rational_kernel
+from ellop.lattice import make_lattice, rational_kernel, trigonometric_kernel
 from ellop.cm import (
     CMConfig2,
     CMConfig3,
@@ -37,6 +38,21 @@ def test_config2_validation():
         CMConfig2([0.3, 0.3 + 1 + 1j], [1, 1]).validate(SQ)   # equal mod lattice
     with pytest.raises(InvalidConfigurationError):
         CMConfig2([1 + 1j], [1]).validate(SQ)                 # on a pole
+
+
+def test_the_trigonometric_kernel_rejects_points_a_period_apart():
+    # the poles of 1/sin^2 are all of pi*Z, not only 0
+    for other in (0.3 + math.pi, 0.3 - 2 * math.pi):
+        cfg2 = CMConfig2([0.3, other], [1, 1])
+        with pytest.raises(InvalidConfigurationError):
+            finite_gap_residuals(cfg2, trigonometric_kernel)
+        with pytest.raises(InvalidConfigurationError):
+            cm3_residuals(CMConfig3([0.3, other], [1, 1], 1.0), trigonometric_kernel)
+    with pytest.raises(InvalidConfigurationError):
+        CMConfig2([math.pi], [1]).validate(trigonometric_kernel)
+    res = finite_gap_residuals(CMConfig2([0.3, 0.3 + math.pi / 2], [1, 1]),
+                               trigonometric_kernel)
+    assert len(res) == 2 and all(cmath.isfinite(v) for v in res)
 
 
 def test_residuals_at_half_period_configuration():

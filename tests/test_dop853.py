@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from ellop.dop853 import integrate
 from ellop.elliptic import EllipticElement
@@ -12,6 +11,8 @@ from ellop.lattice import make_lattice
 from ellop.operators import GlobalEllipticOperator
 from ellop.oracle import elliptic_evaluator
 from ellop.rationals import Rat
+
+solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
 
 SQ = make_lattice(1j)

@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from ellop.rationals import Rat
 from ellop.elliptic import EllipticElement
@@ -114,6 +113,8 @@ def test_evaluator_symbolic_values():
 
 def _one_matrix_transport(evaluator, n, radius, lam, tol=1e-12):
     """Reference: the n x n companion system of one spectral value alone."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
     def rhs(theta, y):
         z = radius * np.exp(1j * theta)
         dz = 1j * radius * np.exp(1j * theta)

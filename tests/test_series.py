@@ -77,10 +77,3 @@ def test_drop_constant():
     elem = EllipticElement([5, 1], [])       # P + 5
     dropped = elem.drop_constant()
     assert dropped.to_series(1).coefficient(0).is_zero()
-
-
-def test_pole_order():
-    assert EllipticElement.P().pole_order() == 2
-    assert EllipticElement.Pprime().pole_order() == 3
-    assert (EllipticElement.P() ** 2).pole_order() == 4
-    assert EllipticElement.const(7).pole_order() == 0
