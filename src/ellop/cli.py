@@ -41,6 +41,11 @@ def _sig15(x: float) -> float:
     return float(f"{x:.15g}")
 
 
+def _max_abs(values) -> float:
+    """Largest magnitude, to 15 digits; 0.0 for no values."""
+    return _sig15(max((abs(v) for v in values), default=0.0))
+
+
 def _pair(z: complex):
     return [_sig15(z.real), _sig15(z.imag)]
 
@@ -289,7 +294,7 @@ def _cmd_cm2(args) -> int:
     cfg = CMConfig2(_parse_clist(args.points), _parse_ilist(args.mults))
     res = finite_gap_residuals(cfg, lat)
     print(json.dumps({"residuals": [_pair(v) for v in res],
-                      "max_abs": _sig15(max((abs(v) for v in res), default=0.0))}))
+                      "max_abs": _max_abs(res)}))
     return 0
 
 
@@ -301,7 +306,7 @@ def _cmd_cm3(args) -> int:
     if not args.solve:
         res = cm3_residuals(cfg, lat)
         print(json.dumps({"residuals": [_pair(v) for v in res],
-                          "max_abs": _sig15(max(abs(v) for v in res))}))
+                          "max_abs": _max_abs(res)}))
         return 0
     out = newton_critical(*pinned_cm3_system(cfg, lat))
     print(json.dumps({
@@ -326,7 +331,7 @@ def _cmd_cryst3(args) -> int:
     print(json.dumps({
         "residuals": [_pair(v) for v in res],
         "gradient": [_pair(v) for v in grd],
-        "agreement": _sig15(max(abs(a - b) for a, b in zip(res, grd))),
+        "agreement": _max_abs(a - b for a, b in zip(res, grd)),
     }))
     return 0
 
@@ -338,7 +343,7 @@ def _cmd_inozemtsev(args) -> int:
     g = inozemtsev_gradient(_parse_clist(args.points),
                             _parse_clist(args.ms), lat)
     print(json.dumps({"gradient": [_pair(v) for v in g],
-                      "max_abs": _sig15(max(abs(v) for v in g))}))
+                      "max_abs": _max_abs(g)}))
     return 0
 
 

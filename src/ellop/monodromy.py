@@ -102,14 +102,16 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     universe = sort_vars(lam.vars + tuple(v for a_i in op.coeffs.values()
                                           for c in a_i.coeffs for v in c.vars))
     lam = lam.in_universe(universe)
-    f = {0: MultiPoly.const(1, universe)}
+    one = MultiPoly.const(1, universe)
+    f = {0: one}
     local = {}  # (i, j) -> coefficient of z^j in a_i
     obstructions = []
     free = []
     for k in range(1, K + 1):
-        # f_k * indicial(m + k) = sum of these products; at a resonance
+        # f_k * indicial(m + k) = sum over earlier kp of (scaled a_i
+        # coefficients) * f_kp, each f_kp multiplied once; at a resonance
         # the sum is the obstruction
-        triples = []
+        scaled = {}  # kp -> [(s, A, one)]
         for i in range(2, n + 1):
             a_i = op.coeffs[i]
             for j in range(a_i.low, k - i + 1):
@@ -120,9 +122,12 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
                     A = local[i, j] = a_i.coefficient(j).in_universe(universe)
                 if A.terms:
                     kp = k - i - j
-                    triples.append((-falling_factorial(m + kp, n - i), A, f[kp]))
+                    scaled.setdefault(kp, []).append(
+                        (-falling_factorial(m + kp, n - i), A, one))
         if k >= n:
-            triples.append((1, lam, f[k - n]))
+            scaled.setdefault(k - n, []).append((1, lam, one))
+        triples = [(1, sum_of_products(universe, group), f[kp])
+                   for kp, group in scaled.items()]
         c = _horner(P, m + k)
         if c != 0:
             f[k] = sum_of_products(universe, triples, c)
@@ -130,11 +135,14 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
         obstructions.append((k, sum_of_products(universe, triples)))
         name = f"u{len(free) + 1}"
         free.append(name)
+        f[k] = MultiPoly.var(name)
+        if k == K:  # nothing left to run over the grown universe
+            break
         universe = sort_vars(universe + (name,))
         lam = lam.in_universe(universe)
+        one = MultiPoly.const(1, universe)
         local = {ij: A.in_universe(universe) for ij, A in local.items()}
         f = {kp: p.in_universe(universe) for kp, p in f.items()}
-        f[k] = MultiPoly.var(name).in_universe(universe)
     psi = LaurentSeries(0, [f[k] for k in range(K + 1)], K + 1)
     return FrobeniusSolution(psi, obstructions, free)
 
@@ -181,7 +189,7 @@ def trivial_monodromy_constraints(op: LocalOperator, mode: str = "full") -> Cons
         raise ValueError(f"unknown mode {mode!r}")
     top = ms[-1]
     conditions = []
-    seen = set()
+    seen = set()  # MultiPoly ==/hash ignore unused universe variables
     for m in run:
         K = int(top - m)
         sol = frobenius_solve(op, m, K)
@@ -192,11 +200,9 @@ def trivial_monodromy_constraints(op: LocalOperator, mode: str = "full") -> Cons
                 if p.is_zero():
                     continue
                 p = p.primitive()
-                # canonical text ignores unused universe variables
-                key = p.text()
-                if key in seen:
+                if p in seen:
                     continue
-                seen.add(key)
+                seen.add(p)
                 conditions.append(Condition(p, expo[0], (n, m, offset)))
     return ConstraintSet(n, tuple(conditions))
 

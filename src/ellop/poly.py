@@ -22,11 +22,13 @@ Sums of products go through one kernel, `sum_of_products`: (sum of s*P*Q) /
 divisor over one universe, accumulated in a single integer dict over the lcm
 of the denominators and reduced once, in the term order that P*Q followed by
 `+` would give when each P is a single term.  The Frobenius recursion makes
-one call per coefficient, and `MultiPoly.substitute` makes one call with a
-(monomial, cached power product) pair per term.  Substitution takes
-polynomial and rational values only and always returns a MultiPoly; a
-RatFunc is substituted into by `RatFunc.substitute`, numerator and
-denominator apart.
+one call per coefficient, with one product per earlier coefficient (the
+scaled operator coefficients that multiply it are summed first by a small
+call of their own), and `MultiPoly.substitute` makes one call with a
+(monomial, cached power product) pair per term that does not vanish.
+Substitution takes polynomial and rational values only and always returns a
+MultiPoly; a RatFunc is substituted into by `RatFunc.substitute`, numerator
+and denominator apart.
 
 Printing and "leading coefficient" use graded lexicographic order, graded by
 the homothety weights deg(e)=1, deg(c)=2, deg(lambda)=3, deg(g2)=4,
@@ -483,12 +485,17 @@ class MultiPoly:
         universe = sort_vars([u for v, p in zip(self.vars, used) if p
                               for u in (vals[v].vars if v in vals else (v,))])
         shift = {v: _BITS * (len(universe) - 1 - i) for i, v in enumerate(universe)}
-        # one (monomial, power product) pair per term, in term order, so the
-        # sum makes the dict operations of term-by-term products and `+`
+        # the fields of variables mapped to zero: a term using one vanishes
+        vanish = sum(_MASK << (_BITS * (n - 1 - i)) for i, v in enumerate(self.vars)
+                     if v in vals and not vals[v].terms)
+        # one (monomial, power product) pair per other term, in term order, so
+        # the sum makes the dict operations of term-by-term products and `+`
         powers = {}
         products = {}
         triples = []
         for key, c in self.terms.items():
+            if key & vanish:
+                continue
             mono = 0
             subs = []
             for v, p in zip(self.vars, _unpack(key, n)):

@@ -176,6 +176,20 @@ def test_cm3_solve_without_points_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (("cm2-residuals", "--points", "", "--mults", ""), "max_abs"),
+    (("cm3-crit", "--points", "", "--momenta", "", "--c", "1"), "max_abs"),
+    (("inozemtsev-grad", "--points", "", "--ms", "1;2;3;4"), "max_abs"),
+    (("cryst3-crit", "--points", "", "--momenta", "",
+      "--alphas", "1;2;3", "--betas", "1;2;3"), "agreement"),
+], ids=["cm2-residuals", "cm3-crit", "inozemtsev-grad", "cryst3-crit"])
+def test_many_body_commands_agree_on_an_empty_point_list(capsys, argv, key):
+    # no particles: no residuals, and the largest of none is 0.0
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)[key] == 0.0
+
+
 def test_monodromy_json(capsys):
     code, out, _ = run(capsys, "monodromy", "--operator", "second:a=-2",
                        "--lambda", "1.5")

@@ -1,5 +1,7 @@
 """Locus classification for the third-order one-pole family."""
 
+import hashlib
+
 import pytest
 
 from ellop.rationals import Rat
@@ -166,3 +168,37 @@ def test_conditions_of_the_wrong_weight_are_a_verification_error(
         lambda op, mode: ConstraintSet(3, (Condition(cond, 0, "test"),)))
     with pytest.raises(VerificationError, match=message):
         constraints_for(2, 2)
+
+
+def _branch_lines(branch):
+    yield branch.classification
+    for v, a in branch.assignments.items():
+        yield f"{v}={a.text()}"
+    rel = branch.relation
+    yield "relation=" + ("" if rel is None else f"{rel[0]}^2={rel[1].text()}")
+    yield "free=" + ",".join(branch.free)
+    yield "nonzero=" + ",".join(branch.nonzero)
+    for p in branch.residuals:
+        yield "residual=" + p.text()
+
+
+# SHA-256 of the conditions' JSON and every branch's texts, recorded before
+# the Frobenius recursion grouped its products by earlier coefficient
+FRONTIER_DIGESTS = {
+    (22, 22): "4ec27be3c95ee8d0b51c0660b19e0bad5a79ae7bd941d30d67c9f73fae72f373",
+    (25, 22): "76eef223bccfcc830fc890529b442c2596ab77a07fae7473bc52e398396db49d",
+    (34, 34): "958f9b8c52697d8c4f71395c05cd6a3f52c823e5128521fa5a88f20f2b3caa78",
+    (37, 34): "e0d76e01f3c4a2f153a983517d1a767b9091246a2833661354673c63a64e5cd7",
+}
+
+
+@pytest.mark.parametrize("q,r", sorted(FRONTIER_DIGESTS))
+def test_frontier_outputs_are_pinned(q, r):
+    cs = constraints_for(q, r)
+    texts = [c.text() for c in cs.conditions]
+    assert len(set(texts)) == len(texts)  # duplicates were removed
+    h = hashlib.sha256(cs.to_json().encode())
+    for branch in triangular_solve(cs):
+        for line in _branch_lines(branch):
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == FRONTIER_DIGESTS[q, r]

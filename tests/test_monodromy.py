@@ -43,31 +43,57 @@ def test_frobenius_upper_root_has_no_resonance():
     assert all(p.is_zero() for _, p in sol.obstructions)
 
 
-@pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2)])
-def test_frobenius_solution_solves_the_operator(q, r):
+def assert_solves_the_operator(op, m, K):
     # independent of the recursion: apply L - lambda to psi = z^m * sol.psi
     # with series arithmetic.  Offset k lands at z^(m+k-3); it must vanish
     # except at a resonance, where f_k is free and what is left is minus
     # the recorded obstruction
+    lam = MultiPoly.var("lambda")
+    sol = frobenius_solve(op, m, K)
+    psi = sol.psi.shift(int(m))
+    d1 = psi.differentiate()
+    d3 = d1.differentiate().differentiate()
+    out = d3 + op.coeffs[2] * d1 + op.coeffs[3] * psi - psi * lam
+    assert out.order >= m + K - 2          # every offset k <= K is trusted
+    obstruction = {int(m) + k - 3: p for k, p in sol.obstructions}
+    for e in range(out.low, out.order):
+        got = out.coefficient(e)
+        if e in obstruction:
+            assert (got + obstruction.pop(e)).is_zero(), (m, e)
+        else:
+            assert got.is_zero(), (m, e, got.text())
+    assert not obstruction
+    return sol
+
+
+@pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2)])
+def test_frobenius_solution_solves_the_operator(q, r):
     K = 10
     op = third_order_from_gaps(q, r).localize(K)
-    lam = MultiPoly.var("lambda")
     idx, _ = op.indices()
     for m in idx.indices:
-        sol = frobenius_solve(op, m, K)
-        psi = sol.psi.shift(int(m))
-        d1 = psi.differentiate()
-        d3 = d1.differentiate().differentiate()
-        out = d3 + op.coeffs[2] * d1 + op.coeffs[3] * psi - psi * lam
-        assert out.order >= m + K - 2          # every offset k <= K is trusted
-        obstruction = {int(m) + k - 3: p for k, p in sol.obstructions}
-        for e in range(out.low, out.order):
-            got = out.coefficient(e)
-            if e in obstruction:
-                assert (got + obstruction.pop(e)).is_zero(), (m, e)
-            else:
-                assert got.is_zero(), (m, e, got.text())
-        assert not obstruction
+        assert_solves_the_operator(op, m, K)
+
+
+@pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2), (2, 5), (4, 4)])
+def test_frobenius_solution_with_a_resonance_at_the_last_step(q, r):
+    # K is the deepest resonance offset, as constraints_for runs the middle
+    # index and full mode the lower ones: the last f_K is a free parameter
+    op = third_order_from_gaps(q, r).localize(q + r + 4)
+    idx, _ = op.indices()
+    top = idx.indices[-1]
+    for m in idx.indices[:-1]:
+        K = int(top - m)
+        sol = assert_solves_the_operator(op, m, K)
+        assert sol.obstructions[-1][0] == K
+        name = sol.free_parameters[-1]
+        assert sol.psi.coefficient(K) == MultiPoly.var(name)
+        assert name not in sol.obstructions[-1][1].used_vars()
+        # a longer run goes on past K and agrees up to it
+        longer = frobenius_solve(op, m, K + 3)
+        assert longer.obstructions == sol.obstructions
+        for k in range(K + 1):
+            assert longer.psi.coefficient(k) == sol.psi.coefficient(k)
 
 
 def reference_recursion(op, m, K):
@@ -143,6 +169,21 @@ def test_constraint_sets_are_immutable():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cs, name, value)
     assert hash(cs) == hash(constraints_for(5, 5))
+
+
+@pytest.mark.parametrize("q,r,expected", [
+    (2, 2, [(0, "3*c + e^2", 2)]),
+    (4, 4, [(1, "e", 4), (0, "945*c^2 + 126*c*e^2 + e^4 - 11340*g2", 4)]),
+])
+def test_full_mode_keeps_each_condition_once(q, r, expected):
+    # the free-parameter coefficients of the lowest index's obstructions
+    # repeat conditions of the middle index (3 nonzero pieces at (2, 2), 6
+    # at (4, 4)); each value is kept once, at its first occurrence
+    op = third_order_from_gaps(q, r).localize(q + r + 4)
+    cs = trivial_monodromy_constraints(op, mode="full")
+    low = op.indices()[0].indices[0]
+    assert [(c.lambda_degree, c.text(), c.provenance) for c in cs.conditions] == [
+        (d, text, (3, low, offset)) for d, text, offset in expected]
 
 
 def test_trivial_monodromy_detects_generic_failure():

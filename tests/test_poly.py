@@ -370,6 +370,35 @@ def test_kernel_matches_reference(seed):
     assert_same(a.substitute(mapping), ra.substitute(ref_mapping))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_substituting_zero_matches_reference(seed):
+    # terms through a variable mapped to 0 are skipped before any product is
+    # made; the rest must come out as RefPoly's term-by-term sum
+    rng = random.Random(seed)
+    a, ra = random_pair(rng, max_terms=8)
+    unused = tuple(v for v in rng.sample(REF_VARS, 2) if v not in a.vars)
+    a, ra = a.in_universe(a.vars + unused), ra.in_universe(ra.vars + unused)
+    mapping, ref_mapping = {}, {}
+    for v in a.vars:
+        roll = rng.random()
+        if roll < 0.4:
+            zero = sort_vars(rng.sample(REF_VARS, rng.randint(0, 2)))
+            mapping[v] = rng.choice((0, Rat(0), MultiPoly.zero(zero)))
+            ref_mapping[v] = RefPoly(zero if isinstance(mapping[v], MultiPoly) else (), {})
+        elif roll < 0.7:
+            mapping[v], ref_mapping[v] = random_pair(rng, max_terms=3, max_expo=2)
+    assert_same(a.substitute(mapping), ra.substitute(ref_mapping))
+
+
+def test_substituting_zero_into_every_term():
+    c, e, g2 = (MultiPoly.var(v) for v in ("c", "e", "g2"))
+    p = (c * e * 3 + c * c * g2 * Rat(1, 2)).in_universe(("c", "e", "g2", "x"))
+    got = p.substitute({"c": MultiPoly.zero(("lambda",)), "g2": MultiPoly.var("g3")})
+    assert got.is_zero() and got.denom == 1 and got.text() == "0"
+    assert got.vars == ("e", "g3", "lambda")
+    assert (c * e).substitute({"c": 0, "e": 0}).vars == ()
+
+
 def test_exponent_overflow_raises():
     top = MultiPoly.var("x", MAX_EXPONENT)
     assert (MultiPoly.var("x", MAX_EXPONENT - 1) * MultiPoly.var("x")) == top
