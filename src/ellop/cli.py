@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 from .rationals import Rat
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lambda", dest="lam", type=_parse_complex, required=True)
     s.add_argument("--tau", type=_parse_complex, default=1j)
     s.add_argument("--radius", type=float, default=0.2,
-                   help="fraction of the shortest period")
+                   help="fraction of the shortest period, below 1")
     s.add_argument("--tol", type=float, default=1e-12)
 
     sub.add_parser("verify-paper", help="run the full verification suite")
@@ -350,6 +351,11 @@ def _cmd_inozemtsev(args) -> int:
 def _cmd_monodromy(args) -> int:
     from .oracle import elliptic_evaluator, monodromy_matrix
 
+    # from one shortest period on, the loop meets or encloses other lattice
+    # points; the oracle rejects radii <= 0, nan and inf itself
+    if 1 <= args.radius < math.inf:
+        raise ValueError(f"loop radius must be below 1 shortest period, "
+                         f"got {args.radius}")
     op, vals = _parse_operator(args.operator)
     lat = make_lattice(args.tau)
     ev = elliptic_evaluator(op, vals, lat)

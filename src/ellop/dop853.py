@@ -6,8 +6,10 @@ expressions in the same order, so it takes the same steps and returns the
 same bits as scipy 1.17.1 for rtol = atol = tol.  The tableau below is
 copied from scipy/integrate/_ivp/dop853_coefficients.py with its decimal
 literals; the method is Hairer, Norsett and Wanner, Solving Ordinary
-Differential Equations I, Sec. II.10.  scipy is (c) 2001-2002 Enthought,
-Inc., 2003 SciPy Developers, under the BSD-3-Clause license.
+Differential Equations I, Sec. II.10.  The stage loop reads each stage's
+row of A and node of C from _STAGES, a table built once at import.  scipy
+is (c) 2001-2002 Enthought, Inc., 2003 SciPy Developers, under the
+BSD-3-Clause license.
 """
 
 from __future__ import annotations
@@ -123,6 +125,13 @@ E5[10] = 0.8192320648511571246570742613e-1
 E5[11] = -0.2235530786388629525884427845e-1
 
 
+# (s, A[s, :s], C[s]) of the stages after the first, built once; the row is
+# cast to complex as np.dot would cast it against the complex K, and C[s] to
+# a float
+_STAGES = tuple((s, A[s, :s].astype(complex), float(C[s]))
+                for s in range(1, N_STAGES))
+
+
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -149,8 +158,8 @@ def _initial_step(fun, y0, f0, t_bound, tol):
 
 def _rk_step(fun, t, y, f, h, K):
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    for s, a, c in _STAGES:
+        dy = np.dot(K[:s].T, a) * h
         K[s] = fun(t + c * h, y + dy)
     y_new = y + h * np.dot(K[:-1].T, B)
     f_new = fun(t + h, y_new)

@@ -40,6 +40,10 @@ _SERIES_TERMS = 80
 # n = 6, is below e^-97 even with the factor (2n+1)^3 of the third derivative.
 _THETA_TERMS = 6
 _ODD = tuple((2 * n + 1, (2 * n + 1) ** 2, (2 * n + 1) ** 3) for n in range(_THETA_TERMS))
+# per-call constants of _wp01_theta, made once by the same expressions
+_TWO_I_N = tuple(2j * n for n in range(_THETA_TERMS))
+_PI2 = math.pi**2
+_PI3 = math.pi**3
 # Boundary points of the fundamental domain (|tau| = 1, Re tau = +-1/2) stay
 # where they are, with mu = 1, when they are off by rounding only.
 _EDGE = Fraction(1, 10**12)
@@ -154,12 +158,21 @@ HEX_TAU = complex(-0.5, math.sqrt(3) / 2)  # the hexagonal (equianharmonic) cell
 
 
 def reduce_to_cell(z: complex, lat: Lattice) -> complex:
-    """Minimal-norm representative of z modulo the lattice."""
+    """Minimal-norm representative of z modulo the lattice.
+
+    z/mu is rounded to the nearest point w0 of the reduced parallelogram
+    grid; when |w0| < 0.49 that is the answer, and otherwise the shortest
+    of w0 and its eight neighbours w0 - m - n*tau' is."""
     tau = lat.tau_reduced
     w = complex(z) / lat.mu
     b = w.imag / tau.imag
     a = w.real - b * tau.real
     w0 = w - round(a) - round(b) * tau
+    # tau' is in the fundamental domain up to _EDGE, so every nonzero period
+    # m + n*tau' has norm at least 1 - 1e-11; below 0.49, w0 is then
+    # strictly shorter than every other candidate, which have norm above 0.5
+    if abs(w0) < 0.49:
+        return lat.mu * w0
     best = w0
     for m in (-1, 0, 1):
         for n in (-1, 0, 1):
@@ -189,8 +202,9 @@ def _wp01_theta(z: complex, lat: Lattice):
     s2 = s * s
     sk = s
     s0 = c1 = s2_sum = c3 = 0j
-    for n, (e, (k, k2, k3)) in enumerate(zip(lat.theta_exponents, _ODD)):
-        b = cmath.exp(e - 2j * n * v)
+    exp = cmath.exp
+    for e, two_i_n, (k, k2, k3) in zip(lat.theta_exponents, _TWO_I_N, _ODD):
+        b = exp(e - two_i_n * v)
         a = b * sk
         sk *= s2
         s0 += a - b
@@ -200,8 +214,8 @@ def _wp01_theta(z: complex, lat: Lattice):
     # theta1'/theta1 = i u, theta1''/theta1 = -r2, theta1'''/theta1 = -i c3/s0
     u = c1 / s0
     r2 = s2_sum / s0
-    wp = math.pi**2 * (r2 - u * u) + lat.wp_shift
-    wpp = 1j * math.pi**3 * (c3 / s0 - 3 * u * r2 + 2 * u**3)
+    wp = _PI2 * (r2 - u * u) + lat.wp_shift
+    wpp = 1j * _PI3 * (c3 / s0 - 3 * u * r2 + 2 * u**3)
     if flip:
         wpp = -wpp
     m = 1 / lat.mu

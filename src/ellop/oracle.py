@@ -4,7 +4,9 @@ Independent check of trivial monodromy: write (L - lambda) psi = 0 as a
 first order companion system, integrate a fundamental matrix once around a
 small circle enclosing the pole, and measure the distance of the result
 from the identity.  The matrices of all spectral values on one loop are
-integrated together, since the coefficients do not depend on lambda.
+integrated together, since the coefficients do not depend on lambda, and
+the point of DOP853's last stage, which its end-of-step call repeats, is
+evaluated once.
 The coefficients are polynomials in (wp, wp'), which come from the
 lattice's own wp path (lattice.wp01) once per point; the oracle keeps no
 series of its own.  The loop is integrated by the package's own DOP853
@@ -121,20 +123,23 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
         raise ValueError(f"tolerance {tol} over {count} spectral values is below "
                          f"the integrator floor: tol/sqrt({count}) < {floor:.3g}")
     lam_col = np.array(lams)[:, None]
+    # DOP853's last stage and its end-of-step call share theta = t + h, so
+    # the point, its dz and its coefficients are kept from the previous call
+    last = [None, None, None]
 
     def rhs(theta, y):
-        turn = np.exp(1j * theta)
-        z = center + radius * turn
-        dz = 1j * radius * turn
+        if theta != last[0]:
+            turn = np.exp(1j * theta)
+            last[:] = theta, 1j * radius * turn, evaluator(center + radius * turn)
+        _, dz, c = last
         Y = y.reshape(count, n, n)
-        c = evaluator(z)
         dY = np.empty_like(Y)
         dY[:, :-1] = Y[:, 1:]
         top = lam_col * Y[:, 0]
         for k in range(n):
             ck = c[k]
             if ck:
-                top = top - ck * Y[:, k]
+                top -= ck * Y[:, k]
         dY[:, -1] = top
         return (dz * dY).reshape(-1)
 

@@ -241,6 +241,25 @@ def test_monodromy_rejects_a_degenerate_loop(capsys, radius):
     assert err.startswith("error: ") and "radius" in err
 
 
+@pytest.mark.parametrize("radius", ["1", "1.0", "2.5", "1e300"])
+def test_monodromy_rejects_a_loop_around_more_than_one_pole(capsys, radius):
+    # the radius is a fraction of the shortest period: from 1 on the loop
+    # meets or encloses other lattice points, and its transport is not the
+    # local monodromy at the pole
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1", f"--radius={radius}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "radius" in err and "below 1" in err
+
+
+def test_monodromy_accepts_a_radius_just_below_one(capsys):
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1", "--radius", "0.9")
+    assert (code, err) == (0, "")
+    assert _finite_json(out)["path"]["radius"] == pytest.approx(0.9)
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-14"])
 def test_monodromy_rejects_an_invalid_tolerance(capsys, tol):
     code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",

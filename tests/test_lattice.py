@@ -1,8 +1,10 @@
 """Numerical Weierstrass evaluation and degenerate kernels."""
 
 import cmath
+import hashlib
 import math
 import random
+import struct
 from fractions import Fraction
 
 import mpmath as mp
@@ -18,6 +20,7 @@ from ellop.lattice import (
     _wp01_theta,
     reduce_to_cell,
     trigonometric_kernel,
+    wp01,
     wp_eval,
 )
 
@@ -123,6 +126,33 @@ def test_reduce_to_cell():
     for shift in (0, 3, 1 + 2j * SQ.tau.imag * 1j):
         red = reduce_to_cell(z + 3 + 2 * SQ.tau, SQ)
         assert abs(red - z) < 1e-12
+
+
+@pytest.mark.parametrize("tau", [1j, HEX_TAU, 0.3 + 1.1j, 0.2j, 1e-3j, 0.5 + 0.866j,
+                                 2.5 + 0.07j, -0.3 + 0.05j])
+def test_reduce_to_cell_is_the_shortest_representative(tau):
+    # against brute force: the result is congruent to z, and no point of
+    # its 5x5 neighbourhood in the reduced basis is shorter; half the points
+    # are spread over many cells, half have |z0/mu| near 0.49, where the
+    # search of the eight neighbours starts
+    lat = make_lattice(tau)
+    tr, mu = lat.tau_reduced, lat.mu
+    rng = random.Random(5)
+    for i in range(300):
+        if i % 2:
+            z = rng.uniform(-50, 50) + rng.uniform(-50, 50) * lat.tau
+        else:
+            w = rng.uniform(0.47, 0.51) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+            z = mu * (w + rng.randint(-20, 20) + rng.randint(-20, 20) * tr)
+        red = reduce_to_cell(z, lat)
+        d = (z - red) / mu
+        n = d.imag / tr.imag
+        m = d.real - n * tr.real
+        assert abs(n - round(n)) < 1e-9 and abs(m - round(m)) < 1e-9
+        slack = 1e-14 * (abs(z) + lat.shortest)
+        for m in range(-2, 3):
+            for n in range(-2, 3):
+                assert abs(red) <= abs(red - mu * (m + n * tr)) + slack
 
 
 def test_wp_defining_relation():
@@ -257,3 +287,52 @@ def test_kernels_are_wp_degenerations():
     z = 0.02 * SQ.shortest + 0.013j
     w = wp_eval(z, SQ, 0)
     assert abs(w - rational_kernel(z)) < 1e-2 * abs(w)
+
+
+def pinned_points(lat, seed):
+    """Seeded points of Z + tau*Z: spread over many cells, inside the
+    series disk around a lattice point, and within rounding of the edges of
+    the reduced cell, the bisectors of 1, tau', 1 + tau' and 1 - tau'."""
+    rng = random.Random(seed)
+    tr = lat.tau_reduced
+
+    def shift():
+        return rng.randint(-3, 3) + rng.randint(-3, 3) * tr
+
+    points = [rng.uniform(-4, 4) + rng.uniform(-4, 4) * lat.tau for _ in range(60)]
+    for _ in range(30):
+        r = rng.uniform(0.001, 0.099) * lat.shortest
+        points.append(r * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                      + lat.mu * shift())
+    for _ in range(60):
+        v = rng.choice((1, tr, 1 + tr, 1 - tr))
+        eps = 10 ** rng.uniform(-15, -6) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        w = v / 2 + rng.uniform(-0.3, 0.3) * 1j * v + eps
+        points.append(lat.mu * (w + shift()))
+    return points
+
+
+# SHA-256 over the bytes of reduce_to_cell(z) and wp01(z) at pinned_points:
+# a change to a single bit of either fails.  Recorded on x86-64 with glibc's
+# libm; another libm may round cmath.exp differently.
+WP01_DIGESTS = {
+    1j: "e07a2f9c51e7a6cca254c8c3bcd9768ef0366c850f16326aed38e72d0f01bcf2",
+    HEX_TAU: "88e3d50caf026ba2c8ad11f9d6ae3aa8cfa564853d48e3370014e1c02c371be7",
+    0.3 + 1.1j: "4ea3b8601199acc3434bc8f8b8b45dbf4859551f75f907909aa2577df3d6b0ec",
+    0.2j: "6efc41a813cf0c14cc6253adfd6b064b9a5901f443add2c22ba9692eb2b3cee7",
+    1e-3j: "c62aa3b04e583af4ae58467ccdf4d040fa155c8ca21d054552d8be02c9f66def",
+}
+
+
+def wp01_digest(tau):
+    lat = make_lattice(tau)
+    h = hashlib.sha256()
+    for z in pinned_points(lat, seed=13):
+        for v in (reduce_to_cell(z, lat), *wp01(z, lat)):
+            h.update(struct.pack("<2d", v.real, v.imag))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("tau", list(WP01_DIGESTS))
+def test_wp01_bits_are_pinned(tau):
+    assert wp01_digest(tau) == WP01_DIGESTS[tau]

@@ -1,6 +1,8 @@
 """Loop-transport monodromy oracle."""
 
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -197,6 +199,36 @@ def test_verdict_evaluates_the_coefficients_once_per_step_for_all_values():
     assert 3 * batched <= calls[0]
 
 
+@pytest.mark.parametrize("op, radius, tol, lams", [
+    (LAME, 0.15, 1e-12, LAMS[:3]),     # smooth: every step accepted
+    (GENERIC, 0.3, 1e-8, LAMS[:1]),    # a = -5/2: rejects steps
+])
+def test_each_loop_point_is_evaluated_once(monkeypatch, op, radius, tol, lams):
+    # DOP853's last stage and its end-of-step call share a point: the
+    # coefficients there are computed once, and nowhere else twice
+    import ellop.oracle as oracle
+
+    inner = elliptic_evaluator(op, {}, SQ)
+    integrate = oracle.integrate
+    points, thetas = [], []
+
+    def counted(z):
+        points.append(z)
+        return inner(z)
+
+    def recording(fun, *args):
+        def rhs(theta, y):
+            thetas.append(theta)
+            return fun(theta, y)
+
+        return integrate(rhs, *args)
+
+    monkeypatch.setattr(oracle, "integrate", recording)
+    monodromy_matrices(counted, 2, 0, radius * SQ.shortest, lams, tol)
+    assert all(a != b for a, b in zip(points, points[1:]))
+    assert len(points) == len(set(thetas)) < len(thetas)
+
+
 @pytest.mark.parametrize("radius", [0.0, -0.1, float("nan"), float("inf")])
 def test_degenerate_loop_is_rejected(radius):
     ev = elliptic_evaluator(LAME, {}, SQ)
@@ -225,3 +257,44 @@ def test_tolerance_below_the_integrator_floor_is_rejected():
         monodromy_matrices(ev, 2, 0, 0.15 * SQ.shortest, LAMS[:4], 4e-14)
     with pytest.raises(ValueError, match="tolerance"):
         monodromy_matrix(ev, 2, 0, 0.15 * SQ.shortest, 1.0, 1e-14)
+
+
+# SHA-256 over the matrix bytes, deviation and determinant of every report
+# of pinned_loops: a change to a single bit of the loop transport fails.
+# Recorded on x86-64 with glibc's libm and numpy 2.4, whose complex products
+# are part of the bits.
+TRANSPORT_DIGESTS = {
+    "second": "6d13cce843ebbad70d6538a611cb39c654565fad94f030daf7af8be8fd0957b6",
+    "third": "b001f385a302dffae1e76c0e66f145c2a86d4f0a519f154c1885ab76ea28b4ac",
+}
+
+
+def pinned_loops(name):
+    """Loops of order 2 (a = -5/2, square lattice) or 3 (gaps (2, 2) off
+    the locus, oblique lattice) on both sides of the 0.1 series switch, at
+    tol 1e-12 and 1e-8, for batches of one and three spectral values."""
+    if name == "second":
+        op, vals, lat = GENERIC, {}, SQ
+    else:
+        op, vals = third_order_from_gaps(2, 2), {"c": 0.5, "e": 1.25}
+        lat = make_lattice(0.3 + 1.1j)
+    ev = elliptic_evaluator(op, vals, lat)
+    for radius in (0.08, 0.15):
+        for tol in (1e-12, 1e-8):
+            for lams in (LAMS[:1], LAMS[1:4]):
+                yield from monodromy_matrices(ev, op.n, 0, radius * lat.shortest,
+                                              lams, tol)
+
+
+def transport_digest(name):
+    h = hashlib.sha256()
+    for rep in pinned_loops(name):
+        h.update(rep.matrix.tobytes())
+        h.update(struct.pack("<3d", rep.deviation, rep.determinant.real,
+                             rep.determinant.imag))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", list(TRANSPORT_DIGESTS))
+def test_loop_transport_bits_are_pinned(name):
+    assert transport_digest(name) == TRANSPORT_DIGESTS[name]
