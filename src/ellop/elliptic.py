@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .rationals import Rat, as_rat
 from .poly import MultiPoly, RatFunc
-from .series import LaurentSeries, wp_series
+from .series import LaurentSeries, wp_prime_series, wp_series
 
 
 def _coerce(c):
@@ -157,18 +157,19 @@ class EllipticElement:
         depth = max(len(self.part0), len(self.part1) + 2)
         guard = K + 2 * depth + 4
         P = wp_series(guard)
-        Pp = P.differentiate()
+        Pp = wp_prime_series(guard)
         out = LaurentSeries.zero(guard)
-        powers = [LaurentSeries.monomial(1, 0, guard)]
-        # the sums below read P^i only for i < the longer part's length
-        for _ in range(max(len(self.part0), len(self.part1)) - 1):
+        # powers[i] is P^i for i >= 1; P^0 = 1 multiplies nothing.  The sums
+        # below read P^i only for i < the longer part's length
+        powers = [None, P]
+        for _ in range(max(len(self.part0), len(self.part1)) - 2):
             powers.append(powers[-1] * P)
         for i, c in enumerate(self.part0):
             if not c.is_zero():
-                out = out + powers[i] * c
+                out = out + (powers[i] * c if i else LaurentSeries.monomial(c, 0, guard))
         for i, c in enumerate(self.part1):
             if not c.is_zero():
-                out = out + (powers[i] * Pp) * c
+                out = out + (powers[i] * Pp if i else Pp) * c
         return out.truncate(min(out.order, K))
 
     def series_constant_term(self) -> MultiPoly:

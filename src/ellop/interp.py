@@ -1,6 +1,13 @@
-"""Exact rational-function interpolation in one variable."""
+"""Exact rational-function interpolation in one variable.
+
+The interpolant's coefficients are a kernel vector of a rational matrix,
+found by integer Bareiss elimination (rows cleared of denominators, exact
+``//``) and a Fraction back-substitution for one column only.
+"""
 
 from __future__ import annotations
+
+import math
 
 from .rationals import ONE, ZERO, as_rat
 from .poly import MultiPoly, RatFunc
@@ -11,32 +18,44 @@ class ReconstructionError(ArithmeticError):
 
 
 def _kernel_vector(rows, ncols):
-    """First kernel basis vector of a rational matrix (Gauss over Q)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    pivots = {}
-    prow = 0
+    """The kernel vector of a rational matrix with a 1 at the first free
+    column f and 0 at every other free column; None if no column is free.
+
+    Each row is cleared of denominators and reduced by integer Bareiss
+    elimination with exact ``//``.  Columns 0..f-1 all hold pivots, on the
+    diagonal, and the rows below them are zero in column f, so the vector is
+    0 after f and its first f entries come from back-substitution in the
+    leading f x f triangle.  Elimination stops at f.
+    """
+    m = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    nrows = len(m)
+    prev = 1
     for col in range(ncols):
-        sel = next((r for r in range(prow, nrows) if rows[r][col] != 0), None)
+        sel = next((r for r in range(col, nrows) if m[r][col]), None)
         if sel is None:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        inv = 1 / rows[prow][col]
-        rows[prow] = [x * inv for x in rows[prow]]
-        for r in range(nrows):
-            if r != prow and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[prow])]
-        pivots[col] = prow
-        prow += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
+            break
+        m[col], m[sel] = m[sel], m[col]
+        top = m[col]
+        piv = top[col]
+        # rows below the pivot are zero left of col+1 in the eliminated
+        # matrix and those entries are never read again; update col+1.. only
+        for r in range(col + 1, nrows):
+            row = m[r]
+            a = row[col]
+            row[col + 1:] = [(piv * x - a * y) // prev
+                             for x, y in zip(row[col + 1:], top[col + 1:])]
+        prev = piv
+    else:
         return None
-    f = free[0]
+    f = col
     vec = [ZERO] * ncols
     vec[f] = ONE
-    for col, r in pivots.items():
-        vec[col] = -rows[r][f]
+    for r in reversed(range(f)):
+        acc = sum(m[r][k] * vec[k] for k in range(r + 1, f + 1))
+        vec[r] = -acc / m[r][r]
     return vec
 
 

@@ -415,10 +415,13 @@ def _elliptic_basis(max_pole: int):
 def find_commuting(L: GlobalEllipticOperator, m: int):
     """Search for a monic order-m operator M with [L, M] = 0, with
     coefficient pole orders <= n + m + i for L of order n.  Returns an
-    operator dict {power: EllipticElement} or None."""
+    operator dict {power: EllipticElement} or None.  Raises ValueError if m
+    is not coprime to n or m < 1."""
     n = L.order
     if math.gcd(n, m) != 1:
         raise ValueError(f"order {m} not coprime to {n}")
+    if m < 1:
+        raise ValueError(f"order {m} of the partner must be at least 1")
     unknowns = []
     M = {m: EllipticElement.const(1)}
     for i in range(1, m + 1):

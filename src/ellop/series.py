@@ -217,6 +217,12 @@ def wp_series(K: int) -> LaurentSeries:
     return LaurentSeries.from_dict(d, K)
 
 
+@cache
+def wp_prime_series(K: int) -> LaurentSeries:
+    """P' as a Laurent series, trusted through z^(K-2); cached like wp_series."""
+    return wp_series(K).differentiate()
+
+
 def wp_series_numeric(K: int, g2: complex, g3: complex):
     """Complex coefficient dict {exponent: coeff} of the P series."""
     kmax = (K + 1) // 2

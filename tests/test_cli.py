@@ -1,5 +1,6 @@
 """Command line surface: output formats, determinism, exit codes."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -140,6 +141,37 @@ def test_commute_found_and_not_found(capsys):
                        "--order", "3")
     assert code == 0
     assert json.loads(out)["found"] is False
+
+
+# SHA-256 of the stdout of `ellop commute --operator OP --order M`
+COMMUTE_DIGESTS = {
+    ("second:a=-2", 3): "5911188e0404994b3c0e82f1d85a53f3e389b64b3f616edb2bf5875cf1f8b26a",
+    ("second:a=-5/2", 3): "22fc34cee0515349529fd04aed6ba34c4ccb6d37a06c14cdd7d69bbfc40d3d5a",
+    ("second:a=-6", 5): "f863c07d34e003ea1604f6f81a5204969f1d539b2cb3b49740f23c904689a16a",
+    ("second:a=-2", 5): "06b4f5288cb5b4d09c4795dbfe0aac1c19d049913d60f2f039e35f58b33a164d",
+    ("second:a=0", 3): "a68133fbfc6b1d563faa543840c3110a90fa71754622abfcc728464ac661fe32",
+    ("third:q=2,r=2,c=0,e=0", 2): "7f25a10a508090d7d0974b5c7b4175338575c388f32b735a1a20634afe6464eb",
+    ("cyclic:n=3,indices=-1|1|3,curve=generic", 2):
+        "7f25a10a508090d7d0974b5c7b4175338575c388f32b735a1a20634afe6464eb",
+}
+
+
+@pytest.mark.parametrize("operator,order", sorted(COMMUTE_DIGESTS))
+def test_commute_output_is_pinned(capsys, operator, order):
+    code, out, _ = run(capsys, "commute", "--operator", operator, "--order", str(order))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMUTE_DIGESTS[operator, order]
+
+
+@pytest.mark.parametrize("order,message", [
+    ("-1", "order -1 of the partner must be at least 1"),
+    ("0", "order 0 not coprime to 2"),
+])
+def test_commute_rejects_an_order_below_one(capsys, order, message):
+    code, out, err = run(capsys, "commute", "--operator", "second:a=-2", "--order", order)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_commute_rejects_numeric_operator(capsys):
