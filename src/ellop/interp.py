@@ -1,103 +1,88 @@
-"""Exact rational-function interpolation in one variable.
+"""Exact rational-function interpolation in one variable, with no degree bound.
 
-The interpolant's coefficients are a kernel vector of a rational matrix,
-found by integer Bareiss elimination (rows cleared of denominators, exact
-``//``) and a Fraction back-substitution for one column only.
+Samples are read one at a time into Thiele's continued fraction
+(Milne-Thomson, *The Calculus of Finite Differences*, 1933, ch. V)
+
+    f(q) = a0 + (q - x0) / (a1 + (q - x1) / (a2 + ...)),
+
+whose coefficient a_k is the k-th inverse difference at the node x_k.  A new
+sample (x, v) passes through phi_0 = v and phi_k = (x - x_{k-1}) /
+(phi_{k-1} - a_{k-1}).  phi_k = a_k means that the convergent ending at a_k
+already fits the sample.  When that is the deepest convergent, the sample
+confirms it; after ``_CONFIRM`` confirmations in a row the data show the
+function is found, and reading stops (early termination, Kaltofen and Yang,
+ISSAC 2007).  When only a shallower convergent fits, the next inverse
+difference would be infinite: the sample is read, not used.  Otherwise phi
+one level past the deepest becomes a new coefficient with x as its node.
+
+The result is checked against every sample read.  If R = A/B fits m
+distinct samples of f = P/Q, then PB - AQ vanishes at all m.  Reading stops
+with n + 1 nodes and at least _CONFIRM confirmations, so m >= n + 1 +
+_CONFIRM, while deg A <= ceil(n/2) and deg B <= floor(n/2).  When deg P and
+deg Q are at most _CONFIRM, deg(PB - AQ) < m, so R = f: such a function is
+never mistaken.
 """
 
 from __future__ import annotations
 
-import math
-
-from .rationals import ONE, ZERO, as_rat
+from .rationals import as_rat
 from .poly import MultiPoly, RatFunc
+
+#: consecutive samples the deepest convergent must fit before reading stops
+_CONFIRM = 3
+#: samples read before giving up
+_MAX_SAMPLES = 200
 
 
 class ReconstructionError(ArithmeticError):
-    """No rational function within the degree bounds matches the samples."""
+    """No rational function could be recovered from the samples."""
 
 
-def _kernel_vector(rows, ncols):
-    """The kernel vector of a rational matrix with a 1 at the first free
-    column f and 0 at every other free column; None if no column is free.
+def rational_interpolate(samples) -> RatFunc:
+    """The rational function of q through an iterable of exact (q0, value)
+    samples with distinct q0, read lazily until ``_CONFIRM`` samples in a
+    row confirm it.
 
-    Each row is cleared of denominators and reduced by integer Bareiss
-    elimination with exact ``//``.  Columns 0..f-1 all hold pivots, on the
-    diagonal, and the rows below them are zero in column f, so the vector is
-    0 after f and its first f entries come from back-substitution in the
-    leading f x f triangle.  Elimination stops at f.
+    Raises ReconstructionError if the samples run out first, if
+    ``_MAX_SAMPLES`` are read without confirmation, or if the result misses
+    a sample.
     """
-    m = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
-    nrows = len(m)
-    prev = 1
-    for col in range(ncols):
-        sel = next((r for r in range(col, nrows) if m[r][col]), None)
-        if sel is None:
+    xs, coeffs, read = [], [], {}
+    run = 0
+    for x, v in samples:
+        x, v = as_rat(x), as_rat(v)
+        if x in read:
+            raise ValueError("sample abscissae must be distinct")
+        read[x] = v
+        phi = v
+        for k, (xk, ak) in enumerate(zip(xs, coeffs)):
+            if phi == ak:
+                # the convergent ending at a_k fits x; only the deepest counts
+                run = run + 1 if k == len(xs) - 1 else 0
+                break
+            phi = (x - xk) / (phi - ak)
+        else:
+            xs.append(x)
+            coeffs.append(phi)
+            run = 0
+        if run == _CONFIRM:
             break
-        m[col], m[sel] = m[sel], m[col]
-        top = m[col]
-        piv = top[col]
-        # rows below the pivot are zero left of col+1 in the eliminated
-        # matrix and those entries are never read again; update col+1.. only
-        for r in range(col + 1, nrows):
-            row = m[r]
-            a = row[col]
-            row[col + 1:] = [(piv * x - a * y) // prev
-                             for x, y in zip(row[col + 1:], top[col + 1:])]
-        prev = piv
+        if len(read) == _MAX_SAMPLES:
+            raise ReconstructionError(f"no rational function confirmed by {len(read)} samples")
     else:
-        return None
-    f = col
-    vec = [ZERO] * ncols
-    vec[f] = ONE
-    for r in reversed(range(f)):
-        acc = sum(m[r][k] * vec[k] for k in range(r + 1, f + 1))
-        vec[r] = -acc / m[r][r]
-    return vec
-
-
-def rational_interpolate(points, dn: int, dd: int) -> RatFunc:
-    """Unique rational function of q with num degree <= dn, den degree <= dd
-    passing through the given (q0, value) exact samples.
-
-    Raises ReconstructionError if the samples are inconsistent with the
-    bounds (callers may raise the bounds and retry).
-    """
-    pts = [(as_rat(x), as_rat(v)) for x, v in points]
-    xs = [x for x, _ in pts]
-    if len(set(xs)) != len(xs):
-        raise ValueError("sample abscissae must be distinct")
-    if len(pts) < dn + dd + 1:
-        raise ReconstructionError(
-            f"need at least {dn + dd + 1} samples for bounds ({dn}, {dd}), got {len(pts)}"
-        )
-    ncols = dn + 1 + dd + 1
-    rows = []
-    for x, v in pts:
-        row = [x**j for j in range(dn + 1)] + [-v * x**j for j in range(dd + 1)]
-        rows.append(row)
-    vec = _kernel_vector(rows, ncols)
-    if vec is None:
-        raise ReconstructionError("no rational function within the degree bounds")
-    num = MultiPoly.zero(("q",))
-    for j, cf in enumerate(vec[: dn + 1]):
-        if cf != 0:
-            num = num + MultiPoly.var("q", j, cf)
-    den = MultiPoly.zero(("q",))
-    for j, cf in enumerate(vec[dn + 1 :]):
-        if cf != 0:
-            den = den + MultiPoly.var("q", j, cf)
-    if den.is_zero():
-        raise ReconstructionError("degenerate kernel: zero denominator")
-    f = RatFunc(num, den)
-    # kernel solutions can hide a pole at a sample; verify every point
-    for x, v in pts:
-        try:
-            if f.evaluate_exact({"q": x}) != v:
-                raise ReconstructionError("interpolant misses a sample point")
-        except ZeroDivisionError as exc:
-            raise ReconstructionError("interpolant has a pole at a sample") from exc
+        raise ReconstructionError(f"samples ran out after {len(read)} without confirmation")
+    # three-term recurrence for the convergent's numerator and denominator
+    q = MultiPoly.var("q")
+    num_prev, num = MultiPoly.const(1), MultiPoly.const(coeffs[0])
+    den_prev, den = MultiPoly.zero(), MultiPoly.const(1)
+    for k in range(1, len(coeffs)):
+        step = q - xs[k - 1]
+        num_prev, num = num, num * coeffs[k] + num_prev * step
+        den_prev, den = den, den * coeffs[k] + den_prev * step
+    try:
+        f = RatFunc(num, den)
+        if any(f.evaluate_exact({"q": x}) != v for x, v in read.items()):
+            raise ReconstructionError("interpolant misses a sample point")
+    except ZeroDivisionError as exc:
+        raise ReconstructionError("interpolant has a pole at a sample") from exc
     return f

@@ -5,13 +5,16 @@ homogeneous conditions on (c, e, g2, g3), one per power of the spectral
 parameter.  This module generates them, solves them in triangular fashion
 with explicit branching, classifies the branches, computes j-invariants,
 reconstructs closed forms as rational functions of q, and sweeps grids
-over generic and degenerate curves.
+over generic and degenerate curves.  A closed form in q is read from exact
+samples at q = r, r+3, ... until ``interp`` confirms it, so no degree bound
+is needed.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field, replace
 from functools import cache
 
@@ -19,7 +22,7 @@ from .rationals import ONE, Rat
 from .poly import MultiPoly, RatFunc, try_div
 from .monodromy import Condition, ConstraintSet, trivial_monodromy_constraints
 from .operators import InvalidGapsError, VerificationError, third_order_from_gaps
-from .interp import ReconstructionError, rational_interpolate
+from .interp import rational_interpolate
 
 GENERIC_UNIVERSE = ("c", "e", "g2", "g3")
 PRECEDENCE = ("g3", "g2", "c", "e", "w")
@@ -310,27 +313,6 @@ def _classify(assignments, relation, universe) -> str:
 
 # -- closed forms in q -------------------------------------------------------
 
-#: degree bounds (numerator, denominator) before the retry margin
-_BOUNDS = {
-    (2, "c/e2"): (0, 2),
-    (5, "c/e2"): (2, 4),
-    (8, "c/e2"): (4, 6),
-    (5, "g2/e4"): (4, 8),
-    (8, "g2/e4"): (12, 16),
-    (4, "g2/c2"): (0, 2),
-    (7, "g2/c2"): (2, 4),
-    (10, "g2/c2"): (4, 6),
-    (13, "g2/c2"): (8, 10),
-    (10, "g3/c3"): (6, 8),
-    (13, "g3/c3"): (10, 12),
-    (4, "c2/g2"): (2, 0),
-    (7, "c2/g2"): (4, 2),
-    (8, "g3/e6"): (18, 24),
-    (8, "j"): (26, 28),
-    (10, "j"): (14, 16),
-    (13, "j"): (20, 22),
-}
-
 _QUANTITIES = ("c/e2", "g2/e4", "g3/e6", "g2/c2", "g3/c3", "c2/g2", "j")
 
 
@@ -383,22 +365,14 @@ def branch_quantity(branch: LocusBranch, quantity: str):
 
 
 def reconstruct_in_q(r: int, quantity: str) -> RatFunc:
-    """Recover a locus quantity as an exact rational function of q by
-    exact sampling at valid gaps and kernel interpolation."""
+    """Recover a locus quantity as an exact rational function of q from
+    exact samples at the valid gaps q = r, r+3, ..., read by
+    ``rational_interpolate`` until they confirm the function."""
     if quantity not in _QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    dn, dd = _BOUNDS.get((r, quantity), (10, 10))
-    for attempt in range(2):
-        dn_a, dd_a = dn + 2 + 4 * attempt, dd + 2 + 4 * attempt
-        pts = []
-        for qv in range(r, r + 3 * (dn_a + dd_a + 3), 3):
-            b = solved_branch(qv, r)
-            pts.append((Rat(qv), branch_quantity(b, quantity)))
-        try:
-            return rational_interpolate(pts, dn_a, dd_a)
-        except ReconstructionError:
-            if attempt == 1:
-                raise
+    return rational_interpolate(
+        (Rat(q), branch_quantity(solved_branch(q, r), quantity))
+        for q in itertools.count(r, 3))
 
 
 # -- grid scans --------------------------------------------------------------

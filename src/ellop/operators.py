@@ -332,9 +332,8 @@ def third_order_from_gaps(q: int, r: int) -> GlobalEllipticOperator:
     """The one-pole operator D^3 + (a*P + c)D + (b*P' + e*P) whose indicial
     roots realize the gaps (q, r); a and b are forced by the roots, and c, e
     are the free variables of the locus."""
-    m0, m1, m2 = third_order_indices(q, r).indices
-    a = m0 * m1 + m0 * m2 + m1 * m2 - 2
-    b = m0 * m1 * m2 / 2
+    bs = coefficients_from_indices(third_order_indices(q, r))
+    a, b = bs[2], -bs[3] / 2
     a2 = EllipticElement([MultiPoly.var("c"), a])
     a3 = EllipticElement([0, MultiPoly.var("e")], [b])
     return GlobalEllipticOperator(3, {2: a2, 3: a3})

@@ -363,6 +363,14 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """Division by a nonzero rational scalar."""
+        try:
+            cf = as_rat(other)
+        except TypeError:
+            return NotImplemented
+        return self * (1 / cf)
+
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a polynomial")
@@ -684,7 +692,9 @@ class RatFunc:
         if num.is_zero():
             den = MultiPoly.const(1)
         elif den.is_constant():
-            num = num * (1 / den.constant_value())
+            c = den.constant_value()
+            if c != 1:
+                num = num * (1 / c)
             den = MultiPoly.const(1)
         else:
             q = try_div(num, den)

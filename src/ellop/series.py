@@ -190,30 +190,28 @@ class LaurentSeries:
         return f"LaurentSeries({self.text()})"
 
 
+def _wp_laurent(K: int, g2, g3) -> dict:
+    """{k: c_k} for 2 <= k <= max(3, (K+1)//2), which covers every k with
+    2k-2 < K, in P = z^-2 + sum_{k>=2} c_k z^(2k-2).  From the defining
+    relation (P')^2 = 4 P^3 - g2 P - g3: c_2 = g2/20, c_3 = g3/28,
+    c_k = 3 (sum_{m=2}^{k-2} c_m c_{k-m}) / ((2k+1)(k-3)) for k >= 4.
+    g2 and g3 are exact polynomials or complex numbers."""
+    c = {2: g2 / 20, 3: g3 / 28}
+    for k in range(4, (K + 1) // 2 + 1):
+        c[k] = 3 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / ((2 * k + 1) * (k - 3))
+    return c
+
+
 @cache
 def wp_series(K: int) -> LaurentSeries:
-    """Weierstrass P as a Laurent series, trusted through z^(K-1); cached,
-    since LaurentSeries and its MultiPoly coefficients are never mutated.
-
-    Coefficients are polynomials in g2, g3 determined by the defining
-    relation (P')^2 = 4 P^3 - g2 P - g3:
-    P = z^-2 + sum_{k>=2} c_k z^(2k-2), c_2 = g2/20, c_3 = g3/28,
-    c_k = 3 (sum_{m=2}^{k-2} c_m c_{k-m}) / ((2k+1)(k-3)) for k >= 4.
-    """
+    """Weierstrass P as a Laurent series, trusted through z^(K-1), with
+    coefficients polynomials in g2, g3 (see ``_wp_laurent``); cached, since
+    LaurentSeries and its MultiPoly coefficients are never mutated."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    kmax = (K + 1) // 2  # need c_k for 2k-2 <= K-1
-    c = {2: MultiPoly.var("g2", 1, Rat(1, 20)),
-         3: MultiPoly.var("g3", 1, Rat(1, 28))}
-    for k in range(4, kmax + 1):
-        s = MultiPoly.zero()
-        for m in range(2, k - 1):
-            s = s + c[m] * c[k - m]
-        c[k] = s * Rat(3, (2 * k + 1) * (k - 3))
+    c = _wp_laurent(K, MultiPoly.var("g2"), MultiPoly.var("g3"))
     d = {-2: MultiPoly.const(1)}
-    for k in range(2, kmax + 1):
-        if 2 * k - 2 < K:
-            d[2 * k - 2] = c[k]
+    d.update((2 * k - 2, ck) for k, ck in c.items() if 2 * k - 2 < K)
     return LaurentSeries.from_dict(d, K)
 
 
@@ -225,13 +223,7 @@ def wp_prime_series(K: int) -> LaurentSeries:
 
 def wp_series_numeric(K: int, g2: complex, g3: complex):
     """Complex coefficient dict {exponent: coeff} of the P series."""
-    kmax = (K + 1) // 2
-    c = {2: g2 / 20.0, 3: g3 / 28.0}
-    for k in range(4, kmax + 1):
-        s = sum(c[m] * c[k - m] for m in range(2, k - 1))
-        c[k] = 3.0 * s / ((2 * k + 1) * (k - 3))
     d = {-2: 1.0 + 0j}
-    for k in range(2, kmax + 1):
-        if 2 * k - 2 < K:
-            d[2 * k - 2] = complex(c[k])
+    d.update((2 * k - 2, complex(ck)) for k, ck in _wp_laurent(K, g2, g3).items()
+             if 2 * k - 2 < K)
     return d

@@ -1,5 +1,6 @@
 """Exact linear algebra over the rational function field and interpolation."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ellop.rationals import Rat
 from ellop.poly import MultiPoly, RatFunc, exact_div
 from ellop.linalg import solve_linear_over_field
-from ellop.interp import ReconstructionError, _kernel_vector, rational_interpolate
+from ellop import interp
+from ellop.interp import ReconstructionError, rational_interpolate
 
 
 rats = st.fractions(min_value=-20, max_value=20, max_denominator=5).map(
@@ -48,39 +50,122 @@ def test_inconsistent_system_reports_conditions():
     assert sol.conditions
 
 
-def poly_eval(coeffs, x):
-    acc = Rat(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+# -- interpolation -------------------------------------------------------------
+
+
+def _q_poly(coeffs):
+    return MultiPoly.from_terms(("q",), {(i,): c for i, c in enumerate(coeffs)})
+
+
+def _samples(f, xs):
+    """Exact samples of f at the abscissae xs, skipping its poles."""
+    for x in xs:
+        try:
+            yield Rat(x), f.evaluate_exact({"q": Rat(x)})
+        except ZeroDivisionError:
+            continue
+
+
+class _Counted:
+    """An iterable of samples that counts how many were read."""
+
+    def __init__(self, samples):
+        self.samples, self.read = samples, 0
+
+    def __iter__(self):
+        for s in self.samples:
+            self.read += 1
+            yield s
 
 
 @given(
     st.lists(rats, min_size=1, max_size=4),
-    st.lists(rats, min_size=1, max_size=3),
+    st.lists(rats, min_size=1, max_size=4),
+    st.integers(-5, 5),
 )
-@settings(max_examples=30, deadline=None)
-def test_interpolation_round_trip(num, den):
-    if all(v == 0 for v in num):
-        num = [Rat(1)]
-    den = [Rat(1)] + den              # keep the denominator nonzero at 0
-    dn, dd = len(num) - 1, len(den) - 1
-    pts = []
-    x = Rat(0)
-    while len(pts) < dn + dd + 3:
-        dv = poly_eval(den, x)
-        if dv != 0:
-            pts.append((x, poly_eval(num, x) / dv))
-        x += 1
-    fn = rational_interpolate(pts, dn, dd)
-    for x, y in pts:
-        assert fn.evaluate_exact({"q": x}) == y
+@settings(max_examples=40, deadline=None)
+def test_interpolation_round_trip(num, den, start):
+    # degrees at most _CONFIRM = 3, which the interpolant cannot mistake
+    if all(v == 0 for v in den):
+        den = [Rat(1)]
+    f = RatFunc(_q_poly(num), _q_poly(den))
+    assert rational_interpolate(_samples(f, itertools.count(start))).text() == f.text()
 
 
-def test_interpolation_degree_too_small():
-    pts = [(Rat(k), Rat(k * k * k)) for k in range(1, 8)]
-    with pytest.raises(ReconstructionError):
-        rational_interpolate(pts, 1, 0)
+def test_interpolation_recovers_every_small_function():
+    # numerator and denominator of degree <= 2 with coefficients in -1..1,
+    # read from q = 0 and from q = -3: one confirmation is fooled here
+    coeffs = [_q_poly(cs) for cs in itertools.product((-1, 0, 1), repeat=3)]
+    coeffs = [p for p in coeffs if not p.is_zero()]
+    count = 0
+    for num, den in itertools.product(coeffs, repeat=2):
+        f = RatFunc(num, den)
+        for start in (0, -3):
+            got = rational_interpolate(_samples(f, itertools.count(start)))
+            assert got.text() == f.text(), (f, start)
+            count += 1
+    assert count == 1352
+
+
+def test_interpolation_skips_a_sample_a_shallower_convergent_fits():
+    # f(2) = f(0) = 2 = a0, so the third sample is read but not used: the
+    # nodes are 0, 1, 3, 4, and 5, 6, 7 confirm
+    f = RatFunc(_q_poly([2, 2, 1]), _q_poly([1, 2]))
+    stream = _Counted(_samples(f, itertools.count(0)))
+    assert rational_interpolate(stream).text() == f.text()
+    assert stream.read == 8
+    # the same sample between two confirmations starts the count again
+    stream = _Counted(_samples(f, (0, 1, 3, 4, 5, 2, 6, 7, 8, 9)))
+    assert rational_interpolate(stream).text() == f.text()
+    assert stream.read == 9
+
+
+def test_interpolation_counts_only_consecutive_confirmations():
+    # read first, q = 2 confirms the constant 2; q = 1 then adds a level,
+    # so three more confirmations (5, 6, 7) are needed after 3 and 4
+    f = RatFunc(_q_poly([2, 2, 1]), _q_poly([1, 2]))
+    stream = _Counted(_samples(f, (0, 2, 1, 3, 4, 5, 6, 7, 8, 9)))
+    assert rational_interpolate(stream).text() == f.text()
+    assert stream.read == 8
+
+
+def test_interpolation_samples_run_out():
+    # q^3 is the convergent at depth 5: six nodes and three confirmations
+    pts = [(Rat(k), Rat(k**3)) for k in range(1, 10)]
+    assert rational_interpolate(pts).text() == "q^3"
+    with pytest.raises(ReconstructionError, match="ran out"):
+        rational_interpolate(pts[:-1])
+    with pytest.raises(ReconstructionError, match="ran out"):
+        rational_interpolate([])
+
+
+def test_interpolation_stops_at_the_sample_cap(monkeypatch):
+    f = RatFunc(_q_poly([0, 0, 0, 1]))
+    monkeypatch.setattr(interp, "_MAX_SAMPLES", 9)
+    assert rational_interpolate(_samples(f, itertools.count(1))).text() == "q^3"
+    monkeypatch.setattr(interp, "_MAX_SAMPLES", 8)
+    stream = _Counted(_samples(f, itertools.count(1)))
+    with pytest.raises(ReconstructionError, match="8 samples"):
+        rational_interpolate(stream)
+    assert stream.read == 8
+
+
+def test_interpolation_checks_every_sample_read():
+    # (2, 0) fits the constant convergent 0, so it is read but not used;
+    # 3, 4, 5 then confirm q, which misses it
+    pts = [(Rat(x), Rat(v)) for x, v in [(0, 0), (1, 1), (2, 0), (3, 3), (4, 4), (5, 5)]]
+    with pytest.raises(ReconstructionError, match="misses a sample"):
+        rational_interpolate(pts)
+    # 1/q after a node at q = 0: the convergent's numerator and denominator
+    # share the factor q, and 1/q has a pole at that node
+    pts = [(Rat(0), Rat(5))] + [(Rat(k), Rat(1, k)) for k in range(1, 30)]
+    with pytest.raises(ReconstructionError, match="pole at a sample"):
+        rational_interpolate(pts)
+
+
+def test_interpolation_rejects_a_repeated_abscissa():
+    with pytest.raises(ValueError):
+        rational_interpolate([(Rat(0), Rat(1)), (Rat(1), Rat(2)), (Rat(0), Rat(1))])
 
 
 # -- input shape ---------------------------------------------------------------
@@ -106,9 +191,8 @@ def test_system_without_unknowns_reports_nonzero_rhs():
 
 # -- equivalence with plain dense elimination ----------------------------------
 #
-# The solvers skip work known to be zero.  These copies do all of it: a
-# Bareiss update of every column, and Gauss-Jordan over Q.  Both pairs must
-# agree on every output.
+# The solver skips work known to be zero.  This copy does all of it, a
+# Bareiss update of every column, and must agree on every output.
 
 
 def _dense_bareiss_solve(matrix, rhs):
@@ -145,30 +229,6 @@ def _dense_bareiss_solve(matrix, rhs):
             acc = acc - RatFunc(rows[r][k]) * solution[k]
         solution[col] = acc / RatFunc(rows[r][col])
     return solution, free, conditions
-
-
-def _gauss_jordan_kernel(rows, ncols):
-    rows = [list(r) for r in rows]
-    pivots, prow = {}, 0
-    for col in range(ncols):
-        sel = next((r for r in range(prow, len(rows)) if rows[r][col] != 0), None)
-        if sel is None:
-            continue
-        rows[prow], rows[sel] = rows[sel], rows[prow]
-        rows[prow] = [x / rows[prow][col] for x in rows[prow]]
-        for r in range(len(rows)):
-            if r != prow:
-                rows[r] = [x - rows[r][col] * y for x, y in zip(rows[r], rows[prow])]
-        pivots[col] = prow
-        prow += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    vec = [Rat(0)] * ncols
-    vec[free[0]] = Rat(1)
-    for col, r in pivots.items():
-        vec[col] = -rows[r][free[0]]
-    return vec
 
 
 def _random_poly(rng):
@@ -216,44 +276,3 @@ def test_sparse_bareiss_matches_dense_elimination(block):
         assert _texts(got.solution) == _texts(solution), seed
         assert got.free_variables == free, seed
         assert _texts(got.conditions) == _texts(conditions), seed
-
-
-def _random_rational_matrix(seed):
-    rng = random.Random(seed)
-    nrows, ncols = rng.randint(1, 6), rng.randint(2, 6)
-    density = rng.choice([0.3, 0.6, 1.0])
-    rows = [[Rat(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7])) if rng.random() < density
-             else Rat(0) for _ in range(ncols)] for _ in range(nrows)]
-    for col in rng.sample(range(ncols), rng.randint(0, 2)):
-        for row in rows:
-            row[col] = Rat(0)          # a zero column
-    if nrows > 1 and rng.random() < 0.5:
-        rows[rng.randrange(nrows)] = list(rows[rng.randrange(nrows)])
-    return rows, ncols
-
-
-def test_integer_bareiss_kernel_matches_gauss_jordan():
-    shapes = set()
-    for seed in range(300):
-        rows, ncols = _random_rational_matrix(seed)
-        got = _kernel_vector(rows, ncols)
-        assert got == _gauss_jordan_kernel(rows, ncols), seed
-        if got is not None:
-            assert all(sum(a * x for a, x in zip(row, got)) == 0 for row in rows)
-            assert all(type(x) is Rat for x in got)
-        shapes.add((len(rows) < ncols, got is None))
-    assert shapes == {(True, False), (False, False), (False, True)}
-
-
-@pytest.mark.parametrize("rows,ncols,expected", [
-    ([[0, 0, 0]], 3, [1, 0, 0]),                           # all columns zero
-    ([[0, 2, 4], [0, 1, 2]], 3, [1, 0, 0]),                # zero first column
-    ([[1, 2, 3], [1, 2, 3], [1, 2, 3]], 3, [-2, 1, 0]),    # repeated rows
-    ([[2, 0, 1, 5]], 4, [0, 1, 0, 0]),                     # nrows < ncols
-    ([[1, 0], [0, 1], [1, 1]], 2, None),                   # full column rank
-])
-def test_integer_bareiss_kernel_examples(rows, ncols, expected):
-    rows = [[Rat(x) for x in row] for row in rows]
-    got = _kernel_vector(rows, ncols)
-    assert got == (None if expected is None else [Rat(x) for x in expected])
-    assert got == _gauss_jordan_kernel(rows, ncols)

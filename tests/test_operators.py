@@ -119,6 +119,19 @@ def test_third_order_operator_shape():
     assert a3.part1[0] == MultiPoly.const(Rat(-3, 2))
 
 
+def test_third_order_coefficients_from_the_indices():
+    # a = e2(m) - 2 and b = e3(m)/2 in the indices m0, m1, m2
+    for q in range(1, 30):
+        for r in range(1, 30):
+            if (q - r) % 3 or q % 3 == 0:
+                continue
+            m0, m1, m2 = third_order_indices(q, r).indices
+            a2 = EllipticElement([MultiPoly.var("c"), m0 * m1 + m0 * m2 + m1 * m2 - 2])
+            a3 = EllipticElement([0, MultiPoly.var("e")], [m0 * m1 * m2 / 2])
+            L = third_order_from_gaps(q, r)
+            assert (L.coeffs[2] - a2).is_zero() and (L.coeffs[3] - a3).is_zero(), (q, r)
+
+
 def test_third_order_indicial_roots_match():
     L = third_order_from_gaps(1, 1)
     idx, residual = L.localize(4).indices()

@@ -115,6 +115,27 @@ def test_ratfunc_arithmetic():
     assert (c / e) ** 2 == (c * c) / (e * e)
 
 
+def test_division_by_a_rational_scalar():
+    p = poly_from_spec([(Rat(3), 1, 0), (Rat(-1, 2), 0, 2)])
+    assert (p / 4).items() == (p * Rat(1, 4)).items()
+    assert (p / Rat(-2, 3)).items() == (p * Rat(-3, 2)).items()
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+    with pytest.raises(TypeError):
+        p / p
+    with pytest.raises(TypeError):
+        p / 0.5
+    assert p / RatFunc(p) == RatFunc(1)       # RatFunc still takes the division
+
+
+def test_ratfunc_over_a_constant_keeps_the_numerator_terms():
+    p = poly_from_spec([(Rat(3), 1, 0), (Rat(-1, 2), 0, 2), (Rat(5), 2, 1)])
+    for den in (None, 1, MultiPoly.const(1)):
+        f = RatFunc(p, den)
+        assert f.num.items() == p.items() and f.den == MultiPoly.const(1)
+    assert RatFunc(p, Rat(-2)).num.items() == (p * Rat(-1, 2)).items()
+
+
 def test_ratfunc_substitute_pole():
     c = RatFunc(MultiPoly.var("c"))
     e = RatFunc(MultiPoly.var("e"))

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ellop.rationals import Rat
 from ellop.poly import MultiPoly
-from ellop.series import LaurentSeries, TruncationError, wp_series
+from ellop.series import LaurentSeries, TruncationError, wp_series, wp_series_numeric
 from ellop.elliptic import EllipticElement
 
 
@@ -54,6 +54,17 @@ def test_wp_series_leading_terms():
     assert P.coefficient(2) == MultiPoly.var("g2") * Rat(1, 20)
     assert P.coefficient(4) == MultiPoly.var("g3") * Rat(1, 28)
     assert P.coefficient(1).is_zero()
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 3, 5, 8, 13, 40])
+def test_numeric_series_is_the_exact_series_at_a_point(K):
+    g2, g3 = 1.5 - 0.25j, -0.75 + 2j
+    exact = wp_series(K)
+    numeric = wp_series_numeric(K, g2, g3)
+    assert list(numeric) == [-2] + [k for k in range(2, K, 2)]
+    for k, v in numeric.items():
+        want = complex(exact.coefficient(k).evaluate({"g2": g2, "g3": g3}))
+        assert abs(v - want) <= 1e-14 * max(1.0, abs(want))
 
 
 def test_elliptic_ring_relation():
