@@ -7,7 +7,7 @@ fixed float64 theta series gives wp and wp' as theta quotients (DLMF 23.6);
 near the pole the truncated Laurent series takes over.  Derivatives of order
 two and higher come from the algebraic recurrences implied by the defining
 relation, never from numerical differentiation.  Only the invariants g2, g3
-are computed in mpmath, once per lattice.
+are computed in extended precision, in stdlib decimal, once per lattice.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
-
-import mpmath as mp
 
 from .series import wp_series_numeric
 
@@ -30,7 +29,13 @@ class NearPoleError(ValueError):
     pass
 
 
+# The Eisenstein series aims at _DPS digits: it stops at the first |q^n|
+# below _BREAK, and runs in decimal with 10 guard digits and pi to 50
+# decimal places.
 _DPS = 30
+_PI = Decimal("3.14159265358979323846264338327950288419716939937511")
+_BREAK = Decimal(10) ** (-_DPS - 5)
+_TINY = Decimal(10) ** (-_DPS - 10)
 # After reduction |q| = e^(-2 pi Im tau') <= e^(-pi sqrt 3) ~ 0.0043, so
 # |q|^n drops below 10^-(_DPS+5) by n = 15.
 _EISENSTEIN_TERMS = 16
@@ -99,30 +104,65 @@ def _reduce(tau: complex):
             n = round(re)                   # the same lattice
             a, b, num, re = a - n * c, b - n * d, num - n * den, re - n
         if num * num + (a * y) ** 2 >= (1 - _EDGE) ** 2 * den2:
-            return complex(re, y / den2), complex(den, c * y)
+            try:
+                return complex(re, y / den2), complex(den, c * y)
+            except OverflowError:
+                raise InvalidLatticeError(f"tau = {tau} is too thin: Im tau' is "
+                                          "beyond the float range") from None
         a, b, c, d = -c, -d, a, b           # tau' -> -1/tau'
     raise InvalidLatticeError(f"tau did not reduce in {_MAX_REDUCTION_STEPS} steps")
 
 
+def _cis(x: Decimal):
+    """(cos x, sin x) for |x| <= 4: the Taylor series of e^(ix), summed on
+    (re, im) pairs until a term is below _TINY."""
+    re, im = t_re, t_im = Decimal(1), Decimal(0)
+    k = 0
+    while abs(t_re) + abs(t_im) >= _TINY:
+        k += 1
+        t_re, t_im = -t_im * x / k, t_re * x / k
+        re, im = re + t_re, im + t_im
+    return re, im
+
+
+def _mul(a, b):
+    """Product of two complex numbers held as (re, im) pairs."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 def _invariants(tau_r: complex, mu: complex):
     """(g2, g3) of mu*(Z + tau_r*Z) via normalized Eisenstein q-series at the
-    reduced tau_r, scaled by mu^-4 and mu^-6."""
-    with mp.workdps(_DPS):
-        q = mp.e ** (2j * mp.pi * mp.mpc(tau_r))
-        e4 = mp.mpf(1)
-        e6 = mp.mpf(1)
+    reduced tau_r, scaled by mu^-4 and mu^-6, in _DPS + 10 decimal digits;
+    InvalidLatticeError when either is beyond the float range."""
+    with localcontext(Context(prec=_DPS + 10)):
+        r = (-2 * _PI * Decimal(tau_r.imag)).exp()          # |q|
+        c, s = _cis(2 * _PI * Decimal(tau_r.real))
+        q = qn = (r * c, r * s)
+        rn = r                                               # |q^n|
+        e4, e6 = [Decimal(1), Decimal(0)], [Decimal(1), Decimal(0)]
         for n in range(1, _EISENSTEIN_TERMS + 1):
-            qn = q**n
-            if abs(qn) < mp.mpf(10) ** (-_DPS - 5):
+            if rn < _BREAK:
                 break
-            e4 += 240 * n**3 * qn / (1 - qn)
-            e6 -= 504 * n**5 * qn / (1 - qn)
+            # q^n / (1 - q^n) = (q^n - |q^n|^2) / |1 - q^n|^2
+            d2 = 1 - 2 * qn[0] + rn * rn
+            for i, t in enumerate(((qn[0] - rn * rn) / d2, qn[1] / d2)):
+                e4[i] += 240 * n**3 * t
+                e6[i] -= 504 * n**5 * t
+            qn, rn = _mul(qn, q), rn * r
         else:
             raise ArithmeticError(f"Eisenstein series at tau = {tau_r} did not converge")
-        m = mp.mpc(mu)
-        g2 = 4 * mp.pi**4 / 3 * e4 / m**4
-        g3 = 8 * mp.pi**6 / 27 * e6 / m**6
-        return complex(g2), complex(g3)
+        m2 = Decimal(mu.real) ** 2 + Decimal(mu.imag) ** 2
+        w = (Decimal(mu.real) / m2, -Decimal(mu.imag) / m2)  # 1/mu
+        w2 = _mul(w, w)
+        w4 = _mul(w2, w2)
+        # + 0.0 turns the -0 that the sign rules leave in a zero part into 0
+        g2 = complex(*(float(4 * _PI**4 / 3 * v) + 0.0 for v in _mul(e4, w4)))
+        g3 = complex(*(float(8 * _PI**6 / 27 * v) + 0.0 for v in _mul(e6, _mul(w4, w2))))
+    if not (cmath.isfinite(g2) and cmath.isfinite(g3)):
+        raise InvalidLatticeError(f"the lattice mu*(Z + tau'*Z) with tau' = {tau_r}, "
+                                  f"mu = {mu} is too thin: g2 or g3 is beyond "
+                                  "the float range")
+    return g2, g3
 
 
 def lattice_invariants(tau: complex):

@@ -318,6 +318,14 @@ def test_monodromy_on_a_thin_lattice(capsys):
     assert doc["path"]["radius"] == pytest.approx(0.2e-5)
 
 
+def test_monodromy_on_a_lattice_too_thin_for_float_invariants_exits_2(capsys):
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1", "--tau", "1e-100j")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: the lattice") and "too thin" in err
+
+
 def test_monodromy_loop_too_close_to_the_pole_exits_2(capsys):
     code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
                          "--lambda", "1", "--radius", "1e-9")
@@ -394,14 +402,17 @@ def test_verify_paper_exits_1_on_a_failed_criterion(capsys, monkeypatch):
     ]
 
 
-def test_importing_the_package_loads_no_scipy():
-    # scipy is a test-only reference; the runtime integrates its loops with
-    # ellop.dop853, so no process start pays for importing scipy
+def test_the_runtime_loads_no_test_only_reference():
+    # scipy and mpmath are test-only references: the runtime integrates its
+    # loops with ellop.dop853 and sums g2, g3 in stdlib decimal, so no
+    # process start pays for importing either
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, ellop, ellop.cli, ellop.acceptance; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "ellop.make_lattice(1j); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'mpmath')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"

@@ -7,10 +7,10 @@ import random
 import struct
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from ellop.lattice import (
+    _PI,
     HEX_TAU,
     InvalidLatticeError,
     NearPoleError,
@@ -35,6 +35,7 @@ TAUS = (1j, HEX_TAU, 0.3 + 1.1j, 0.2j, 0.1j, 0.05j, 2.5 + 0.07j)
 def reference_wp01(z, tau):
     """(wp, wp') from 30-digit mpmath theta quotients on Z + tau*Z; z a
     minimal representative away from 0."""
+    mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         p = mp.e ** (1j * mp.pi * mp.mpc(tau))
         v = mp.pi * mp.mpc(z)
@@ -80,6 +81,93 @@ def test_invalid_tau_rejected():
     for tau in (complex(math.nan, 1), complex(math.inf, 1), complex(0, math.inf)):
         with pytest.raises(InvalidLatticeError):
             make_lattice(tau)
+
+
+def reference_invariants(tau):
+    """(g2, g3) of Z + tau*Z from 60-digit mpmath theta constants at the
+    reduced tau' of make_lattice: E4 = (t2^8 + t3^8 + t4^8)/2 and
+    E6 = (t2^4 + t3^4)(t3^4 + t4^4)(t4^4 - t2^4)/2, scaled by mu^-4, mu^-6."""
+    mp = pytest.importorskip("mpmath")
+    lat = make_lattice(tau)
+    with mp.workdps(60):
+        mu = mp.mpc(lat.mu)
+        p = mp.exp(1j * mp.pi * mp.mpc(lat.tau_reduced))
+        t2, t3, t4 = (mp.jtheta(k, 0, p) for k in (2, 3, 4))
+        e4 = (t2**8 + t3**8 + t4**8) / 2
+        e6 = (t2**4 + t3**4) * (t3**4 + t4**4) * (t4**4 - t2**4) / 2
+        return (complex(4 * mp.pi**4 / 3 * e4 / mu**4),
+                complex(8 * mp.pi**6 / 27 * e6 / mu**6))
+
+
+def test_invariants_match_the_mpmath_reference():
+    # in units of the series scales 4 pi^4/(3|mu|^4) and 8 pi^6/(27|mu|^6),
+    # not of g2, g3 themselves: g2 at HEX_TAU is a cancellation residue
+    rng = random.Random(3)
+    taus = TAUS + tuple(complex(rng.uniform(-3, 3), 10 ** rng.uniform(-4, 1))
+                        for _ in range(40))
+    for tau in taus:
+        m = abs(make_lattice(tau).mu)
+        g2, g3 = lattice_invariants(tau)
+        r2, r3 = reference_invariants(tau)
+        assert abs(g2 - r2) <= 2**-50 * 4 * math.pi**4 / (3 * m**4)
+        assert abs(g3 - r3) <= 2**-50 * 8 * math.pi**6 / (27 * m**6)
+
+
+# float.hex of (g2, g3) on TAUS: a change to a single bit of the series
+# fails.  At 0.5+0.5i, mu = tau has equal parts, and the decimal sign rules
+# leave -0 in the imaginary part of g2 unless it is cleared.
+INVARIANT_BITS = {
+    1j: ("0x1.7a253b92a1a40p+7", "0x0.0p+0", "0x1.bc85ae870b398p-83", "0x0.0p+0"),
+    HEX_TAU: ("-0x1.623e744145410p-45", "0x1.03d11f493d05ap-124",
+              "0x1.9a6987277b26fp+9", "-0x1.d74175729c001p-123"),
+    0.3 + 1.1j: ("0x1.e03b4fac6e926p+6", "0x1.d5ec5e9a34710p+4",
+                 "0x1.4cd4bfc0dfbddp+8", "-0x1.0a7dcd082d04bp+7"),
+    0.2j: ("0x1.3d163e165db10p+16", "0x0.0p+0", "-0x1.0fa8ef95a35e9p+22", "0x0.0p+0"),
+    0.1j: ("0x1.3d163e165644bp+20", "0x0.0p+0", "-0x1.0fa8ef95b0b98p+28", "0x0.0p+0"),
+    0.05j: ("0x1.3d163e165644bp+24", "0x0.0p+0", "-0x1.0fa8ef95b0b98p+34", "0x0.0p+0"),
+    2.5 + 0.07j: ("0x1.4a29482330dc5p+18", "0x1.f16fb01e04a2cp-138",
+                  "-0x1.20a24828b90cbp+25", "0x1.c89cd6f588dd9p-130"),
+    0.5 + 0.5j: ("-0x1.7a253b92a1a40p+9", "0x0.0p+0", "0x0.0p+0", "0x1.bc85ae870b398p-80"),
+}
+
+
+@pytest.mark.parametrize("tau", list(INVARIANT_BITS))
+def test_invariant_bits_are_pinned(tau):
+    g2, g3 = lattice_invariants(tau)
+    assert (g2.real.hex(), g2.imag.hex(), g3.real.hex(), g3.imag.hex()) == INVARIANT_BITS[tau]
+
+
+def test_pi_has_50_correct_decimal_places():
+    # Machin: pi = 16 atan(1/5) - 4 atan(1/239), in integers scaled by 10^60
+    def atan_inv(x, unity=10**60):
+        total = term = unity // x
+        n, sign = 1, 1
+        while term:
+            term //= x * x
+            n, sign = n + 2, -sign
+            total += sign * (term // n)
+        return total
+
+    pi60 = 16 * atan_inv(5) - 4 * atan_inv(239)     # off by a few units
+    assert _PI.as_tuple().exponent == -50
+    assert str(_PI).replace(".", "") == str((pi60 + 5 * 10**9) // 10**10)
+
+
+@pytest.mark.parametrize("tau", [1e-51j, 1e-77j, 1e-100j, 1e-308j, 5e-324j,
+                                 0.5 + 1e-60j])
+def test_a_lattice_too_thin_for_float_invariants_is_rejected(tau):
+    # mu^-6 with |mu| = 1e-51 is beyond the float range, and below about
+    # 5e-309 so is Im tau' = 1/Im tau
+    with pytest.raises(InvalidLatticeError, match="too thin"):
+        make_lattice(tau)
+    with pytest.raises(InvalidLatticeError, match="too thin"):
+        lattice_invariants(tau)
+
+
+def test_a_thin_lattice_inside_the_float_range_keeps_its_invariants():
+    g2, g3 = lattice_invariants(1e-50j)
+    assert g2 == pytest.approx(4 * math.pi**4 / 3 * 1e200)
+    assert g3 == pytest.approx(-8 * math.pi**6 / 27 * 1e300)
 
 
 def test_invariants_of_thin_lattices_match_the_modular_transform():
