@@ -35,6 +35,7 @@ from .locus3 import (
     valid_r,
 )
 from .lattice import make_lattice
+from .oracle import PathError, elliptic_evaluator, monodromy_matrix
 from . import acceptance
 
 
@@ -349,8 +350,6 @@ def _cmd_inozemtsev(args) -> int:
 
 
 def _cmd_monodromy(args) -> int:
-    from .oracle import elliptic_evaluator, monodromy_matrix
-
     # from one shortest period on, the loop meets or encloses other lattice
     # points; the oracle rejects radii <= 0, nan and inf itself
     if 1 <= args.radius < math.inf:
@@ -404,7 +403,8 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, argparse.ArgumentTypeError) as exc:
+    except (ValueError, ArithmeticError, argparse.ArgumentTypeError,
+            PathError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ ERROR_EXPONENT = -1 / 8          # -1 / (error estimator order 7 + 1)
 SAFETY = 0.9
 MIN_FACTOR = 0.2                 # largest decrease of the step size
 MAX_FACTOR = 10                  # largest increase of the step size
+MAX_STEPS = 20_000               # most steps of one integration, rejected ones included
 
 C = np.array([0.0,
               0.526001519587677318785587544488e-01,
@@ -181,21 +182,24 @@ def _error_norm(K, h, scale):
 def integrate(fun, y0, t_bound: float, tol: float):
     """y(t_bound) of y' = fun(t, y), y(0) = y0 (complex, 1-d), t_bound > 0,
     with rtol = atol = tol; None when the step size falls below ten
-    spacings of the floats at t.  scipy raises an rtol below 100 eps to
+    spacings of the floats at t, or when MAX_STEPS steps, rejected ones
+    included, do not reach t_bound.  scipy raises an rtol below 100 eps to
     that floor, so the steps match its only for tol >= 100 eps."""
     y = np.asarray(y0, dtype=complex)
     t = 0.0
     f = fun(t, y)
     h_abs = _initial_step(fun, y, f, t_bound, tol)
     K = np.empty((N_STAGES + 1, y.size), dtype=complex)
+    steps = 0
     while t != t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            if h_abs < min_step or steps == MAX_STEPS:
                 return None
+            steps += 1
             t_new = min(t + h_abs, t_bound)
             h_abs = h = t_new - t
             y_new, f_new = _rk_step(fun, t, y, f, h, K)

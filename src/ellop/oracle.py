@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dop853
 from .dop853 import integrate
 from .lattice import Lattice, wp01
 from .operators import GlobalEllipticOperator
@@ -32,7 +33,7 @@ _VERDICT_TOL = 1e-12             # integration tolerance of integrability_verdic
 
 
 class PathError(RuntimeError):
-    """Integration failed along the loop (step-size collapse)."""
+    """Integration failed along the loop (step-size collapse or step bound)."""
 
 
 @dataclass
@@ -104,7 +105,8 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
     integration, so each right-hand-side call evaluates the coefficients
     once.  Raises ValueError for a degenerate loop, an empty batch, or a tol
     that is not finite and positive or that the batch tightens below the
-    integrator's floor (tol/sqrt(len(lams)) < 100 eps).
+    integrator's floor (tol/sqrt(len(lams)) < 100 eps), and PathError when
+    dop853.integrate gives up on the loop.
     """
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"loop radius must be finite and positive, "
@@ -149,10 +151,14 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
     # sum_l e_l^2, e_l being spectral value l's own RMS at tol, so every
     # e_l <= 1, as a solo run at tol demands
     step_tol = tol / math.sqrt(count)
-    y = integrate(rhs, y0, 2 * np.pi, step_tol)
+    # no numpy overflow warnings: a loop that overflows ends at the
+    # step-size floor, and that is reported below
+    with np.errstate(all="ignore"):
+        y = integrate(rhs, y0, 2 * np.pi, step_tol)
     if y is None:
-        raise PathError("loop integration failed: Required step size is less "
-                        "than spacing between numbers.")
+        raise PathError("loop integration failed: the step size fell below the "
+                        "spacing of the floats, or the loop took more than "
+                        f"{dop853.MAX_STEPS} steps")
     # rows of Y carry derivative orders, columns the transported solutions;
     # the start basis is the identity in those coordinates
     reports = []

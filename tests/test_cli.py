@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ellop import acceptance
+from ellop import acceptance, dop853
 from ellop.cli import main
 
 
@@ -153,6 +153,15 @@ COMMUTE_DIGESTS = {
     ("third:q=2,r=2,c=0,e=0", 2): "7f25a10a508090d7d0974b5c7b4175338575c388f32b735a1a20634afe6464eb",
     ("cyclic:n=3,indices=-1|1|3,curve=generic", 2):
         "7f25a10a508090d7d0974b5c7b4175338575c388f32b735a1a20634afe6464eb",
+    # a third-order partner at a locus point with c, e != 0
+    ("third:q=2,r=2,c=-3,e=3", 2): "8dd7db2fea64d9d4c11713717ad4935ca320127d75694749df2a823df08201b5",
+    # a third-order negative at order 4
+    ("third:q=2,r=2,c=1,e=1", 4): "22fc34cee0515349529fd04aed6ba34c4ccb6d37a06c14cdd7d69bbfc40d3d5a",
+    # partners of orders 4 and 3 for cyclic operators
+    ("cyclic:n=3,indices=-1|1|3,curve=generic", 4):
+        "6de6f4fb4102da1ca2c18e0350e78bb3774397b028357ef768db3eb309319a3b",
+    ("cyclic:n=4,indices=-1|1|2|4,curve=lemniscatic", 3):
+        "5911188e0404994b3c0e82f1d85a53f3e389b64b3f616edb2bf5875cf1f8b26a",
 }
 
 
@@ -332,6 +341,30 @@ def test_monodromy_loop_too_close_to_the_pole_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: z is within 1e-8 of a lattice point")
+
+
+@pytest.mark.filterwarnings("error")     # a warning would print a second line
+@pytest.mark.parametrize("argv", [
+    ("--operator", "second:a=-2", "--lambda", "1e200"),
+    ("--operator", "third:q=2,r=2,c=1e200", "--lambda", "1"),
+])
+def test_a_failed_loop_integration_exits_2(capsys, argv):
+    # the step size collapses below the float spacing
+    code, out, err = run(capsys, "monodromy", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: loop integration failed")
+    assert err.count("\n") == 1
+
+
+def test_a_loop_integration_past_the_step_bound_exits_2(capsys, monkeypatch):
+    # at lambda = 1e30 the loop creeps on at steps near 1e-15; the full
+    # bound takes seconds to reach, so a small one stands in for it
+    monkeypatch.setattr(dop853, "MAX_STEPS", 50)
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1e30")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: loop integration failed")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [

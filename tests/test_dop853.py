@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ellop import dop853
 from ellop.dop853 import integrate
 from ellop.elliptic import EllipticElement
 from ellop.lattice import make_lattice
@@ -99,3 +100,19 @@ def test_a_pole_on_the_path_collapses_the_step_as_in_scipy():
     assert y is None
     assert ours == theirs
     assert math.isclose(theirs[-1][0], 1.0, abs_tol=1e-6)
+
+
+def test_an_integration_past_max_steps_returns_none(monkeypatch):
+    # y' = i y on [0, 2 pi]; a step makes 12 calls, and 2 calls come first
+    def fun(t, y):
+        return 1j * y
+
+    y0 = np.array([1 + 0j])
+    counted, calls = recorded(fun)
+    y = integrate(counted, y0, 2 * np.pi, 1e-10)
+    steps, rest = divmod(len(calls) - 2, 12)
+    assert rest == 0 and steps > 1
+    monkeypatch.setattr(dop853, "MAX_STEPS", steps)
+    assert integrate(fun, y0, 2 * np.pi, 1e-10).tobytes() == y.tobytes()
+    monkeypatch.setattr(dop853, "MAX_STEPS", steps - 1)
+    assert integrate(fun, y0, 2 * np.pi, 1e-10) is None
