@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .rationals import Rat, as_rat
 from .poly import MultiPoly, RatFunc
-from .series import LaurentSeries, wp_prime_series, wp_series
+from .series import LaurentSeries, wp_power_coefficient
 
 
 def _coerce(c):
@@ -153,24 +153,21 @@ class EllipticElement:
         )
 
     def to_series(self, K: int) -> LaurentSeries:
-        """Substitute the P Laurent expansion; exact through z^(K-1)."""
-        depth = max(len(self.part0), len(self.part1) + 2)
-        guard = K + 2 * depth + 4
-        P = wp_series(guard)
-        Pp = wp_prime_series(guard)
-        out = LaurentSeries.zero(guard)
-        # powers[i] is P^i for i >= 1; P^0 = 1 multiplies nothing.  The sums
-        # below read P^i only for i < the longer part's length
-        powers = [None, P]
-        for _ in range(max(len(self.part0), len(self.part1)) - 2):
-            powers.append(powers[-1] * P)
-        for i, c in enumerate(self.part0):
-            if not c.is_zero():
-                out = out + (powers[i] * c if i else LaurentSeries.monomial(c, 0, guard))
-        for i, c in enumerate(self.part1):
-            if not c.is_zero():
-                out = out + (powers[i] * Pp if i else Pp) * c
-        return out.truncate(min(out.order, K))
+        """The Laurent expansion at z = 0, exact through z^(K-1).
+
+        Each coefficient is one sum over the nonzero parts: part coefficient
+        times the coefficient of P^i or P^i P' (``wp_power_coefficient``,
+        made once per process).  The series starts at the deepest pole of a
+        nonzero part, -2i or -2i-3, or at K if that is lower."""
+        parts = [(c, i, 0) for i, c in enumerate(self.part0) if not c.is_zero()]
+        parts += [(c, i, 1) for i, c in enumerate(self.part1) if not c.is_zero()]
+        low = min([K] + [-2 * i - 3 * prime for _, i, prime in parts])
+        coeffs = []
+        for k in range(low, K):
+            terms = [c * w for c, i, prime in parts
+                     if (w := wp_power_coefficient(i, prime, k)).terms]
+            coeffs.append(sum(terms[1:], terms[0]) if terms else MultiPoly.zero())
+        return LaurentSeries(low, coeffs, K)
 
     def series_constant_term(self) -> MultiPoly:
         return self.to_series(1).coefficient(0)

@@ -41,9 +41,10 @@ def constraints_for(q: int, r: int) -> ConstraintSet:
         cs, conditions=tuple(sorted(cs.conditions, key=lambda c: -c.lambda_degree)),
         q=q, r=r)
     for c in cs.conditions:
-        if not c.poly.is_weighted_homogeneous():
+        weights = c.poly.weights()
+        if len(weights) > 1:
             raise VerificationError("condition not weighted-homogeneous")
-        if c.poly.weighted_degree() != r - 3 * c.lambda_degree:
+        if weights != {r - 3 * c.lambda_degree}:
             raise VerificationError("condition weight inconsistent with gap r")
     return cs
 

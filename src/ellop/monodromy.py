@@ -11,12 +11,13 @@ coefficients with those auxiliary variables stripped off.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .rationals import Rat, ZERO, as_rat, falling_factorial
 from .poly import MultiPoly, sort_vars, sum_of_products
 from .series import LaurentSeries, TruncationError
-from .operators import LocalOperator, _rational_roots, homogeneous_integrable
+from .operators import LocalOperator, homogeneous_integrable
 
 
 @dataclass(frozen=True)
@@ -77,26 +78,54 @@ def _horner(coeffs, x):
     return v
 
 
+def _indicial_values(P, m, K: int):
+    """[P(m + k) for k = 0..K] for rational coefficients P, low to high, and
+    rational m = p/q: each value is one integer Horner over the common
+    denominator D of P, as D q^d P((p + kq)/q) / (D q^d), d = deg P."""
+    den = math.lcm(*(c.denominator for c in P))
+    p, q = m.numerator, m.denominator
+    d = len(P) - 1
+    # a_i q^(d-i), high to low
+    scaled = [c.numerator * (den // c.denominator) * q ** (d - i) for i, c in enumerate(P)][::-1]
+    out = []
+    for k in range(K + 1):
+        t = p + k * q
+        v = 0
+        for a in scaled:
+            v = v * t + a
+        out.append(Rat(v, den * q ** d))
+    return out
+
+
 def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     """Run the recursion psi = z^m (1 + sum f_k z^k) up to order K.
 
     The spectral parameter is the symbol lambda.  At a resonant offset k
     (indicial value of m + k is zero) the inhomogeneous term is recorded as
     an obstruction and f_k becomes a fresh free parameter u1, u2, ...
+
+    m may be any rational root.  The indicial values P(m + k) come from one
+    integer Horner each (``_indicial_values``), the scale factor
+    -(m + kp)(m + kp - 1)...(m + kp - n + i + 1) of a_i's coefficients
+    against f_kp is made once per (kp, i), and the indicial roots are the
+    operator's own (``LocalOperator.indicial_roots``).
     """
     m = as_rat(m)
     n = op.n
-    P = op.indicial_coefficients()
-    if _horner(P, m) != 0:
+    values = _indicial_values(op.indicial_coefficients(), m, K)
+    if values[0] != 0:
         raise ValueError(f"{m} is not an indicial root")
     lam = MultiPoly.var("lambda")
     # refuse truncations that cannot see every resonance
-    offsets = [int(rt - m) for rt in _rational_roots(P)
+    offsets = [int(rt - m) for rt in op.indicial_roots()
                if (rt - m).denominator == 1 and rt > m]
     if offsets and K < max(offsets):
         raise TruncationError(
             f"K={K} below deepest resonance offset {max(offsets)}"
         )
+    # scale[kp][i] multiplies the coefficients of a_i against f_kp
+    scale = [{i: -falling_factorial(m + kp, n - i) for i in range(2, n + 1)}
+             for kp in range(K)]
     # every coefficient, lambda and f_k lives over one universe, which grows
     # by u_i at the resonance that introduces it
     universe = sort_vars(lam.vars + tuple(v for a_i in op.coeffs.values()
@@ -122,13 +151,12 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
                     A = local[i, j] = a_i.coefficient(j).in_universe(universe)
                 if A.terms:
                     kp = k - i - j
-                    scaled.setdefault(kp, []).append(
-                        (-falling_factorial(m + kp, n - i), A, one))
+                    scaled.setdefault(kp, []).append((scale[kp][i], A, one))
         if k >= n:
             scaled.setdefault(k - n, []).append((1, lam, one))
         triples = [(1, sum_of_products(universe, group), f[kp])
                    for kp, group in scaled.items()]
-        c = _horner(P, m + k)
+        c = values[k]
         if c != 0:
             f[k] = sum_of_products(universe, triples, c)
             continue

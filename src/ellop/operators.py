@@ -4,6 +4,7 @@ certificates."""
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -118,19 +119,21 @@ def _times_linear(p, a):
             for d in range(len(p) + 1)]
 
 
+@functools.cache
 def _falling(k: int):
-    """Coefficients of m(m-1)...(m-k+1), low to high."""
+    """Coefficients of m(m-1)...(m-k+1), low to high, as a tuple; cached,
+    since every operator of order n reads those of k <= n."""
     p = [ONE]
     for j in range(k):
         p = _times_linear(p, j)
-    return p
+    return tuple(p)
 
 
 def indicial_coefficients(n: int, bs: dict):
     """Coefficients, low to high, of the indicial polynomial
     m(m-1)...(m-n+1) + sum_i b_i m(m-1)...(m-n+i+1) of an order-n operator
     whose coefficient a_i of d^(n-i) has leading term b_i z^-i."""
-    P = _falling(n)
+    P = list(_falling(n))
     for i in range(2, n + 1):
         b = bs.get(i, ZERO)
         for d, c in enumerate(_falling(n - i)):
@@ -162,15 +165,27 @@ class LocalOperator:
         """Leading Laurent coefficient of a_i at z^-i."""
         return self.coeffs[i].coefficient(-i)
 
-    def indicial_coefficients(self):
-        """The indicial polynomial's coefficients, low to high."""
+    @functools.cached_property
+    def _indicial(self):
+        """(coefficients low to high, rational roots) of the indicial
+        polynomial, made once per operator."""
         bs = {}
         for i in range(2, self.n + 1):
             b = self.b(i)
             if not b.is_constant():
                 raise ValueError("indicial polynomial has symbolic coefficients")
             bs[i] = b.constant_value()
-        return indicial_coefficients(self.n, bs)
+        P = indicial_coefficients(self.n, bs)
+        return tuple(P), tuple(_rational_roots(P))
+
+    def indicial_coefficients(self):
+        """The indicial polynomial's coefficients, low to high."""
+        return list(self._indicial[0])
+
+    def indicial_roots(self):
+        """The indicial polynomial's rational roots, with multiplicity, in
+        ``_rational_roots`` order."""
+        return self._indicial[1]
 
     def indices(self):
         """(IndexData or None, unresolved coefficients or None).
@@ -178,17 +193,64 @@ class LocalOperator:
         Indices are the rational roots of the indicial polynomial; if some
         roots are irrational its coefficient list is reported unresolved.
         """
-        P = self.indicial_coefficients()
-        roots = _rational_roots(P)
+        roots = self.indicial_roots()
         if len(roots) == self.n:
             return IndexData(roots), None
-        return (IndexData(roots) if roots else None), P
+        return (IndexData(roots) if roots else None), self.indicial_coefficients()
+
+
+def _sign_changes(seq, t: int, s: int) -> int:
+    """Sign changes, zeros skipped, of the integer polynomials seq (low to
+    high) at t/s for s > 0: the sign of each is that of s^d P(t/s)."""
+    out, last = 0, 0
+    for a in seq:
+        v, sk = a[-1], 1
+        for c in reversed(a[:-1]):
+            sk *= s
+            v = v * t + c * sk
+        if v:
+            if last and (v > 0) != (last > 0):
+                out += 1
+            last = v
+    return out
+
+
+def _sturm(a):
+    """The Sturm sequence a, a', -rem(a, a'), ... of an integer polynomial
+    (low to high), each member a positive multiple of the true one with
+    primitive integer coefficients, made by fraction-free division."""
+    seq = [a, [i * c for i, c in enumerate(a)][1:]]
+    while len(seq[-1]) > 1:
+        r, b = list(seq[-2]), seq[-1]
+        lead, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        # r -> |lc(b)| r - sign(lc(b)) lc(r) x^shift b: a positive multiple
+        # of the remainder step r - (lc(r)/lc(b)) x^shift b
+        while len(r) >= len(b):
+            f = sign * r[-1]
+            shift = len(r) - len(b)
+            r = [lead * c - (f * b[i - shift] if i >= shift else 0)
+                 for i, c in enumerate(r[:-1])]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        g = math.gcd(*r)
+        seq.append([-c // g for c in r])
+    return seq
 
 
 def _rational_roots(poly):
     """Rational roots (with multiplicity) of a rational-coefficient
     polynomial given as a coefficient list, low to high, in the order
-    (|root|, negative after positive)."""
+    (|root|, negative after positive).
+
+    With denominators cleared to integers a_0..a_d, a root p/q in lowest
+    terms has q | a_d, so y = |a_d| x is an integer, and |y| is at most a
+    power-of-two form of Fujiwara's bound.  Sturm bisection over y between
+    half-integers, which are never roots, narrows each real root to an
+    interval that holds one integer, and one exact Horner check decides it.
+    No divisor of a_0 or a_d is enumerated, so the cost is polynomial in
+    the coefficients' bit length."""
     poly = [as_rat(c) for c in poly]
     while poly and poly[-1] == 0:
         poly.pop()
@@ -197,32 +259,36 @@ def _rational_roots(poly):
     while poly and poly[0] == 0:
         roots.append(ZERO)
         poly = poly[1:]
-    # clear denominators once; a root p/q in lowest terms has p | a_0 and
-    # q | a_d, and so does every root of a quotient
     scale = math.lcm(*(c.denominator for c in poly))
-    a = [int(c * scale) for c in poly]
+    a = [c.numerator * (scale // c.denominator) for c in poly]
     if len(a) < 2:
         return roots
-
-    def divisors(v):
-        v = abs(v)
-        out = set()
-        f = 1
-        while f * f <= v:
-            if v % f == 0:
-                out.add(f)
-                out.add(v // f)
-            f += 1
-        return out
-
     top = abs(a[-1])
-    cands = set()
-    for p in divisors(a[0]):
-        for q in divisors(top):
-            g = math.gcd(p, q)
-            cands.update(((p // g, q // g), (-p // g, q // g)))
-    # by |p/q|, positive first; |p/q| * top is an integer, as q divides top
-    for p, q in sorted(cands, key=lambda c: (abs(c[0]) * (top // c[1]), c[0] < 0)):
+    seq = _sturm(a)
+    # |x| <= 2 max_i (|a_(d-i)| / top)^(1/i) (Fujiwara) <= 2^(1+e), as
+    # |c| / top < 2^(bits(c) - bits(top) + 1)
+    d, bits = len(a) - 1, top.bit_length()
+    e = max(-((bits - 1 - abs(c).bit_length()) // (d - i)) for i, c in enumerate(a[:-1]) if c)
+    Y = top << (1 + max(e, 0))
+    # changes[k]: sign changes of seq at y = k + 1/2, x = (2k + 1) / (2 top)
+    changes = {k: _sign_changes(seq, 2 * k + 1, 2 * top) for k in (-Y - 1, Y)}
+    cands = []
+    # (lo, hi) holds the real roots with lo + 1/2 < y < hi + 1/2; once it
+    # holds one integer, hi, that is the one candidate
+    stack = [(-Y - 1, Y)]
+    while stack:
+        lo, hi = stack.pop()
+        if changes[lo] == changes[hi]:
+            continue
+        if hi - lo == 1:
+            cands.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        changes[mid] = _sign_changes(seq, 2 * mid + 1, 2 * top)
+        stack += [(lo, mid), (mid, hi)]
+    for y in sorted(cands, key=lambda y: (abs(y), y < 0)):
+        g = math.gcd(y, top)
+        p, q = y // g, top // g
         while len(a) > 1:
             # q^d * P(p/q) by integer Horner
             val, qk = a[-1], 1
@@ -350,7 +416,7 @@ def coefficients_from_indices(idx: IndexData):
     for i in range(2, n + 1):
         deg = n - i
         bs[i] = R[deg]
-        R = [r - bs[i] * f for r, f in zip(R, _falling(deg) + [ZERO] * i)]
+        R = [r - bs[i] * f for r, f in zip(R, _falling(deg) + (ZERO,) * i)]
     if any(R):
         raise ArithmeticError("indicial matching failed")
     return bs

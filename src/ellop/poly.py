@@ -408,23 +408,28 @@ class MultiPoly:
         n = len(self.vars)
         return max(sum(_unpack(k, n)) for k in self.terms)
 
+    def _weight(self):
+        """The homothety weight of a packed monomial."""
+        n = len(self.vars)
+        fields = [(_BITS * (n - 1 - i), WEIGHTS[v]) for i, v in enumerate(self.vars) if v in WEIGHTS]
+        return lambda k: sum(((k >> s) & _MASK) * w for s, w in fields)
+
     def _order(self):
         """Sort key of a packed monomial: (homothety weight, key), so weight
         first, then lex."""
-        n = len(self.vars)
-        fields = [(_BITS * (n - 1 - i), WEIGHTS[v]) for i, v in enumerate(self.vars) if v in WEIGHTS]
-        return lambda k: (sum(((k >> s) & _MASK) * w for s, w in fields), k)
+        weight = self._weight()
+        return lambda k: (weight(k), k)
+
+    def weights(self):
+        """The set of homothety weights of the terms, in one pass."""
+        return set(map(self._weight(), self.terms))
 
     def weighted_degree(self):
         """Max homothety weight over terms; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        order = self._order()
-        return max(order(k)[0] for k in self.terms)
+        return max(self.weights(), default=-1)
 
     def is_weighted_homogeneous(self):
-        order = self._order()
-        return len({order(k)[0] for k in self.terms}) <= 1
+        return len(self.weights()) <= 1
 
     def leading(self):
         """(exponent tuple, coefficient) of the greatest monomial."""

@@ -50,14 +50,6 @@ class LaurentSeries:
         c = _coerce_coeff(coeff)
         return cls(expo, [c], order)
 
-    @classmethod
-    def from_dict(cls, d: dict, order: int):
-        d = {k: _coerce_coeff(v) for k, v in d.items() if k < order}
-        if not d:
-            return cls.zero(order)
-        low = min(d)
-        return cls(low, [d.get(k, MultiPoly.zero()) for k in range(low, order)], order)
-
     # -- access ------------------------------------------------------------
 
     def coefficient(self, k: int) -> MultiPoly:
@@ -190,35 +182,64 @@ class LaurentSeries:
         return f"LaurentSeries({self.text()})"
 
 
-def _wp_laurent(K: int, g2, g3) -> dict:
+def _wp_laurent(K: int, g2, g3, c=None) -> dict:
     """{k: c_k} for 2 <= k <= max(3, (K+1)//2), which covers every k with
     2k-2 < K, in P = z^-2 + sum_{k>=2} c_k z^(2k-2).  From the defining
     relation (P')^2 = 4 P^3 - g2 P - g3: c_2 = g2/20, c_3 = g3/28,
     c_k = 3 (sum_{m=2}^{k-2} c_m c_{k-m}) / ((2k+1)(k-3)) for k >= 4.
-    g2 and g3 are exact polynomials or complex numbers."""
-    c = {2: g2 / 20, 3: g3 / 28}
-    for k in range(4, (K + 1) // 2 + 1):
+    g2 and g3 are exact polynomials or complex numbers.
+
+    c_k does not depend on K.  A dict c of the coefficients already made
+    for these g2, g3 is extended in place and returned; it may then hold
+    more than K needs."""
+    if c is None:
+        c = {2: g2 / 20, 3: g3 / 28}
+    for k in range(len(c) + 2, (K + 1) // 2 + 1):
         c[k] = 3 * sum(c[m] * c[k - m] for m in range(2, k - 1)) / ((2 * k + 1) * (k - 3))
     return c
 
 
+_G2, _G3 = MultiPoly.var("g2"), MultiPoly.var("g3")
+_ONE = MultiPoly.const(1)
+_ZERO = MultiPoly.zero()
+#: c_k over Q[g2, g3], made once per process and extended as larger K need
+_WP_EXACT = _wp_laurent(0, _G2, _G3)
+
+
+def _wp_coefficient(k: int) -> MultiPoly:
+    """The coefficient of z^k in P, k >= -2, a polynomial in g2, g3."""
+    if k == -2:
+        return _ONE
+    if k < 2 or k % 2:
+        return _ZERO
+    return _wp_laurent(k + 1, _G2, _G3, _WP_EXACT)[k // 2 + 1]
+
+
 @cache
+def wp_power_coefficient(i: int, prime: int, k: int) -> MultiPoly:
+    """The coefficient of z^k in P^i (P')^prime, for i >= 0 and prime 0 or
+    1, a polynomial in g2, g3.  Cached: each is made once per process, as
+    one sum over the coefficients of P times those of P^(i-1) (P')^prime."""
+    if prime and not i:
+        return _wp_coefficient(k + 1) * (k + 1)
+    if not prime and i <= 1:
+        return _wp_coefficient(k) if i else (_ONE if k == 0 else _ZERO)
+    low = -2 * (i - 1) - 3 * prime       # of P^(i-1) (P')^prime
+    out = _ZERO
+    for j in range(-2, k - low + 1):
+        p = _wp_coefficient(j)
+        if p.terms:
+            out = out + p * wp_power_coefficient(i - 1, prime, k - j)
+    return out
+
+
 def wp_series(K: int) -> LaurentSeries:
     """Weierstrass P as a Laurent series, trusted through z^(K-1), with
-    coefficients polynomials in g2, g3 (see ``_wp_laurent``); cached, since
-    LaurentSeries and its MultiPoly coefficients are never mutated."""
+    coefficients polynomials in g2, g3.  Each c_k of ``_wp_laurent`` is made
+    once per process, whatever K first asks for it."""
     if K < 0:
         raise ValueError("K must be nonnegative")
-    c = _wp_laurent(K, MultiPoly.var("g2"), MultiPoly.var("g3"))
-    d = {-2: MultiPoly.const(1)}
-    d.update((2 * k - 2, ck) for k, ck in c.items() if 2 * k - 2 < K)
-    return LaurentSeries.from_dict(d, K)
-
-
-@cache
-def wp_prime_series(K: int) -> LaurentSeries:
-    """P' as a Laurent series, trusted through z^(K-2); cached like wp_series."""
-    return wp_series(K).differentiate()
+    return LaurentSeries(-2, [_wp_coefficient(k) for k in range(-2, K)], K)
 
 
 def wp_series_numeric(K: int, g2: complex, g3: complex):

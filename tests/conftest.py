@@ -1,5 +1,8 @@
 """Shared fixtures."""
 
+import contextlib
+import signal
+
 import pytest
 
 from ellop import acceptance, locus3
@@ -21,3 +24,23 @@ def uncached_constraints():
     cached.cache_clear()
     yield
     cached.cache_clear()
+
+
+@pytest.fixture
+def within():
+    """within(seconds) is a context manager that raises TimeoutError in its
+    block once the block has run longer than seconds."""
+    @contextlib.contextmanager
+    def limit(seconds):
+        def expire(signum, frame):
+            raise TimeoutError(f"took more than {seconds} s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+
+    return limit

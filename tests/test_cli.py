@@ -31,6 +31,19 @@ def test_indicial_rational_coefficient(capsys):
     assert json.loads(out)["roots"] == ["-1/2", "3/2"]
 
 
+@pytest.mark.parametrize("b2,roots", [
+    ("-1000000000000000000000000", []),               # x^2 - x - 10^24: irrational
+    ("-1000000000001000000000000", ["-1000000000000", "1000000000001"]),
+    ("-1000000000000000000000000/9", []),
+])
+def test_indicial_with_a_24_digit_coefficient_finishes(capsys, within, b2, roots):
+    # trial division up to sqrt|b2| ran for days at 10^24
+    with within(1.0):
+        code, out, _ = run(capsys, "indicial", "--n", "2", f"--b2={b2}")
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "roots": roots}
+
+
 def test_homog_check(capsys):
     code, out, _ = run(capsys, "homog-check", "--n", "3", "--indices=-1,1,3")
     assert code == 0

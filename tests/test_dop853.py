@@ -13,7 +13,13 @@ from ellop.operators import GlobalEllipticOperator
 from ellop.oracle import elliptic_evaluator
 from ellop.rationals import Rat
 
-solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+
+@pytest.fixture
+def solve_ivp():
+    """scipy's solve_ivp, the reference; a test that takes it is skipped
+    without scipy, and the others still run."""
+    return pytest.importorskip("scipy.integrate").solve_ivp
 
 
 SQ = make_lattice(1j)
@@ -54,7 +60,7 @@ def recorded(fun):
     return wrapped, calls
 
 
-def both(fun, y0, t_bound, tol):
+def both(solve_ivp, fun, y0, t_bound, tol):
     """(y, calls) of integrate and of scipy's solve_ivp on the same data."""
     ours, our_calls = recorded(fun)
     theirs, their_calls = recorded(fun)
@@ -70,36 +76,49 @@ def both(fun, y0, t_bound, tol):
     (GENERIC, 0.3, LAMS),
 ])
 @pytest.mark.parametrize("tol", [1e-8, 1e-12])
-def test_the_loop_calls_and_result_match_scipy(op, radius, lams, tol):
+def test_the_loop_calls_and_result_match_scipy(solve_ivp, op, radius, lams, tol):
     rhs, y0 = loop_rhs(op, radius * SQ.shortest, lams)
-    (y, ours), (sol, theirs) = both(rhs, y0, 2 * np.pi, tol)
+    (y, ours), (sol, theirs) = both(solve_ivp, rhs, y0, 2 * np.pi, tol)
     assert sol.status == 0
     assert len(ours) == len(theirs) == sol.nfev
     assert ours == theirs
     assert y.tobytes() == sol.y[:, -1].tobytes()
 
 
-def test_the_rejected_steps_are_exercised():
+def test_the_rejected_steps_are_exercised(solve_ivp):
     # the a = -5/2 loop at 0.3 shortest periods makes DOP853 reject steps
     # at tol 1e-8: 12 calls per accepted step, plus 2 to start, leave some
     # calls over
     rhs, y0 = loop_rhs(GENERIC, 0.3 * SQ.shortest, LAMS[:1])
-    (_, ours), (sol, _) = both(rhs, y0, 2 * np.pi, 1e-8)
+    (_, ours), (sol, _) = both(solve_ivp, rhs, y0, 2 * np.pi, 1e-8)
     accepted = len(sol.t) - 1
     assert len(ours) > 2 + 12 * accepted
 
 
-def test_a_pole_on_the_path_collapses_the_step_as_in_scipy():
+def test_a_pole_on_the_path_collapses_the_step_as_in_scipy(solve_ivp):
     # y' = y^2, y(0) = 1 on [0, 2]: y = 1/(1 - t) has a pole at t = 1
     def fun(t, y):
         return y * y
 
-    (y, ours), (sol, theirs) = both(fun, np.array([1 + 0j]), 2.0, 1e-10)
+    (y, ours), (sol, theirs) = both(solve_ivp, fun, np.array([1 + 0j]), 2.0, 1e-10)
     assert sol.status == -1
     assert sol.message == "Required step size is less than spacing between numbers."
     assert y is None
     assert ours == theirs
     assert math.isclose(theirs[-1][0], 1.0, abs_tol=1e-6)
+
+
+def test_a_pole_on_the_path_returns_none():
+    # the integrate half of the comparison above, which needs no scipy:
+    # y = 1/(1 - t) on [0, 2], the step collapses at the pole t = 1
+    calls = []
+
+    def fun(t, y):
+        calls.append(t)
+        return y * y
+
+    assert integrate(fun, np.array([1 + 0j]), 2.0, 1e-10) is None
+    assert math.isclose(calls[-1], 1.0, abs_tol=1e-6)
 
 
 def test_an_integration_past_max_steps_returns_none(monkeypatch):

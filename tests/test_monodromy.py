@@ -8,9 +8,15 @@ from ellop.rationals import Rat, falling_factorial
 from ellop.poly import MultiPoly
 from ellop.series import wp_series
 from ellop.elliptic import EllipticElement
-from ellop.operators import GlobalEllipticOperator, third_order_from_gaps
+from ellop.operators import (
+    GlobalEllipticOperator,
+    IndexData,
+    coefficients_from_indices,
+    third_order_from_gaps,
+)
 from ellop.monodromy import (
     _horner,
+    _indicial_values,
     frobenius_solve,
     second_order_conditions,
     trivial_monodromy_constraints,
@@ -96,6 +102,20 @@ def test_frobenius_solution_with_a_resonance_at_the_last_step(q, r):
             assert longer.psi.coefficient(k) == sol.psi.coefficient(k)
 
 
+@pytest.mark.parametrize("m", [Rat(0), Rat(-7), Rat(5), Rat(-1, 3), Rat(7, 2), Rat(-22, 9)])
+@pytest.mark.parametrize("coeffs", [
+    [Rat(0), Rat(2), Rat(-3), Rat(1)],                       # m(m-1)(m-2)
+    [Rat(-5, 6), Rat(3, 4), Rat(-3), Rat(1)],
+    [Rat(7, 10), Rat(0), Rat(-1, 3), Rat(-6), Rat(11, 2), Rat(1)],
+    [Rat(4)],
+])
+def test_integer_horner_indicial_values_are_the_fraction_horner(coeffs, m):
+    K = 9
+    got = _indicial_values(coeffs, m, K)
+    assert got == [_horner(coeffs, m + k) for k in range(K + 1)]
+    assert all(type(v) is Rat for v in got)
+
+
 def reference_recursion(op, m, K):
     """The recursion one summand at a time in MultiPoly arithmetic: f_k and
     the obstructions, {k: MultiPoly} each."""
@@ -160,6 +180,28 @@ def test_recursion_matches_the_reference_across_a_resonance(q, r):
     sol = assert_matches_reference(op, low, int(top - low))
     assert sol.free_parameters == ["u1", "u2"]
     assert "u1" in sol.psi.coefficient(int(top - low) - 1).used_vars()
+
+
+def third_order_with_indices(indices):
+    # D^3 + (c + b2 P) D + (e P + b P') with b2, b3 = -2b from the indices
+    bs = coefficients_from_indices(IndexData(indices))
+    return GlobalEllipticOperator(3, {
+        2: EllipticElement([MultiPoly.var("c"), bs[2]]),
+        3: EllipticElement([0, MultiPoly.var("e")], [-bs[3] / 2]),
+    })
+
+
+@pytest.mark.parametrize("indices,m,K", [
+    ((Rat(-1, 3), Rat(4, 3), Rat(2)), Rat(-1, 3), 7),   # no resonance
+    ((Rat(-1, 3), Rat(4, 3), Rat(2)), Rat(4, 3), 6),
+    ((Rat(-1, 3), Rat(2, 3), Rat(8, 3)), Rat(-1, 3), 5),  # resonances at 1 and 3
+    ((Rat(-5, 2), Rat(5, 2), Rat(3)), Rat(-5, 2), 7),    # resonance at 5
+])
+def test_recursion_at_a_non_integer_index_matches_the_reference(indices, m, K):
+    op = third_order_with_indices(indices).localize(K + 4)
+    sol = assert_matches_reference(op, m, K)
+    assert [k for k, _ in sol.obstructions] == [int(rt - m) for rt in sorted(indices)
+                                                if rt > m and (rt - m).denominator == 1]
 
 
 def test_constraint_sets_are_immutable():

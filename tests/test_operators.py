@@ -230,6 +230,22 @@ def test_indicial_coefficients_invert_coefficients_from_indices(indices):
     assert IndexData(_rational_roots(P)) == idx
 
 
+def test_rational_roots_with_24_digit_coefficients(within):
+    # (7x - N)(7x + N)(x - 2)^2 x with N = 10^12 + 1: once the root at 0
+    # is out, trial division would run up to sqrt(4 N^2) = 2 * 10^12
+    N = 10**12 + 1
+    poly = [Rat(0), Rat(1)]
+    for factor in ([-N, 7], [N, 7], [-2, 1], [-2, 1]):
+        poly = [sum(poly[i] * factor[k - i] for i in range(len(poly)) if 0 <= k - i < 2)
+                for k in range(len(poly) + 1)]
+    with within(1.0):
+        roots = _rational_roots(poly)
+        idx = IndexData((Rat(-N, 7), Rat(N, 7) + 1, Rat(2)))
+        from_indices = _rational_roots(indicial_coefficients(3, coefficients_from_indices(idx)))
+    assert roots == [0, 2, 2, Rat(N, 7), Rat(-N, 7)]
+    assert from_indices == [2, Rat(-N, 7), Rat(N, 7) + 1]
+
+
 def reference_rational_roots(poly):
     """Rational roots in Fraction arithmetic: candidates from the current
     quotient, Horner over the rationals, rational synthetic division."""

@@ -1,8 +1,16 @@
 """Truncated Laurent series and the elliptic function ring."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ellop
+from ellop.operators import IndexData, cyclic_L0
 from ellop.rationals import Rat
 from ellop.poly import MultiPoly
 from ellop.series import LaurentSeries, TruncationError, wp_series, wp_series_numeric
@@ -88,3 +96,88 @@ def test_drop_constant():
     elem = EllipticElement([5, 1], [])       # P + 5
     dropped = elem.drop_constant()
     assert dropped.to_series(1).coefficient(0).is_zero()
+
+
+def reference_to_series(elem, K):
+    """elem's Laurent series through z^(K-1), made by generic series
+    arithmetic: sum of c P^i and c P^i P' over the parts, at a guard order
+    that covers every product."""
+    G = K + 4 * max(len(elem.part0), len(elem.part1) + 2) + 8
+    P = wp_series(G)
+    Pp = P.differentiate()
+    out = LaurentSeries.zero(G)
+    for i, c in enumerate(elem.part0):
+        if not c.is_zero():
+            out = out + P ** i * c
+    for i, c in enumerate(elem.part1):
+        if not c.is_zero():
+            out = out + P ** i * Pp * c
+    return out.truncate(K)
+
+
+def assert_same_series(got, want):
+    assert (got.low, got.order) == (want.low, want.order)
+    assert len(got.coeffs) == got.order - got.low
+    for k in range(got.low, got.order):
+        assert got.coefficient(k) == want.coefficient(k), k
+
+
+C, E = MultiPoly.var("c"), MultiPoly.var("e")
+ELEMENTS = [
+    EllipticElement(),                                   # zero
+    EllipticElement([Rat(7, 3)]),                        # constant
+    EllipticElement([C, Rat(-2)]),                       # c - 2P
+    EllipticElement([0, E], [Rat(5, 2)]),                # eP + 5/2 P'
+    EllipticElement([], [C]),                            # cP'
+    EllipticElement([0, 0, 1]),                          # P^2, no P^0 or P^1
+    EllipticElement([1, C, 0, E, Rat(-3, 4)], [2, 0, C * E, Rat(1, 9)]),  # P-degree 4, P'P^3
+    EllipticElement([MultiPoly.var("g2"), 0, 3], [0, MultiPoly.var("g3")]),
+]
+
+
+@pytest.mark.parametrize("K", [0, 1, 2, 5, 8, 13, 24])
+@pytest.mark.parametrize("index", range(len(ELEMENTS)))
+def test_to_series_is_the_generic_series_arithmetic(index, K):
+    elem = ELEMENTS[index]
+    assert_same_series(elem.to_series(K), reference_to_series(elem, K))
+
+
+@pytest.mark.parametrize("n,indices,curve", [
+    (3, (-1, 1, 3), "generic"),
+    (4, (-1, 1, 2, 4), "g3=0"),
+    (6, (-2, 0, 1, 3, 5, 8), "g2=0"),
+])
+@pytest.mark.parametrize("K", [3, 10])
+def test_to_series_of_the_cyclic_operators(n, indices, curve, K):
+    op = cyclic_L0(n, IndexData(indices), curve)
+    for elem in op.coeffs.values():
+        assert_same_series(elem.to_series(K), reference_to_series(elem, K))
+
+
+SERIES_DUMP = """
+import json, sys
+from ellop.series import wp_series
+out = {}
+for K in map(int, sys.argv[1:]):
+    P = wp_series(K)
+    out[K] = [P.low, P.order, [P.coefficient(k).text() for k in range(P.low, P.order)]]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("first", ["small", "large"])
+def test_wp_series_truncates_a_longer_one_whichever_is_built_first(first):
+    # in a fresh interpreter, so that nothing built before decides the order
+    small, large = 9, 40
+    order = (small, large) if first == "small" else (large, small)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(ellop.__file__).parents[1])] + sys.path))
+    out = subprocess.run([sys.executable, "-c", SERIES_DUMP, *map(str, order)],
+                         env=env, capture_output=True, text=True, check=True)
+    got = json.loads(out.stdout)
+    low, order, coeffs = got[str(small)]
+    big_low, big_order, big_coeffs = got[str(large)]
+    assert (low, order, big_low, big_order) == (-2, small, -2, large)
+    assert coeffs == big_coeffs[:small - low]
+    P = wp_series(large)
+    assert big_coeffs == [P.coefficient(k).text() for k in range(-2, large)]
