@@ -3,8 +3,9 @@ ordinary differential operators on elliptic curves.
 
 Layers, bottom to top:
 
-- rationals / poly / linalg / interp: exact arithmetic over Q and sparse
-  multivariate polynomials with weighted-homogeneous structure.
+- rationals / poly / linalg / interp: exact arithmetic over Q, sparse
+  multivariate polynomials with weighted-homogeneous structure, linear
+  solving in the polynomial ring, and rational function interpolation.
 - series / elliptic / operators: truncated Laurent series, the function
   ring of an elliptic curve, differential operator algebra, indicial data,
   commuting-operator search.

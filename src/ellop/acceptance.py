@@ -289,11 +289,7 @@ def criterion_engine_equivalences(seed=0):
         if trial % 2 == 0:
             for k in range(1, 2 * m, 2):
                 coeffs[k] = ZERO
-        terms = [MultiPoly.const(Rat(-m * (m + 1)))]
-        terms.append(MultiPoly.zero())
-        for k in range(0, K - 1):
-            terms.append(MultiPoly.const(coeffs.get(k, ZERO)))
-        u = LaurentSeries(-2, terms, K)
+        u = LaurentSeries(-2, [-m * (m + 1), 0, *coeffs.values()], K)
         op = LocalOperator(2, {2: u})
         full = trivial_monodromy_constraints(op, mode="full")
         closed = second_order_conditions(m, u)
@@ -311,15 +307,9 @@ def criterion_engine_equivalences(seed=0):
             a[2] = -b[1] * b[1] / 3
             b[4] = a[4] + b[1] * a[3] / 3
         K = 6
-        aser = LaurentSeries(-2, [MultiPoly.const(v) for v in a]
-                             + [MultiPoly.zero()] * (K + 2 - len(a)), K)
-        bser = LaurentSeries(-3, [MultiPoly.const(v) for v in b]
-                             + [MultiPoly.zero()] * (K + 3 - len(b)), K)
-        op = LocalOperator(3, {2: aser, 3: bser})
+        op = LocalOperator(3, {2: LaurentSeries(-2, a, K), 3: LaurentSeries(-3, b, K)})
         full = trivial_monodromy_constraints(op, mode="full")
-        closed = two_gap_conditions(
-            [MultiPoly.const(v) for v in a], [MultiPoly.const(v) for v in b]
-        )
+        closed = two_gap_conditions(a, b)
         if full.satisfied() != closed.satisfied():
             return False, f"gaps-(2,2) disagreement at trial {trial}"
     # third order one-pole family: middle-index run vs all-index run

@@ -1,23 +1,21 @@
 """The ring Q(g2,g3)[P, P'] modulo (P')^2 = 4P^3 - g2*P - g3.
 
 Elements are kept reduced to P'-degree at most one: part0(P) + part1(P)*P'.
-Coefficients are polynomials (MultiPoly); operator-side data is always
-polynomial in g2, g3, and the constructor down-casts rational functions with
-a check rather than carrying denominators around.
+Coefficients are polynomials (MultiPoly) in g2, g3 and the operator
+parameters; the constructor takes MultiPolys and rationals, never
+denominators in the parameters.
 """
 
 from __future__ import annotations
 
 from .rationals import Rat, as_rat
-from .poly import MultiPoly, RatFunc
+from .poly import MultiPoly
 from .series import LaurentSeries, wp_power_coefficient
 
 
 def _coerce(c):
     if isinstance(c, MultiPoly):
         return c
-    if isinstance(c, RatFunc):
-        return c.as_poly()
     return MultiPoly.const(as_rat(c))
 
 

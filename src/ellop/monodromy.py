@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .rationals import Rat, ZERO, as_rat, falling_factorial
 from .poly import MultiPoly, sort_vars, sum_of_products
 from .series import LaurentSeries, TruncationError
-from .operators import LocalOperator, homogeneous_integrable
+from .operators import LocalOperator, _homogeneous_horner, homogeneous_integrable
 
 
 @dataclass(frozen=True)
@@ -84,17 +84,9 @@ def _indicial_values(P, m, K: int):
     denominator D of P, as D q^d P((p + kq)/q) / (D q^d), d = deg P."""
     den = math.lcm(*(c.denominator for c in P))
     p, q = m.numerator, m.denominator
-    d = len(P) - 1
-    # a_i q^(d-i), high to low
-    scaled = [c.numerator * (den // c.denominator) * q ** (d - i) for i, c in enumerate(P)][::-1]
-    out = []
-    for k in range(K + 1):
-        t = p + k * q
-        v = 0
-        for a in scaled:
-            v = v * t + a
-        out.append(Rat(v, den * q ** d))
-    return out
+    a = [c.numerator * (den // c.denominator) for c in P]
+    scale = den * q ** (len(P) - 1)
+    return [Rat(_homogeneous_horner(a, p + k * q, q), scale) for k in range(K + 1)]
 
 
 def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:

@@ -199,15 +199,22 @@ class LocalOperator:
         return (IndexData(roots) if roots else None), self.indicial_coefficients()
 
 
+def _homogeneous_horner(a, t: int, s: int) -> int:
+    """s^d a(t/s), d = len(a) - 1, for integer coefficients a (low to
+    high): one integer Horner, exact."""
+    v, sk = a[-1], 1
+    for c in reversed(a[:-1]):
+        sk *= s
+        v = v * t + c * sk
+    return v
+
+
 def _sign_changes(seq, t: int, s: int) -> int:
     """Sign changes, zeros skipped, of the integer polynomials seq (low to
     high) at t/s for s > 0: the sign of each is that of s^d P(t/s)."""
     out, last = 0, 0
     for a in seq:
-        v, sk = a[-1], 1
-        for c in reversed(a[:-1]):
-            sk *= s
-            v = v * t + c * sk
+        v = _homogeneous_horner(a, t, s)
         if v:
             if last and (v > 0) != (last > 0):
                 out += 1
@@ -290,12 +297,7 @@ def _rational_roots(poly):
         g = math.gcd(y, top)
         p, q = y // g, top // g
         while len(a) > 1:
-            # q^d * P(p/q) by integer Horner
-            val, qk = a[-1], 1
-            for c in reversed(a[:-1]):
-                qk *= q
-                val = val * p + c * qk
-            if val:
+            if _homogeneous_horner(a, p, q):
                 break
             roots.append(Rat(p, q))
             # divide by q*x - p; the quotient is integral (Gauss's lemma)
@@ -494,7 +496,9 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
     M is D^m plus unknown multiples of the terms P^a (P')^b D^(m-i), (a, b)
     over _elliptic_basis(n + m + i).  [L, M] is linear in M, so each term
     gives one column of a linear system, the slots of its commutator with
-    L, and the right-hand side is -[L, D^m]."""
+    L, and the right-hand side is -[L, D^m].  The system is solved in the
+    polynomial ring: no partner is found when it is inconsistent or its
+    solution with the free unknowns at 0 has a denominator."""
     n = L.order
     if math.gcd(n, m) != 1:
         raise ValueError(f"order {m} not coprime to {n}")
@@ -515,11 +519,11 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
     zero = MultiPoly.zero()
     sol = solve_linear_over_field([[col.get(s, zero) for col in columns] for s in slots],
                                   [-top.get(s, zero) for s in slots])
-    if sol.conditions or not all(v.is_polynomial() for v in sol.solution):
+    if sol is None:
         return None
     out = {m: one}
-    for (p, term), v in zip(terms, sol.solution):
-        out[p] = out.get(p, EllipticElement.zero()) + term * v.as_poly()
+    for (p, term), v in zip(terms, sol):
+        out[p] = out.get(p, EllipticElement.zero()) + term * v
     out = _op_clean(out)
     # never trust the ansatz: re-verify the commutator exactly
     check = op_commutator(lop, out)

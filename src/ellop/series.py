@@ -20,7 +20,12 @@ def _coerce_coeff(c):
 
 class LaurentSeries:
     """Coefficients for exponents low .. order-1; `order` is the first
-    untrusted exponent.  Coefficients are MultiPoly (rationals embed)."""
+    untrusted exponent.  Coefficients are MultiPoly (rationals embed).
+
+    The arithmetic, ``__add__`` through ``truncate``, is the generic series
+    algebra.  The program builds its series directly (``to_series`` and the
+    Frobenius recursion sum each coefficient at once); the tests keep this
+    algebra as the reference those direct sums are compared against."""
 
     __slots__ = ("low", "coeffs", "order")
 
@@ -147,11 +152,6 @@ class LaurentSeries:
                 f"cannot extend trusted order {self.order} to {order}"
             )
         return LaurentSeries(min(self.low, order), self.coeffs[: order - self.low], order)
-
-    def substitute(self, mapping) -> "LaurentSeries":
-        return LaurentSeries(
-            self.low, [c.substitute(mapping) for c in self.coeffs], self.order
-        )
 
     def text(self) -> str:
         s = self.normalized()

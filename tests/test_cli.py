@@ -175,6 +175,10 @@ COMMUTE_DIGESTS = {
         "6de6f4fb4102da1ca2c18e0350e78bb3774397b028357ef768db3eb309319a3b",
     ("cyclic:n=4,indices=-1|1|2|4,curve=lemniscatic", 3):
         "5911188e0404994b3c0e82f1d85a53f3e389b64b3f616edb2bf5875cf1f8b26a",
+    # a third-order partner at order 5 whose solve leaves 4 unknowns free
+    ("third:q=2,r=2,c=-3,e=3", 5): "db2ec36398c8dd410a06faa77fdf40ffb645dbf410993f6274df328f68a1fd1f",
+    # off the locus at order 5: the solve meets 7 nonzero residual rows
+    ("third:q=4,r=4,c=6,e=0", 5): "22fc34cee0515349529fd04aed6ba34c4ccb6d37a06c14cdd7d69bbfc40d3d5a",
 }
 
 

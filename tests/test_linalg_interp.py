@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rational function field and interpolation."""
+"""Exact linear algebra over a polynomial ring and interpolation."""
 
 import itertools
 import random
@@ -24,30 +24,36 @@ def test_solution_satisfies_system(rows):
     matrix = [[MultiPoly.const(v) for v in row] for row in rows]
     rhs = [MultiPoly.const(sum(row, Rat(0))) for row in rows]
     sol = solve_linear_over_field(matrix, rhs)
-    if sol.conditions:
-        return
-    values = sol.solution        # free unknowns come back as zero
-    for row, b in zip(rows, rhs):
-        acc = RatFunc(0)
-        for cf, x in zip(row, values):
-            acc = acc + x * cf
-        assert (acc - RatFunc(b)).is_zero()
+    # x = (1, 1, 1) solves it, and a constant pivot divides exactly
+    assert sol is not None
+    for row, b in zip(matrix, rhs):
+        acc = MultiPoly.zero()
+        for cf, x in zip(row, sol):     # free unknowns come back as zero
+            acc = acc + cf * x
+        assert (acc - b).is_zero()
 
 
 def test_all_ones_solution_exists():
-    # rhs is the row sum, so x = (1,1,1) must satisfy the system
+    # rhs is the row sum and the matrix is regular, so x = (1,1,1)
     rows = [[1, 2, 3], [2, 0, 1], [5, 5, 5]]
     matrix = [[MultiPoly.const(Rat(v)) for v in row] for row in rows]
     rhs = [MultiPoly.const(Rat(sum(row))) for row in rows]
     sol = solve_linear_over_field(matrix, rhs)
-    assert not sol.conditions
+    assert [v.text() for v in sol] == ["1", "1", "1"]
 
 
-def test_inconsistent_system_reports_conditions():
+def test_inconsistent_system_has_no_solution():
     matrix = [[MultiPoly.const(Rat(1))], [MultiPoly.const(Rat(1))]]
     rhs = [MultiPoly.const(Rat(1)), MultiPoly.const(Rat(2))]
-    sol = solve_linear_over_field(matrix, rhs)
-    assert sol.conditions
+    assert solve_linear_over_field(matrix, rhs) is None
+
+
+def test_a_solution_with_a_denominator_is_none():
+    # g2 x = 1 has the solution 1/g2, which is not in the polynomial ring;
+    # 2 x = 1 has 1/2, which is
+    one = MultiPoly.const(1)
+    assert solve_linear_over_field([[MultiPoly.var("g2")]], [one]) is None
+    assert solve_linear_over_field([[MultiPoly.const(2)]], [one]) == [MultiPoly.const(Rat(1, 2))]
 
 
 # -- interpolation -------------------------------------------------------------
@@ -183,26 +189,23 @@ def test_misshapen_system_is_rejected(matrix, rhs):
 
 
 def test_system_without_unknowns_reports_nonzero_rhs():
-    sol = solve_linear_over_field([[], [], []], [0, Rat(-2, 3), MultiPoly.var("c")])
-    assert sol.solution == [] and sol.free_variables == []
-    assert [c.text() for c in sol.conditions] == ["1", "c"]
-    assert solve_linear_over_field([], []) == type(sol)([], [], [])
+    zero = MultiPoly.zero()
+    rhs = [zero, MultiPoly.const(Rat(-2, 3)), MultiPoly.var("c")]
+    assert solve_linear_over_field([[], [], []], rhs) is None
+    assert solve_linear_over_field([[], []], [zero, zero]) == []
+    assert solve_linear_over_field([], []) == []
 
 
 # -- equivalence with plain dense elimination ----------------------------------
 #
-# The solver skips work known to be zero.  This copy does all of it, a
-# Bareiss update of every column, and must agree on every output.
+# The solver skips work known to be zero and back-substitutes in the
+# polynomial ring.  This copy does all of the elimination, a Bareiss update
+# of every column, and back-substitutes in RatFunc arithmetic; the two must
+# agree on every output.
 
 
 def _dense_bareiss_solve(matrix, rhs):
-    rows = []
-    for row, b in zip(matrix, rhs):
-        entries = [RatFunc.from_value(x) for x in row] + [RatFunc.from_value(b)]
-        den = MultiPoly.const(1)
-        for x in entries:
-            den = den * x.den
-        rows.append([x.num * exact_div(den, x.den) for x in entries])
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     nrows, ncols = len(rows), len(matrix[0])
     pivots, prev, prow = [], MultiPoly.const(1), 0
     for col in range(ncols):
@@ -219,16 +222,17 @@ def _dense_bareiss_solve(matrix, rhs):
         prow += 1
         if prow == nrows:
             break
-    conditions = [rows[r][ncols].primitive() for r in range(prow, nrows)
-                  if not rows[r][ncols].is_zero()]
-    free = [c for c in range(ncols) if c not in {col for _, col in pivots}]
+    if any(not rows[r][ncols].is_zero() for r in range(prow, nrows)):
+        return None
     solution = [RatFunc(0) for _ in range(ncols)]
     for r, col in reversed(pivots):
         acc = RatFunc(rows[r][ncols])
         for k in range(col + 1, ncols):
             acc = acc - RatFunc(rows[r][k]) * solution[k]
         solution[col] = acc / RatFunc(rows[r][col])
-    return solution, free, conditions
+    if not all(v.is_polynomial() for v in solution):
+        return None
+    return [v.as_poly() for v in solution]
 
 
 def _random_poly(rng):
@@ -244,8 +248,6 @@ def _random_poly(rng):
 def _random_entry(rng, density):
     if rng.random() > density:
         return MultiPoly.zero()
-    if rng.random() < 0.08:
-        return RatFunc(_random_poly(rng), MultiPoly.var("c") + rng.choice([1, -2, 3]))
     return _random_poly(rng)
 
 
@@ -255,6 +257,11 @@ def _random_sparse_system(seed):
     density = rng.choice([0.2, 0.35, 0.5, 0.8])
     matrix = [[_random_entry(rng, density) for _ in range(ncols)] for _ in range(nrows)]
     rhs = [_random_entry(rng, density) for _ in range(nrows)]
+    if rng.random() < 0.5:
+        # rhs = M x for a polynomial x: consistent, and the solution with
+        # free unknowns at 0 is often polynomial
+        x = [_random_poly(rng) for _ in range(ncols)]
+        rhs = [sum((a * v for a, v in zip(row, x)), MultiPoly.zero()) for row in matrix]
     if nrows > 1 and rng.random() < 0.4:
         # a repeated row: consistent with its copy, or not
         src, dst = rng.sample(range(nrows), 2)
@@ -264,7 +271,7 @@ def _random_sparse_system(seed):
 
 
 def _texts(values):
-    return [v.text() for v in values]
+    return None if values is None else [v.text() for v in values]
 
 
 @pytest.mark.parametrize("block", range(8))
@@ -272,7 +279,4 @@ def test_sparse_bareiss_matches_dense_elimination(block):
     for seed in range(25 * block, 25 * block + 25):
         matrix, rhs = _random_sparse_system(seed)
         got = solve_linear_over_field(matrix, rhs)
-        solution, free, conditions = _dense_bareiss_solve(matrix, rhs)
-        assert _texts(got.solution) == _texts(solution), seed
-        assert got.free_variables == free, seed
-        assert _texts(got.conditions) == _texts(conditions), seed
+        assert _texts(got) == _texts(_dense_bareiss_solve(matrix, rhs)), seed
