@@ -79,6 +79,7 @@ from .cm import (
 from .oracle import (
     MonodromyReport,
     PathError,
+    elliptic_batch_evaluator,
     elliptic_evaluator,
     integrability_verdict,
     monodromy_matrices,

@@ -51,8 +51,8 @@ from .lattice import HEX_TAU, make_lattice, reduce_to_cell, wp_eval
 from .series import wp_series_numeric
 from .oracle import (
     DEFAULT_LAMBDAS,
+    elliptic_batch_evaluator,
     elliptic_evaluator,
-    integrability_verdict,
     monodromy_matrices,
     monodromy_matrix,
 )
@@ -381,8 +381,9 @@ def criterion_numerical_monodromy(seed=0):
         worst = max(rep.deviation for rep in reports)
         if worst > 1e-7:
             return False, f"cyclic order-{op.n} deviation {worst}"
-    # exact locus membership vs loop transport, 10 randomized points
-    agree = 0
+    # exact locus membership vs loop transport, 10 randomized points on one
+    # loop: the reports come operator-major, DEFAULT_LAMBDAS per point
+    points, pairs = [], []
     for trial in range(10):
         q, r = [(1, 1), (2, 2), (4, 4), (5, 2), (5, 5)][trial % 5]
         on_locus = trial < 5
@@ -392,15 +393,17 @@ def criterion_numerical_monodromy(seed=0):
                 vals["e"] = vals["e"] + 0.05   # c is free on this locus
             else:
                 vals["c"] = vals["c"] * 1.01 + 0.01
-        op = third_order_from_gaps(q, r)
-        evv = elliptic_evaluator(op, vals, sq)
-        verdict, reports = integrability_verdict(evv, 3, 0.2 * sq.shortest)
-        worst = max(rep.deviation for rep in reports)
+        points.append((q, r, on_locus))
+        pairs.append((third_order_from_gaps(q, r), vals))
+    count = len(DEFAULT_LAMBDAS)
+    reports = monodromy_matrices(elliptic_batch_evaluator(pairs, sq), 3, 0,
+                                 0.2 * sq.shortest, DEFAULT_LAMBDAS)
+    for i, (q, r, on_locus) in enumerate(points):
+        worst = max(rep.deviation for rep in reports[i * count:(i + 1) * count])
         ok = (worst < 1e-8) if on_locus else (worst > 1e-6)
         if not ok:
             return False, f"(q,r)=({q},{r}) on={on_locus}: deviation {worst}"
-        agree += 1
-    return True, f"5 integrable + 1 obstructed + 3 cyclic + {agree} locus points"
+    return True, f"5 integrable + 1 obstructed + 3 cyclic + {len(points)} locus points"
 
 
 def _locus_point(q: int, r: int, lat, rng) -> dict:

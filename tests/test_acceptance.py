@@ -80,3 +80,45 @@ def test_a_wrong_closed_form_fails_its_criterion(monkeypatch, key, criterion, de
     form = acceptance.CLOSED_FORMS[key]
     monkeypatch.setitem(acceptance.CLOSED_FORMS, key, _bump_a_coefficient(form))
     assert criterion(0) == (False, detail)
+
+
+def test_numerical_monodromy_transports_its_locus_points_in_one_loop(monkeypatch):
+    # Lame a = -2, a = -5/2 and the three cyclic operators each take one
+    # loop; the ten locus points share the last one, 10 operators x 3
+    # spectral values of 3 x 3 matrices
+    import ellop.oracle as oracle
+
+    integrate = oracle.integrate
+    sizes = []
+
+    def counted(fun, y0, *args):
+        sizes.append(len(y0))
+        return integrate(fun, y0, *args)
+
+    monkeypatch.setattr(oracle, "integrate", counted)
+    ok, detail = acceptance.criterion_numerical_monodromy(0)
+    assert ok, detail
+    assert len(sizes) == 1 + 1 + 3 + 1
+    assert sizes[-1] == 10 * len(oracle.DEFAULT_LAMBDAS) * 3 * 3
+
+
+def test_an_on_locus_point_moved_off_fails_numerical_monodromy(monkeypatch):
+    # the second point, (2, 2), is on its locus; moved off it, the batched
+    # loop must still single it out, in the criterion's own words
+    locus_point = acceptance._locus_point
+    calls = []
+
+    def moved(q, r, lat, rng):
+        vals = locus_point(q, r, lat, rng)
+        calls.append((q, r))
+        if len(calls) == 2:
+            vals["c"] = vals["c"] * 1.01 + 0.01
+        return vals
+
+    monkeypatch.setattr(acceptance, "_locus_point", moved)
+    ok, detail = acceptance.criterion_numerical_monodromy(0)
+    assert calls[1] == (2, 2)
+    assert not ok
+    head, _, value = detail.rpartition(" ")
+    assert head == "(q,r)=(2,2) on=True: deviation"
+    assert float(value) >= 1e-8

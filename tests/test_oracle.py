@@ -13,6 +13,7 @@ from ellop.operators import GlobalEllipticOperator
 from ellop.lattice import make_lattice
 from ellop.operators import third_order_from_gaps
 from ellop.oracle import (
+    elliptic_batch_evaluator,
     elliptic_evaluator,
     integrability_verdict,
     monodromy_matrices,
@@ -23,6 +24,7 @@ from ellop.oracle import (
 SQ = make_lattice(1j)
 LAME = GlobalEllipticOperator(2, {2: EllipticElement([0, -2])})
 GENERIC = GlobalEllipticOperator(2, {2: EllipticElement([0, Rat(-5, 2)])})
+LAME6 = GlobalEllipticOperator(2, {2: EllipticElement([0, -6])})     # n = 2
 LAMS = (1.7 + 0.3j, -2 + 1j, 5j, -0.8j, 2.5 - 1.5j)
 
 
@@ -199,6 +201,108 @@ def test_verdict_evaluates_the_coefficients_once_per_step_for_all_values():
     assert 3 * batched <= calls[0]
 
 
+# three third-order operators: (1, 1) on its locus, whose c_0 is 0 where the
+# others' is not, then (2, 2) and (4, 4) off theirs
+THIRD_BATCH = [
+    (third_order_from_gaps(1, 1), {"c": 0.7, "e": 0.0}),
+    (third_order_from_gaps(2, 2), {"c": 0.5, "e": 1.25}),
+    (third_order_from_gaps(4, 4), {"c": 1.1 + 0.2j, "e": 0.3}),
+]
+
+
+@pytest.mark.parametrize("pairs, radius", [
+    ([(LAME, {}), (GENERIC, {}), (LAME6, {})], 0.15),
+    (THIRD_BATCH, 0.2),
+])
+def test_each_operator_of_a_batch_matches_its_solo_loop(pairs, radius):
+    # the step tolerance shrinks by sqrt(operators * values), so every block
+    # meets its solo error bound: the two runs agree within the tolerance's
+    # global error, and the reports come operator-major
+    n = pairs[0][0].n
+    lams = LAMS[:3]
+    tol = 1e-12
+    batch = monodromy_matrices(elliptic_batch_evaluator(pairs, SQ), n, 0,
+                               radius * SQ.shortest, lams, tol)
+    assert len(batch) == len(pairs) * len(lams)
+    assert [rep.lam for rep in batch] == list(lams) * len(pairs)
+    for i, (op, vals) in enumerate(pairs):
+        solo = monodromy_matrices(elliptic_evaluator(op, vals, SQ), n, 0,
+                                  radius * SQ.shortest, lams, tol)
+        for rep, ref in zip(batch[i * len(lams):(i + 1) * len(lams)], solo):
+            scale = max(1.0, float(np.max(np.abs(ref.matrix))))
+            assert np.max(np.abs(rep.matrix - ref.matrix)) <= 1e3 * tol * scale
+            assert abs(rep.deviation - ref.deviation) <= 1e3 * tol * scale
+
+
+def test_a_batch_reads_wp_once_per_coefficient_evaluation(monkeypatch):
+    import ellop.oracle as oracle
+
+    wp_calls, evaluations = [0], [0]
+    wp01 = oracle.wp01
+
+    def counted_wp01(z, lat):
+        wp_calls[0] += 1
+        return wp01(z, lat)
+
+    monkeypatch.setattr(oracle, "wp01", counted_wp01)
+    inner = elliptic_batch_evaluator(THIRD_BATCH, SQ)
+
+    def counted(z):
+        evaluations[0] += 1
+        return inner(z)
+
+    monodromy_matrices(counted, 3, 0, 0.2 * SQ.shortest, LAMS[:3])
+    assert evaluations[0] > 0
+    assert wp_calls[0] == evaluations[0]
+
+
+def test_one_pair_batch_and_batch_rows_keep_the_evaluator_bits():
+    # a batch of one is elliptic_evaluator; each operator's slice of a
+    # larger batch is that operator's own evaluation, bit for bit
+    one = elliptic_batch_evaluator([THIRD_BATCH[0]], SQ)
+    ev = elliptic_evaluator(*THIRD_BATCH[0], SQ)
+    batch = elliptic_batch_evaluator(THIRD_BATCH, SQ)
+    solos = [elliptic_evaluator(op, vals, SQ) for op, vals in THIRD_BATCH]
+    for frac in (0.05, 0.09, 0.11, 0.2, 0.45):
+        z = complex(frac * SQ.shortest * np.exp(0.7j))
+        want = ev(z)
+        assert struct.pack("<6d", *_parts(one(z))) == struct.pack("<6d", *_parts(want))
+        got = batch(z)
+        assert len(got) == 3 * len(THIRD_BATCH)
+        for i, solo in enumerate(solos):
+            assert (struct.pack("<6d", *_parts(got[3 * i:3 * i + 3]))
+                    == struct.pack("<6d", *_parts(solo(z))))
+
+
+def _parts(values):
+    return [x for v in values for x in (v.real, v.imag)]
+
+
+def test_batches_that_cannot_share_a_loop_are_rejected():
+    with pytest.raises(ValueError, match="order"):
+        elliptic_batch_evaluator([(LAME, {}), THIRD_BATCH[0]], SQ)
+    with pytest.raises(ValueError, match="at least one"):
+        elliptic_batch_evaluator([], SQ)
+    for size in (0, 3, 5):
+        with pytest.raises(ValueError, match="multiple"):
+            monodromy_matrices(lambda z, size=size: [0j] * size, 2, 0,
+                               0.15 * SQ.shortest, LAMS[:3])
+
+
+def test_verdict_of_a_batch_covers_every_operator():
+    # one verdict for the whole batch: trivial iff every operator is
+    radius = 0.15 * SQ.shortest
+    both = elliptic_batch_evaluator([(LAME, {}), (LAME6, {})], SQ)
+    verdict, reports = integrability_verdict(both, 2, radius)
+    assert verdict == "trivial"
+    assert len(reports) == 2 * 3
+    mixed = elliptic_batch_evaluator([(LAME, {}), (GENERIC, {}), (LAME6, {})], SQ)
+    verdict, reports = integrability_verdict(mixed, 2, radius)
+    assert verdict == "nontrivial"
+    devs = [rep.deviation for rep in reports]
+    assert max(devs[:3] + devs[6:]) < 1e-11 < 1e-2 < min(devs[3:6])
+
+
 @pytest.mark.parametrize("op, radius, tol, lams", [
     (LAME, 0.15, 1e-12, LAMS[:3]),     # smooth: every step accepted
     (GENERIC, 0.3, 1e-8, LAMS[:1]),    # a = -5/2: rejects steps
@@ -250,13 +354,19 @@ def test_invalid_tolerance_is_rejected(tol):
 
 
 def test_tolerance_below_the_integrator_floor_is_rejected():
-    # the integrator's floor is scipy's, 100*eps (about 2.2e-14); the
-    # batch tightens tol by sqrt(len(lams)), so 4e-14 fails for 4 values
+    # the integrator's floor is scipy's, 100*eps (about 2.2e-14); a batch
+    # of values tightens tol by sqrt(len(lams)), so 4e-14 fails for 4 values
     ev = elliptic_evaluator(LAME, {}, SQ)
     with pytest.raises(ValueError, match="tolerance"):
         monodromy_matrices(ev, 2, 0, 0.15 * SQ.shortest, LAMS[:4], 4e-14)
     with pytest.raises(ValueError, match="tolerance"):
         monodromy_matrix(ev, 2, 0, 0.15 * SQ.shortest, 1.0, 1e-14)
+    # and by sqrt(operators * len(lams)) for a batch: 6e-14 holds for one
+    # operator and 3 values, not for 3 operators and 3 values
+    lame3 = elliptic_batch_evaluator([(LAME, {})] * 3, SQ)
+    monodromy_matrices(ev, 2, 0, 0.15 * SQ.shortest, LAMS[:3], 6e-14)
+    with pytest.raises(ValueError, match="tolerance 6e-14 over 9 spectral"):
+        monodromy_matrices(lame3, 2, 0, 0.15 * SQ.shortest, LAMS[:3], 6e-14)
 
 
 # SHA-256 over the matrix bytes, deviation and determinant of every report
