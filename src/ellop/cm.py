@@ -10,9 +10,10 @@ p_1..p_n and c, 2n unknowns for the 2n residuals.
 
 All evaluators accept either a Lattice or a bare kernel(z, d) callable, so
 the rational (1/z^2) and trigonometric (1/sin^2) degenerations reuse the
-same residual code.  A point, or a difference of two points, within 1e-8 of
-a pole is rejected; the poles are the lattice points for a Lattice, pi*Z for
-trigonometric_kernel, and {0} for any other callable.
+same residual code.  A point, or a difference of two points, near a pole is
+rejected: within 1e-8 shortest periods of a lattice point for a Lattice, the
+rule of lattice.wp01, and within 1e-8 of pi*Z for trigonometric_kernel or of
+0 for any other callable.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ _COLLISION_TOL = 1e-8
 
 
 def _on_pole(z: complex, ev) -> bool:
-    """Is z within _COLLISION_TOL of a pole of the kernel ev stands for?"""
+    """Is z within _COLLISION_TOL of a pole of the kernel ev stands for, in
+    units of the shortest period for a Lattice?"""
     if isinstance(ev, Lattice):
-        z = reduce_to_cell(z, ev)
-    elif ev is trigonometric_kernel:
+        return abs(reduce_to_cell(z, ev)) < _COLLISION_TOL * ev.shortest
+    if ev is trigonometric_kernel:
         x = z.real % math.pi
         z = complex(min(x, math.pi - x), z.imag)
     return abs(z) < _COLLISION_TOL

@@ -8,15 +8,9 @@ denominators in the parameters.
 
 from __future__ import annotations
 
-from .rationals import Rat, as_rat
-from .poly import MultiPoly
+from .rationals import Rat
+from .poly import MultiPoly, as_multipoly
 from .series import LaurentSeries, wp_power_coefficient
-
-
-def _coerce(c):
-    if isinstance(c, MultiPoly):
-        return c
-    return MultiPoly.const(as_rat(c))
 
 
 def _trim(lst):
@@ -61,8 +55,8 @@ class EllipticElement:
     __slots__ = ("part0", "part1")
 
     def __init__(self, part0=(), part1=()):
-        self.part0 = _trim([_coerce(c) for c in part0])
-        self.part1 = _trim([_coerce(c) for c in part1])
+        self.part0 = _trim([as_multipoly(c) for c in part0])
+        self.part1 = _trim([as_multipoly(c) for c in part1])
 
     @classmethod
     def const(cls, c):
@@ -82,10 +76,6 @@ class EllipticElement:
 
     def is_zero(self):
         return not self.part0 and not self.part1
-
-    def is_constant(self):
-        """No P or P' dependence (the coefficient may still involve g2, g3)."""
-        return not self.part1 and len(self.part0) <= 1
 
     # -- ring operations ---------------------------------------------------
 
@@ -167,12 +157,9 @@ class EllipticElement:
             coeffs.append(sum(terms[1:], terms[0]) if terms else MultiPoly.zero())
         return LaurentSeries(low, coeffs, K)
 
-    def series_constant_term(self) -> MultiPoly:
-        return self.to_series(1).coefficient(0)
-
     def drop_constant(self) -> "EllipticElement":
         """Subtract the constant term of the Laurent expansion at 0."""
-        return self - EllipticElement.const(self.series_constant_term())
+        return self - EllipticElement.const(self.to_series(1).coefficient(0))
 
     def text(self) -> str:
         chunks = []

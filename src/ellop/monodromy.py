@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .rationals import Rat, ZERO, as_rat, falling_factorial
-from .poly import MultiPoly, sort_vars, sum_of_products
+from .poly import MultiPoly, as_multipoly, sort_vars, sum_of_products
 from .series import LaurentSeries, TruncationError
 from .operators import LocalOperator, _homogeneous_horner, homogeneous_integrable
 
@@ -249,8 +249,8 @@ def second_order_conditions(m: int, u: LaurentSeries) -> ConstraintSet:
 def two_gap_conditions(a_coeffs, b_coeffs) -> ConstraintSet:
     """Conditions for gaps (2,2): a(z) = sum a_k z^(k-2), b(z) = sum
     b_k z^(k-3), normalized a0 = -3, b0 = 3 (indices -1, 1, 3)."""
-    a = [_as_mp(x) for x in a_coeffs]
-    b = [_as_mp(x) for x in b_coeffs]
+    a = [as_multipoly(x) for x in a_coeffs]
+    b = [as_multipoly(x) for x in b_coeffs]
     if len(a) < 5 or len(b) < 5:
         raise ValueError("need coefficients a0..a4 and b0..b4")
     if not (a[0] - Rat(-3)).is_zero() or not (b[0] - Rat(3)).is_zero():
@@ -267,9 +267,3 @@ def two_gap_conditions(a_coeffs, b_coeffs) -> ConstraintSet:
             continue
         conditions.append(Condition(p.primitive(), 0, (3, Rat(-1), offset)))
     return ConstraintSet(3, tuple(conditions))
-
-
-def _as_mp(x):
-    if isinstance(x, MultiPoly):
-        return x
-    return MultiPoly.const(as_rat(x))

@@ -10,7 +10,7 @@ import warnings
 from dataclasses import dataclass
 
 from .rationals import ONE, Rat, ZERO, as_rat
-from .poly import MultiPoly
+from .poly import MultiPoly, remainder_sequence
 from .series import LaurentSeries
 from .elliptic import EllipticElement
 from .linalg import solve_linear_over_field
@@ -222,30 +222,6 @@ def _sign_changes(seq, t: int, s: int) -> int:
     return out
 
 
-def _sturm(a):
-    """The Sturm sequence a, a', -rem(a, a'), ... of an integer polynomial
-    (low to high), each member a positive multiple of the true one with
-    primitive integer coefficients, made by fraction-free division."""
-    seq = [a, [i * c for i, c in enumerate(a)][1:]]
-    while len(seq[-1]) > 1:
-        r, b = list(seq[-2]), seq[-1]
-        lead, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
-        # r -> |lc(b)| r - sign(lc(b)) lc(r) x^shift b: a positive multiple
-        # of the remainder step r - (lc(r)/lc(b)) x^shift b
-        while len(r) >= len(b):
-            f = sign * r[-1]
-            shift = len(r) - len(b)
-            r = [lead * c - (f * b[i - shift] if i >= shift else 0)
-                 for i, c in enumerate(r[:-1])]
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-        g = math.gcd(*r)
-        seq.append([-c // g for c in r])
-    return seq
-
-
 def _rational_roots(poly):
     """Rational roots (with multiplicity) of a rational-coefficient
     polynomial given as a coefficient list, low to high, in the order
@@ -271,7 +247,7 @@ def _rational_roots(poly):
     if len(a) < 2:
         return roots
     top = abs(a[-1])
-    seq = _sturm(a)
+    seq = remainder_sequence(a, [i * c for i, c in enumerate(a)][1:])  # a's Sturm sequence
     # |x| <= 2 max_i (|a_(d-i)| / top)^(1/i) (Fujiwara) <= 2^(1+e), as
     # |c| / top < 2^(bits(c) - bits(top) + 1)
     d, bits = len(a) - 1, top.bit_length()
@@ -320,10 +296,6 @@ class GlobalEllipticOperator:
         self.n = n
         self.coeffs = {i: coeffs.get(i, EllipticElement.zero()) for i in range(2, n + 1)}
 
-    @property
-    def order(self):
-        return self.n
-
     def as_opdict(self):
         d = {self.n: EllipticElement.const(1)}
         for i, c in self.coeffs.items():
@@ -349,24 +321,6 @@ class GlobalEllipticOperator:
                 raise ValueError("adjoint produced a d^(n-1) term")
             coeffs[self.n - p] = c
         return GlobalEllipticOperator(self.n, coeffs)
-
-    def text(self) -> str:
-        chunks = [f"D^{self.n}"]
-        for i in range(2, self.n + 1):
-            c = self.coeffs[i]
-            if c.is_zero():
-                continue
-            p = self.n - i
-            body = c.text()
-            if p == 0:
-                chunks.append(f"({body})" if " " in body else body)
-            else:
-                dpart = "D" if p == 1 else f"D^{p}"
-                chunks.append(f"({body})*{dpart}")
-        return " + ".join(chunks)
-
-    def __str__(self):
-        return self.text()
 
 
 def adjoint_opdict(op: dict, one):
@@ -499,7 +453,7 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
     L, and the right-hand side is -[L, D^m].  The system is solved in the
     polynomial ring: no partner is found when it is inconsistent or its
     solution with the free unknowns at 0 has a denominator."""
-    n = L.order
+    n = L.n
     if math.gcd(n, m) != 1:
         raise ValueError(f"order {m} not coprime to {n}")
     if m < 1:

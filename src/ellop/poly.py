@@ -15,8 +15,8 @@ field is a guard bit, so exponents range over 0 .. MAX_EXPONENT = 32767: a
 sum of two exponents never carries into the neighbouring field, and an
 operation whose result would hold a larger exponent raises OverflowError
 instead of returning a wrong polynomial.  Nothing
-outside this module reads keys; `items`, `from_terms`, `leading` and
-`monomial_vars` speak in exponent tuples.
+outside this module reads keys; `items`, `from_terms` and `monomial_vars`
+speak in exponent tuples.
 
 Sums of products go through one kernel, `sum_of_products`: (sum of s*P*Q) /
 divisor over one universe, accumulated in a single integer dict over the lcm
@@ -402,12 +402,6 @@ class MultiPoly:
 
     # -- degrees and ordering --------------------------------------------
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        n = len(self.vars)
-        return max(sum(_unpack(k, n)) for k in self.terms)
-
     def _weight(self):
         """The homothety weight of a packed monomial."""
         n = len(self.vars)
@@ -424,30 +418,7 @@ class MultiPoly:
         """The set of homothety weights of the terms, in one pass."""
         return set(map(self._weight(), self.terms))
 
-    def weighted_degree(self):
-        """Max homothety weight over terms; -1 for the zero polynomial."""
-        return max(self.weights(), default=-1)
-
-    def is_weighted_homogeneous(self):
-        return len(self.weights()) <= 1
-
-    def leading(self):
-        """(exponent tuple, coefficient) of the greatest monomial."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms, key=self._order())
-        return _unpack(key, len(self.vars)), Rat(self.terms[key], self.denom)
-
-    def leading_coeff(self):
-        return self.leading()[1]
-
     # -- normalization ----------------------------------------------------
-
-    def content(self):
-        """Positive rational c such that self/c has coprime integer coefficients."""
-        if not self.terms:
-            return Rat(1)
-        return Rat(math.gcd(*self.terms.values()), self.denom)
 
     def primitive(self):
         """self divided by signed content: content 1, positive leading coeff."""
@@ -491,8 +462,7 @@ class MultiPoly:
         Returns a MultiPoly, made by one `sum_of_products` call.  Any other
         value, a RatFunc included, raises TypeError.
         """
-        vals = {k: v if isinstance(v, MultiPoly) else MultiPoly.const(as_rat(v))
-                for k, v in mapping.items()}
+        vals = {k: as_multipoly(v) for k, v in mapping.items()}
         n = len(self.vars)
         used = _unpack(functools.reduce(operator.or_, self.terms, 0), n)
         universe = sort_vars([u for v, p in zip(self.vars, used) if p
@@ -587,6 +557,12 @@ class MultiPoly:
         return f"MultiPoly({self.text()})"
 
 
+def as_multipoly(c) -> MultiPoly:
+    """c itself if it is a MultiPoly, else the constant polynomial of the
+    rational c (TypeError for anything else)."""
+    return c if isinstance(c, MultiPoly) else MultiPoly.const(c)
+
+
 # -- polynomial division ---------------------------------------------------
 
 
@@ -644,34 +620,58 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     return q
 
 
+def remainder_sequence(a, b):
+    """The remainder sequence a, b, -rem(a, b), ... of two integer
+    polynomials (coefficient lists, low to high, b without trailing zeros):
+    each member after b is a positive multiple of the negated remainder of
+    the two before it, with primitive integer coefficients, made by
+    fraction-free division (the primitive PRS, Knuth, TAOCP vol. 2,
+    4.6.1).  It ends at a constant member or before a zero remainder, so
+    for b = a' it is a Sturm sequence, and for any pair its last nonzero
+    member is a gcd."""
+    seq = [a, b]
+    while len(seq[-1]) > 1:
+        r, b = list(seq[-2]), seq[-1]
+        lead, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        # r -> |lc(b)| r - sign(lc(b)) lc(r) x^shift b: a positive multiple
+        # of the remainder step r - (lc(r)/lc(b)) x^shift b
+        while len(r) >= len(b):
+            f = sign * r[-1]
+            shift = len(r) - len(b)
+            r = [lead * c - (f * b[i - shift] if i >= shift else 0)
+                 for i, c in enumerate(r[:-1])]
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        g = math.gcd(*r)
+        seq.append([-c // g for c in r])
+    return seq
+
+
+def _numerators_in(p: MultiPoly, name: str):
+    """The integer numerators of p, univariate in `name`, as a coefficient
+    list low to high: p's own, a positive multiple of p, since they share
+    one denominator."""
+    if not p.used_vars() <= {name}:
+        raise ValueError(f"{p} is not univariate in {name}")
+    if not p.terms:
+        return []
+    # every key is (exponent of name) << shift: no other variable is used
+    shift = _BITS * (len(p.vars) - 1 - p.vars.index(name)) if name in p.vars else 0
+    out = [0] * ((max(p.terms) >> shift) + 1)
+    for k, c in p.terms.items():
+        out[k >> shift] = c
+    return out
+
+
 def gcd_univariate(a: MultiPoly, b: MultiPoly, name: str) -> MultiPoly:
-    """Monic-free gcd of two polynomials univariate in `name` (primitive)."""
-
-    def to_coeffs(p):
-        d = p.coefficients_in(name)
-        if any(not c.is_constant() for c in d.values()):
-            raise ValueError(f"{p} is not univariate in {name}")
-        n = max(d) if d else 0
-        return [d.get(i, MultiPoly.zero()).constant_value() if i in d else ZERO for i in range(n + 1)]
-
-    fa, fb = to_coeffs(a), to_coeffs(b)
-
-    def norm(f):
-        while f and f[-1] == 0:
-            f.pop()
-        return f
-
-    fa, fb = norm(fa), norm(fb)
-    while fb:
-        # fa mod fb
-        while len(fa) >= len(fb) and fa:
-            k = fa[-1] / fb[-1]
-            off = len(fa) - len(fb)
-            fa = [c - k * fb[i - off] if i >= off else c for i, c in enumerate(fa[:-1])]
-            fa = norm(fa)
-        fa, fb = fb, fa
-    out = MultiPoly.from_terms((name,), {(i,): c for i, c in enumerate(fa)})
-    return out.primitive() if not out.is_zero() else MultiPoly.const(1)
+    """The gcd of two polynomials univariate in `name`, primitive with a
+    positive leading coefficient: the last nonzero member of their
+    remainder sequence, or 1 if both are zero."""
+    seq = remainder_sequence(_numerators_in(a, name), _numerators_in(b, name))
+    g = next((p for p in reversed(seq) if p), [1])
+    return MultiPoly((name,), {e: c for e, c in enumerate(g) if c}).primitive()
 
 
 # -- rational functions -----------------------------------------------------
@@ -685,12 +685,7 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if not isinstance(num, MultiPoly):
-            num = MultiPoly.const(as_rat(num))
-        if den is None:
-            den = MultiPoly.const(1)
-        elif not isinstance(den, MultiPoly):
-            den = MultiPoly.const(as_rat(den))
+        num, den = as_multipoly(num), as_multipoly(1 if den is None else den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         num, den = MultiPoly.align(num, den)
@@ -711,16 +706,14 @@ class RatFunc:
                 if len(nv | dv) == 1 and len(common) == 1:
                     (v,) = common
                     g = gcd_univariate(num, den, v)
-                    if g.total_degree() > 0:
+                    if not g.is_constant():
                         num = exact_div(num, g)
                         den = exact_div(den, g)
-                # normalize sign/content of the denominator
-                c = den.content()
-                if not den.is_zero() and den.leading_coeff() < 0:
-                    c = -c
-                inv = 1 / c
-                den = den * inv
-                num = num * inv
+                # divide both by the denominator's signed content
+                prim = den.primitive()
+                k = next(iter(den.terms))
+                num = num * Rat(den.denom * prim.terms[k], den.terms[k])
+                den = prim
             num, den = MultiPoly.align(num, den)
         self.num = num
         self.den = den
@@ -742,18 +735,11 @@ class RatFunc:
             raise ValueError(f"not a polynomial: {self}")
         return self.num * (1 / self.den.constant_value())
 
-    def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
-
     def constant_value(self):
         return self.num.constant_value() / self.den.constant_value()
 
     def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, MultiPoly):
-            return RatFunc(other)
-        return RatFunc(MultiPoly.const(as_rat(other)))
+        return other if isinstance(other, RatFunc) else RatFunc(other)
 
     def __add__(self, other):
         try:
@@ -812,12 +798,6 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("substitution produced a zero denominator")
         return RatFunc(self.num.substitute(mapping), den)
-
-    def evaluate(self, mapping):
-        d = self.den.evaluate(mapping)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at the point")
-        return self.num.evaluate(mapping) / d
 
     def evaluate_exact(self, mapping):
         d = self.den.evaluate_exact(mapping)

@@ -4,18 +4,12 @@ from __future__ import annotations
 
 from functools import cache
 
-from .rationals import Rat, as_rat
-from .poly import MultiPoly
+from .rationals import Rat
+from .poly import MultiPoly, as_multipoly
 
 
 class TruncationError(Exception):
     """A coefficient beyond the trusted truncation order was requested."""
-
-
-def _coerce_coeff(c):
-    if isinstance(c, MultiPoly):
-        return c
-    return MultiPoly.const(as_rat(c))
 
 
 class LaurentSeries:
@@ -30,7 +24,7 @@ class LaurentSeries:
     __slots__ = ("low", "coeffs", "order")
 
     def __init__(self, low: int, coeffs, order: int):
-        coeffs = [_coerce_coeff(c) for c in coeffs]
+        coeffs = [as_multipoly(c) for c in coeffs]
         if order < low:
             raise ValueError("truncation order below lowest exponent")
         want = order - low
@@ -52,8 +46,7 @@ class LaurentSeries:
     def monomial(cls, coeff, expo: int, order: int):
         if expo >= order:
             return cls.zero(order)
-        c = _coerce_coeff(coeff)
-        return cls(expo, [c], order)
+        return cls(expo, [coeff], order)
 
     # -- access ------------------------------------------------------------
 
@@ -107,7 +100,7 @@ class LaurentSeries:
 
     def __mul__(self, other):
         if not isinstance(other, LaurentSeries):
-            c = _coerce_coeff(other)
+            c = as_multipoly(other)
             return LaurentSeries(self.low, [x * c for x in self.coeffs], self.order)
         # product trusted while both factors are trusted
         order = min(self.low + other.order, other.low + self.order)

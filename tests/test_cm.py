@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ellop.lattice import make_lattice, rational_kernel, trigonometric_kernel
+from ellop.lattice import make_lattice, rational_kernel, trigonometric_kernel, wp_eval
 from ellop.cm import (
     CMConfig2,
     CMConfig3,
@@ -53,6 +53,20 @@ def test_the_trigonometric_kernel_rejects_points_a_period_apart():
     res = finite_gap_residuals(CMConfig2([0.3, 0.3 + math.pi / 2], [1, 1]),
                                trigonometric_kernel)
     assert len(res) == 2 and all(cmath.isfinite(v) for v in res)
+
+
+def test_the_pole_test_on_a_lattice_is_in_units_of_the_shortest_period():
+    # on tau = 1e-9i every point lies within 1e-8 of a lattice point in
+    # absolute units, yet wp evaluates there; within 1e-8 shortest periods
+    # of a pole is still rejected
+    lat = make_lattice(1e-9j)
+    zs = (3e-10 + 1e-10j, 6e-10 + 3e-10j)
+    res = finite_gap_residuals(CMConfig2(zs, (1, 1)), lat)
+    assert res == [2 * wp_eval(zs[0] - zs[1], lat, 1), 2 * wp_eval(zs[1] - zs[0], lat, 1)]
+    with pytest.raises(InvalidConfigurationError, match="sits on a pole"):
+        CMConfig2([1e-18], [1]).validate(lat)
+    with pytest.raises(InvalidConfigurationError, match="coincide"):
+        CMConfig2([zs[0], zs[0] + 1e-18], [1, 1]).validate(lat)
 
 
 def test_residuals_at_half_period_configuration():
@@ -138,14 +152,22 @@ def test_cryst3_residuals_match_hamiltonian_gradient():
 
 
 def test_cryst3_hamiltonian_gradient_numerically():
-    cfg = Cryst3Config([0.31 + 0.09j], [0.4 + 0.2j], (1.1, 0.9, 1.3), (0.2, 0.1, -0.4))
-    grad = cryst3_grad_H(cfg)
+    alphas, betas = (1.1, 0.9, 1.3), (0.2, 0.1, -0.4)
     h = 1e-6
-    up = cryst3_H(Cryst3Config([cfg.points[0]], [cfg.momenta[0] + h],
-                               cfg.alphas, cfg.betas))
-    dn = cryst3_H(Cryst3Config([cfg.points[0]], [cfg.momenta[0] - h],
-                               cfg.alphas, cfg.betas))
-    assert abs((up - dn) / (2 * h) - grad[0]) < 1e-4 * max(1.0, abs(grad[0]))
+    # one point, then two: with two, H's orbit interaction terms take part
+    for zs, ps in (([0.31 + 0.09j], [0.4 + 0.2j]),
+                   ([0.31 + 0.09j, -0.12 + 0.27j], [0.4 + 0.2j, -0.3 + 0.1j])):
+        n = len(zs)
+        grad = cryst3_grad_H(Cryst3Config(zs, ps, alphas, betas))
+        for i in range(n):
+            def H(dz, dp):
+                return cryst3_H(Cryst3Config(
+                    [z + (dz if j == i else 0) for j, z in enumerate(zs)],
+                    [p + (dp if j == i else 0) for j, p in enumerate(ps)], alphas, betas))
+            dp = (H(0, h) - H(0, -h)) / (2 * h)
+            dz = (H(h, 0) - H(-h, 0)) / (2 * h)
+            assert abs(dp - grad[i]) < 1e-4 * max(1.0, abs(grad[i])), (n, i)
+            assert abs(dz - grad[n + i]) < 1e-4 * max(1.0, abs(grad[n + i])), (n, i)
 
 
 def test_inozemtsev_gradient_is_du_dz():

@@ -324,6 +324,15 @@ def test_wp_higher_derivatives_consistent():
     assert abs(wp_eval(z, SQ, 3) - 12 * w * w1) < 1e-8
 
 
+@pytest.mark.parametrize("lat", [SQ, HX], ids=["SQ", "HX"])
+def test_wp_fourth_and_fifth_derivatives_are_central_differences(lat):
+    h = 1e-5
+    for z in (0.3 + 0.2j, 0.17 + 0.41j):
+        for d in (4, 5):
+            diff = (wp_eval(z + h, lat, d - 1) - wp_eval(z - h, lat, d - 1)) / (2 * h)
+            assert abs(diff - wp_eval(z, lat, d)) < 1e-6 * abs(wp_eval(z, lat, d)), (z, d)
+
+
 def test_wp_series_path_matches_theta_path():
     # points just inside and outside the series switchover radius agree
     for scale in (0.08, 0.12):

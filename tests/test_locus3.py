@@ -133,6 +133,15 @@ def test_scan_degenerate_curves():
         scan_grid([2], curve="smooth")
 
 
+def test_nodal_scan_solves_a_square_relation():
+    # from r = 13 on, the nodal solve leaves c^2 = f(w) and reduces the
+    # remaining conditions modulo it
+    (row,) = scan_grid([13], q_offset=0, curve="nodal").rows
+    assert (row.r, row.q, row.branch, row.classification) == (13, 13, 0, "unsolved")
+    assert (row.c_text, row.g2_text, row.g3_text, row.j_text) == (
+        "c^2 = 54208/57*w^2", "3*w^2", "w^3", "infinite")
+
+
 def test_high_r_branches_are_not_solvable():
     report = scan_grid([11], q_offset=3)
     assert report.supports_conjecture

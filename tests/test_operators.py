@@ -112,7 +112,7 @@ def test_invalid_gaps_rejected(q, r):
 def test_third_order_operator_shape():
     L = third_order_from_gaps(2, 2)
     # D^3 + (aP + c)D + (bP' + eP) with a = -3, b = -3/2 for gaps (2,2)
-    assert L.order == 3
+    assert L.n == 3
     a2 = L.coeffs[2]
     a3 = L.coeffs[3]
     assert a2.part0[1] == MultiPoly.const(Rat(-3))

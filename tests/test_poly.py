@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ellop.rationals import Rat, as_rat, falling_factorial, rat_str
-from ellop.poly import (MAX_EXPONENT, WEIGHTS, MultiPoly, RatFunc, exact_div, sort_vars,
-                        sum_of_products, try_div)
+from ellop.poly import (MAX_EXPONENT, WEIGHTS, MultiPoly, RatFunc, exact_div,
+                        gcd_univariate, remainder_sequence, sort_vars, sum_of_products,
+                        try_div)
 
 
 rats = st.fractions(
@@ -92,10 +93,9 @@ def test_primitive_and_content():
 def test_weighted_homogeneity():
     # weights: e = 1, c = 2, g2 = 4
     p = MultiPoly.var("c", 1) * MultiPoly.var("e", 2) + MultiPoly.var("g2")
-    assert p.is_weighted_homogeneous()
-    assert p.weighted_degree() == 4
+    assert p.weights() == {4}
     q = p + MultiPoly.var("e")
-    assert not q.is_weighted_homogeneous()
+    assert q.weights() == {1, 4}
 
 
 def test_exact_division():
@@ -168,6 +168,113 @@ def test_hash_ignores_unused_universe_variables():
     assert hash(MultiPoly.const(Rat(5, 2), ("c",))) == hash(Rat(5, 2))
     den = MultiPoly.var("g2") + 1
     assert hash(RatFunc(p, den)) == hash(RatFunc(q, den))
+
+
+def test_ratfunc_divides_by_the_signed_content_of_a_multivariate_denominator():
+    c, e, x = MultiPoly.var("c"), MultiPoly.var("e"), MultiPoly.var("x")
+    # -3/2 c^2 + 6 e: its leading term, c^2, is negative, and no univariate
+    # gcd applies; so num and den are divided by the signed content -3/2
+    f = RatFunc(c + e, c**2 * Rat(-3, 2) + e * 6)
+    assert f.num.items() == ((c + e) * Rat(-2, 3)).items()
+    assert f.den.items() == (c**2 - e * 4).items()
+    assert (f.num.denom, f.den.denom) == (3, 1)
+    # univariate: the common factor x - 1 cancels first
+    f = RatFunc((x - 1) * (x + 2), (x - 1) * (x + 3) * -2)
+    assert (f.num.items(), f.den.items()) == (((x + 2) * Rat(-1, 2)).items(), (x + 3).items())
+
+
+# -- the remainder sequence against a Fraction Euclid ------------------------
+
+
+def _strip(f):
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def ref_rem(a, b):
+    """The remainder of a by b over the rationals, low to high."""
+    r = [Fraction(v) for v in a]
+    while len(r) >= len(b):
+        k, off = r[-1] / b[-1], len(r) - len(b)
+        r = [v - k * b[i - off] if i >= off else v for i, v in enumerate(r[:-1])]
+    return _strip(r)
+
+
+def ref_gcd(a, b):
+    """Euclid over Fraction lists; the gcd as primitive integers, positive
+    leading coefficient; [] if a = b = 0."""
+    while b:
+        a, b = b, ref_rem(a, b)
+    if not a:
+        return []
+    scale = math.lcm(*(Fraction(v).denominator for v in a)) * (1 if a[-1] > 0 else -1)
+    ints = [int(v * scale) for v in a]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _proportional(p, q):
+    """Is p a positive multiple of q?"""
+    return len(p) == len(q) and p[-1] * q[-1] > 0 and all(
+        x * q[-1] == y * p[-1] for x, y in zip(p, q))
+
+
+def _coefficient_list(p: MultiPoly):
+    out = [0] * (p.degree_in("x") + 1) if p.terms else []
+    for (e,), cf in p.in_universe(("x",)).items():
+        out[e] = cf
+    return out
+
+
+def _random_pair(rnd):
+    def poly(deg):
+        return [rnd.randint(-9, 9) for _ in range(deg)] + [rnd.choice([-3, -2, -1, 1, 2, 5])]
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, u in enumerate(p):
+            for j, v in enumerate(q):
+                out[i + j] += u * v
+        return out
+
+    g = poly(rnd.randint(0, 2))       # degree 0: usually a coprime pair
+    return mul(g, poly(rnd.randint(0, 5))), mul(g, poly(rnd.randint(0, 5)))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_remainder_sequence_and_gcd_match_the_fraction_reference(seed):
+    rnd = random.Random(seed)
+    a, b = _random_pair(rnd)
+    seq = remainder_sequence(a, b)
+    assert seq[:2] == [a, b]
+    for k in range(2, len(seq)):
+        assert seq[k] and math.gcd(*seq[k]) == 1
+        assert _proportional(seq[k], [-v for v in ref_rem(seq[k - 2], seq[k - 1])])
+    assert len(seq[-1]) == 1 or not ref_rem(seq[-2], seq[-1])
+    g = ref_gcd(a, b)                                 # up to sign
+    assert _proportional(seq[-1], g) or _proportional([-v for v in seq[-1]], g)
+    # gcd_univariate reads the numerators of polynomials with denominators,
+    # over universes holding variables they do not use
+    d = rnd.randint(1, 12)
+    A = MultiPoly.from_terms(("c", "x"), {(0, i): Rat(v, d) for i, v in enumerate(a)})
+    B = MultiPoly.from_terms(("x", "y"), {(i, 0): Rat(v, 7) for i, v in enumerate(b)})
+    assert _coefficient_list(gcd_univariate(A, B, "x")) == g
+
+
+def test_remainder_sequence_and_gcd_edge_cases():
+    x = MultiPoly.var("x")
+    a, b = [2, 0, 1], [1, 1, 3, 1]                  # deg b > deg a
+    assert _proportional(remainder_sequence(a, b)[2], [-v for v in a])
+    assert _coefficient_list(gcd_univariate(x**2 + 2, x**3 + 3 * x**2 + x + 1, "x")) == [1]
+    # one zero input: the gcd is the other polynomial, made primitive
+    for p, q in ((x * 6 - 4, MultiPoly.zero()), (MultiPoly.zero(), x * -6 + 4)):
+        assert _coefficient_list(gcd_univariate(p, q, "x")) == [-2, 3]
+    assert remainder_sequence([-4, 6], []) == [[-4, 6], []]
+    assert remainder_sequence([], [-4, 6]) == [[], [-4, 6]]
+    assert gcd_univariate(MultiPoly.zero(), MultiPoly.zero(), "x") == 1
+    with pytest.raises(ValueError, match="not univariate"):
+        gcd_univariate(x * MultiPoly.var("c"), x, "x")
 
 
 # -- the packed kernel against a dict-of-Fraction reference -------------------
