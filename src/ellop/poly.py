@@ -651,8 +651,7 @@ def remainder_sequence(a, b):
 
 def _numerators_in(p: MultiPoly, name: str):
     """The integer numerators of p, univariate in `name`, as a coefficient
-    list low to high: p's own, a positive multiple of p, since they share
-    one denominator."""
+    list low to high: p times its positive common denominator."""
     if not p.used_vars() <= {name}:
         raise ValueError(f"{p} is not univariate in {name}")
     if not p.terms:
