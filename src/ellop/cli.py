@@ -24,6 +24,7 @@ from .operators import (
     _rational_roots,
     cyclic_L0,
     find_commuting,
+    homogeneous_integrable,
     indicial_coefficients,
     third_order_from_gaps,
 )
@@ -36,6 +37,18 @@ from .locus3 import (
 )
 from .lattice import make_lattice
 from .oracle import PathError, elliptic_evaluator, monodromy_matrix
+from .cm import (
+    CMConfig2,
+    CMConfig3,
+    Cryst3Config,
+    cm3_residuals,
+    cryst3_grad_H,
+    cryst3_residuals,
+    finite_gap_residuals,
+    inozemtsev_gradient,
+    newton_critical,
+    pinned_cm3_system,
+)
 from . import acceptance
 
 
@@ -213,10 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _cmd_indicial(args) -> int:
-    n = args.n
+def _order_below_2(n: int) -> bool:
+    """Say so on stderr if n is below 2: no operator has such an order."""
     if n < 2:
         print("order must be at least 2", file=sys.stderr)
+    return n < 2
+
+
+def _cmd_indicial(args) -> int:
+    n = args.n
+    if _order_below_2(n):
         return 2
     if n > _INDICIAL_MAX_N:
         raise ValueError(f"order must be at most {_INDICIAL_MAX_N}: "
@@ -229,8 +248,8 @@ def _cmd_indicial(args) -> int:
 
 
 def _cmd_homog_check(args) -> int:
-    from .operators import homogeneous_integrable
-
+    if _order_below_2(args.n):
+        return 2
     idx = IndexData(tuple(Rat(v) for v in _parse_ilist(args.indices)))
     ok, reason = homogeneous_integrable(idx, args.n)
     print(json.dumps({"integrable": ok, "reason": reason}))
@@ -290,8 +309,6 @@ def _cmd_commute(args) -> int:
 
 
 def _cmd_cm2(args) -> int:
-    from .cm import CMConfig2, finite_gap_residuals
-
     lat = make_lattice(args.tau)
     cfg = CMConfig2(_parse_clist(args.points), _parse_ilist(args.mults))
     res = finite_gap_residuals(cfg, lat)
@@ -301,8 +318,6 @@ def _cmd_cm2(args) -> int:
 
 
 def _cmd_cm3(args) -> int:
-    from .cm import CMConfig3, cm3_residuals, newton_critical, pinned_cm3_system
-
     lat = make_lattice(args.tau)
     cfg = CMConfig3(_parse_clist(args.points), _parse_clist(args.momenta), args.c)
     if not args.solve:
@@ -324,8 +339,6 @@ def _cmd_cm3(args) -> int:
 
 
 def _cmd_cryst3(args) -> int:
-    from .cm import Cryst3Config, cryst3_grad_H, cryst3_residuals
-
     cfg = Cryst3Config(_parse_clist(args.points), _parse_clist(args.momenta),
                        _parse_clist(args.alphas), _parse_clist(args.betas))
     res = cryst3_residuals(cfg)
@@ -339,8 +352,6 @@ def _cmd_cryst3(args) -> int:
 
 
 def _cmd_inozemtsev(args) -> int:
-    from .cm import inozemtsev_gradient
-
     lat = make_lattice(args.tau)
     g = inozemtsev_gradient(_parse_clist(args.points),
                             _parse_clist(args.ms), lat)

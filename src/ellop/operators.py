@@ -30,17 +30,13 @@ class VerificationError(ArithmeticError):
 # with +, *, unary -, and .derivative() (EllipticElement).
 
 
-def _binom(i, k):
-    return math.comb(i, k)
-
-
 def op_compose(A: dict, B: dict) -> dict:
     out = {}
     for i, a in A.items():
         for j, b in B.items():
             d = b
             for k in range(i + 1):
-                term = a * d * Rat(_binom(i, k))
+                term = a * d * Rat(math.comb(i, k))
                 p = i + j - k
                 out[p] = (out[p] + term) if p in out else term
                 if k < i:

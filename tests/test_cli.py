@@ -52,6 +52,13 @@ def test_homog_check(capsys):
     assert json.loads(out)["integrable"] is False
 
 
+@pytest.mark.parametrize("n,indices", [("0", ""), ("1", "5"), ("-2", "1,2")])
+def test_homog_check_rejects_an_order_below_2(capsys, n, indices):
+    # no operator of order below 2 exists: indicial exits 2 with this message
+    assert run(capsys, "homog-check", "--n", n, f"--indices={indices}") == (
+        2, "", "order must be at least 2\n")
+
+
 def test_constraints_known_condition(capsys):
     code, out, _ = run(capsys, "constraints", "--q", "2", "--r", "2")
     assert code == 0

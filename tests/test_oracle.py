@@ -10,9 +10,10 @@ import pytest
 from ellop.rationals import Rat
 from ellop.elliptic import EllipticElement
 from ellop.operators import GlobalEllipticOperator
-from ellop.lattice import make_lattice
-from ellop.operators import third_order_from_gaps
+from ellop.lattice import HEX_TAU, make_lattice
+from ellop.operators import IndexData, cyclic_L0, third_order_from_gaps
 from ellop.oracle import (
+    DEFAULT_LAMBDAS,
     elliptic_batch_evaluator,
     elliptic_evaluator,
     integrability_verdict,
@@ -376,13 +377,26 @@ def test_tolerance_below_the_integrator_floor_is_rejected():
 TRANSPORT_DIGESTS = {
     "second": "6d13cce843ebbad70d6538a611cb39c654565fad94f030daf7af8be8fd0957b6",
     "third": "b001f385a302dffae1e76c0e66f145c2a86d4f0a519f154c1885ab76ea28b4ac",
+    "cyclic": "167a4884a46aa009e0783bd14be59c93ba4dba7c8bbbbbb392f66e5a7688d35c",
 }
 
 
 def pinned_loops(name):
     """Loops of order 2 (a = -5/2, square lattice) or 3 (gaps (2, 2) off
     the locus, oblique lattice) on both sides of the 0.1 series switch, at
-    tol 1e-12 and 1e-8, for batches of one and three spectral values."""
+    tol 1e-12 and 1e-8, for batches of one and three spectral values; or
+    the order-4 lemniscatic and order-6 equianharmonic cyclic loops of the
+    numerical-monodromy criterion, whose coefficients come from
+    derivative() chains and have several terms in g2 or g3."""
+    if name == "cyclic":
+        for op, lat, fac in (
+            (cyclic_L0(4, IndexData((Rat(-1), Rat(1), Rat(2), Rat(4))), "g3=0"), SQ, 0.2),
+            (cyclic_L0(6, IndexData(tuple(Rat(k) for k in (-1, 0, 2, 3, 4, 7))), "g2=0"),
+             make_lattice(HEX_TAU), 0.25),
+        ):
+            yield from monodromy_matrices(elliptic_evaluator(op, {}, lat), op.n, 0,
+                                          fac * lat.shortest, DEFAULT_LAMBDAS)
+        return
     if name == "second":
         op, vals, lat = GENERIC, {}, SQ
     else:
