@@ -432,9 +432,7 @@ def _elliptic_basis(max_pole: int):
 def _slots(op: dict) -> dict:
     """The nonzero coefficients of an operator over the elliptic ring, keyed
     by (power of D, P'-degree, power of P)."""
-    return {(p, deg, a): v for p, c in op.items()
-            for deg, part in enumerate((c.part0, c.part1))
-            for a, v in enumerate(part) if not v.is_zero()}
+    return {(p, deg, a): v for p, c in op.items() for a, deg, v in c.parts()}
 
 
 def find_commuting(L: GlobalEllipticOperator, m: int):

@@ -86,17 +86,21 @@ def elliptic_batch_evaluator(pairs, lat: Lattice):
         raise ValueError("the operators of a batch must share one order, got "
                          f"{sorted({op.n for op, _ in pairs})}")
     size = n * len(pairs)
-    # (slot in the output, part0, part1) of every nonzero coefficient
+    # (slot in the output, p0, p1) of every nonzero coefficient p0(P) +
+    # p1(P)*P': each part as the values of its coefficients by ascending
+    # power of P, 0 where a power is missing, for the Horner loops below
     data = []
     for row, (op, values) in enumerate(pairs):
         vals = dict(values)
         vals.setdefault("g2", lat.g2)
         vals.setdefault("g3", lat.g3)
         for i, elem in op.coeffs.items():
-            p0 = [c.evaluate(vals) for c in elem.part0]
-            p1 = [c.evaluate(vals) for c in elem.part1]
-            if p0 or p1:
-                data.append((row * n + n - i, p0, p1))
+            p = ([], [])
+            for a, prime, c in elem.parts():
+                p[prime].extend([0] * (a + 1 - len(p[prime])))
+                p[prime][a] = c.evaluate(vals)
+            if p[0] or p[1]:
+                data.append((row * n + n - i, *p))
 
     def coeffs(z: complex):
         w, w1 = wp01(z, lat)

@@ -24,8 +24,11 @@ of the denominators and reduced once, in the term order that P*Q followed by
 `+` would give when each P is a single term.  The Frobenius recursion makes
 one call per coefficient, with one product per earlier coefficient (the
 scaled operator coefficients that multiply it are summed first by a small
-call of their own), and `MultiPoly.substitute` makes one call with a
-(monomial, cached power product) pair per term that does not vanish.
+call of their own), `MultiPoly.substitute` makes one call with a
+(monomial, cached power product) pair per term that does not vanish, and
+the product of two MultiPolys is one call with a single triple.  The
+elliptic ring keeps its parts as MultiPolys in P, so its products come
+here too.
 Substitution takes polynomial and rational values only and always returns a
 MultiPoly; a RatFunc is substituted into by `RatFunc.substitute`, numerator
 and denominator apart.
@@ -148,12 +151,14 @@ def sum_of_products(variables, triples, divisor=1) -> "MultiPoly":
     if dnum < 0:  # keep the denominator positive
         dnum, dden = -dnum, -dden
     parts = []
+    denom = 1
     for s, p, q in triples:
         if p.vars != variables or q.vars != variables:
             raise ValueError(f"factor not over the universe {variables}")
         if s and p.terms and q.terms:
-            parts.append((s.numerator, s.denominator * p.denom * q.denom, p.terms, q.terms))
-    denom = math.lcm(*(d for _, d, _, _ in parts))
+            d = s.denominator * p.denom * q.denom
+            denom = math.lcm(denom, d)
+            parts.append((s.numerator, d, p.terms, q.terms))
     terms = {}
     get = terms.get
     for num, d, pterms, qterms in parts:
@@ -338,28 +343,7 @@ class MultiPoly:
             return MultiPoly(self.vars, {k: c // h * num for k, c in self.terms.items()},
                              self.denom // g * (den // h))
         a, b = MultiPoly.align(self, other)
-        if not a.terms or not b.terms:
-            return MultiPoly(a.vars)
-        terms = {}
-        get = terms.get
-        bterms = b.terms.items()
-        for k1, c1 in a.terms.items():
-            for k2, c2 in bterms:
-                k = k1 + k2
-                s = get(k, 0) + c1 * c2
-                if s:
-                    terms[k] = s
-                else:
-                    del terms[k]
-        _check_overflow(terms, len(a.vars))
-        # numerators coprime to their own denominator: by Gauss's lemma only
-        # a's content against b's denominator and vice versa can cancel
-        g = math.gcd(b.denom, *a.terms.values()) if b.denom != 1 else 1
-        if a.denom != 1:
-            g *= math.gcd(a.denom, *b.terms.values())
-        if g != 1:
-            terms = {k: c // g for k, c in terms.items()}
-        return MultiPoly(a.vars, terms, a.denom * b.denom // g)
+        return sum_of_products(a.vars, ((1, a, b),))
 
     __rmul__ = __mul__
 
@@ -453,6 +437,15 @@ class MultiPoly:
 
     def coefficient_of(self, name: str, power: int) -> "MultiPoly":
         return self.coefficients_in(name).get(power, MultiPoly.zero(self.vars))
+
+    def derivative(self, name: str) -> "MultiPoly":
+        """The partial derivative in `name`, in the universe of self."""
+        if name not in self.vars:
+            return MultiPoly(self.vars)
+        shift = _BITS * (len(self.vars) - 1 - self.vars.index(name))
+        terms = {k - (1 << shift): c * p for k, c in self.terms.items()
+                 if (p := (k >> shift) & _MASK)}
+        return _lowest_terms(self.vars, terms, self.denom)
 
     # -- substitution and evaluation --------------------------------------
 

@@ -113,10 +113,10 @@ def test_third_order_operator_shape():
     L = third_order_from_gaps(2, 2)
     # D^3 + (aP + c)D + (bP' + eP) with a = -3, b = -3/2 for gaps (2,2)
     assert L.n == 3
-    a2 = L.coeffs[2]
-    a3 = L.coeffs[3]
-    assert a2.part0[1] == MultiPoly.const(Rat(-3))
-    assert a3.part1[0] == MultiPoly.const(Rat(-3, 2))
+    a2 = {(i, prime): c for i, prime, c in L.coeffs[2].parts()}
+    a3 = {(i, prime): c for i, prime, c in L.coeffs[3].parts()}
+    assert a2[1, 0] == MultiPoly.const(Rat(-3))
+    assert a3[0, 1] == MultiPoly.const(Rat(-3, 2))
 
 
 def test_third_order_coefficients_from_the_indices():

@@ -379,6 +379,13 @@ class RefPoly:
             out.setdefault(expo[i], {})[expo[:i] + expo[i + 1:]] = cf
         return {p: RefPoly(rest, d) for p, d in out.items()}
 
+    def derivative(self, name):
+        if name not in self.vars:
+            return RefPoly(self.vars, {})
+        i = self.vars.index(name)
+        return RefPoly(self.vars, {expo[:i] + (expo[i] - 1,) + expo[i + 1:]: cf * expo[i]
+                                   for expo, cf in self.terms.items() if expo[i]})
+
     def substitute(self, mapping):
         out = RefPoly((), {})
         one = RefPoly((), {(): Fraction(1)})
@@ -483,6 +490,7 @@ def test_kernel_matches_reference(seed):
         assert list(parts) == list(ref_parts)
         for p in parts:
             assert_same(parts[p], ref_parts[p])
+        assert_same(a.derivative(name), ra.derivative(name))
     # exact division: divisible and (almost always) not divisible
     if not b.is_zero():
         assert_same(try_div(a * b, b), ref_try_div(ra * rb, rb))

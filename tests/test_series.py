@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -102,16 +103,15 @@ def reference_to_series(elem, K):
     """elem's Laurent series through z^(K-1), made by generic series
     arithmetic: sum of c P^i and c P^i P' over the parts, at a guard order
     that covers every product."""
-    G = K + 4 * max(len(elem.part0), len(elem.part1) + 2) + 8
+    parts = elem.parts()
+    # one past the highest power of P in each part (the powers ascend)
+    size = {prime: i + 1 for i, prime, _ in parts}
+    G = K + 4 * max(size.get(0, 0), size.get(1, 0) + 2) + 8
     P = wp_series(G)
     Pp = P.differentiate()
     out = LaurentSeries.zero(G)
-    for i, c in enumerate(elem.part0):
-        if not c.is_zero():
-            out = out + P ** i * c
-    for i, c in enumerate(elem.part1):
-        if not c.is_zero():
-            out = out + P ** i * Pp * c
+    for i, prime, c in parts:
+        out = out + (P ** i * Pp if prime else P ** i) * c
     return out.truncate(K)
 
 
@@ -152,6 +152,47 @@ def test_to_series_of_the_cyclic_operators(n, indices, curve, K):
     op = cyclic_L0(n, IndexData(indices), curve)
     for elem in op.coeffs.values():
         assert_same_series(elem.to_series(K), reference_to_series(elem, K))
+
+
+def random_element(rng):
+    """An element whose two parts have P-degree 2 or 3, with coefficients
+    of up to four terms in g2, g3 and c."""
+    monomials = [MultiPoly.const(1), MultiPoly.var("g2"), MultiPoly.var("g3"),
+                 MultiPoly.var("g2") * C, C * C]
+
+    def coefficient():
+        return sum((m * Rat(rng.randint(-6, 6), rng.randint(1, 3))
+                    for m in rng.sample(monomials, rng.randint(1, 4))), MultiPoly.zero())
+
+    def part():
+        top = coefficient()
+        return [coefficient() for _ in range(rng.randint(2, 3))] + [top or MultiPoly.const(1)]
+
+    return EllipticElement(part(), part())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_ring_products_and_derivatives_are_the_series_arithmetic(seed):
+    rng = random.Random(seed)
+    a, b = random_element(rng), random_element(rng)
+    K = 4
+    # each factor has a pole of order at most 9, so a guard of 9 more
+    # terms keeps the product exact through z^(K-1)
+    want = (reference_to_series(a, K + 9) * reference_to_series(b, K + 9)).truncate(K)
+    assert_same_series((a * b).to_series(K), want)
+    assert_same_series(a.derivative().to_series(K),
+                       reference_to_series(a, K + 1).differentiate())
+
+
+def test_a_coefficient_that_uses_the_ring_variable_is_refused():
+    P = MultiPoly.var("P")
+    for make in (lambda: EllipticElement([0, P]), lambda: EllipticElement([], [C * P]),
+                 lambda: EllipticElement.const(P), lambda: EllipticElement.P() * P,
+                 lambda: EllipticElement.P() + P):
+        with pytest.raises(ValueError, match="ring variable"):
+            make()
+    # P in the universe of a coefficient that does not use it is no clash
+    assert EllipticElement([P - P + C]) == EllipticElement([C])
 
 
 SERIES_DUMP = """
