@@ -5,6 +5,9 @@ each part is one MultiPoly in the ring variable P and the parameters (g2, g3
 and the operator's own).  Sums, products, derivatives and substitutions are
 plain MultiPoly operations, so every product goes through the kernel
 ``poly.sum_of_products``; P'^2 is replaced by the one constant ``_CUBIC``.
+A part with no terms costs nothing: the kernel never sees an empty factor,
+so the product of two elements without P' is one MultiPoly product.  There
+are no ring powers; P^a and P^a*P' are built from their coefficient lists.
 The constructor takes lists of coefficients of P^0, P^1, ..., each a
 MultiPoly or a rational that does not use P, never denominators in the
 parameters.  ``parts()`` reads the coefficients back.
@@ -96,14 +99,6 @@ class EllipticElement:
         return EllipticElement._of(a0 * b0 + a1 * b1 * _CUBIC, a0 * b1 + a1 * b0)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers not supported in the elliptic ring")
-        out = EllipticElement.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         return (self - other).is_zero()

@@ -454,7 +454,7 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
         raise ValueError(f"order {m} of the partner must be at least 1")
     lop = L.as_opdict()
     one = EllipticElement.const(1)
-    terms = [(m - i, EllipticElement.P() ** a * (EllipticElement.Pprime() if b else one))
+    terms = [(m - i, EllipticElement((), [0] * a + [1]) if b else EllipticElement([0] * a + [1]))
              for i in range(1, m + 1) for a, b in _elliptic_basis(n + m + i)]
     columns = [_slots(op_commutator(lop, {p: term})) for p, term in terms]
     top = _slots(op_commutator(lop, {m: one}))

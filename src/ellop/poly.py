@@ -26,9 +26,11 @@ one call per coefficient, with one product per earlier coefficient (the
 scaled operator coefficients that multiply it are summed first by a small
 call of their own), `MultiPoly.substitute` makes one call with a
 (monomial, cached power product) pair per term that does not vanish, and
-the product of two MultiPolys is one call with a single triple.  The
-elliptic ring keeps its parts as MultiPolys in P, so its products come
-here too.
+the product of two MultiPolys is one call with a single triple; so is the
+product with a rational scalar s, the triple (s, P, 1).  A factor with no
+terms never reaches the kernel: the product is the zero polynomial over the
+universe that aligning the factors gives.  The elliptic ring keeps its
+parts as MultiPolys in P, so its products come here too.
 Substitution takes polynomial and rational values only and always returns a
 MultiPoly; a RatFunc is substituted into by `RatFunc.substitute`, numerator
 and denominator apart.
@@ -329,21 +331,17 @@ class MultiPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        s = 1
         if not isinstance(other, MultiPoly):
             try:
-                cf = as_rat(other)
+                s, other = as_rat(other), MultiPoly.const(1, self.vars)
             except TypeError:
                 return NotImplemented
-            num, den = int(cf.numerator), int(cf.denominator)
-            if not num or not self.terms:
-                return MultiPoly(self.vars)
-            g = math.gcd(num, self.denom)
-            h = math.gcd(den, *self.terms.values()) if den != 1 else 1
-            num //= g
-            return MultiPoly(self.vars, {k: c // h * num for k, c in self.terms.items()},
-                             self.denom // g * (den // h))
+        if not (self.terms and other.terms):  # zero, over the universe align would give
+            uni = self.vars if self.vars == other.vars else _union(self.vars, other.vars)
+            return MultiPoly(uni)
         a, b = MultiPoly.align(self, other)
-        return sum_of_products(a.vars, ((1, a, b),))
+        return sum_of_products(a.vars, ((s, a, b),))
 
     __rmul__ = __mul__
 

@@ -6,9 +6,12 @@ pytest with -s to see them) and then asserts, so a failure reports the
 criterion's own diagnostic.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from ellop import acceptance
+from ellop.elliptic import EllipticElement
 from ellop.poly import MultiPoly, RatFunc
 from ellop.rationals import Rat
 
@@ -122,3 +125,65 @@ def test_an_on_locus_point_moved_off_fails_numerical_monodromy(monkeypatch):
     head, _, value = detail.rpartition(" ")
     assert head == "(q,r)=(2,2) on=True: deviation"
     assert float(value) >= 1e-8
+
+
+def _patch_call(monkeypatch, name, n, change):
+    """Make the n-th call (from 1) of acceptance.<name> return change(its
+    result); every other call returns what it returns.  Returns the list
+    of every call's arguments."""
+    real = getattr(acceptance, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        out = real(*args)
+        return change(out) if len(calls) == n else out
+
+    monkeypatch.setattr(acceptance, name, patched)
+    return calls
+
+
+def _one_report(i, **fields):
+    """A change for _patch_call: report i of a list gets the given fields."""
+    return lambda reports: [replace(rep, **fields) if j == i else rep
+                            for j, rep in enumerate(reports)]
+
+
+@pytest.mark.parametrize("name, n, change, detail", [
+    ("monodromy_matrices", 1, _one_report(2, deviation=1e-6),
+     "integrable order-2 deviation 1e-06"),
+    ("monodromy_matrices", 1, _one_report(0, determinant=1.001 + 0j), "determinant drift"),
+    ("monodromy_matrix", 1, lambda rep: replace(rep, deviation=1e-3),
+     "a=-5/2 deviation only 0.001"),
+    ("monodromy_matrices", 2, _one_report(0, deviation=1e-6),
+     "cyclic order-3 deviation 1e-06"),
+], ids=["integrable-deviation", "determinant-drift", "obstructed-trivial", "cyclic-deviation"])
+def test_each_failed_loop_fails_numerical_monodromy(monkeypatch, name, n, change, detail):
+    # the first loop is integrable Lame (five spectral values), the single
+    # matrix is a = -5/2, and the second loop is the order-3 cyclic operator
+    _patch_call(monkeypatch, name, n, change)
+    assert acceptance.criterion_numerical_monodromy(0) == (False, detail)
+
+
+def test_an_off_locus_point_that_reads_trivial_fails_numerical_monodromy(monkeypatch):
+    # the sixth point, (1, 1), is moved off its locus by e += 0.05; starting
+    # it at e = -0.05 lands it on the locus, so its loop reads trivial
+    calls = _patch_call(monkeypatch, "_locus_point", 6, lambda vals: {**vals, "e": -0.05})
+    ok, detail = acceptance.criterion_numerical_monodromy(0)
+    assert calls[5][:2] == (1, 1)
+    head, _, value = detail.rpartition(" ")
+    assert (ok, head) == (False, "(q,r)=(1,1) on=False: deviation")
+    assert float(value) <= 1e-6
+
+
+def test_a_half_period_pair_loop_that_deviates_fails_many_body(monkeypatch):
+    _patch_call(monkeypatch, "monodromy_matrices", 1, _one_report(0, deviation=1e-5))
+    assert acceptance.criterion_many_body(0) == (False, "half-period pair deviation 1e-05")
+
+
+def test_a_partner_for_a_minus_5_2_fails_commuting_certificate(monkeypatch):
+    # the second search is a = -5/2, which has no partner; D^3 stands in
+    _patch_call(monkeypatch, "find_commuting", 2,
+                lambda _: {3: EllipticElement.const(1)})
+    assert acceptance.criterion_commuting_certificate(0) == (
+        False, "spurious partner found for a = -5/2")

@@ -481,8 +481,11 @@ def test_kernel_matches_reference(seed):
     assert_same((a * b) * c + a, (ra * rb) * rc + ra)
     k = rng.randint(0, 3)
     assert_same(a ** k, ra ** k)
-    s = Fraction(rng.randint(-9, 9), rng.randint(1, 8))
-    assert_same(a * s, ra * s)
+    # rational scalars, a 60-digit integer among them, go through the kernel
+    for s in (0, -1, Fraction(3, 7), 10**59 + 7,
+              Fraction(rng.randint(-9, 9), rng.randint(1, 8))):
+        assert_same(a * s, ra * s)
+        assert_same(s * a, ra * s)
     assert_same(a.primitive(), ra.primitive())
     for name in (a.vars + ("absent",)):
         parts = a.coefficients_in(name)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ellop
+from ellop import poly
 from ellop.operators import IndexData, cyclic_L0
 from ellop.rationals import Rat
 from ellop.poly import MultiPoly
@@ -182,6 +183,36 @@ def test_ring_products_and_derivatives_are_the_series_arithmetic(seed):
     assert_same_series((a * b).to_series(K), want)
     assert_same_series(a.derivative().to_series(K),
                        reference_to_series(a, K + 1).differentiate())
+
+
+def test_a_product_with_an_empty_factor_makes_no_kernel_call(monkeypatch):
+    # a factor with no terms gives the zero polynomial over the universe
+    # that aligning the factors would give, and the kernel never sees it;
+    # so an element without a P' part costs one product, part0's
+    g2 = MultiPoly.var("g2")
+    p = C * C * Rat(3, 2) + g2
+    zero = MultiPoly.zero(("e", "lambda"))
+    a = EllipticElement([C, 1, Rat(-1, 2)])
+    b = EllipticElement([g2, C])
+    calls = []
+    kernel = poly.sum_of_products
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(poly, "sum_of_products", counted)
+    for got in (p * zero, zero * p):
+        assert got.is_zero() and got.denom == 1
+        assert got.vars == ("c", "e", "g2", "lambda")
+    assert calls == []
+    ab = a * b
+    assert len(calls) == 1
+    da = a.derivative()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert ab.part0 == a.part0 * b.part0 and ab.part1.is_zero()
+    assert da.part0.is_zero() and da.part1 == a.part0.derivative("P")
 
 
 def test_a_coefficient_that_uses_the_ring_variable_is_refused():
