@@ -222,6 +222,77 @@ def test_cm2_residuals(capsys):
     assert doc["max_abs"] < 1e-10
 
 
+# the many-body commands whose stdout MANY_BODY_DIGESTS pins, by name; each
+# runs with --tau on the three lattices of MANY_BODY_DIGESTS, except
+# cryst3-crit, which lives on the hexagonal cell
+MANY_BODY_COMMANDS = {
+    "cm2-1,1": ("cm2-residuals", "--points", "0.13+0.21j;0.41-0.07j", "--mults", "1,1"),
+    # multiplicity 3 reads wp^(5)
+    "cm2-3,1,2": ("cm2-residuals", "--points", "0.13+0.21j;0.41-0.07j;-0.22+0.33j",
+                  "--mults", "3,1,2"),
+    "cm3": ("cm3-crit", "--points", "0.21+0.11j;0.62-0.07j", "--momenta", "0.4;-0.4",
+            "--c", "1.0"),
+    "cm3-solve": ("cm3-crit", "--points", "0.21+0.11j;0.62-0.07j", "--momenta", "0.4;-0.4",
+                  "--c", "1.0", "--solve"),
+    "inozemtsev": ("inozemtsev-grad", "--points", "0.21+0.33j;0.57-0.12j",
+                   "--ms", "1;0.5;0.25;0.1"),
+    "monodromy": ("monodromy", "--operator", "second:a=-2", "--lambda", "1.5"),
+    "cryst3": ("cryst3-crit", "--points", "0.23+0.14j;-0.11+0.39j", "--momenta", "0.5;0.2-0.1j",
+               "--alphas", "1.2;0.7;1.1", "--betas", "0.3;-0.2;0.1"),
+}
+
+# SHA-256 of the stdout of MANY_BODY_COMMANDS[name] --tau TAU (no --tau: None)
+MANY_BODY_DIGESTS = {
+    ("cm2-1,1", "1j"):
+        "146b03d937c2a037318865c0f52eb44c61d22ade3b42688159f879fb887f417c",
+    ("cm2-1,1", "0.3+1.1j"):
+        "7d81d1d367e02dc67c95cb7ae1ffe96cf56c3e076e5cc6cc733c1474711f7d6b",
+    ("cm2-1,1", "0.2j"):
+        "2980a1e0062ff02cbd1dd1649409c6b258eff62f5b5f54d52b0061b6037ea625",
+    ("cm2-3,1,2", "1j"):
+        "dec09a1c09b3a17f1999fd473dbfd9376732a7745791ef68ea27b1270df60c6d",
+    ("cm2-3,1,2", "0.3+1.1j"):
+        "7cb84a82cd042522f15840fe23f28717e70ee70ba01a59715c9bf9de024e1608",
+    ("cm2-3,1,2", "0.2j"):
+        "4f01ec9d344c34211f6b66e038a3a0243dee60724f25bea38ac5ba636999fc75",
+    ("cm3", "1j"):
+        "19f9aab4bb126437ac7df67176d61395e886fb9edff883b380bb528008a5e01f",
+    ("cm3", "0.3+1.1j"):
+        "5f6c217b997ea9053b3fe30cf48c9c6a8fe3b840bda1ac75a9cf2ceb3945dfff",
+    ("cm3", "0.2j"):
+        "1b4be35c2816a4f94a6b061942a6b6885316c760cddfc8d2f3b67a70694f007f",
+    ("cm3-solve", "1j"):
+        "fc559872584689e4aadb69ba75e986554f732302bec701f481876e288c6f0dc4",
+    ("cm3-solve", "0.3+1.1j"):
+        "373d5eba1b94ae4384ea99338ebabbba8b5b3cac29cc0d9d2dbfbc7549aa0e71",
+    ("cm3-solve", "0.2j"):
+        "48d0f14fa788b3372bb7d357c1f052ce52d1f36b2dc71eae15784d7c346774cd",
+    ("inozemtsev", "1j"):
+        "1c965494c103dcca368e689e6bf77cb5990bf4e4a8bc7d207051e49da499989c",
+    ("inozemtsev", "0.3+1.1j"):
+        "2bc40c690f9282e00c7e40d9612a472425d0f00dbd922570632c38b0ab188944",
+    ("inozemtsev", "0.2j"):
+        "b1208877e3260c5a06ef4fb47f0a583fc0a6c516eb0779f0f07090b617b9b388",
+    ("monodromy", "1j"):
+        "c9b2bb79e53377a562ce1a55ab70858b74bebf67def9a41163be2c7d4b5a7998",
+    ("monodromy", "0.3+1.1j"):
+        "816e531fbadb7f37870dfbf77060c47cc901792cf011585831f405baae28d355",
+    ("monodromy", "0.2j"):
+        "08e323dc5f3b6f1baf1aa66379dbc9585977f246f1374a1d8218a87e53250b7d",
+    ("cryst3", None):
+        "15c8f7c90bd6127605ab72c2eed97a7683233e2a29a5532f937fb48ce9780384",
+}
+
+
+@pytest.mark.parametrize("name,tau", list(MANY_BODY_DIGESTS),
+                         ids=[f"{name}-{tau}" for name, tau in MANY_BODY_DIGESTS])
+def test_many_body_output_is_pinned(capsys, name, tau):
+    argv = MANY_BODY_COMMANDS[name] + (() if tau is None else ("--tau", tau))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == MANY_BODY_DIGESTS[name, tau]
+
+
 def test_cm3_solve(capsys):
     code, out, _ = run(capsys, "cm3-crit",
                        "--points", "0.21+0.11j;0.62-0.07j",
