@@ -58,8 +58,6 @@ from .lattice import (
     NearPoleError,
     lattice_invariants,
     make_lattice,
-    rational_kernel,
-    trigonometric_kernel,
     wp_eval,
 )
 from .cm import (

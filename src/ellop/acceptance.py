@@ -47,7 +47,7 @@ from .locus3 import (
     branch_quantity,
     triangular_solve,
 )
-from .lattice import HEX_TAU, make_lattice, reduce_to_cell, wp_eval
+from .lattice import HEX_TAU, make_lattice, reduce_to_cell, wp01, wp_eval
 from .series import wp_series_numeric
 from .oracle import (
     DEFAULT_LAMBDAS,
@@ -485,7 +485,9 @@ def criterion_many_body(seed=0):
 
 
 #: samples each check of criterion_symmetric_third_order takes, and the most
-#: draws it may spend on them; a draw whose evaluation raises is skipped
+#: draws it may spend on them; a draw that lands on a pole or an orbit
+#: collision raises a ValueError or an ArithmeticError and is skipped, and
+#: any other exception propagates
 _SYMMETRIC_SAMPLES = 20
 _SYMMETRIC_DRAWS = 200
 
@@ -497,7 +499,7 @@ def _bounded_samples(attempt):
     for _ in range(_SYMMETRIC_DRAWS):
         try:
             out.append(attempt())
-        except Exception:
+        except (ValueError, ArithmeticError):
             continue
         if len(out) == _SYMMETRIC_SAMPLES:
             return out
@@ -550,8 +552,7 @@ def criterion_elliptic_numerics(seed=0):
             z = rng.uniform(0, 1) + rng.uniform(0, 1) * lat.tau
             if abs(reduce_to_cell(z, lat)) < 0.15 * lat.shortest:
                 continue
-            w = wp_eval(z, lat, 0)
-            w1 = wp_eval(z, lat, 1)
+            w, w1 = wp01(z, lat)
             rel = abs(w1 * w1 - 4 * w**3 + lat.g2 * w + lat.g3)
             worst_rel = max(worst_rel, rel)
             worst_per = max(

@@ -36,7 +36,7 @@ from .locus3 import (
     valid_r,
 )
 from .lattice import make_lattice
-from .oracle import PathError, elliptic_evaluator, monodromy_matrix
+from .oracle import PathError, _pair, _sig15, elliptic_evaluator, monodromy_matrix
 from .cm import (
     CMConfig2,
     CMConfig3,
@@ -52,17 +52,9 @@ from .cm import (
 from . import acceptance
 
 
-def _sig15(x: float) -> float:
-    return float(f"{x:.15g}")
-
-
 def _max_abs(values) -> float:
     """Largest magnitude, to 15 digits; 0.0 for no values."""
     return _sig15(max((abs(v) for v in values), default=0.0))
-
-
-def _pair(z: complex):
-    return [_sig15(z.real), _sig15(z.imag)]
 
 
 def _parse_complex(text: str) -> complex:

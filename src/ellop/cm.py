@@ -8,19 +8,17 @@ solver locates critical points numerically; pinned_cm3_system holds z_1 of
 the translation-invariant cubic system fixed and solves for z_2..z_n,
 p_1..p_n and c, 2n unknowns for the 2n residuals.
 
-All evaluators accept either a Lattice or a bare kernel(z, d) callable, so
-the rational (1/z^2) and trigonometric (1/sin^2) degenerations reuse the
-same residual code.  A point, or a difference of two points, near a pole is
-rejected: within 1e-8 shortest periods of a lattice point for a Lattice, the
-rule of lattice.wp01, and within 1e-8 of pi*Z for trigonometric_kernel or of
-0 for any other callable.
+Every evaluator works on a Lattice and reads (wp, wp') once per point from
+lattice.wp01; the higher derivatives a sum needs at that point come from
+lattice.wp_derivative.  A point, or a difference of two points, within 1e-8
+shortest periods of a lattice point is rejected (lattice.near_pole, the rule
+of wp01).
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,9 +27,10 @@ from .lattice import (
     HEX_TAU,
     Lattice,
     make_lattice,
+    near_pole,
     reduce_to_cell,
-    trigonometric_kernel,
-    wp_eval,
+    wp01,
+    wp_derivative,
 )
 
 
@@ -39,45 +38,26 @@ class InvalidConfigurationError(ValueError):
     pass
 
 
-_COLLISION_TOL = 1e-8
-
-
-def _on_pole(z: complex, ev) -> bool:
-    """Is z within _COLLISION_TOL of a pole of the kernel ev stands for, in
-    units of the shortest period for a Lattice?"""
-    if isinstance(ev, Lattice):
-        return abs(reduce_to_cell(z, ev)) < _COLLISION_TOL * ev.shortest
-    if ev is trigonometric_kernel:
-        x = z.real % math.pi
-        z = complex(min(x, math.pi - x), z.imag)
-    return abs(z) < _COLLISION_TOL
+def _on_pole(z: complex, lat: Lattice) -> bool:
+    """Is z within 1e-8 shortest periods of a point of lat?"""
+    return near_pole(reduce_to_cell(z, lat), lat)
 
 
 class _Poles:
     """The validation shared by configurations of distinct poles."""
 
-    def validate(self, ev=None):
+    def validate(self, lat: Lattice):
         zs = self.points
         for i in range(len(zs)):
-            if _on_pole(zs[i], ev):
+            if _on_pole(zs[i], lat):
                 raise InvalidConfigurationError(
                     f"points[{i}] sits on a pole of the kernel"
                 )
             for j in range(i):
-                if _on_pole(zs[i] - zs[j], ev):
+                if _on_pole(zs[i] - zs[j], lat):
                     raise InvalidConfigurationError(
                         f"points[{i}] and points[{j}] coincide modulo the lattice"
                     )
-
-
-def _kernel(cfg: _Poles, ev):
-    """Validate cfg against ev, then return ev's kernel(z, d)."""
-    cfg.validate(ev)
-    if isinstance(ev, Lattice):
-        return lambda z, d=0: wp_eval(z, ev, d)
-    if callable(ev):
-        return ev
-    raise TypeError("expected a Lattice or a kernel callable")
 
 
 @dataclass(frozen=True)
@@ -98,22 +78,24 @@ class CMConfig2(_Poles):
         object.__setattr__(self, "multiplicities", mult)
 
 
-def finite_gap_residuals(cfg: CMConfig2, ev) -> list:
+def finite_gap_residuals(cfg: CMConfig2, lat: Lattice) -> list:
     """Residuals sum_{j != i} m_j (m_j + 1) wp^(2s-1)(z_i - z_j), s = 1..m_i.
 
     All residuals vanish iff the configuration carries a finite-gap second
     order operator.  Flat list ordered by pole index, then s.
     """
-    kernel = _kernel(cfg, ev)
+    cfg.validate(lat)
     zs, ms = cfg.points, cfg.multiplicities
     out = []
     for i, mi in enumerate(ms):
+        if not mi:
+            continue
+        terms = [(mj * (mj + 1), wp01(zs[i] - zs[j], lat))
+                 for j, mj in enumerate(ms) if j != i]
         for s in range(1, mi + 1):
             acc = 0j
-            for j, mj in enumerate(ms):
-                if j == i:
-                    continue
-                acc += mj * (mj + 1) * kernel(zs[i] - zs[j], 2 * s - 1)
+            for weight, (wp, wpp) in terms:
+                acc += weight * wp_derivative(wp, wpp, lat.g2, 2 * s - 1)
             out.append(acc)
     return out
 
@@ -136,14 +118,14 @@ class CMConfig3(_Poles):
         object.__setattr__(self, "c", complex(c))
 
 
-def cm3_residuals(cfg: CMConfig3, ev) -> list:
+def cm3_residuals(cfg: CMConfig3, lat: Lattice) -> list:
     """Critical-point residuals of F + c*H1.
 
     First N entries: c + 3 p_i^2 - 3 sum_{j != i} wp(z_i - z_j), which is
     d(F + c*H1)/dp_i.  Last N entries: 3 sum_{j != i} (p_i + p_j)
     wp'(z_i - z_j), which is -d(F + c*H1)/dz_i.
     """
-    kernel = _kernel(cfg, ev)
+    cfg.validate(lat)
     zs, ps, c = cfg.points, cfg.momenta, cfg.c
     n = len(zs)
     fam_p = []
@@ -154,17 +136,17 @@ def cm3_residuals(cfg: CMConfig3, ev) -> list:
         for j in range(n):
             if j == i:
                 continue
-            d = zs[i] - zs[j]
-            sp += kernel(d, 0)
-            sz += (ps[i] + ps[j]) * kernel(d, 1)
+            wp, wpp = wp01(zs[i] - zs[j], lat)
+            sp += wp
+            sz += (ps[i] + ps[j]) * wpp
         fam_p.append(c + 3 * ps[i] ** 2 - 3 * sp)
         fam_z.append(3 * sz)
     return fam_p + fam_z
 
 
-def cm3_F(cfg: CMConfig3, ev) -> complex:
+def cm3_F(cfg: CMConfig3, lat: Lattice) -> complex:
     """F = sum p_i^3 - (3/2) sum_{i != j} (p_i + p_j) wp(z_i - z_j)."""
-    kernel = _kernel(cfg, ev)
+    cfg.validate(lat)
     zs, ps = cfg.points, cfg.momenta
     n = len(zs)
     val = sum(p**3 for p in ps)
@@ -172,7 +154,7 @@ def cm3_F(cfg: CMConfig3, ev) -> complex:
         for j in range(n):
             if j == i:
                 continue
-            val -= 1.5 * (ps[i] + ps[j]) * kernel(zs[i] - zs[j], 0)
+            val -= 1.5 * (ps[i] + ps[j]) * wp01(zs[i] - zs[j], lat)[0]
     return val
 
 
@@ -180,7 +162,7 @@ def cm3_H1(cfg: CMConfig3) -> complex:
     return sum(cfg.momenta)
 
 
-def pinned_cm3_system(cfg: CMConfig3, ev):
+def pinned_cm3_system(cfg: CMConfig3, lat: Lattice):
     """(system, guess) for newton_critical: cm3_residuals with z_1 held fixed.
 
     The unknowns are z_2..z_n, p_1..p_n, c, and the guess is cfg's values.
@@ -191,7 +173,7 @@ def pinned_cm3_system(cfg: CMConfig3, ev):
     z1 = cfg.points[0]
 
     def system(x):
-        return cm3_residuals(CMConfig3([z1, *x[: n - 1]], x[n - 1 : -1], x[-1]), ev)
+        return cm3_residuals(CMConfig3([z1, *x[: n - 1]], x[n - 1 : -1], x[-1]), lat)
 
     return system, [*cfg.points[1:], *cfg.momenta, cfg.c]
 
@@ -215,8 +197,8 @@ def hexagonal_fold_residual(z: complex) -> complex:
     self-orbit interaction into the fixed-point terms.
     """
     lat = hexagonal_lattice()
-    folded = wp_eval((1 - _EPS) * z, lat)
-    spread = sum(wp_eval(z - eta, lat) for eta in ETA)
+    folded = wp01((1 - _EPS) * z, lat)[0]
+    spread = sum(wp01(z - eta, lat)[0] for eta in ETA)
     return folded + spread / (3 * _EPS)
 
 
@@ -255,17 +237,14 @@ class Cryst3Config:
     def validate(self):
         lat = hexagonal_lattice()
         zs = self.points
+        # (1 - eps^s) z is a period only at the fixed points, so a point
+        # that meets its own Z3 image is rejected here already
         for i, z in enumerate(zs):
             if any(_on_pole(z - eta, lat) for eta in ETA):
                 raise InvalidConfigurationError(
                     f"points[{i}] hits a fixed point of the Z3 action"
                 )
-        # whole orbits must stay apart, including a point from its own images
         for i in range(len(zs)):
-            if any(_on_pole(zs[i] - _EPS**s * zs[i], lat) for s in (1, 2)):
-                raise InvalidConfigurationError(
-                    f"points[{i}] collides with its own Z3 image"
-                )
             for j in range(i):
                 if any(_on_pole(zs[i] - _EPS**s * zs[j], lat) for s in (0, 1, 2)):
                     raise InvalidConfigurationError(
@@ -298,13 +277,14 @@ def cryst3_residuals(cfg: Cryst3Config) -> list:
             if j == i:
                 continue
             for s in range(3):
-                d = zs[i] - _EPS**s * zs[j]
-                orbit0 += wp_eval(d, lat, 0)
-                orbit1 += wp_eval(d, lat, 1) * (ps[i] + _EPS ** (-s) * ps[j])
-        fixed0 = sum(A[r] * wp_eval(zs[i] - ETA[r], lat, 0) for r in range(3))
+                wp, wpp = wp01(zs[i] - _EPS**s * zs[j], lat)
+                orbit0 += wp
+                orbit1 += wpp * (ps[i] + _EPS ** (-s) * ps[j])
+        fixed = [wp01(zs[i] - eta, lat) for eta in ETA]
+        fixed0 = sum(A[r] * fixed[r][0] for r in range(3))
         fixed1 = sum(
-            A[r] * wp_eval(zs[i] - ETA[r], lat, 1) * ps[i]
-            + B[r] * wp_eval(zs[i] - ETA[r], lat, 2)
+            A[r] * fixed[r][1] * ps[i]
+            + B[r] * wp_derivative(*fixed[r], lat.g2, 2)
             for r in range(3)
         )
         fam_p.append(3 * ps[i] ** 2 - 3 * orbit0 + fixed0)
@@ -319,13 +299,14 @@ def cryst3_H(cfg: Cryst3Config) -> complex:
     val = sum(p**3 for p in ps)
     for i in range(n):
         for r in range(3):
-            val += A[r] * wp_eval(zs[i] - ETA[r], lat, 0) * ps[i]
-            val += B[r] * wp_eval(zs[i] - ETA[r], lat, 1)
+            wp, wpp = wp01(zs[i] - ETA[r], lat)
+            val += A[r] * wp * ps[i]
+            val += B[r] * wpp
         for j in range(n):
             if j == i:
                 continue
             for s in range(3):
-                val -= 3 * wp_eval(zs[i] - _EPS**s * zs[j], lat, 0) * ps[i]
+                val -= 3 * wp01(zs[i] - _EPS**s * zs[j], lat)[0] * ps[i]
     return val
 
 
@@ -344,19 +325,19 @@ def cryst3_grad_H(cfg: Cryst3Config) -> list:
         gp = 3 * ps[i] ** 2
         gz = 0j
         for r in range(3):
-            gp += A[r] * wp_eval(zs[i] - ETA[r], lat, 0)
-            gz += A[r] * wp_eval(zs[i] - ETA[r], lat, 1) * ps[i]
-            gz += B[r] * wp_eval(zs[i] - ETA[r], lat, 2)
+            wp, wpp = wp01(zs[i] - ETA[r], lat)
+            gp += A[r] * wp
+            gz += A[r] * wpp * ps[i]
+            gz += B[r] * wp_derivative(wp, wpp, lat.g2, 2)
         for j in range(n):
             if j == i:
                 continue
             for s in range(3):
-                gp -= 3 * wp_eval(zs[i] - _EPS**s * zs[j], lat, 0)
-                gz -= 3 * wp_eval(zs[i] - _EPS**s * zs[j], lat, 1) * ps[i]
+                wp, wpp = wp01(zs[i] - _EPS**s * zs[j], lat)
+                gp -= 3 * wp
+                gz -= 3 * wpp * ps[i]
                 # term wp(z_j - eps^s z_i) p_j differentiated in z_i
-                gz -= 3 * (-(_EPS**s)) * wp_eval(
-                    zs[j] - _EPS**s * zs[i], lat, 1
-                ) * ps[j]
+                gz -= 3 * (-(_EPS**s)) * wp01(zs[j] - _EPS**s * zs[i], lat)[1] * ps[j]
         grad_p.append(gp)
         grad_z.append(gz)
     return grad_p + grad_z
@@ -373,6 +354,8 @@ def _inozemtsev_input(points, ms, lat: Lattice):
     if len(ms) != 4:
         raise InvalidConfigurationError("need the four parameters m0..m3")
     ws = (0j, 0.5 + 0j, lat.tau / 2, (1 + lat.tau) / 2)
+    # 2z is a period only at the half periods, so a point that meets its
+    # own reflection -z is rejected by the first check
     for j, z in enumerate(zs):
         if any(_on_pole(z - w, lat) for w in ws):
             raise InvalidConfigurationError(f"points[{j}] hits a half-period point")
@@ -381,10 +364,6 @@ def _inozemtsev_input(points, ms, lat: Lattice):
                 raise InvalidConfigurationError(
                     f"points[{j}] meets the reflection orbit of points[{k}]"
                 )
-        if _on_pole(2 * z, lat):
-            raise InvalidConfigurationError(
-                f"points[{j}] collides with its own reflection"
-            )
     return zs, ms, ws
 
 
@@ -395,12 +374,12 @@ def inozemtsev_U(points, ms, lat: Lattice) -> complex:
     val = 0j
     for z in zs:
         for mi, w in zip(ms, ws):
-            val += (mi + 0.5) ** 2 * wp_eval(z - w, lat, 0)
+            val += (mi + 0.5) ** 2 * wp01(z - w, lat)[0]
     for j in range(len(zs)):
         for k in range(len(zs)):
             if k == j:
                 continue
-            val += wp_eval(zs[j] - zs[k], lat, 0) + wp_eval(zs[j] + zs[k], lat, 0)
+            val += wp01(zs[j] - zs[k], lat)[0] + wp01(zs[j] + zs[k], lat)[0]
     return val
 
 
@@ -411,11 +390,11 @@ def inozemtsev_gradient(points, ms, lat: Lattice) -> list:
     for j, z in enumerate(zs):
         g = 0j
         for mi, w in zip(ms, ws):
-            g += (mi + 0.5) ** 2 * wp_eval(z - w, lat, 1)
+            g += (mi + 0.5) ** 2 * wp01(z - w, lat)[1]
         for k in range(len(zs)):
             if k == j:
                 continue
-            g += 2 * (wp_eval(z - zs[k], lat, 1) + wp_eval(z + zs[k], lat, 1))
+            g += 2 * (wp01(z - zs[k], lat)[1] + wp01(z + zs[k], lat)[1])
         out.append(g)
     return out
 

@@ -4,10 +4,13 @@ make_lattice reduces tau once to tau' in the SL2(Z) fundamental domain, with
 Z + tau*Z = mu*(Z + tau'*Z), so that wp(z) = mu^-2 wp(z/mu; tau') and
 wp'(z) = mu^-3 wp'(z/mu; tau') (DLMF 23.18).  On the reduced lattice a short
 fixed float64 theta series gives wp and wp' as theta quotients (DLMF 23.6);
-near the pole the truncated Laurent series takes over.  Derivatives of order
-two and higher come from the algebraic recurrences implied by the defining
-relation, never from numerical differentiation.  Only the invariants g2, g3
-are computed in extended precision, in stdlib decimal, once per lattice.
+near the pole the truncated Laurent series takes over.  wp01 is the one
+evaluator: it reads (wp, wp') at a point, and wp_derivative gives the
+derivatives of order two to five from that pair by the algebraic recurrences
+implied by the defining relation, never by numerical differentiation.  A
+point within 1e-8 shortest periods of a lattice point is a pole (near_pole).
+Only the invariants g2, g3 are computed in extended precision, in stdlib
+decimal, once per lattice.
 """
 
 from __future__ import annotations
@@ -275,12 +278,20 @@ def _wp01_series(z: complex, lat: Lattice):
     return wp * m * m, wpp * m * m * m
 
 
+def near_pole(z0: complex, lat: Lattice) -> bool:
+    """Is z0, a value of reduce_to_cell, within 1e-8 shortest periods of 0,
+    that is, the point it stands for within that of a lattice point?  wp01
+    raises NearPoleError there, and the many-body layer (cm) calls two such
+    points coincident."""
+    return abs(z0) < 1e-8 * lat.shortest
+
+
 def wp01(z: complex, lat: Lattice):
     """(wp(z), wp'(z)): the Laurent series below 0.1 of the shortest period
     from the nearest lattice point, theta quotients elsewhere; NearPoleError
     within 1e-8 of the shortest period from a lattice point."""
     z0 = reduce_to_cell(z, lat)
-    if abs(z0) < 1e-8 * lat.shortest:
+    if near_pole(z0, lat):
         raise NearPoleError(f"z is within 1e-8 of a lattice point, in units "
                             f"of the shortest period: {z}")
     if abs(z0) < 0.1 * lat.shortest:
@@ -292,12 +303,15 @@ def wp_eval(z: complex, lat: Lattice, d: int = 0) -> complex:
     """wp^(d)(z) for 0 <= d <= 5, absolute accuracy about 1e-10 in units
     where the shortest period is 1, for every tau.  The rounding of z itself,
     about 1e-16*|z|, adds to this when z lies many shortest periods out."""
+    return wp_derivative(*wp01(z, lat), lat.g2, d)
+
+
+def wp_derivative(wp: complex, wpp: complex, g2: complex, d: int) -> complex:
+    """wp^(d) at a point, 0 <= d <= 5, from (wp, wp') there as wp01 reads
+    them: wp'' = 6 wp^2 - g2/2 and its derivatives.  A caller that needs
+    several orders at one point reads the pair once and calls this for each."""
     if not 0 <= d <= 5:
         raise ValueError("derivative order must be 0..5")
-    return _from_wp01(*wp01(z, lat), lat.g2, d)
-
-
-def _from_wp01(wp: complex, wpp: complex, g2: complex, d: int) -> complex:
     if d == 0:
         return wp
     if d == 1:
@@ -310,29 +324,3 @@ def _from_wp01(wp: complex, wpp: complex, g2: complex, d: int) -> complex:
     if d == 4:
         return 12 * wpp**2 + 12 * wp * w2
     return 36 * wpp * w2 + 12 * wp * (12 * wp * wpp)
-
-
-# -- degenerate kernels ------------------------------------------------------
-
-
-def rational_kernel(z: complex, d: int = 0) -> complex:
-    """d-th derivative of 1/z^2 (lattice degenerated to a point)."""
-    return (-1) ** d * math.factorial(d + 1) / z ** (d + 2)
-
-
-def trigonometric_kernel(z: complex, d: int = 0) -> complex:
-    """d-th derivative of 1/sin(z)^2 (lattice degenerated to Z*pi ... one
-    period sent to infinity); computed through cot-polynomials, exactly."""
-    # 1/sin^2 = 1 + u^2 with u = cot z, u' = -(1 + u^2)
-    poly = [1.0, 0.0, 1.0]  # coefficients in u, low to high
-    for _ in range(d):
-        deriv = [0.0] * (len(poly) + 1)
-        for k, ck in enumerate(poly):
-            if k == 0 or ck == 0:
-                continue
-            # d/dz c u^k = -k c (u^(k-1) + u^(k+1))
-            deriv[k - 1] -= k * ck
-            deriv[k + 1] -= k * ck
-        poly = deriv
-    u = 1 / cmath.tan(z)
-    return sum(ck * u**k for k, ck in enumerate(poly) if ck)

@@ -37,6 +37,16 @@ class PathError(RuntimeError):
     """Integration failed along the loop (step-size collapse or step bound)."""
 
 
+def _sig15(x: float) -> float:
+    """x rounded to 15 significant digits, as every numeric JSON output
+    prints it."""
+    return float(f"{x:.15g}")
+
+
+def _pair(z: complex):
+    return [_sig15(z.real), _sig15(z.imag)]
+
+
 @dataclass
 class MonodromyReport:
     matrix: np.ndarray
@@ -46,20 +56,14 @@ class MonodromyReport:
     path: tuple                  # (center, radius)
 
     def to_json(self) -> str:
-        def f(x):
-            return float(f"{x:.15g}")
-
-        def pair(v):
-            return [f(v.real), f(v.imag)]
-
         return json.dumps({
-            "matrix": [[pair(v) for v in row] for row in self.matrix.tolist()],
-            "deviation": f(self.deviation),
-            "determinant": pair(self.determinant),
-            "lambda": pair(self.lam),
+            "matrix": [[_pair(v) for v in row] for row in self.matrix.tolist()],
+            "deviation": _sig15(self.deviation),
+            "determinant": _pair(self.determinant),
+            "lambda": _pair(self.lam),
             "path": {
-                "center": pair(complex(self.path[0])),
-                "radius": f(self.path[1]),
+                "center": _pair(complex(self.path[0])),
+                "radius": _sig15(self.path[1]),
             },
         })
 

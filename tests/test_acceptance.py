@@ -187,3 +187,64 @@ def test_a_partner_for_a_minus_5_2_fails_commuting_certificate(monkeypatch):
                 lambda _: {3: EllipticElement.const(1)})
     assert acceptance.criterion_commuting_certificate(0) == (
         False, "spurious partner found for a = -5/2")
+
+
+def _shift_first(delta):
+    """A change for _patch_call: the first value of a list moves by delta."""
+    return lambda values: [values[0] + delta, *values[1:]]
+
+
+@pytest.mark.parametrize("name, n, change, detail", [
+    ("cm3_residuals", 1, _shift_first(1e-11), "single-pole critical residual too large"),
+    ("finite_gap_residuals", 1, lambda res: [1e-11, *res[1:]], "half-period residual 1e-11"),
+    ("newton_critical", 1, lambda out: replace(out, residual_norm=1e-9), "Newton residual 1e-09"),
+], ids=["single-pole", "half-period", "newton-residual"])
+def test_each_failed_check_fails_many_body(monkeypatch, name, n, change, detail):
+    # cm3_residuals' first call is the single pole, its second the gradient
+    # check; the only finite_gap_residuals and newton_critical calls are the
+    # half-period pair and the pinned two-pole solve
+    _patch_call(monkeypatch, name, n, change)
+    assert acceptance.criterion_many_body(0) == (False, detail)
+
+
+@pytest.mark.parametrize("name, n, change, head, bound", [
+    ("cm3_residuals", 2, _shift_first(1e-3), "finite-difference gradient mismatch", 1e-6),
+    ("newton_critical", 1, lambda out: replace(out, success=False), "Newton residual", None),
+], ids=["gradient", "newton-failure"])
+def test_a_measured_failure_fails_many_body(monkeypatch, name, n, change, head, bound):
+    _patch_call(monkeypatch, name, n, change)
+    ok, detail = acceptance.criterion_many_body(0)
+    got_head, _, value = detail.rpartition(" ")
+    assert (ok, got_head) == (False, head)
+    if bound is None:
+        assert float(value) <= 1e-10        # converged, yet reported unsuccessful
+    else:
+        assert float(value) > bound
+
+
+@pytest.mark.parametrize("name, change, head, bound", [
+    ("hexagonal_fold_residual", lambda v: v + 1e-9, "fold identity residual", 1e-10),
+    ("cryst3_residuals", _shift_first(1e-6), "residual/gradient mismatch", 1e-8),
+], ids=["fold-identity", "residual-gradient"])
+def test_each_failed_check_fails_symmetric_third_order(monkeypatch, name, change, head, bound):
+    calls = _patch_call(monkeypatch, name, 1, change)
+    ok, detail = acceptance.criterion_symmetric_third_order(0)
+    got_head, _, value = detail.rpartition(" ")
+    assert (ok, got_head) == (False, head)
+    assert float(value) > bound
+    assert len(calls) >= acceptance._SYMMETRIC_SAMPLES
+
+
+def test_a_programming_error_in_a_sampled_check_is_not_retried(monkeypatch):
+    # only a draw on a pole or an orbit collision is skipped: a TypeError
+    # surfaces at once instead of reading as too few evaluated points
+    calls = []
+
+    def broken(cfg):
+        calls.append(cfg)
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(acceptance, "cryst3_residuals", broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        acceptance.criterion_symmetric_third_order(0)
+    assert len(calls) == 1

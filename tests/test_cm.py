@@ -1,11 +1,11 @@
 """Many-body critical point systems and the Newton solver."""
 
 import cmath
-import math
 
 import pytest
 
-from ellop.lattice import make_lattice, rational_kernel, trigonometric_kernel, wp_eval
+import ellop.cm as cm
+from ellop.lattice import make_lattice, wp_eval
 from ellop.cm import (
     CMConfig2,
     CMConfig3,
@@ -40,21 +40,6 @@ def test_config2_validation():
         CMConfig2([1 + 1j], [1]).validate(SQ)                 # on a pole
 
 
-def test_the_trigonometric_kernel_rejects_points_a_period_apart():
-    # the poles of 1/sin^2 are all of pi*Z, not only 0
-    for other in (0.3 + math.pi, 0.3 - 2 * math.pi):
-        cfg2 = CMConfig2([0.3, other], [1, 1])
-        with pytest.raises(InvalidConfigurationError):
-            finite_gap_residuals(cfg2, trigonometric_kernel)
-        with pytest.raises(InvalidConfigurationError):
-            cm3_residuals(CMConfig3([0.3, other], [1, 1], 1.0), trigonometric_kernel)
-    with pytest.raises(InvalidConfigurationError):
-        CMConfig2([math.pi], [1]).validate(trigonometric_kernel)
-    res = finite_gap_residuals(CMConfig2([0.3, 0.3 + math.pi / 2], [1, 1]),
-                               trigonometric_kernel)
-    assert len(res) == 2 and all(cmath.isfinite(v) for v in res)
-
-
 def test_the_pole_test_on_a_lattice_is_in_units_of_the_shortest_period():
     # on tau = 1e-9i every point lies within 1e-8 of a lattice point in
     # absolute units, yet wp evaluates there; within 1e-8 shortest periods
@@ -67,6 +52,47 @@ def test_the_pole_test_on_a_lattice_is_in_units_of_the_shortest_period():
         CMConfig2([1e-18], [1]).validate(lat)
     with pytest.raises(InvalidConfigurationError, match="coincide"):
         CMConfig2([zs[0], zs[0] + 1e-18], [1, 1]).validate(lat)
+
+
+def _count_wp01(monkeypatch):
+    """Count cm's (wp, wp') reads; returns a one-entry list."""
+    calls = [0]
+    real = cm.wp01
+
+    def counted(z, lat):
+        calls[0] += 1
+        return real(z, lat)
+
+    monkeypatch.setattr(cm, "wp01", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_cm3_residuals_read_wp_once_per_pair(monkeypatch, n):
+    calls = _count_wp01(monkeypatch)
+    zs = [0.05 + 0.11 * k + 0.03j + 0.07j * k * k for k in range(n)]
+    res = cm3_residuals(CMConfig3(zs, [0.3] * n, 1.0), SQ)
+    assert len(res) == 2 * n
+    assert calls[0] == n * (n - 1)
+
+
+def test_many_body_criteria_read_wp_once_per_point(monkeypatch):
+    # the two criteria that reach cm; reading (wp, wp') once per derivative
+    # order made 1,482 reads at seed 0
+    from ellop import acceptance
+
+    calls = _count_wp01(monkeypatch)
+    assert acceptance.criterion_many_body(0)[0]
+    assert acceptance.criterion_symmetric_third_order(0)[0]
+    assert calls[0] <= 741
+
+
+def test_a_multiplicity_above_3_needs_wp_beyond_its_fifth_derivative():
+    cfg = CMConfig2([0.3, 0.1 + 0.4j], [4, 1])
+    with pytest.raises(ValueError, match="derivative order must be 0..5"):
+        finite_gap_residuals(cfg, SQ)
+    # a single pole has no partner, so nothing is evaluated
+    assert finite_gap_residuals(CMConfig2([0.3], [4]), SQ) == [0j] * 4
 
 
 def test_residuals_at_half_period_configuration():
@@ -84,10 +110,11 @@ def test_residuals_antisymmetry_for_equal_multiplicities():
 
 
 def test_rational_kernel_equilibrium():
-    # three equally spaced points: sum of 1/(z_i - z_j)^3 cancels
-    pts = [0.4 * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
+    # three points equally spaced on a circle about 0 of the hexagonal cell:
+    # as for 1/z^2, the Z3 symmetry cancels the sum of wp'(z_i - z_j)
+    pts = [0.2 * cmath.exp(2j * cmath.pi * k / 3) for k in range(3)]
     cfg = CMConfig2(pts, [1, 1, 1])
-    res = finite_gap_residuals(cfg, rational_kernel)
+    res = finite_gap_residuals(cfg, hexagonal_lattice())
     assert max(abs(v) for v in res) < 1e-10
 
 
@@ -133,6 +160,40 @@ def test_cryst3_validation():
     cfg = Cryst3Config([eta1], [0.1], (1, 1, 1), (0, 0, 0))
     with pytest.raises(InvalidConfigurationError):
         cfg.validate()
+
+
+def test_config_lengths_must_match():
+    with pytest.raises(InvalidConfigurationError, match="points and momenta differ"):
+        CMConfig3([0.3, 0.1j], [0.1], 1.0)
+    with pytest.raises(InvalidConfigurationError, match="points and momenta differ"):
+        Cryst3Config([0.3], [0.1, 0.2], (1, 1, 1), (0, 0, 0))
+
+
+def test_points_on_one_z3_orbit_are_rejected():
+    z = 0.23 + 0.14j
+    eps = cmath.exp(2j * cmath.pi / 3)
+    lat = hexagonal_lattice()
+    for s in range(3):
+        other = eps**s * z + 1 + lat.tau
+        cfg = Cryst3Config([z, other], [0.1, 0.2], (1, 1, 1), (0, 0, 0))
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"points\[1\] and points\[0\] share a Z3 orbit"):
+            cryst3_residuals(cfg)
+
+
+def test_a_point_on_its_own_z3_image_is_a_fixed_point():
+    # (1 - eps) z is a period only where z is a fixed point: at lambda / (1 -
+    # eps) for every period lambda, and at points as close to one as the
+    # pole rule allows
+    eps = cmath.exp(2j * cmath.pi / 3)
+    tau = hexagonal_lattice().tau
+    for lam in (1, tau, 2 - tau, 1 + tau):
+        for dz in (0, 3e-9, 5e-9j):
+            z = lam / (1 - eps) + dz
+            cfg = Cryst3Config([z], [0.1], (1, 1, 1), (0, 0, 0))
+            with pytest.raises(InvalidConfigurationError,
+                               match="hits a fixed point of the Z3 action"):
+                cfg.validate()
 
 
 def test_cryst3_residuals_match_hamiltonian_gradient():
@@ -191,6 +252,18 @@ def test_inozemtsev_validation():
         inozemtsev_U([0.2, -0.2], [1, 1, 1, 1], SQ)   # reflection orbit
     with pytest.raises(InvalidConfigurationError):
         inozemtsev_U([0.2], [1, 1, 1], SQ)            # wrong parameter count
+
+
+@pytest.mark.parametrize("tau", [1j, 0.3 + 1.1j, 0.2j])
+def test_a_point_on_its_own_reflection_is_a_half_period(tau):
+    # 2z is a period only where z is a half period, so the point that meets
+    # its reflection -z is rejected as one, within the pole rule's reach
+    lat = make_lattice(tau)
+    for lam in (1, lat.tau, 1 + lat.tau, 3 - 2 * lat.tau):
+        for dz in (0, 4e-9 * lat.shortest, 4e-9j * lat.shortest):
+            with pytest.raises(InvalidConfigurationError,
+                               match=r"points\[0\] hits a half-period point"):
+                inozemtsev_gradient([lam / 2 + dz], [1, 1, 1, 1], lat)
 
 
 def test_newton_simple_root():

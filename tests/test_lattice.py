@@ -1,4 +1,4 @@
-"""Numerical Weierstrass evaluation and degenerate kernels."""
+"""Numerical Weierstrass evaluation."""
 
 import cmath
 import hashlib
@@ -16,11 +16,10 @@ from ellop.lattice import (
     NearPoleError,
     make_lattice,
     lattice_invariants,
-    rational_kernel,
     _wp01_theta,
     reduce_to_cell,
-    trigonometric_kernel,
     wp01,
+    wp_derivative,
     wp_eval,
 )
 
@@ -362,28 +361,24 @@ def test_the_pole_guard_is_relative_to_the_shortest_period():
         wp_eval(1e-18, lat, 0)
 
 
-def test_rational_kernel():
-    z = 0.3 + 0.4j
-    assert abs(rational_kernel(z) - 1 / z**2) < 1e-15
-    assert abs(rational_kernel(z, 1) + 2 / z**3) < 1e-15
-    assert abs(rational_kernel(z, 3) + 24 / z**5) < 1e-12
-
-
-def test_trigonometric_kernel():
-    z = 0.7 + 0.1j
-    expect = 1 / cmath.sin(z) ** 2
-    assert abs(trigonometric_kernel(z) - expect) < 1e-12
-    h = 1e-6
-    d_numeric = (trigonometric_kernel(z + h) - trigonometric_kernel(z - h)) / (2 * h)
-    assert abs(trigonometric_kernel(z, 1) - d_numeric) < 1e-4
-
-
 def test_kernels_are_wp_degenerations():
     # wp(z) - 1/z^2 -> 0 coefficient-wise as both invariants vanish; compare
     # the square-lattice wp against its principal part at a small argument
     z = 0.02 * SQ.shortest + 0.013j
     w = wp_eval(z, SQ, 0)
-    assert abs(w - rational_kernel(z)) < 1e-2 * abs(w)
+    assert abs(w - 1 / z**2) < 1e-2 * abs(w)
+
+
+def test_wp_eval_is_wp_derivative_of_the_wp01_pair():
+    for z in (0.31 + 0.17j, 0.02 - 0.03j, 2.4 + 1.7j):
+        pair = wp01(z, HX)
+        assert [wp_eval(z, HX, d) for d in range(6)] == [
+            wp_derivative(*pair, HX.g2, d) for d in range(6)]
+    for d in (-1, 6):
+        with pytest.raises(ValueError, match="derivative order must be 0..5"):
+            wp_derivative(1j, 2j, HX.g2, d)
+        with pytest.raises(ValueError, match="derivative order must be 0..5"):
+            wp_eval(0.3, SQ, d)
 
 
 def pinned_points(lat, seed):

@@ -177,6 +177,23 @@ def test_linear_rule_needs_a_polynomial_quotient():
     assert branches[0].assignments == {}
 
 
+def test_a_monomial_with_three_candidates_fans_out_without_overlap():
+    # c*e*g2 = 0 forks on e = 0 with c != 0, on g2 = 0 with c, e != 0, and
+    # on c = 0; the second condition leaves c^2 != 0 on the first two, and
+    # is -g2*e^2 on the third, which forks again: g2 = 0 with e != 0, e = 0
+    c, e, g2 = (MultiPoly.var(v) for v in ("c", "e", "g2"))
+    cs = ConstraintSet(3, (Condition(c * e * g2, 1, "test"),
+                           Condition(c * c - g2 * e * e, 0, "test")))
+    got = [(b.classification, {v: a.text() for v, a in b.assignments.items()},
+            b.nonzero) for b in triangular_solve(cs)]
+    assert got == [
+        ("inconsistent", {"e": "0"}, ["c"]),
+        ("inconsistent", {"g2": "0"}, ["c", "e"]),
+        ("finite-set", {"c": "0", "g2": "0"}, ["e"]),
+        ("cyclic-point", {"c": "0", "e": "0"}, []),
+    ]
+
+
 def test_failed_back_substitution_is_a_verification_error():
     x = MultiPoly.var("x")
     _verify([x * x - 1], {"x": MultiPoly.const(1)}, None)
