@@ -5,6 +5,7 @@ import cmath
 import pytest
 
 import ellop.cm as cm
+from ellop import acceptance
 from ellop.lattice import make_lattice, wp_eval
 from ellop.cm import (
     CMConfig2,
@@ -79,8 +80,6 @@ def test_cm3_residuals_read_wp_once_per_pair(monkeypatch, n):
 def test_many_body_criteria_read_wp_once_per_point(monkeypatch):
     # the two criteria that reach cm; reading (wp, wp') once per derivative
     # order made 1,482 reads at seed 0
-    from ellop import acceptance
-
     calls = _count_wp01(monkeypatch)
     assert acceptance.criterion_many_body(0)[0]
     assert acceptance.criterion_symmetric_third_order(0)[0]
