@@ -152,6 +152,30 @@ def test_jtable(capsys):
     assert len(lines) == 3
 
 
+# SHA-256 of the stdout of `ellop ARGV`: exotic-j rows whose j is a
+# RatFunc, unsolved nodal rows with a `c^2 = ...` square relation, cusps,
+# and the j table
+LOCUS_DIGESTS = {
+    ("locus", "--r", "8"): "c3c43a267136efeee17552a80f704a9aba1c7120e9a894d2e001b84e5d189407",
+    ("locus", "--r", "10"): "eba80892b562ee5667e411bb1aaa42116f71bc1fa866f68b99eec01fd172f05f",
+    ("locus", "--r", "13"): "f7a983b7781a2f570c2a1a1679f755fe48f666007ea90d45b520516a7ea9a215",
+    ("locus", "--r", "5", "--curve", "nodal"):
+        "9c4ff5c505d09f133e0f820ce49d74139f8b8e04d9cb23ba1aa59df1ec93e41a",
+    ("locus", "--r", "22", "--curve", "nodal"):
+        "c28ccb18cdf8ac933c38eb6c6ffaf264f95c7becb5bf49136a97ff8ee35bed68",
+    ("locus", "--r", "4", "--curve", "cuspidal"):
+        "b75eeea12099c10a0ce1c8f1239347518c1362e265856bb327c694a4f8478dc3",
+    ("jtable", "--r", "10"): "2d73b4d2828c2b7be71f17997b8b4dfefe3503de5d600738f32671c0245b1ccb",
+}
+
+
+@pytest.mark.parametrize("argv", list(LOCUS_DIGESTS), ids=" ".join)
+def test_locus_output_is_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == LOCUS_DIGESTS[argv]
+
+
 def test_commute_found_and_not_found(capsys):
     code, out, _ = run(capsys, "commute", "--operator", "second:a=-2",
                        "--order", "3")
