@@ -82,10 +82,17 @@ def finite_gap_residuals(cfg: CMConfig2, lat: Lattice) -> list:
     """Residuals sum_{j != i} m_j (m_j + 1) wp^(2s-1)(z_i - z_j), s = 1..m_i.
 
     All residuals vanish iff the configuration carries a finite-gap second
-    order operator.  Flat list ordered by pole index, then s.
+    order operator.  Flat list ordered by pole index, then s.  A multiplicity
+    above 3 needs wp beyond wp^(5), and is rejected when a partner exists.
     """
     cfg.validate(lat)
     zs, ms = cfg.points, cfg.multiplicities
+    for i, mi in enumerate(ms):
+        if mi > 3 and len(zs) > 1:
+            raise InvalidConfigurationError(
+                f"points[{i}] has multiplicity {mi}; the residuals read wp "
+                "only up to wp^(5), so at most 3"
+            )
     out = []
     for i, mi in enumerate(ms):
         if not mi:

@@ -231,6 +231,14 @@ def test_commute_rejects_an_order_below_one(capsys, order, message):
     assert message in err
 
 
+def test_commute_rejects_a_cyclic_index_sum(capsys):
+    code, out, err = run(capsys, "commute", "--operator", "cyclic:n=3,indices=0|1|5",
+                         "--order", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: bad operator spec 'cyclic:n=3,indices=0|1|5': index sum "
+                   "incompatible with a vanishing d^(n-1) term\n")
+
+
 def test_commute_rejects_numeric_operator(capsys):
     code, _, err = run(capsys, "commute", "--operator", "second:a=-2.5",
                        "--order", "3")
@@ -244,6 +252,15 @@ def test_cm2_residuals(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_abs"] < 1e-10
+
+
+@pytest.mark.parametrize("mults,index", [("4,1", 0), ("0,4", 1)])
+def test_cm2_residuals_names_a_multiplicity_above_3(capsys, mults, index):
+    code, out, err = run(capsys, "cm2-residuals",
+                         "--points", "0.13+0.21j;0.41-0.07j", "--mults", mults)
+    assert (code, out) == (2, "")
+    assert err == (f"error: points[{index}] has multiplicity 4; the residuals read wp "
+                   "only up to wp^(5), so at most 3\n")
 
 
 # the many-body commands whose stdout MANY_BODY_DIGESTS pins, by name; each

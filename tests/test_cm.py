@@ -87,9 +87,12 @@ def test_many_body_criteria_read_wp_once_per_point(monkeypatch):
 
 
 def test_a_multiplicity_above_3_needs_wp_beyond_its_fifth_derivative():
-    cfg = CMConfig2([0.3, 0.1 + 0.4j], [4, 1])
-    with pytest.raises(ValueError, match="derivative order must be 0..5"):
-        finite_gap_residuals(cfg, SQ)
+    msg = r"points\[{}\] has multiplicity 4; the residuals read wp only up to wp\^\(5\), so at most 3"
+    with pytest.raises(InvalidConfigurationError, match=msg.format(0)):
+        finite_gap_residuals(CMConfig2([0.3, 0.1 + 0.4j], [4, 1]), SQ)
+    # a partner of multiplicity 0 still puts a wp^(7) term in the sum
+    with pytest.raises(InvalidConfigurationError, match=msg.format(1)):
+        finite_gap_residuals(CMConfig2([0.3, 0.1 + 0.4j], [0, 4]), SQ)
     # a single pole has no partner, so nothing is evaluated
     assert finite_gap_residuals(CMConfig2([0.3], [4]), SQ) == [0j] * 4
 
