@@ -57,10 +57,6 @@ class EllipticElement:
         return cls._of(MultiPoly.var(_P), _ZERO)
 
     @classmethod
-    def Pprime(cls):
-        return cls._of(_ZERO, MultiPoly.const(1))
-
-    @classmethod
     def zero(cls):
         return cls._of(_ZERO, _ZERO)
 

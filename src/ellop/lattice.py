@@ -73,10 +73,6 @@ class Lattice:
     wp_shift: complex             # pi^2 theta1'''(0) / (3 theta1'(0)) at tau'
     wp_laurent: tuple             # wp(w; tau') coefficients of w^-2, w^-1, ...
 
-    def j(self) -> complex:
-        d = self.g2**3 - 27 * self.g3**2
-        return 1728 * self.g2**3 / d
-
 
 def _check_tau(tau) -> complex:
     tau = complex(tau)

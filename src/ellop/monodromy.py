@@ -26,9 +26,6 @@ class Condition:
     lambda_degree: int
     provenance: tuple        # (order n, index, resonance offset)
 
-    def text(self) -> str:
-        return self.poly.text()
-
 
 @dataclass(frozen=True)
 class ConstraintSet:

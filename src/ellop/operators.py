@@ -1,6 +1,5 @@
 """Differential operators: local Fuchsian form, global one-pole elliptic
-form, indices, adjoints, composition, cyclic operators, and commuting
-certificates."""
+form, indices, composition, cyclic operators, and commuting certificates."""
 
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ from dataclasses import dataclass
 
 from .rationals import ONE, Rat, ZERO, as_rat
 from .poly import MultiPoly, remainder_sequence
-from .series import LaurentSeries
 from .elliptic import EllipticElement
 from .linalg import solve_linear_over_field
 
@@ -59,16 +57,12 @@ def op_commutator(A: dict, B: dict) -> dict:
     return op_sub(op_compose(A, B), op_compose(B, A))
 
 
-def op_order(op: dict) -> int:
-    return max(op) if op else -1
-
-
 # -- index data -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class IndexData:
-    """Sorted indices of an operator at a point, plus their gaps."""
+    """Sorted indices of an operator at a point."""
 
     indices: tuple
 
@@ -80,11 +74,6 @@ class IndexData:
     @property
     def n(self) -> int:
         return len(self.indices)
-
-    @property
-    def gaps(self):
-        m = self.indices
-        return tuple(m[j] - m[j - 1] for j in range(1, len(m)))
 
     def index_sum_ok(self) -> bool:
         n = self.n
@@ -139,7 +128,7 @@ def indicial_coefficients(n: int, bs: dict):
 
 class LocalOperator:
     """Monic order-n operator with a_1 = 0 and Fuchsian pole bounds:
-    ord_0(a_i) >= -i for the coefficient a_i of d^(n-i)."""
+    ord_0(a_i) >= -i for each coefficient a_i of d^(n-i), i = 2..n."""
 
     def __init__(self, n: int, coeffs: dict):
         if n < 2:
@@ -149,8 +138,7 @@ class LocalOperator:
         for i in range(2, n + 1):
             s = coeffs.get(i)
             if s is None:
-                order = min(c.order for c in coeffs.values()) if coeffs else 8
-                s = LaurentSeries.zero(order)
+                raise ValueError(f"coefficient a_{i} is missing")
             if s.valuation() is not None and s.valuation() < -i:
                 raise ValueError(
                     f"coefficient a_{i} has a pole of order > {i}: not Fuchsian"
@@ -307,32 +295,6 @@ class GlobalEllipticOperator:
             self.n, {i: c.substitute(mapping) for i, c in self.coeffs.items()}
         )
 
-    def adjoint(self) -> "GlobalEllipticOperator":
-        adj = adjoint_opdict(self.as_opdict(), EllipticElement.const(1))
-        coeffs = {}
-        for p, c in adj.items():
-            if p == self.n:
-                continue
-            if p == self.n - 1 and not c.is_zero():
-                raise ValueError("adjoint produced a d^(n-1) term")
-            coeffs[self.n - p] = c
-        return GlobalEllipticOperator(self.n, coeffs)
-
-
-def adjoint_opdict(op: dict, one):
-    """Formal adjoint sum (-d)^p . a_p, normalized to be monic."""
-    n = op_order(op)
-    out = {}
-    for p, a in op.items():
-        term = op_compose({p: one}, {0: a}) if p else {0: a}
-        sign = Rat((-1) ** p)
-        for pw, c in term.items():
-            c = c * sign
-            out[pw] = (out[pw] + c) if pw in out else c
-    out = _op_clean(out)
-    if n % 2 == 1:
-        out = {p: c * Rat(-1) for p, c in out.items()}
-    return out
 
 
 def third_order_indices(q: int, r: int) -> IndexData:

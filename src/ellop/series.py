@@ -19,7 +19,8 @@ class LaurentSeries:
     The arithmetic, ``__add__`` through ``truncate``, is the generic series
     algebra.  The program builds its series directly (``to_series`` and the
     Frobenius recursion sum each coefficient at once); the tests keep this
-    algebra as the reference those direct sums are compared against."""
+    algebra as the reference those direct sums are compared against.
+    Nothing prints a series: output shows its MultiPoly coefficients."""
 
     __slots__ = ("low", "coeffs", "order")
 
@@ -63,16 +64,6 @@ class LaurentSeries:
             if not self.coeffs[k - self.low].is_zero():
                 return k
         return None
-
-    def normalized(self) -> "LaurentSeries":
-        """Strip leading stored zeros (explicit request per the contract)."""
-        v = self.valuation()
-        if v is None:
-            return LaurentSeries.zero(self.order)
-        return LaurentSeries(v, self.coeffs[v - self.low :], self.order)
-
-    def is_zero_to_order(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -145,34 +136,6 @@ class LaurentSeries:
                 f"cannot extend trusted order {self.order} to {order}"
             )
         return LaurentSeries(min(self.low, order), self.coeffs[: order - self.low], order)
-
-    def text(self) -> str:
-        s = self.normalized()
-        if s.is_zero_to_order():
-            return f"O(z^{self.order})"
-        inner = []
-        for k in range(s.low, s.order):
-            c = s.coeffs[k - s.low]
-            if c.is_zero():
-                continue
-            body = c.text()
-            if " " in body or body.startswith("-"):
-                body = f"({body})"
-            off = k - s.low
-            if off == 0:
-                inner.append(body)
-            elif off == 1:
-                inner.append(f"{body}*z")
-            else:
-                inner.append(f"{body}*z^{off}")
-        head = f"z^{s.low}*(" if s.low != 0 else "("
-        return head + " + ".join(inner) + f") + O(z^{s.order})"
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"LaurentSeries({self.text()})"
 
 
 def _wp_laurent(K: int, g2, g3, c=None) -> dict:

@@ -20,6 +20,7 @@ from ellop.locus3 import (
     reconstruct_in_q,
     scan_grid,
     solved_branch,
+    LocusBranch,
     branch_quantity,
     triangular_solve,
     valid_r,
@@ -250,10 +251,44 @@ FRONTIER_DIGESTS = {
 @pytest.mark.parametrize("q,r", sorted(FRONTIER_DIGESTS))
 def test_frontier_outputs_are_pinned(q, r):
     cs = constraints_for(q, r)
-    texts = [c.text() for c in cs.conditions]
+    texts = [c.poly.text() for c in cs.conditions]
     assert len(set(texts)) == len(texts)  # duplicates were removed
     h = hashlib.sha256(cs.to_json().encode())
     for branch in triangular_solve(cs):
         for line in _branch_lines(branch):
             h.update(line.encode() + b"\n")
     assert h.hexdigest() == FRONTIER_DIGESTS[q, r]
+
+
+def synthetic_branch(assignments, relation=None):
+    return LocusBranch(2, 2, assignments, relation, [], [], [], "exotic-j")
+
+
+C, W = MultiPoly.var("c"), MultiPoly.var("w")
+
+
+@pytest.mark.parametrize("branch,quantity,message", [
+    (synthetic_branch({}), "j", "j is generic on this branch"),
+    (synthetic_branch({"e": C}, ("c", W * W)), "c/e2", "c is determined only up to sign"),
+    (synthetic_branch({}), "g2/e4", "g2 is not determined on this branch"),
+    (synthetic_branch({"g2": C * C * 3}, ("c", W * W)), "g2/c2", "square relation is not constant"),
+    (synthetic_branch({"g2": C * C * 3}, ("c", MultiPoly.zero())), "g2/c2",
+     "zero square relation"),
+], ids=["j_string", "c_up_to_sign", "target_undetermined", "relation_not_constant",
+        "zero_relation"])
+def test_branch_quantity_errors(branch, quantity, message):
+    with pytest.raises(ValueError, match=message):
+        branch_quantity(branch, quantity)
+
+
+def test_an_unsatisfiable_set_has_no_branch():
+    assert triangular_solve(ConstraintSet(3, unsatisfiable=True, reason="test")) == []
+
+
+def test_a_constant_condition_left_over_makes_an_inconsistent_branch():
+    c = MultiPoly.var("c")
+    cs = ConstraintSet(3, (Condition(c, 0, "test"), Condition(c + 1, 0, "test")))
+    (branch,) = triangular_solve(cs)
+    assert branch.classification == "inconsistent"
+    assert branch.witness == MultiPoly.const(1)
+    assert branch.assignments == {"c": MultiPoly.zero()}

@@ -6,7 +6,7 @@ import pytest
 
 from ellop.rationals import Rat, falling_factorial
 from ellop.poly import MultiPoly
-from ellop.series import wp_series
+from ellop.series import LaurentSeries, TruncationError, wp_series
 from ellop.elliptic import EllipticElement
 from ellop.operators import (
     GlobalEllipticOperator,
@@ -15,6 +15,7 @@ from ellop.operators import (
     third_order_from_gaps,
 )
 from ellop.monodromy import (
+    ConstraintSet,
     _horner,
     _indicial_values,
     frobenius_solve,
@@ -224,7 +225,7 @@ def test_full_mode_keeps_each_condition_once(q, r, expected):
     op = third_order_from_gaps(q, r).localize(q + r + 4)
     cs = trivial_monodromy_constraints(op, mode="full")
     low = op.indices()[0].indices[0]
-    assert [(c.lambda_degree, c.text(), c.provenance) for c in cs.conditions] == [
+    assert [(c.lambda_degree, c.poly.text(), c.provenance) for c in cs.conditions] == [
         (d, text, (3, low, offset)) for d, text, offset in expected]
 
 
@@ -312,3 +313,24 @@ def test_two_gap_conditions_validate_input():
         two_gap_conditions([Rat(-3)] * 3, [Rat(3)] * 5)
     with pytest.raises(ValueError):
         two_gap_conditions([Rat(1)] + [Rat(0)] * 4, [Rat(3)] + [Rat(0)] * 4)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: frobenius_solve(lame_local(6), Rat(-1), 2), TruncationError,
+     "K=2 below deepest resonance offset 3"),
+    (lambda: trivial_monodromy_constraints(lame_local(6), mode="middle-only"), ValueError,
+     "middle-only mode requires order 3"),
+    (lambda: trivial_monodromy_constraints(lame_local(6), mode="point"), ValueError,
+     "unknown mode 'point'"),
+    (lambda: second_order_conditions(1, wp_series(4) * Rat(-2) + LaurentSeries(-1, [1], 4)),
+     ValueError, "1/z term must vanish"),
+], ids=["frobenius_below_resonance", "middle_only_order_2", "unknown_mode", "one_over_z"])
+def test_monodromy_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_an_unsatisfiable_set_prints_its_reason():
+    cs = ConstraintSet(3, unsatisfiable=True, reason="non-rational indices")
+    assert cs.to_json() == ('{"n": 3, "unsatisfiable": true, "reason": "non-rational indices", '
+                            '"conditions": []}')

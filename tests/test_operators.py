@@ -1,4 +1,4 @@
-"""Differential operator algebra: composition, adjoints, indicial data."""
+"""Differential operator algebra: composition, indicial data."""
 
 import math
 import random
@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 from ellop.rationals import Rat
 from ellop.poly import MultiPoly
 from ellop.elliptic import EllipticElement
+from ellop.series import LaurentSeries, wp_series
 from ellop.operators import (
     GlobalEllipticOperator,
     IndexData,
     InvalidGapsError,
+    LocalOperator,
     VerificationError,
     _rational_roots,
     coefficients_from_indices,
@@ -22,7 +24,6 @@ from ellop.operators import (
     indicial_coefficients,
     op_commutator,
     op_compose,
-    op_order,
     third_order_from_gaps,
     third_order_indices,
 )
@@ -65,11 +66,6 @@ def test_commutator_antisymmetry(a, b):
         assert (lhs.get(k, zero) + rhs.get(k, zero)).is_zero()
 
 
-def test_op_order():
-    assert op_order({}) == -1
-    assert op_order(small_op([(0, [1], []), (2, [0, 1], [])])) == 2
-
-
 def test_leibniz_on_a_function():
     # [D, f] = f' as multiplication operators
     f = EllipticElement([0, 2], [1])       # 2P + P'
@@ -82,7 +78,6 @@ def test_leibniz_on_a_function():
 def test_index_data_sorting_and_gaps():
     idx = IndexData((3, -1, 1))
     assert idx.indices == (Rat(-1), Rat(1), Rat(3))
-    assert idx.gaps == (Rat(2), Rat(2))
     assert idx.index_sum_ok()
 
 
@@ -137,13 +132,6 @@ def test_third_order_indicial_roots_match():
     idx, residual = L.localize(4).indices()
     assert residual is None
     assert idx.indices == (Rat(0), Rat(1), Rat(2))
-
-
-def test_adjoint_is_an_involution():
-    L = third_order_from_gaps(2, 2)
-    A = L.adjoint().adjoint()
-    for i, elem in L.coeffs.items():
-        assert (A.coeffs.get(i, EllipticElement.zero()) - elem).is_zero()
 
 
 def test_cyclic_operator_indices():
@@ -284,3 +272,17 @@ def test_rational_roots_match_the_fraction_reference(seed):
     roots = _rational_roots(poly)
     assert roots == reference_rational_roots(poly)
     assert all(type(x) is Rat for x in roots)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: LocalOperator(1, {}), "order must be at least 2"),
+    (lambda: LocalOperator(2, {2: LaurentSeries(-3, [1], 4)}),
+     "coefficient a_2 has a pole of order > 2: not Fuchsian"),
+    (lambda: LocalOperator(3, {2: wp_series(4)}), "coefficient a_3 is missing"),
+    (lambda: cyclic_L0(3, IndexData((0, 1, 5))),
+     r"index sum incompatible with a vanishing d\^\(n-1\) term"),
+    (lambda: cyclic_L0(3, IndexData((-1, 1, 3)), curve="nodal"), "unknown curve mode 'nodal'"),
+], ids=["order_below_2", "not_fuchsian", "missing_coefficient", "index_sum", "unknown_curve"])
+def test_operator_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -68,6 +68,23 @@ def test_verdict_thresholds():
     assert verdict == "nontrivial"
 
 
+@pytest.mark.parametrize("deviations,verdict", [
+    ((5e-12, 5e-12, 5e-12), "trivial"),
+    ((5e-12, 1e-11, 5e-12), "inconclusive"),
+    ((5e-12, 1e-10, 1e-9), "inconclusive"),
+    ((1e-11, 2e-9, 5e-12), "nontrivial"),
+])
+def test_verdict_reads_the_deviations_against_10_and_1000_tol(monkeypatch, deviations, verdict):
+    # tol = 1e-12: between 1e-11 and 1e-9 the loop decides nothing
+    from types import SimpleNamespace
+    from ellop import oracle
+
+    monkeypatch.setattr(oracle, "monodromy_matrices", lambda *args: [
+        SimpleNamespace(deviation=d) for d in deviations])
+    assert integrability_verdict(None, 2, 0.2) == (verdict, [
+        SimpleNamespace(deviation=d) for d in deviations])
+
+
 def test_verdict_needs_three_samples():
     ev = elliptic_evaluator(LAME, {}, SQ)
     with pytest.raises(ValueError):

@@ -669,3 +669,26 @@ def test_substitute_rejects_a_ratfunc_value():
     for value in (RatFunc(e, c + 1), RatFunc(e * 2)):
         with pytest.raises(TypeError):
             p.substitute({"c": value})
+
+
+C, E, Q = MultiPoly.var("c"), MultiPoly.var("e"), MultiPoly.var("q")
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: MultiPoly.from_terms(("c", "e"), {(1,): 1}), ValueError,
+     r"exponent \(1,\) does not match \('c', 'e'\)"),
+    (lambda: (C + E).in_universe(("e",)), ValueError, r"uses variables missing from \('e',\)"),
+    (lambda: (C + 1).constant_value(), ValueError, "not a constant: c"),
+    (lambda: C ** -1, ValueError, "negative power of a polynomial"),
+    (lambda: try_div(C, MultiPoly.zero()), ZeroDivisionError, "polynomial division by zero"),
+    (lambda: exact_div(C, C + E), ArithmeticError, r"inexact polynomial division: \(c\) / \(c \+ e\)"),
+    (lambda: RatFunc(C, MultiPoly.zero()), ZeroDivisionError,
+     "rational function with zero denominator"),
+    (lambda: RatFunc(1, Q + 1).as_poly(), ValueError, "not a polynomial"),
+    (lambda: RatFunc(Q) / RatFunc(MultiPoly.zero()), ZeroDivisionError,
+     "division by the zero rational function"),
+], ids=["from_terms", "in_universe", "constant_value", "negative_power", "try_div",
+        "exact_div", "zero_denominator", "as_poly", "ratfunc_division"])
+def test_exact_layer_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

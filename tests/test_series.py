@@ -79,7 +79,7 @@ def test_numeric_series_is_the_exact_series_at_a_point(K):
 
 def test_elliptic_ring_relation():
     P = EllipticElement.P()
-    Pp = EllipticElement.Pprime()
+    Pp = EllipticElement((), [1])
     g2 = MultiPoly.var("g2")
     g3 = MultiPoly.var("g3")
     assert Pp * Pp == P * P * P * 4 - P * g2 - EllipticElement.const(g3)
@@ -253,3 +253,19 @@ def test_wp_series_truncates_a_longer_one_whichever_is_built_first(first):
     assert coeffs == big_coeffs[:small - low]
     P = wp_series(large)
     assert big_coeffs == [P.coefficient(k).text() for k in range(-2, large)]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: LaurentSeries(0, [], -1), ValueError, "truncation order below lowest exponent"),
+    (lambda: const_series([1], 0, 2).coefficient(2), TruncationError,
+     "exponent 2 beyond trusted order 2"),
+    (lambda: const_series([1], 0, 2) ** -1, ValueError,
+     "negative powers of a series are not supported"),
+    (lambda: const_series([1], 0, 2).truncate(3), TruncationError,
+     "cannot extend trusted order 2 to 3"),
+    (lambda: wp_series(-1), ValueError, "K must be nonnegative"),
+], ids=["order_below_low", "coefficient_beyond_order", "negative_power", "truncate_extends",
+        "wp_series_negative_K"])
+def test_series_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
