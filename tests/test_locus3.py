@@ -286,8 +286,7 @@ def test_an_unsatisfiable_set_has_no_branch():
 
 
 def test_a_constant_condition_left_over_makes_an_inconsistent_branch():
-    c = MultiPoly.var("c")
-    cs = ConstraintSet(3, (Condition(c, 0, "test"), Condition(c + 1, 0, "test")))
+    cs = ConstraintSet(3, (Condition(C, 0, "test"), Condition(C + 1, 0, "test")))
     (branch,) = triangular_solve(cs)
     assert branch.classification == "inconsistent"
     assert branch.witness == MultiPoly.const(1)

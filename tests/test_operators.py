@@ -274,15 +274,20 @@ def test_rational_roots_match_the_fraction_reference(seed):
     assert all(type(x) is Rat for x in roots)
 
 
-@pytest.mark.parametrize("call,message", [
-    (lambda: LocalOperator(1, {}), "order must be at least 2"),
-    (lambda: LocalOperator(2, {2: LaurentSeries(-3, [1], 4)}),
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: LocalOperator(1, {}), ValueError, "order must be at least 2"),
+    (lambda: LocalOperator(2, {2: LaurentSeries(-3, [1], 4)}), ValueError,
      "coefficient a_2 has a pole of order > 2: not Fuchsian"),
-    (lambda: LocalOperator(3, {2: wp_series(4)}), "coefficient a_3 is missing"),
-    (lambda: cyclic_L0(3, IndexData((0, 1, 5))),
+    (lambda: LocalOperator(3, {2: wp_series(4)}), ValueError, "coefficient a_3 is missing"),
+    (lambda: cyclic_L0(3, IndexData((0, 1, 5))), ValueError,
      r"index sum incompatible with a vanishing d\^\(n-1\) term"),
-    (lambda: cyclic_L0(3, IndexData((-1, 1, 3)), curve="nodal"), "unknown curve mode 'nodal'"),
-], ids=["order_below_2", "not_fuchsian", "missing_coefficient", "index_sum", "unknown_curve"])
-def test_operator_guards(call, message):
-    with pytest.raises(ValueError, match=message):
+    (lambda: cyclic_L0(3, IndexData((-1, 1, 3)), curve="nodal"), ValueError,
+     "unknown curve mode 'nodal'"),
+    # indices summing to other than n(n-1)/2 need a d^(n-1) term
+    (lambda: coefficients_from_indices(IndexData((0, 1, 5))), ArithmeticError,
+     "indicial matching failed"),
+], ids=["order_below_2", "not_fuchsian", "missing_coefficient", "index_sum", "unknown_curve",
+        "indicial_matching"])
+def test_operator_guards(call, error, message):
+    with pytest.raises(error, match=message):
         call()

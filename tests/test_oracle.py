@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -76,13 +77,11 @@ def test_verdict_thresholds():
 ])
 def test_verdict_reads_the_deviations_against_10_and_1000_tol(monkeypatch, deviations, verdict):
     # tol = 1e-12: between 1e-11 and 1e-9 the loop decides nothing
-    from types import SimpleNamespace
-    from ellop import oracle
+    import ellop.oracle as oracle
 
-    monkeypatch.setattr(oracle, "monodromy_matrices", lambda *args: [
-        SimpleNamespace(deviation=d) for d in deviations])
-    assert integrability_verdict(None, 2, 0.2) == (verdict, [
-        SimpleNamespace(deviation=d) for d in deviations])
+    reports = [SimpleNamespace(deviation=d) for d in deviations]
+    monkeypatch.setattr(oracle, "monodromy_matrices", lambda *args: reports)
+    assert integrability_verdict(None, 2, 0.2) == (verdict, reports)
 
 
 def test_verdict_needs_three_samples():
