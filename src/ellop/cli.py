@@ -218,17 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _order_below_2(n: int) -> bool:
-    """Say so on stderr if n is below 2: no operator has such an order."""
-    if n < 2:
-        print("order must be at least 2", file=sys.stderr)
-    return n < 2
-
-
 def _cmd_indicial(args) -> int:
     n = args.n
-    if _order_below_2(n):
-        return 2
+    if n < 2:
+        raise ValueError("order must be at least 2")
     if n > _INDICIAL_MAX_N:
         raise ValueError(f"order must be at most {_INDICIAL_MAX_N}: "
                          f"only --b2 .. --b{_INDICIAL_MAX_N} exist")
@@ -240,8 +233,8 @@ def _cmd_indicial(args) -> int:
 
 
 def _cmd_homog_check(args) -> int:
-    if _order_below_2(args.n):
-        return 2
+    if args.n < 2:
+        raise ValueError("order must be at least 2")
     idx = IndexData(tuple(Rat(v) for v in _parse_ilist(args.indices)))
     ok, reason = homogeneous_integrable(idx, args.n)
     print(json.dumps({"integrable": ok, "reason": reason}))
@@ -256,9 +249,8 @@ def _cmd_constraints(args) -> int:
 
 def _cmd_locus(args) -> int:
     if not valid_r(args.r):
-        print(f"r={args.r} does not occur (must be positive, not divisible "
-              "by 3)", file=sys.stderr)
-        return 2
+        raise ValueError(f"r={args.r} does not occur (must be positive, not "
+                         "divisible by 3)")
     offset = 9 if args.q_max is None else max(0, args.q_max - args.r)
     report = scan_grid([args.r], q_offset=offset, curve=args.curve)
     sys.stdout.write(report.to_csv())
@@ -286,9 +278,7 @@ def _cmd_jtable(args) -> int:
 def _cmd_commute(args) -> int:
     op, vals = _parse_operator(args.operator)
     if vals:
-        print("commute requires an exact operator (no numeric parameters)",
-              file=sys.stderr)
-        return 2
+        raise ValueError("commute requires an exact operator (no numeric parameters)")
     M = find_commuting(op, args.order)
     if M is None:
         print(json.dumps({"found": False}))

@@ -84,9 +84,6 @@ class EllipticElement:
     def __sub__(self, other):
         return self + -other
 
-    def __rsub__(self, other):
-        return EllipticElement.const(other) + -self
-
     def __mul__(self, other):
         if not isinstance(other, EllipticElement):
             c = _coefficient(other)
@@ -161,9 +158,3 @@ class EllipticElement:
         for ch in chunks[1:]:
             out += f" - {ch[1:]}" if ch.startswith("-") else f" + {ch}"
         return out
-
-    def __str__(self):
-        return self.text()
-
-    def __repr__(self):
-        return f"EllipticElement({self.text()})"

@@ -342,6 +342,8 @@ def cyclic_L0(n: int, idx: IndexData, curve: str = "generic") -> GlobalEllipticO
 
     curve selects a specialization: "generic", "g2=0" (equianharmonic) or
     "g3=0" (lemniscatic)."""
+    if n < 2:
+        raise ValueError("order must be at least 2")
     ok, reason = homogeneous_integrable(idx, n)
     if not ok:
         raise ValueError(f"indices not integrable: {reason}")
@@ -398,32 +400,48 @@ def _slots(op: dict) -> dict:
 
 
 def find_commuting(L: GlobalEllipticOperator, m: int):
-    """Search for a monic order-m operator M with [L, M] = 0, with
-    coefficient pole orders <= n + m + i for L of order n.  Returns an
+    """Search for a monic order-m operator M with [L, M] = 0.  Returns an
     operator dict {power: EllipticElement} or None.  Raises ValueError if m
-    is not coprime to n or m < 1.
+    is not coprime to L's order n or m < 1.
 
     M is D^m plus unknown multiples of the terms P^a (P')^b D^(m-i), (a, b)
-    over _elliptic_basis(n + m + i).  [L, M] is linear in M, so each term
+    over _elliptic_basis(w*i).  L's pole weight w is the least integer
+    w >= 1 with pole(a_i) <= w*i for every coefficient a_i of D^(n-i),
+    where pole(P^a (P')^b) = 2a + 3b.  [L, M] is linear in M, so each term
     gives one column of a linear system, the slots of its commutator with
     L, and the right-hand side is -[L, D^m].  The system is solved in the
     polynomial ring: no partner is found when it is inconsistent or its
-    solution with the free unknowns at 0 has a denominator."""
+    solution with the free unknowns at 0 has a denominator.
+
+    The bound loses no partner.  Call sum_j b_j D^j (j < 0 too) of weight d
+    when pole(b_j) <= w*(d - j) for every j.  Weights add under products,
+    since the s-th derivative of a coefficient deepens its pole by
+    s <= w*s.  L has weight n, so Q = L^(1/n) = D + q_2 D^-1 + ... has
+    weight 1: the coefficient of D^(n-i) in Q^n is n*q_i plus terms in
+    q_2..q_(i-1) of weight n.  Every operator that commutes with L is
+    sum_k c_k (Q^k)_+ with c_k constant (Schur 1905), so it has weight at
+    most its order.  So every partner, and every operator of lower order
+    that commutes with L, lies in the span of the columns.  A wider basis
+    adds only columns that are 0 in every solution and kernel vector: each
+    is a pivot column, the other columns keep their pivots, and the
+    solution with free unknowns at 0, or None, is the same."""
     n = L.n
     if math.gcd(n, m) != 1:
         raise ValueError(f"order {m} not coprime to {n}")
     if m < 1:
         raise ValueError(f"order {m} of the partner must be at least 1")
+    w = max([1] + [-(-(2 * a + 3 * b) // i)
+                   for i, c in L.coeffs.items() for a, b, _ in c.parts()])
     lop = L.as_opdict()
     one = EllipticElement.const(1)
     terms = [(m - i, EllipticElement((), [0] * a + [1]) if b else EllipticElement([0] * a + [1]))
-             for i in range(1, m + 1) for a, b in _elliptic_basis(n + m + i)]
+             for i in range(1, m + 1) for a, b in _elliptic_basis(w * i)]
     columns = [_slots(op_commutator(lop, {p: term})) for p, term in terms]
     top = _slots(op_commutator(lop, {m: one}))
     # Rows run by (-power of D, P'-degree, power of P).  The solution does
     # not depend on the row order, but the growth of the fraction-free
     # elimination's entries does: with rows in first-seen order,
-    # third:q=2,r=2,c=1,e=1 at order 4 runs for minutes, not 0.4 s.
+    # third:q=4,r=4,c=6,e=0 at order 7 takes 0.26-0.36 s, not 0.08-0.10 s.
     slots = sorted(top.keys() | {s for col in columns for s in col},
                    key=lambda s: (-s[0], s[1], s[2]))
     zero = MultiPoly.zero()

@@ -327,9 +327,6 @@ class MultiPoly:
     def __sub__(self, other):
         return self + (-self._coerce(other) if not isinstance(other, MultiPoly) else -other)
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         s = 1
         if not isinstance(other, MultiPoly):
@@ -745,9 +742,6 @@ class RatFunc:
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         try:

@@ -181,6 +181,17 @@ def test_a_half_period_pair_loop_that_deviates_fails_many_body(monkeypatch):
     assert acceptance.criterion_many_body(0) == (False, "half-period pair deviation 1e-05")
 
 
+@pytest.mark.parametrize("change, detail", [
+    (lambda _: None, "no order-3 partner found for a = -2"),
+    # D^3 + P does not commute with D^2 - 2P
+    (lambda _: {3: EllipticElement.const(1), 0: EllipticElement.P()}, "commutator does not vanish"),
+], ids=["no-partner", "nonzero-commutator"])
+def test_a_bad_first_search_fails_commuting_certificate(monkeypatch, change, detail):
+    # the first search is a = -2, whose partner D^3 - 3P D - 3/2 P' exists
+    _patch_call(monkeypatch, "find_commuting", 1, change)
+    assert acceptance.criterion_commuting_certificate(0) == (False, detail)
+
+
 def test_a_partner_for_a_minus_5_2_fails_commuting_certificate(monkeypatch):
     # the second search is a = -5/2, which has no partner; D^3 stands in
     _patch_call(monkeypatch, "find_commuting", 2,

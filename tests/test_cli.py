@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from ellop import acceptance, dop853
-from ellop.cli import main
+from ellop import acceptance, dop853, operators
+from ellop.cli import _parse_operator, main
+from ellop.elliptic import EllipticElement
+from ellop.operators import GlobalEllipticOperator
 
 
 def run(capsys, *argv):
@@ -56,7 +58,7 @@ def test_homog_check(capsys):
 def test_homog_check_rejects_an_order_below_2(capsys, n, indices):
     # no operator of order below 2 exists: indicial exits 2 with this message
     assert run(capsys, "homog-check", "--n", n, f"--indices={indices}") == (
-        2, "", "order must be at least 2\n")
+        2, "", "error: order must be at least 2\n")
 
 
 def test_constraints_known_condition(capsys):
@@ -78,9 +80,9 @@ def test_locus_csv(capsys):
 
 
 def test_locus_rejects_invalid_r(capsys):
-    code, _, err = run(capsys, "locus", "--r", "3")
-    assert code == 2
-    assert "does not occur" in err
+    # a usage error, printed as every other one is
+    assert run(capsys, "locus", "--r", "3") == (
+        2, "", "error: r=3 does not occur (must be positive, not divisible by 3)\n")
 
 
 def test_reconstruct(capsys):
@@ -210,6 +212,13 @@ COMMUTE_DIGESTS = {
     ("third:q=2,r=2,c=-3,e=3", 5): "db2ec36398c8dd410a06faa77fdf40ffb645dbf410993f6274df328f68a1fd1f",
     # off the locus at order 5: the solve meets 7 nonzero residual rows
     ("third:q=4,r=4,c=6,e=0", 5): "22fc34cee0515349529fd04aed6ba34c4ccb6d37a06c14cdd7d69bbfc40d3d5a",
+    # order 7, a cyclic operator's partner among them
+    ("second:a=-6", 7): "638e2dc4122e027ee4e55dfa6a4957f80a643d593dddcebd62105d65adad3c44",
+    ("second:a=-12", 7): "9c2a4bd408131e3255bca35d335d1ad124c79f1bb4eb66f175e4b699fcc4c04e",
+    ("third:q=2,r=2,c=-3,e=3", 7): "e92fa01d4c258ed7d2d88938276ddcd94118a059618cccf96c8e6ef8aba50ca5",
+    ("third:q=4,r=4,c=6,e=0", 7): "22fc34cee0515349529fd04aed6ba34c4ccb6d37a06c14cdd7d69bbfc40d3d5a",
+    ("cyclic:n=3,indices=-1|1|3,curve=generic", 7):
+        "8545be21e2527542d5a422580f0503c9ccb094841a7aa354a6c5ea516dddc158",
 }
 
 
@@ -218,6 +227,44 @@ def test_commute_output_is_pinned(capsys, operator, order):
     code, out, _ = run(capsys, "commute", "--operator", operator, "--order", str(order))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COMMUTE_DIGESTS[operator, order]
+
+
+def test_commute_solves_one_column_per_term_within_the_pole_weight(capsys, monkeypatch):
+    # L has pole weight 1, so D^(7-i) gets the monomials P^a (P')^b of pole
+    # order 2a + 3b <= i: 1 + 2 + ... + 7 = 28 columns.  The earlier bound,
+    # pole order <= n + m + i, built 98
+    widths = []
+    real = operators.solve_linear_over_field
+
+    def solve(matrix, rhs):
+        widths.append(len(matrix[0]))
+        return real(matrix, rhs)
+
+    monkeypatch.setattr(operators, "solve_linear_over_field", solve)
+    key = ("third:q=2,r=2,c=-3,e=3", 7)
+    code, out, _ = run(capsys, "commute", "--operator", key[0], "--order", str(key[1]))
+    assert widths == [28]
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMMUTE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("operator,order",
+                         sorted(k for k in COMMUTE_DIGESTS if k[1] <= 5) + [("a2=P^2", 3)])
+def test_a_wider_basis_finds_the_same_partner(monkeypatch, operator, order):
+    # every column past the pole weight's bound is 0 in every solution, so
+    # the basis of the earlier bound n + m + i, or a wider one, changes
+    # nothing; a_2 = P^2 is not Fuchsian and has pole weight 2
+    L = (GlobalEllipticOperator(2, {2: EllipticElement([0, 0, 1])}) if operator == "a2=P^2"
+         else _parse_operator(operator)[0])
+
+    def partner():
+        M = operators.find_commuting(L, order)
+        return None if M is None else {p: c.text() for p, c in sorted(M.items())}
+
+    want = partner()
+    real = operators._elliptic_basis
+    monkeypatch.setattr(operators, "_elliptic_basis", lambda pole: real(pole + L.n + order))
+    assert partner() == want
 
 
 @pytest.mark.parametrize("order,message", [
@@ -240,10 +287,18 @@ def test_commute_rejects_a_cyclic_index_sum(capsys):
 
 
 def test_commute_rejects_numeric_operator(capsys):
-    code, _, err = run(capsys, "commute", "--operator", "second:a=-2.5",
-                       "--order", "3")
-    assert code == 2
-    assert "exact" in err
+    assert run(capsys, "commute", "--operator", "second:a=-2.5", "--order", "3") == (
+        2, "", "error: commute requires an exact operator (no numeric parameters)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("commute", "--order", "3"),
+    ("monodromy", "--lambda", "1"),
+], ids=["commute", "monodromy"])
+def test_a_cyclic_operator_of_order_below_2_is_a_usage_error(capsys, argv):
+    # no operator of order below 2 exists, as indicial and homog-check say
+    assert run(capsys, argv[0], "--operator", "cyclic:n=1,indices=0", *argv[1:]) == (
+        2, "", "error: bad operator spec 'cyclic:n=1,indices=0': order must be at least 2\n")
 
 
 def test_cm2_residuals(capsys):
@@ -396,7 +451,7 @@ def test_indicial_rejects_an_order_without_coefficient_options(capsys):
         assert err.startswith("error: ")
     assert run(capsys, "indicial", "--n", "6", "--b2", "1")[0] == 0
     assert run(capsys, "indicial", "--n", "1") == (
-        2, "", "order must be at least 2\n")
+        2, "", "error: order must be at least 2\n")
 
 
 def test_inozemtsev_ms_takes_the_documented_separator(capsys):

@@ -283,11 +283,13 @@ def test_rational_roots_match_the_fraction_reference(seed):
      r"index sum incompatible with a vanishing d\^\(n-1\) term"),
     (lambda: cyclic_L0(3, IndexData((-1, 1, 3)), curve="nodal"), ValueError,
      "unknown curve mode 'nodal'"),
+    # no operator of order below 2 exists, as LocalOperator checks
+    (lambda: cyclic_L0(1, IndexData((0,))), ValueError, "order must be at least 2"),
     # indices summing to other than n(n-1)/2 need a d^(n-1) term
     (lambda: coefficients_from_indices(IndexData((0, 1, 5))), ArithmeticError,
      "indicial matching failed"),
 ], ids=["order_below_2", "not_fuchsian", "missing_coefficient", "index_sum", "unknown_curve",
-        "indicial_matching"])
+        "cyclic_order_below_2", "indicial_matching"])
 def test_operator_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()
