@@ -291,7 +291,7 @@ def criterion_engine_equivalences(seed=0):
                 coeffs[k] = ZERO
         u = LaurentSeries(-2, [-m * (m + 1), 0, *coeffs.values()], K)
         op = LocalOperator(2, {2: u})
-        full = trivial_monodromy_constraints(op, mode="full")
+        full = trivial_monodromy_constraints(op)
         closed = second_order_conditions(m, u)
         if full.satisfied() != closed.satisfied():
             return False, f"order-2 disagreement at trial {trial} (m={m})"
@@ -308,7 +308,7 @@ def criterion_engine_equivalences(seed=0):
             b[4] = a[4] + b[1] * a[3] / 3
         K = 6
         op = LocalOperator(3, {2: LaurentSeries(-2, a, K), 3: LaurentSeries(-3, b, K)})
-        full = trivial_monodromy_constraints(op, mode="full")
+        full = trivial_monodromy_constraints(op)
         closed = two_gap_conditions(a, b)
         if full.satisfied() != closed.satisfied():
             return False, f"gaps-(2,2) disagreement at trial {trial}"
@@ -327,7 +327,7 @@ def criterion_engine_equivalences(seed=0):
         point = {k: MultiPoly.const(v) for k, v in vals.items()}
         op = third_order_from_gaps(q, r).substitute(point)
         K = q + r + 4
-        full = trivial_monodromy_constraints(op.localize(K), mode="full")
+        full = trivial_monodromy_constraints(op.localize(K))
         middle = constraints_for(q, r)
         mid_ok = all(c.poly.substitute(point).is_zero() for c in middle.conditions)
         if full.satisfied() != mid_ok:

@@ -136,6 +136,7 @@ def _rat_arg(text: str) -> Rat:
 
 
 _INDICIAL_MAX_N = 6             # the highest order with a --bN option
+_SCAN_MAX = 1000                # the most values of q a locus or jtable run takes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("locus", help="branch scan over q for a fixed r")
     s.add_argument("--r", type=int, required=True)
-    s.add_argument("--q-max", type=int, default=None)
+    s.add_argument("--q-max", type=int, default=None,
+                   help=f"largest q (default r + 9); at most {_SCAN_MAX} values "
+                        f"of q, so at most r + {3 * _SCAN_MAX - 1}")
     s.add_argument("--curve", choices=("generic", "cuspidal", "nodal"),
                    default="generic")
 
@@ -174,7 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("jtable", help="CSV of branch j-invariants")
     s.add_argument("--r", type=int, required=True)
-    s.add_argument("--count", type=int, default=5)
+    s.add_argument("--count", type=int, default=5,
+                   help=f"rows, for q = r, r + 3, ... (default 5); at most "
+                        f"{_SCAN_MAX} values of q")
 
     s = sub.add_parser("commute", help="search for a commuting operator")
     s.add_argument("--operator", required=True)
@@ -252,6 +257,9 @@ def _cmd_locus(args) -> int:
         raise ValueError(f"r={args.r} does not occur (must be positive, not "
                          "divisible by 3)")
     offset = 9 if args.q_max is None else max(0, args.q_max - args.r)
+    if offset // 3 >= _SCAN_MAX:
+        raise ValueError(f"--q-max {args.q_max} asks for {offset // 3 + 1} values "
+                         f"of q; at most {_SCAN_MAX} are allowed")
     report = scan_grid([args.r], q_offset=offset, curve=args.curve)
     sys.stdout.write(report.to_csv())
     return 0
@@ -265,6 +273,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_jtable(args) -> int:
+    if args.count > _SCAN_MAX:
+        raise ValueError(f"--count {args.count} asks for {args.count} values "
+                         f"of q; at most {_SCAN_MAX} are allowed")
     rows = ["q,j"]
     for k in range(args.count):
         q = args.r + 3 * k

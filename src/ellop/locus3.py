@@ -1,13 +1,14 @@
 """Third-order one-pole integrability loci.
 
-For gaps (q, r) the middle-index obstruction splits into weighted-
-homogeneous conditions on (c, e, g2, g3), one per power of the spectral
-parameter.  This module generates them, solves them in triangular fashion
-with explicit branching, classifies the branches, computes j-invariants,
-reconstructs closed forms as rational functions of q, and sweeps grids
-over generic and degenerate curves.  A closed form in q is read from exact
-samples at q = r, r+3, ... until ``interp`` confirms it, so no degree bound
-is needed.
+For gaps (q, r) the recursion from the middle index, on the operator
+localized only as far as it reads, meets one obstruction, at offset r; it
+splits into weighted-homogeneous conditions on (c, e, g2, g3), one per
+power of the spectral parameter.  This module generates them, solves them
+in triangular fashion with explicit branching, classifies the branches,
+computes j-invariants, reconstructs closed forms as rational functions of
+q, and sweeps grids over generic and degenerate curves.  A closed form in q
+is read from exact samples at q = r, r+3, ... until ``interp`` confirms it,
+so no degree bound is needed.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 
 from .rationals import ONE, Rat
 from .poly import MultiPoly, RatFunc, try_div
-from .monodromy import Condition, ConstraintSet, trivial_monodromy_constraints
-from .operators import InvalidGapsError, VerificationError, third_order_from_gaps
+from .monodromy import Condition, ConstraintSet, obstruction_conditions
+from .operators import (InvalidGapsError, VerificationError, third_order_from_gaps,
+                        third_order_indices)
 from .interp import rational_interpolate
 
 GENERIC_UNIVERSE = ("c", "e", "g2", "g3")
@@ -30,16 +32,17 @@ PRECEDENCE = ("g3", "g2", "c", "e", "w")
 
 @cache
 def constraints_for(q: int, r: int) -> ConstraintSet:
-    """Integrability conditions for the gap-(q, r) one-pole family,
-    ordered by spectral-parameter degree, descending; cached, since
+    """Integrability conditions for the gap-(q, r) one-pole family: the
+    obstruction of the recursion from the middle index m1, which meets its
+    one resonance at offset r = m2 - m1, one condition per spectral-
+    parameter degree, descending.  The recursion reads the coefficients
+    through z^(r-2), so the operator is localized to r - 1.  Cached, since
     ConstraintSet is immutable."""
     if q < 1 or r < 1:
         raise InvalidGapsError("gaps must be positive")
-    op = third_order_from_gaps(q, r).localize(r + 4)
-    cs = trivial_monodromy_constraints(op, mode="middle-only")
-    cs = replace(
-        cs, conditions=tuple(sorted(cs.conditions, key=lambda c: -c.lambda_degree)),
-        q=q, r=r)
+    _, m1, m2 = third_order_indices(q, r).indices
+    op = third_order_from_gaps(q, r).localize(r - 1)
+    cs = ConstraintSet(3, obstruction_conditions(op, [m1], m2), q=q, r=r)
     for c in cs.conditions:
         weights = c.poly.weights()
         if len(weights) > 1:

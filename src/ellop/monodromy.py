@@ -6,6 +6,10 @@ produces no obstruction at any resonance.  Obstructions are polynomials in
 the operator parameters, the spectral parameter, and the free parameters
 introduced at earlier resonances; the locus conditions are their
 coefficients with those auxiliary variables stripped off.
+
+``obstruction_conditions`` is the one path from an operator to them:
+``trivial_monodromy_constraints`` runs it from every index but the last,
+``locus3.constraints_for`` from the gap family's middle index alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from .rationals import Rat, ZERO, as_rat, falling_factorial
 from .poly import MultiPoly, as_multipoly, sort_vars, sum_of_products
 from .series import LaurentSeries, TruncationError
-from .operators import LocalOperator, _homogeneous_horner, homogeneous_integrable
+from .operators import IndexData, LocalOperator, _homogeneous_horner, homogeneous_integrable
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,6 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     values = _indicial_values(op.indicial_coefficients(), m, K)
     if values[0] != 0:
         raise ValueError(f"{m} is not an indicial root")
-    lam = MultiPoly.var("lambda")
     # refuse truncations that cannot see every resonance
     offsets = [int(rt - m) for rt in op.indicial_roots()
                if (rt - m).denominator == 1 and rt > m]
@@ -115,51 +118,39 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     # scale[kp][i] multiplies the coefficients of a_i against f_kp
     scale = [{i: -falling_factorial(m + kp, n - i) for i in range(2, n + 1)}
              for kp in range(K)]
-    # every coefficient, lambda and f_k lives over one universe, which grows
-    # by u_i at the resonance that introduces it
-    universe = sort_vars(lam.vars + tuple(v for a_i in op.coeffs.values()
-                                          for c in a_i.coeffs for v in c.vars))
-    lam = lam.in_universe(universe)
+    # f_k is the free parameter u1, u2, ... at each resonant offset k, so
+    # every coefficient, lambda and f_k lives over one universe, made here
+    resonances = [k for k in range(1, K + 1) if values[k] == 0]
+    free = [f"u{i}" for i in range(1, len(resonances) + 1)]
+    universe = sort_vars(("lambda", *free) + tuple(v for a_i in op.coeffs.values()
+                                                  for c in a_i.coeffs for v in c.vars))
+    lam = MultiPoly.var("lambda").in_universe(universe)
     one = MultiPoly.const(1, universe)
     f = {0: one}
-    local = {}  # (i, j) -> coefficient of z^j in a_i
+    for k, name in zip(resonances, free):
+        f[k] = MultiPoly.var(name).in_universe(universe)
+    # (i, j) -> the nonzero coefficient of z^j in a_i, through z^(K-i); the
+    # leading z^-i terms are the indicial polynomial's
+    local = {(i, j): A for i, a_i in op.coeffs.items()
+             for j in range(a_i.low, K - i + 1) if j != -i
+             if (A := a_i.coefficient(j).in_universe(universe)).terms}
     obstructions = []
-    free = []
     for k in range(1, K + 1):
         # f_k * indicial(m + k) = sum over earlier kp of (scaled a_i
         # coefficients) * f_kp, each f_kp multiplied once; at a resonance
         # the sum is the obstruction
         scaled = {}  # kp -> [(s, A, one)]
-        for i in range(2, n + 1):
-            a_i = op.coeffs[i]
-            for j in range(a_i.low, k - i + 1):
-                if j == -i:
-                    continue
-                A = local.get((i, j))
-                if A is None:
-                    A = local[i, j] = a_i.coefficient(j).in_universe(universe)
-                if A.terms:
-                    kp = k - i - j
-                    scaled.setdefault(kp, []).append((scale[kp][i], A, one))
+        for (i, j), A in local.items():
+            if j <= k - i:
+                scaled.setdefault(k - i - j, []).append((scale[k - i - j][i], A, one))
         if k >= n:
             scaled.setdefault(k - n, []).append((1, lam, one))
         triples = [(1, sum_of_products(universe, group), f[kp])
                    for kp, group in scaled.items()]
-        c = values[k]
-        if c != 0:
-            f[k] = sum_of_products(universe, triples, c)
-            continue
-        obstructions.append((k, sum_of_products(universe, triples)))
-        name = f"u{len(free) + 1}"
-        free.append(name)
-        f[k] = MultiPoly.var(name)
-        if k == K:  # nothing left to run over the grown universe
-            break
-        universe = sort_vars(universe + (name,))
-        lam = lam.in_universe(universe)
-        one = MultiPoly.const(1, universe)
-        local = {ij: A.in_universe(universe) for ij, A in local.items()}
-        f = {kp: p.in_universe(universe) for kp, p in f.items()}
+        if values[k]:
+            f[k] = sum_of_products(universe, triples, values[k])
+        else:
+            obstructions.append((k, sum_of_products(universe, triples)))
     psi = LaurentSeries(0, [f[k] for k in range(K + 1)], K + 1)
     return FrobeniusSolution(psi, obstructions, free)
 
@@ -176,40 +167,16 @@ def _split_coefficients(poly: MultiPoly, names):
     return out
 
 
-def trivial_monodromy_constraints(op: LocalOperator, mode: str = "full") -> ConstraintSet:
-    """Conditions on the operator parameters for trivial local monodromy.
-
-    full: run the recursion from every index and emit every coefficient of
-    every obstruction with respect to the spectral parameter and the free
-    resonance parameters.  The free-parameter coefficients of an obstruction
-    reproduce obstructions of higher indices, so stripping them this way
-    cuts out exactly the trivial-monodromy locus.
-
-    middle-only: order 3 only; obstruction of the middle-index solution,
-    split by spectral-parameter degree.
-    """
-    n = op.n
-    idx, unresolved = op.indices()
-    if unresolved is not None or idx is None:
-        return ConstraintSet(n, unsatisfiable=True, reason="non-rational indices")
-    ok, reason = homogeneous_integrable(idx, n)
-    if not ok:
-        return ConstraintSet(n, unsatisfiable=True, reason=reason)
-    ms = idx.indices
-    if mode == "middle-only":
-        if n != 3:
-            raise ValueError("middle-only mode requires order 3")
-        run = [ms[1]]
-    elif mode == "full":
-        run = list(ms[:-1])
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    top = ms[-1]
+def obstruction_conditions(op: LocalOperator, starts, top) -> tuple:
+    """The conditions of the recursion run from each index m in starts to
+    the offset top - m: every nonzero coefficient of every obstruction
+    with respect to the spectral parameter and the free resonance
+    parameters, made primitive, by descending exponents, each value kept
+    once at its first occurrence."""
     conditions = []
     seen = set()  # MultiPoly ==/hash ignore unused universe variables
-    for m in run:
-        K = int(top - m)
-        sol = frobenius_solve(op, m, K)
+    for m in starts:
+        sol = frobenius_solve(op, m, int(top - m))
         for offset, obs in sol.obstructions:
             pieces = _split_coefficients(obs, ["lambda"] + sol.free_parameters)
             for expo in sorted(pieces, reverse=True):
@@ -220,8 +187,30 @@ def trivial_monodromy_constraints(op: LocalOperator, mode: str = "full") -> Cons
                 if p in seen:
                     continue
                 seen.add(p)
-                conditions.append(Condition(p, expo[0], (n, m, offset)))
-    return ConstraintSet(n, tuple(conditions))
+                conditions.append(Condition(p, expo[0], (op.n, m, offset)))
+    return tuple(conditions)
+
+
+def trivial_monodromy_constraints(op: LocalOperator) -> ConstraintSet:
+    """Conditions on the operator parameters for trivial local monodromy.
+
+    The recursion runs from every index but the last, up to the last
+    (``obstruction_conditions``).  The free-parameter coefficients of an
+    obstruction reproduce obstructions of higher indices, so stripping them
+    this way cuts out exactly the trivial-monodromy locus.  Fewer than n
+    rational indicial roots, or indices that fail
+    ``homogeneous_integrable``, give an unsatisfiable set.
+    """
+    n = op.n
+    roots = op.indicial_roots()
+    if len(roots) < n:
+        return ConstraintSet(n, unsatisfiable=True, reason="non-rational indices")
+    idx = IndexData(roots)
+    ok, reason = homogeneous_integrable(idx, n)
+    if not ok:
+        return ConstraintSet(n, unsatisfiable=True, reason=reason)
+    *starts, top = idx.indices
+    return ConstraintSet(n, obstruction_conditions(op, starts, top))
 
 
 def second_order_conditions(m: int, u: LaurentSeries) -> ConstraintSet:

@@ -171,17 +171,6 @@ class LocalOperator:
         ``_rational_roots`` order."""
         return self._indicial[1]
 
-    def indices(self):
-        """(IndexData or None, unresolved coefficients or None).
-
-        Indices are the rational roots of the indicial polynomial; if some
-        roots are irrational its coefficient list is reported unresolved.
-        """
-        roots = self.indicial_roots()
-        if len(roots) == self.n:
-            return IndexData(roots), None
-        return (IndexData(roots) if roots else None), self.indicial_coefficients()
-
 
 def _homogeneous_horner(a, t: int, s: int) -> int:
     """s^d a(t/s), d = len(a) - 1, for integer coefficients a (low to

@@ -12,6 +12,7 @@ import pytest
 
 from ellop import acceptance
 from ellop.elliptic import EllipticElement
+from ellop.monodromy import Condition, ConstraintSet
 from ellop.poly import MultiPoly, RatFunc
 from ellop.rationals import Rat
 
@@ -198,6 +199,36 @@ def test_a_partner_for_a_minus_5_2_fails_commuting_certificate(monkeypatch):
                 lambda _: {3: EllipticElement.const(1)})
     assert acceptance.criterion_commuting_certificate(0) == (
         False, "spurious partner found for a = -5/2")
+
+
+def _flip(cs):
+    """A change for _patch_call: a constraint set with the other verdict."""
+    return ConstraintSet(cs.n, unsatisfiable=cs.satisfied())
+
+
+@pytest.mark.parametrize("name, n, change, detail", [
+    # calls 1-20 are the order-2 trials, 21-40 the gaps-(2,2) trials and
+    # 41-50 the full runs of the one-pole family; trial 0 of each is on its
+    # locus
+    ("trivial_monodromy_constraints", 1, _flip, "order-2 disagreement at trial 0 (m=1)"),
+    ("trivial_monodromy_constraints", 21, _flip, "gaps-(2,2) disagreement at trial 0"),
+    ("trivial_monodromy_constraints", 41, _flip, "middle/full disagreement at (q,r)=(2,2)"),
+    ("constraints_for", 1,
+     lambda cs: replace(cs, conditions=(Condition(MultiPoly.const(1), 0, "test"),)),
+     "middle/full disagreement at (q,r)=(2,2)"),
+], ids=["order-2", "gaps-2-2", "full-run", "middle-run"])
+def test_each_disagreement_fails_engine_equivalences(monkeypatch, name, n, change, detail):
+    _patch_call(monkeypatch, name, n, change)
+    assert acceptance.criterion_engine_equivalences(0) == (False, detail)
+
+
+def test_a_leading_condition_other_than_e_fails_leading_condition(monkeypatch):
+    # the first cell is (7, 7); without its leading condition e, the next
+    # one leads
+    _patch_call(monkeypatch, "constraints_for", 1,
+                lambda cs: replace(cs, conditions=cs.conditions[1:]))
+    assert acceptance.criterion_leading_condition(0) == (
+        False, "(q,r)=(7,7): leading condition 28224*c^2 + 636*c*e^2 + e^4 - 1555200*g2")
 
 
 def _shift_first(delta):

@@ -85,6 +85,40 @@ def test_locus_rejects_invalid_r(capsys):
         2, "", "error: r=3 does not occur (must be positive, not divisible by 3)\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("locus", "--r", "2", "--q-max", "1000000"),
+     "--q-max 1000000 asks for 333333 values of q; at most 1000 are allowed"),
+    (("locus", "--r", "22", "--q-max", "3022"),
+     "--q-max 3022 asks for 1001 values of q; at most 1000 are allowed"),
+    (("jtable", "--r", "2", "--count", "100000"),
+     "--count 100000 asks for 100000 values of q; at most 1000 are allowed"),
+    (("jtable", "--r", "1", "--count", "1001"),
+     "--count 1001 asks for 1001 values of q; at most 1000 are allowed"),
+])
+def test_a_scan_past_the_bound_exits_2_before_it_starts(capsys, within, argv, message):
+    with within(1):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_the_scan_bound_is_inclusive_and_in_the_help(capsys, monkeypatch):
+    # the largest scans allowed run, here with a stub cell, in place of
+    # 1000 exact solves
+    from ellop import cli
+    from ellop.locus3 import LocusBranch, ScanReport
+
+    monkeypatch.setattr(cli, "scan_grid", lambda rs, q_offset, curve: ScanReport(curve))
+    monkeypatch.setattr(cli, "solved_branch", lambda q, r: LocusBranch(
+        q, r, {}, None, [], [], [], "one-parameter-family"))
+    assert run(capsys, "locus", "--r", "22", "--q-max", "3019")[0] == 0
+    code, out, _ = run(capsys, "jtable", "--r", "1", "--count", "1000")
+    assert (code, len(out.splitlines())) == (0, 1001)
+    for command, option in (("locus", "--q-max"), ("jtable", "--count")):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert "at most 1000 values of q" in text[text.index(option + " "):], command
+
+
 def test_reconstruct(capsys):
     code, out, _ = run(capsys, "reconstruct", "--r", "2", "--quantity", "c/e2")
     assert code == 0
@@ -124,8 +158,8 @@ def test_a_failed_certificate_exits_1(capsys, monkeypatch, uncached_constraints)
     from ellop.poly import MultiPoly
 
     # a weight-4 condition for gap r = 2 fails constraints_for's weight check
-    monkeypatch.setattr(locus3, "trivial_monodromy_constraints", lambda op, mode:
-                        ConstraintSet(3, (Condition(MultiPoly.var("g2"), 0, "test"),)))
+    monkeypatch.setattr(locus3, "obstruction_conditions", lambda op, starts, top:
+                        (Condition(MultiPoly.var("g2"), 0, "test"),))
     code, out, err = run(capsys, "constraints", "--q", "2", "--r", "2")
     assert (code, out) == (1, "")
     assert err == "error: condition weight inconsistent with gap r\n"

@@ -220,8 +220,8 @@ def test_conditions_of_the_wrong_weight_are_a_verification_error(
     cond = {"c + e": MultiPoly.var("c") + MultiPoly.var("e"),
             "g2": MultiPoly.var("g2")}[poly]
     monkeypatch.setattr(
-        locus3, "trivial_monodromy_constraints",
-        lambda op, mode: ConstraintSet(3, (Condition(cond, 0, "test"),)))
+        locus3, "obstruction_conditions",
+        lambda op, starts, top: (Condition(cond, 0, "test"),))
     with pytest.raises(VerificationError, match=message):
         constraints_for(2, 2)
 

@@ -13,6 +13,7 @@ from ellop.operators import (
     IndexData,
     coefficients_from_indices,
     third_order_from_gaps,
+    third_order_indices,
 )
 from ellop.monodromy import (
     ConstraintSet,
@@ -77,19 +78,18 @@ def assert_solves_the_operator(op, m, K):
 def test_frobenius_solution_solves_the_operator(q, r):
     K = 10
     op = third_order_from_gaps(q, r).localize(K)
-    idx, _ = op.indices()
-    for m in idx.indices:
+    for m in op.indicial_roots():
         assert_solves_the_operator(op, m, K)
 
 
 @pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2), (2, 5), (4, 4)])
 def test_frobenius_solution_with_a_resonance_at_the_last_step(q, r):
     # K is the deepest resonance offset, as constraints_for runs the middle
-    # index and full mode the lower ones: the last f_K is a free parameter
+    # index and trivial_monodromy_constraints every lower one: the last f_K
+    # is a free parameter
     op = third_order_from_gaps(q, r).localize(q + r + 4)
-    idx, _ = op.indices()
-    top = idx.indices[-1]
-    for m in idx.indices[:-1]:
+    *starts, top = sorted(op.indicial_roots())
+    for m in starts:
         K = int(top - m)
         sol = assert_solves_the_operator(op, m, K)
         assert sol.obstructions[-1][0] == K
@@ -163,21 +163,19 @@ def assert_matches_reference(op, m, K):
 # (1, 4), (2, 5) and (1, 7) have zero falling factorials among the products
 @pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (1, 4), (2, 5), (1, 7), (7, 4), (10, 10)])
 def test_recursion_matches_the_summand_by_summand_reference(q, r):
-    # from the middle index, as constraints_for runs it: the indicial value
-    # at m + k is k(k - r)(k + q), negative for 0 < k < r
-    op = third_order_from_gaps(q, r).localize(r + 4)
-    idx, _ = op.indices()
-    sol = assert_matches_reference(op, idx.indices[1], r)
+    # from the middle index, to the truncation constraints_for uses: the
+    # indicial value at m + k is k(k - r)(k + q), negative for 0 < k < r
+    op = third_order_from_gaps(q, r).localize(r - 1)
+    sol = assert_matches_reference(op, third_order_indices(q, r).indices[1], r)
     assert [k for k, _ in sol.obstructions] == [r]
 
 
 @pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2), (1, 4)])
 def test_recursion_matches_the_reference_across_a_resonance(q, r):
-    # full mode from the lowest index: the free parameter u1 enters at the
-    # middle index and the later f_k and the obstruction at the top use it
+    # from the lowest index: the free parameter u1 enters at the middle
+    # index and the later f_k and the obstruction at the top use it
     op = third_order_from_gaps(q, r).localize(q + r + 4)
-    idx, _ = op.indices()
-    low, mid, top = idx.indices
+    low, mid, top = third_order_indices(q, r).indices
     sol = assert_matches_reference(op, low, int(top - low))
     assert sol.free_parameters == ["u1", "u2"]
     assert "u1" in sol.psi.coefficient(int(top - low) - 1).used_vars()
@@ -205,6 +203,42 @@ def test_recursion_at_a_non_integer_index_matches_the_reference(indices, m, K):
                                                 if rt > m and (rt - m).denominator == 1]
 
 
+@pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2), (1, 4), (10, 7), (13, 13)])
+def test_constraints_for_localizes_to_the_least_truncation(monkeypatch, uncached_constraints,
+                                                           q, r):
+    # the recursion from the middle index runs to its resonance at offset
+    # r and reads a_2 through z^(r-2): r - 1 is enough and r - 2 is not
+    seen = []
+    localize = GlobalEllipticOperator.localize
+
+    def spy(self, K):
+        seen.append(K)
+        return localize(self, K)
+
+    monkeypatch.setattr(GlobalEllipticOperator, "localize", spy)
+    constraints_for(q, r)
+    assert seen == [r - 1]
+    m1 = third_order_indices(q, r).indices[1]
+    with pytest.raises(TruncationError, match=f"exponent {r - 2} beyond trusted order {r - 2}"):
+        frobenius_solve(localize(third_order_from_gaps(q, r), r - 2), m1, r)
+
+
+def test_one_universe_holds_every_free_parameter_from_the_first_step():
+    # from the lowest index of (2, 5) the run meets the middle index at
+    # offset 2, before its last step at offset 7
+    op = third_order_from_gaps(2, 5).localize(9)
+    low = min(op.indicial_roots())
+    sol = frobenius_solve(op, low, 7)
+    assert [k for k, _ in sol.obstructions] == [2, 7]
+    assert sol.free_parameters == ["u1", "u2"]
+    universe = sol.psi.coefficient(0).vars
+    assert {"lambda", "u1", "u2"} <= set(universe)
+    assert all(sol.psi.coefficient(k).vars == universe for k in range(8))
+    assert all(p.vars == universe for _, p in sol.obstructions)
+    assert sol.psi.coefficient(2) == MultiPoly.var("u1")
+    assert "u1" in sol.psi.coefficient(3).used_vars()
+
+
 def test_constraint_sets_are_immutable():
     cs = constraints_for(5, 5)
     assert isinstance(cs.conditions, tuple) and (cs.q, cs.r) == (5, 5)
@@ -223,8 +257,8 @@ def test_full_mode_keeps_each_condition_once(q, r, expected):
     # repeat conditions of the middle index (3 nonzero pieces at (2, 2), 6
     # at (4, 4)); each value is kept once, at its first occurrence
     op = third_order_from_gaps(q, r).localize(q + r + 4)
-    cs = trivial_monodromy_constraints(op, mode="full")
-    low = op.indices()[0].indices[0]
+    cs = trivial_monodromy_constraints(op)
+    low = min(op.indicial_roots())
     assert [(c.lambda_degree, c.poly.text(), c.provenance) for c in cs.conditions] == [
         (d, text, (3, low, offset)) for d, text, offset in expected]
 
@@ -318,13 +352,9 @@ def test_two_gap_conditions_validate_input():
 @pytest.mark.parametrize("call,error,message", [
     (lambda: frobenius_solve(lame_local(6), Rat(-1), 2), TruncationError,
      "K=2 below deepest resonance offset 3"),
-    (lambda: trivial_monodromy_constraints(lame_local(6), mode="middle-only"), ValueError,
-     "middle-only mode requires order 3"),
-    (lambda: trivial_monodromy_constraints(lame_local(6), mode="point"), ValueError,
-     "unknown mode 'point'"),
     (lambda: second_order_conditions(1, wp_series(4) * Rat(-2) + LaurentSeries(-1, [1], 4)),
      ValueError, "1/z term must vanish"),
-], ids=["frobenius_below_resonance", "middle_only_order_2", "unknown_mode", "one_over_z"])
+], ids=["frobenius_below_resonance", "one_over_z"])
 def test_monodromy_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()
