@@ -326,8 +326,8 @@ def criterion_engine_equivalences(seed=0):
             vals = {v: _random_rat(rng) for v in ("c", "e", "g2", "g3")}
         point = {k: MultiPoly.const(v) for k, v in vals.items()}
         op = third_order_from_gaps(q, r).substitute(point)
-        K = q + r + 4
-        full = trivial_monodromy_constraints(op.localize(K))
+        # the run from the lowest index reads through z^(q+r-2)
+        full = trivial_monodromy_constraints(op.localize(q + r - 1))
         middle = constraints_for(q, r)
         mid_ok = all(c.poly.substitute(point).is_zero() for c in middle.conditions)
         if full.satisfied() != mid_ok:

@@ -21,8 +21,6 @@ import cmath
 import functools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .lattice import (
     HEX_TAU,
     Lattice,
@@ -437,6 +435,8 @@ def newton_critical(func, guess) -> NewtonResult:
     step and set a flag.  Success means residual max-norm below
     _NEWTON_TOL within _NEWTON_MAX_ITER iterations.
     """
+    import numpy as np
+
     x = np.asarray([complex(v) for v in guess], dtype=complex)
     m = len(x)
     used_lstsq = False

@@ -12,21 +12,24 @@ The coefficients are polynomials in (wp, wp'), which come from the
 lattice's own wp path (lattice.wp01) once per point for the whole batch;
 the oracle keeps no series of its own.  The loop is integrated by the
 package's own DOP853 (ellop.dop853), which takes scipy's steps, and so
-inherits scipy's floor of 100 machine epsilons on the tolerance.
+inherits scipy's floor of 100 machine epsilons on the tolerance.  numpy
+and ellop.dop853 are imported by the first loop, not by this module, so a
+process that integrates no loop never loads them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import dop853
-from .dop853 import integrate
 from .lattice import Lattice, wp01
 from .operators import GlobalEllipticOperator
+
+if TYPE_CHECKING:                # numpy loads at the first loop, not here
+    import numpy as np
 
 DEFAULT_LAMBDAS = (1 + 0j, -2 + 1j, 5j)
 
@@ -158,6 +161,9 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
     count = len(lams)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    import numpy as np
+
+    from . import dop853
 
     def at(theta):
         turn = np.exp(1j * theta)
@@ -177,7 +183,7 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
     step_tol = tol / math.sqrt(blocks)
     # ellop.dop853 inherits scipy's floor: scipy raises an rtol below
     # 100*eps to it, so below it the two no longer take the same steps
-    floor = 100 * np.finfo(float).eps
+    floor = 100 * sys.float_info.epsilon
     if step_tol < floor:
         raise ValueError(f"tolerance {tol} over {blocks} spectral values is below "
                          f"the integrator floor: tol/sqrt({blocks}) < {floor:.3g}")
@@ -215,7 +221,7 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
     # no numpy overflow warnings: a loop that overflows ends at the
     # step-size floor, and that is reported below
     with np.errstate(all="ignore"):
-        y = integrate(rhs, y0, 2 * np.pi, step_tol)
+        y = dop853.integrate(rhs, y0, 2 * np.pi, step_tol)
     if y is None:
         raise PathError("loop integration failed: the step size fell below the "
                         "spacing of the floats, or the loop took more than "

@@ -12,9 +12,11 @@ import pytest
 
 from ellop import acceptance
 from ellop.elliptic import EllipticElement
-from ellop.monodromy import Condition, ConstraintSet
+from ellop.monodromy import Condition, ConstraintSet, trivial_monodromy_constraints
+from ellop.operators import GlobalEllipticOperator, third_order_from_gaps
 from ellop.poly import MultiPoly, RatFunc
 from ellop.rationals import Rat
+from ellop.series import TruncationError
 
 
 @pytest.mark.parametrize(
@@ -90,16 +92,17 @@ def test_numerical_monodromy_transports_its_locus_points_in_one_loop(monkeypatch
     # Lame a = -2, a = -5/2 and the three cyclic operators each take one
     # loop; the ten locus points share the last one, 10 operators x 3
     # spectral values of 3 x 3 matrices
+    import ellop.dop853 as dop853
     import ellop.oracle as oracle
 
-    integrate = oracle.integrate
+    integrate = dop853.integrate
     sizes = []
 
     def counted(fun, y0, *args):
         sizes.append(len(y0))
         return integrate(fun, y0, *args)
 
-    monkeypatch.setattr(oracle, "integrate", counted)
+    monkeypatch.setattr(dop853, "integrate", counted)
     ok, detail = acceptance.criterion_numerical_monodromy(0)
     assert ok, detail
     assert len(sizes) == 1 + 1 + 3 + 1
@@ -222,6 +225,28 @@ def test_each_disagreement_fails_engine_equivalences(monkeypatch, name, n, chang
     assert acceptance.criterion_engine_equivalences(0) == (False, detail)
 
 
+def test_engine_equivalences_localizes_to_the_least_truncation(monkeypatch):
+    # each full run of the one-pole family starts from the lowest index and
+    # reads through z^(q+r-2): q + r - 1 is enough and q + r - 2 is not
+    seen = []
+    localize = GlobalEllipticOperator.localize
+
+    def spy(self, K):
+        seen.append(K)
+        return localize(self, K)
+
+    monkeypatch.setattr(GlobalEllipticOperator, "localize", spy)
+    assert acceptance.criterion_engine_equivalences(0)[0]
+    pairs = [(2, 2), (1, 1), (4, 4), (5, 2), (2, 5)]
+    assert seen == [q + r - 1 for q, r in pairs * 2]
+    monkeypatch.undo()
+    for q, r in pairs:
+        op = third_order_from_gaps(q, r).substitute(
+            {v: MultiPoly.const(1) for v in ("c", "e", "g2", "g3")})
+        with pytest.raises(TruncationError, match=f"beyond trusted order {q + r - 2}"):
+            trivial_monodromy_constraints(op.localize(q + r - 2))
+
+
 def test_a_leading_condition_other_than_e_fails_leading_condition(monkeypatch):
     # the first cell is (7, 7); without its leading condition e, the next
     # one leads
@@ -275,6 +300,28 @@ def test_each_failed_check_fails_symmetric_third_order(monkeypatch, name, change
     assert (ok, got_head) == (False, head)
     assert float(value) > bound
     assert len(calls) >= acceptance._SYMMETRIC_SAMPLES
+
+
+@pytest.mark.parametrize("name, change, head, bound", [
+    # the first point's wp' moves, which the relation sees and periodicity,
+    # read from wp alone, does not
+    ("wp01", lambda pair: (pair[0], pair[1] + 1e-3), "defining relation residual", 1e-9),
+    ("wp_eval", lambda v: v + 1e-9, "periodicity residual", 1e-10),
+], ids=["relation", "periodicity"])
+def test_each_residual_fails_elliptic_numerics(monkeypatch, name, change, head, bound):
+    _patch_call(monkeypatch, name, 1, change)
+    ok, detail = acceptance.criterion_elliptic_numerics(0)
+    got_head, _, value = detail.rpartition(" ")
+    assert (ok, got_head) == (False, head)
+    assert float(value) > bound
+
+
+def test_a_series_off_the_evaluator_fails_elliptic_numerics(monkeypatch):
+    # a constant term 1e-8 in the first lattice's series shows at its first
+    # sample point
+    _patch_call(monkeypatch, "wp_series_numeric", 1, lambda d: {**d, 0: 1e-8})
+    assert acceptance.criterion_elliptic_numerics(0) == (
+        False, "series/evaluator gap at |z|=0.12*shortest")
 
 
 def test_a_programming_error_in_a_sampled_check_is_not_retried(monkeypatch):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -660,17 +661,54 @@ def test_verify_paper_exits_1_on_a_failed_criterion(capsys, monkeypatch):
     ]
 
 
+def _src_env():
+    """The environment of a child interpreter that imports ellop from src."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_the_runtime_loads_no_test_only_reference():
     # scipy and mpmath are test-only references: the runtime integrates its
     # loops with ellop.dop853 and sums g2, g3 in stdlib decimal, so no
-    # process start pays for importing either
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, ellop, ellop.cli, ellop.acceptance; "
+    # process start pays for importing either.  numpy loads at the first
+    # loop or Newton solve, not at import
+    code = ("import sys, ellop, ellop.cli, ellop.acceptance, ellop.cm, ellop.oracle; "
             "ellop.make_lattice(1j); "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'mpmath')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+            "if m.split('.')[0] in ('scipy', 'mpmath', 'numpy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+#: one input of each subcommand that does exact work only
+EXACT_COMMANDS = [
+    ["constraints", "--q", "2", "--r", "2"],
+    ["locus", "--r", "2", "--q-max", "5"],
+    ["jtable", "--r", "1", "--count", "2"],
+    ["reconstruct", "--r", "2", "--quantity", "c/e2"],
+    ["commute", "--operator", "second:a=-2", "--order", "3"],
+    ["indicial", "--n", "2", "--b2", "-6"],
+    ["homog-check", "--n", "3", "--indices=-1,1,3"],
+]
+
+
+def test_the_exact_commands_run_with_numpy_blocked(capsys):
+    # importing numpy raises in the child, so any use of it would change
+    # an exit code or a stdout
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        sys.modules["numpy"] = None
+        from ellop.cli import main
+        out = []
+        for argv in json.loads(sys.argv[1]):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                out.append([main(argv), buf.getvalue()])
+        print(json.dumps(out))
+    """)
+    child = subprocess.run([sys.executable, "-c", code, json.dumps(EXACT_COMMANDS)],
+                           env=_src_env(), check=True, capture_output=True, text=True)
+    blocked = json.loads(child.stdout)
+    assert blocked == [list(run(capsys, *argv)[:2]) for argv in EXACT_COMMANDS]

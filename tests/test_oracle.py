@@ -327,10 +327,10 @@ def test_verdict_of_a_batch_covers_every_operator():
 def test_each_loop_point_is_evaluated_once(monkeypatch, op, radius, tol, lams):
     # DOP853's last stage and its end-of-step call share a point: the
     # coefficients there are computed once, and nowhere else twice
-    import ellop.oracle as oracle
+    import ellop.dop853 as dop853
 
     inner = elliptic_evaluator(op, {}, SQ)
-    integrate = oracle.integrate
+    integrate = dop853.integrate
     points, thetas = [], []
 
     def counted(z):
@@ -344,7 +344,7 @@ def test_each_loop_point_is_evaluated_once(monkeypatch, op, radius, tol, lams):
 
         return integrate(rhs, *args)
 
-    monkeypatch.setattr(oracle, "integrate", recording)
+    monkeypatch.setattr(dop853, "integrate", recording)
     monodromy_matrices(counted, 2, 0, radius * SQ.shortest, lams, tol)
     assert all(a != b for a, b in zip(points, points[1:]))
     assert len(points) == len(set(thetas)) < len(thetas)
