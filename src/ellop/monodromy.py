@@ -14,12 +14,14 @@ coefficients with those auxiliary variables stripped off.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .rationals import Rat, ZERO, as_rat, falling_factorial
-from .poly import MultiPoly, as_multipoly, sort_vars, sum_of_products
+from .rationals import Rat, ZERO, as_rat
+from .poly import (_BITS, _MASK, WEIGHTS, MultiPoly, as_multipoly, product_terms, reduced,
+                   sort_vars, weight_function)
 from .series import LaurentSeries, TruncationError
 from .operators import IndexData, LocalOperator, _homogeneous_horner, homogeneous_integrable
 
@@ -65,11 +67,81 @@ class ConstraintSet:
         return json.dumps(doc)
 
 
+def _field(universe, name) -> int:
+    """The shift of name's exponent field in a packed key over universe."""
+    return _BITS * (len(universe) - 1 - universe.index(name))
+
+
+def _key_mask(universe, implicit) -> int:
+    """The mask that clears the lambda field of a packed key over universe,
+    and the field of the implicit variable if there is one."""
+    mask = -1 ^ (_MASK << _field(universe, "lambda"))
+    return mask if implicit is None else mask ^ (_MASK << _field(universe, implicit))
+
+
+class _LambdaSlots:
+    """The layout of the Frobenius recursion's coefficients over one
+    universe (see ``frobenius_solve``).
+
+    A polynomial is a dict from keys to ints.  A key is a universe key whose
+    lambda field is zero (``_key_mask``), and so is the field of the
+    implicit variable v when there is one.  The int holds the key's
+    polynomial in lambda, c_0 + c_1 lambda + ..., as sum c_d 2^(s d): each
+    c_d sits in a signed s-bit slot, which reads it back exactly when
+    |c_d| < 2^(s-1).  v's exponent is restored from the weight: in a term of
+    weight w, lambda degree d and key weight w', it is
+    (w - w' - n d) / weight(v), lambda weighing n.
+    """
+
+    def __init__(self, universe, s: int, n: int, implicit, weights: dict):
+        self.universe = universe
+        self.s = s
+        self.n = n
+        self.implicit = implicit
+        if implicit is not None:
+            self.v = _field(universe, implicit)
+            self.v_weight = weights[implicit]
+            self.weight = weight_function(universe, weights)
+
+    def unpack(self, numerators: dict, denom: int, weight: int) -> MultiPoly:
+        """The reduced MultiPoly of the slots `numerators` over denom, every
+        term of weight `weight` if a variable is implicit."""
+        s, lam = self.s, _field(self.universe, "lambda")
+        full = 1 << s
+        half = full >> 1
+        terms = {}
+        for key, x in numerators.items():
+            if self.implicit is not None:
+                spare = weight - self.weight(key)
+            d = 0
+            while x:
+                c = x & (full - 1)
+                if c >= half:
+                    c -= full
+                if c:
+                    x -= c
+                    full_key = key + (d << lam)
+                    if self.implicit is not None:
+                        full_key += ((spare - self.n * d) // self.v_weight) << self.v
+                    terms[full_key] = c
+                x >>= s
+                d += 1
+        return reduced(self.universe, terms, denom)
+
+
 @dataclass
 class FrobeniusSolution:
-    psi: LaurentSeries       # 1 + sum f_k z^k; the solution is z^m * psi
     obstructions: list       # (offset k, MultiPoly inhomogeneous term)
     free_parameters: list    # names of parameters introduced at resonances
+    slots: _LambdaSlots = field(repr=False)
+    packed: list = field(repr=False)  # (numerators in slots, denominator) of each f_k
+
+    @functools.cached_property
+    def psi(self) -> LaurentSeries:
+        """1 + sum f_k z^k, the solution being z^m * psi, unpacked when
+        first read."""
+        return LaurentSeries(0, [self.slots.unpack(num, den, k)
+                                 for k, (num, den) in enumerate(self.packed)], len(self.packed))
 
 
 def _horner(coeffs, x):
@@ -90,18 +162,59 @@ def _indicial_values(P, m, K: int):
     return [Rat(_homogeneous_horner(a, p + k * q, q), scale) for k in range(K + 1)]
 
 
+def _implicit_variable(local: dict, universe, params, weights: dict):
+    """The least-weight operator parameter in params, first in universe
+    order among equals, if every parameter has a weight and each local
+    coefficient A_(i,j) over universe is weighted-homogeneous of weight
+    i + j; else None."""
+    if not set(params) <= weights.keys():
+        return None
+    weight = weight_function(universe, weights)
+    if any(weight(key) != i + j for (i, j), A in local.items() for key in A.terms):
+        return None
+    return min(params, key=weights.get, default=None)
+
+
 def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     """Run the recursion psi = z^m (1 + sum f_k z^k) up to order K.
 
-    The spectral parameter is the symbol lambda.  At a resonant offset k
-    (indicial value of m + k is zero) the inhomogeneous term is recorded as
-    an obstruction and f_k becomes a fresh free parameter u1, u2, ...
+    The spectral parameter is the symbol lambda, which the operator's
+    coefficients may not use.  At a resonant offset k (indicial value of
+    m + k is zero) the inhomogeneous term is recorded as an obstruction and
+    f_k becomes a fresh free parameter u1, u2, ...
 
     m may be any rational root.  The indicial values P(m + k) come from one
     integer Horner each (``_indicial_values``), the scale factor
     -(m + kp)(m + kp - 1)...(m + kp - n + i + 1) of a_i's coefficients
     against f_kp is made once per (kp, i), and the indicial roots are the
     operator's own (``LocalOperator.indicial_roots``).
+
+    Layout.  f_k * P(m + k) is the sum over kp < k of C_(k,kp) * f_kp,
+    where C_(k,kp) sums the scaled coefficients A_(i,j) of z^j in a_i with
+    i + j = k - kp, plus lambda when k - kp = n.  f_k is kept as N_k / D_k:
+    N_k maps monomials in every variable but lambda to one int, which holds
+    their polynomial in lambda in s-bit slots, lambda -> 2^s (Kronecker
+    substitution, ``_LambdaSlots``).  So one term product of the kernel's
+    loop (``poly.product_terms``) multiplies a whole lambda-polynomial.
+    When every A_(i,j) is weighted-homogeneous of weight i + j under
+    ``poly.WEIGHTS``, with lambda weighing n and each u the offset at which
+    it enters, f_k is homogeneous of weight k, so the least-weight variable
+    (e for the gap family) leaves the keys as well and is restored from the
+    weight when unpacking.  Otherwise only lambda is packed.
+
+    Slot width.  With C_(k,kp) = Ĉ / E in lowest terms and P(m + k) = a / b,
+    b > 0, the recursion is N_k = sum over kp of mu_kp Ĉ N_kp, where
+    mu_kp = sign(a) b L_k / (E D_kp), L_k is the lcm over kp of E D_kp and
+    D_k = |a| L_k; at a resonance the obstruction is the same sum with
+    mu_kp = L_k / (E D_kp), over L_k.  No step reduces the content.  A
+    coefficient of Ĉ N_kp sums at most one product per term of Ĉ, so it is
+    at most |Ĉ|_1 max|N_kp| in size, and
+        B_k = sum over kp of |mu_kp| |Ĉ|_1 B_kp,   B_0 = B_u = 1,
+    bounds every coefficient of N_k, and of each obstruction.  A first pass
+    makes C, D_k and B_k without any product of f's; s is one more than the
+    bit length of the largest B, so every slot reads back and none ever
+    needs widening.  Obstructions are unpacked and reduced at once; psi only
+    when it is read.
     """
     m = as_rat(m)
     n = op.n
@@ -115,44 +228,89 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
         raise TruncationError(
             f"K={K} below deepest resonance offset {max(offsets)}"
         )
-    # scale[kp][i] multiplies the coefficients of a_i against f_kp
-    scale = [{i: -falling_factorial(m + kp, n - i) for i in range(2, n + 1)}
+    # scale[kp][i] multiplies the coefficients of a_i against f_kp, as an
+    # integer numerator over q^(n-i) for m = p/q; zero factors are left out
+    p, q = m.numerator, m.denominator
+    scale = [{i: (num, q ** (n - i)) for i in range(2, n + 1)
+              if (num := -math.prod(p + (kp - l) * q for l in range(n - i)))}
              for kp in range(K)]
     # f_k is the free parameter u1, u2, ... at each resonant offset k, so
     # every coefficient, lambda and f_k lives over one universe, made here
     resonances = [k for k in range(1, K + 1) if values[k] == 0]
     free = [f"u{i}" for i in range(1, len(resonances) + 1)]
-    universe = sort_vars(("lambda", *free) + tuple(v for a_i in op.coeffs.values()
-                                                  for c in a_i.coeffs for v in c.vars))
-    lam = MultiPoly.var("lambda").in_universe(universe)
-    one = MultiPoly.const(1, universe)
-    f = {0: one}
-    for k, name in zip(resonances, free):
-        f[k] = MultiPoly.var(name).in_universe(universe)
+    params = sort_vars(v for a_i in op.coeffs.values() for c in a_i.coeffs for v in c.vars
+                       if v != "lambda")
+    universe = sort_vars(("lambda", *free, *params))
     # (i, j) -> the nonzero coefficient of z^j in a_i, through z^(K-i); the
     # leading z^-i terms are the indicial polynomial's
     local = {(i, j): A for i, a_i in op.coeffs.items()
              for j in range(a_i.low, K - i + 1) if j != -i
              if (A := a_i.coefficient(j).in_universe(universe)).terms}
-    obstructions = []
+    lam = _MASK << _field(universe, "lambda")
+    if any(key & lam for A in local.values() for key in A.terms):
+        raise ValueError("the operator's coefficients use the spectral parameter lambda")
+    weights = {**WEIGHTS, "lambda": n, **dict(zip(free, resonances))}
+    implicit = _implicit_variable(local, universe, params, weights)
+    keep = _key_mask(universe, implicit)
+    numerators = {ij: ({key & keep: c for key, c in A.terms.items()}, A.denom)
+                  for ij, A in local.items()}
+    # first pass: each C_(k,kp) as (kp, numerators, E, has lambda), the
+    # multipliers mu_kp, D_k and the bounds B_k
+    den = [1] * (K + 1)
+    bound = [1] * (K + 1)
+    largest = 1
+    one = {0: 1}
+    rows = []
     for k in range(1, K + 1):
-        # f_k * indicial(m + k) = sum over earlier kp of (scaled a_i
-        # coefficients) * f_kp, each f_kp multiplied once; at a resonance
-        # the sum is the obstruction
-        scaled = {}  # kp -> [(s, A, one)]
-        for (i, j), A in local.items():
+        scaled = {}  # kp -> [(scale num, scale den, A numerators, A den)]
+        for (i, j), (A, d) in numerators.items():
             if j <= k - i:
-                scaled.setdefault(k - i - j, []).append((scale[k - i - j][i], A, one))
+                group = scaled.setdefault(k - i - j, [])
+                if s := scale[k - i - j].get(i):
+                    group.append((*s, A, d))
         if k >= n:
-            scaled.setdefault(k - n, []).append((1, lam, one))
-        triples = [(1, sum_of_products(universe, group), f[kp])
-                   for kp, group in scaled.items()]
+            scaled.setdefault(k - n, [])
+        row = []
+        for kp, group in scaled.items():
+            E = math.lcm(*(sd * d for _, sd, _, d in group))
+            terms = product_terms([(sn * (E // (sd * d)), A, one) for sn, sd, A, d in group])
+            has_lambda = kp == k - n
+            if terms or has_lambda:
+                g = math.gcd(E, *terms.values())
+                if g != 1:
+                    terms = {key: c // g for key, c in terms.items()}
+                    E //= g
+                row.append((kp, terms, E, has_lambda))
+        lcm = math.lcm(*(E * den[kp] for kp, _, E, _ in row))
+        a, b = values[k].numerator, values[k].denominator  # b = 1 at a resonance
+        sign_b = -b if a < 0 else b
+        mults = [lcm // (E * den[kp]) * sign_b for kp, _, E, _ in row]
+        B = sum(abs(mu) * (sum(map(abs, terms.values())) + (E if has_lambda else 0)) * bound[kp]
+                for mu, (kp, terms, E, has_lambda) in zip(mults, row))
+        largest = max(largest, B)
+        if a:
+            den[k], bound[k] = abs(a) * lcm, B
+        rows.append((row, mults, lcm))
+    slots = _LambdaSlots(universe, largest.bit_length() + 1, n, implicit, weights)
+    # second pass: the products, every f_kp multiplied once per k; lambda
+    # times f_kp is f_kp moved up one slot
+    packed = [(one, 1)]
+    obstructions = []
+    names = iter(free)
+    for k, (row, mults, lcm) in enumerate(rows, 1):
+        parts = []
+        for mu, (kp, terms, E, has_lambda) in zip(mults, row):
+            f = packed[kp][0]
+            parts.append((mu, terms, f))
+            if has_lambda:
+                parts.append((mu * E, one, {key: x << slots.s for key, x in f.items()}))
+        terms = product_terms(parts)
         if values[k]:
-            f[k] = sum_of_products(universe, triples, values[k])
+            packed.append((terms, den[k]))
         else:
-            obstructions.append((k, sum_of_products(universe, triples)))
-    psi = LaurentSeries(0, [f[k] for k in range(K + 1)], K + 1)
-    return FrobeniusSolution(psi, obstructions, free)
+            obstructions.append((k, slots.unpack(terms, lcm, k)))
+            packed.append((MultiPoly.var(next(names)).in_universe(universe).terms, 1))
+    return FrobeniusSolution(obstructions, free, slots, packed)
 
 
 def _split_coefficients(poly: MultiPoly, names):

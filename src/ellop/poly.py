@@ -21,10 +21,11 @@ speak in exponent tuples.
 Sums of products go through one kernel, `sum_of_products`: (sum of s*P*Q) /
 divisor over one universe, accumulated in a single integer dict over the lcm
 of the denominators and reduced once, in the term order that P*Q followed by
-`+` would give when each P is a single term.  The Frobenius recursion makes
-one call per coefficient, with one product per earlier coefficient (the
-scaled operator coefficients that multiply it are summed first by a small
-call of their own), `MultiPoly.substitute` makes one call with a
+`+` would give when each P is a single term.  Its term loop,
+`product_terms`, and its reduction, `reduced`, are separate functions, so
+that the Frobenius recursion (``monodromy.frobenius_solve``) runs the same
+loop on its packed layout, where each int holds a polynomial in the
+spectral parameter.  `MultiPoly.substitute` makes one call with a
 (monomial, cached power product) pair per term that does not vanish, and
 the product of two MultiPolys is one call with a single triple; so is the
 product with a rational scalar s, the triple (s, P, 1).  A factor with no
@@ -142,9 +143,10 @@ def sum_of_products(variables, triples, divisor=1) -> "MultiPoly":
 
     s and divisor are ints or rationals, and P and Q are MultiPolys over the
     universe `variables` exactly.  Every term product lands in one integer
-    dict over the lcm of the denominators, and the result is reduced once.
-    When each P is a single term, the keys come out in the order that P*Q
-    followed by `+` gives.  Triples with s = 0 or a zero factor are skipped.
+    dict over the lcm of the denominators (`product_terms`), and the result
+    is reduced once (`reduced`).  When each P is a single term, the keys
+    come out in the order that P*Q followed by `+` gives.  Triples with
+    s = 0 or a zero factor are skipped.
     """
     variables = tuple(variables)
     dnum, dden = divisor.numerator, divisor.denominator
@@ -161,10 +163,23 @@ def sum_of_products(variables, triples, divisor=1) -> "MultiPoly":
             d = s.denominator * p.denom * q.denom
             denom = math.lcm(denom, d)
             parts.append((s.numerator, d, p.terms, q.terms))
+    terms = product_terms([(num * (denom // d) * dden, pterms, qterms)
+                           for num, d, pterms, qterms in parts])
+    return reduced(variables, terms, denom * dnum)
+
+
+def product_terms(parts) -> dict:
+    """The kernel's term loop: sum of scale * P * Q over (scale, P's terms,
+    Q's terms) in parts, as one dict of packed keys to nonzero ints.
+
+    The ints are whatever the caller packs into them: `sum_of_products`
+    passes numerators, the Frobenius recursion polynomials in the spectral
+    parameter held in big-int slots.  Only + and * touch them.  Every scale
+    and every value is nonzero, so a key that sums to zero is in the dict.
+    """
     terms = {}
     get = terms.get
-    for num, d, pterms, qterms in parts:
-        scale = num * (denom // d) * dden
+    for scale, pterms, qterms in parts:
         qitems = qterms.items()
         for k1, c1 in pterms.items():
             c1 *= scale
@@ -175,8 +190,28 @@ def sum_of_products(variables, triples, divisor=1) -> "MultiPoly":
                     terms[k] = c
                 else:
                     del terms[k]
+    return terms
+
+
+def reduced(variables, terms: dict, denom: int) -> "MultiPoly":
+    """The MultiPoly of numerators `terms` over denom > 0, keys checked for
+    overflow and the form reduced: the other half of `sum_of_products`."""
     _check_overflow(terms, len(variables))
-    return _lowest_terms(variables, terms, denom * dnum)
+    return _lowest_terms(variables, terms, denom)
+
+
+def weight_function(variables, weights=WEIGHTS):
+    """The homothety weight of a packed monomial over the universe
+    `variables`, under `weights` (other variables weigh 0)."""
+    n = len(variables)
+    fields = [(_BITS * (n - 1 - i), weights[v]) for i, v in enumerate(variables) if v in weights]
+
+    def weight(k):
+        total = 0
+        for s, w in fields:
+            total += ((k >> s) & _MASK) * w
+        return total
+    return weight
 
 
 class MultiPoly:
@@ -383,9 +418,7 @@ class MultiPoly:
 
     def _weight(self):
         """The homothety weight of a packed monomial."""
-        n = len(self.vars)
-        fields = [(_BITS * (n - 1 - i), WEIGHTS[v]) for i, v in enumerate(self.vars) if v in WEIGHTS]
-        return lambda k: sum(((k >> s) & _MASK) * w for s, w in fields)
+        return weight_function(self.vars)
 
     def _order(self):
         """Sort key of a packed monomial: (homothety weight, key), so weight

@@ -31,11 +31,3 @@ def rat_str(x) -> str:
     """Serialize as "p/q", or just "p" for integers."""
     n, d = x.numerator, x.denominator
     return f"{n}" if d == 1 else f"{n}/{d}"
-
-
-def falling_factorial(s, k: int):
-    """s(s-1)...(s-k+1) as an exact rational; 1 for k=0."""
-    out = ONE
-    for j in range(k):
-        out *= s - j
-    return out

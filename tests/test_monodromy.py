@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from ellop.rationals import Rat, falling_factorial
+from ellop.rationals import Rat
 from ellop.poly import MultiPoly
 from ellop.series import LaurentSeries, TruncationError, wp_series
 from ellop.elliptic import EllipticElement
@@ -12,9 +12,11 @@ from ellop.operators import (
     GlobalEllipticOperator,
     IndexData,
     coefficients_from_indices,
+    cyclic_L0,
     third_order_from_gaps,
     third_order_indices,
 )
+from ellop import monodromy
 from ellop.monodromy import (
     ConstraintSet,
     _horner,
@@ -117,6 +119,14 @@ def test_integer_horner_indicial_values_are_the_fraction_horner(coeffs, m):
     assert all(type(v) is Rat for v in got)
 
 
+def falling_factorial(s, k):
+    """s(s-1)...(s-k+1), 1 for k = 0."""
+    out = Rat(1)
+    for j in range(k):
+        out *= s - j
+    return out
+
+
 def reference_recursion(op, m, K):
     """The recursion one summand at a time in MultiPoly arithmetic: f_k and
     the obstructions, {k: MultiPoly} each."""
@@ -201,6 +211,79 @@ def test_recursion_at_a_non_integer_index_matches_the_reference(indices, m, K):
     sol = assert_matches_reference(op, m, K)
     assert [k for k, _ in sol.obstructions] == [int(rt - m) for rt in sorted(indices)
                                                 if rt > m and (rt - m).denominator == 1]
+
+
+def third_order_with(indices, c):
+    # D^3 + (c + b2 P) D + (e P + b P') with any coefficient c of D
+    bs = coefficients_from_indices(IndexData(indices))
+    return GlobalEllipticOperator(3, {
+        2: EllipticElement([c, bs[2]]),
+        3: EllipticElement([0, MultiPoly.var("e")], [-bs[3] / 2]),
+    })
+
+
+THIRDS = (Rat(-1, 3), Rat(2, 3), Rat(8, 3))  # resonances at offsets 1 and 3 from -1/3
+
+
+@pytest.mark.parametrize("make,m,K,implicit,width", [
+    # t weighs nothing in poly.WEIGHTS, so only lambda is packed
+    (lambda: third_order_with(THIRDS, MultiPoly.var("t")).localize(9), Rat(-1, 3), 5, None, 2),
+    # lambda weighs n = 2 and n = 4; g2 is the least-weight parameter
+    (lambda: lame_local(12), Rat(-1), 10, "g2", 2),
+    (lambda: cyclic_L0(4, IndexData((Rat(-1), Rat(1), Rat(2), Rat(4))), "g3=0").localize(9),
+     Rat(-1), 5, "g2", 2),
+    # from the lowest index across both resonances: u1 and u2 are in the keys
+    (lambda: third_order_from_gaps(13, 13).localize(30), Rat(-12), 26, "e", 2),
+    # a 200-digit rational coefficient makes the slots wider than its 665 bits
+    (lambda: third_order_with(THIRDS, MultiPoly.var("c", coeff=Rat(10**200 + 1, 3**100)))
+     .localize(9), Rat(-1, 3), 5, "e", 666),
+], ids=["outside-weights", "lame", "lemniscatic-order-4", "lowest-index-13-13", "wide-slots"])
+def test_every_packing_case_matches_the_reference(make, m, K, implicit, width):
+    sol = assert_matches_reference(make(), m, K)
+    assert sol.slots.implicit == implicit
+    assert sol.free_parameters
+    assert sol.slots.s >= width
+
+
+@pytest.mark.parametrize("implicit", [None, "e"])
+@pytest.mark.parametrize("s", [2, 9, 64])
+def test_slots_unpack_at_the_widest_values_with_zero_slots_between(s, implicit):
+    # lambda weighs 3 and e 1, so at weight 40 the term c^a lambda^d has
+    # e^(40 - 2a - 3d); without an implicit variable e stays in the key
+    universe = ("c", "e", "lambda")
+    top = 2 ** (s - 1) - 1
+    slots = {1: [top, 0, 0, -top, 0, 1], 3: [-top], 0: [0, 0, top]}
+    numerators, expected = {}, {}
+    for a, cs in slots.items():
+        e = 0 if implicit else 1
+        key = MultiPoly.from_terms(universe, {(a, e, 0): 1}).terms.popitem()[0]
+        numerators[key] = sum(c << (s * d) for d, c in enumerate(cs))
+        for d, c in enumerate(cs):
+            if c:
+                expected[(a, 40 - 2 * a - 3 * d if implicit else 1, d)] = Rat(c, 7)
+    layout = monodromy._LambdaSlots(universe, s, 3, implicit, {"c": 2, "e": 1, "lambda": 3})
+    assert layout.unpack(numerators, 7, 40) == MultiPoly.from_terms(universe, expected)
+
+
+def test_constraints_for_unpacks_only_its_obstruction(monkeypatch, uncached_constraints):
+    # one unpack, of the obstruction at offset r; no f_k is unpacked per
+    # step and psi stays packed until something reads it
+    seen = []
+    unpack = monodromy._LambdaSlots.unpack
+
+    def spy(self, numerators, denom, weight):
+        seen.append(weight)
+        return unpack(self, numerators, denom, weight)
+
+    monkeypatch.setattr(monodromy._LambdaSlots, "unpack", spy)
+    constraints_for(10, 10)
+    assert seen == [10]
+    seen.clear()
+    sol = frobenius_solve(third_order_from_gaps(10, 10).localize(9), Rat(1), 10)
+    assert seen == [10]
+    sol.psi.coefficient(3)
+    sol.psi.coefficient(9)
+    assert seen == [10] + list(range(11))
 
 
 @pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2), (1, 4), (10, 7), (13, 13)])
@@ -354,7 +437,10 @@ def test_two_gap_conditions_validate_input():
      "K=2 below deepest resonance offset 3"),
     (lambda: second_order_conditions(1, wp_series(4) * Rat(-2) + LaurentSeries(-1, [1], 4)),
      ValueError, "1/z term must vanish"),
-], ids=["frobenius_below_resonance", "one_over_z"])
+    (lambda: frobenius_solve(GlobalEllipticOperator(
+        2, {2: EllipticElement([MultiPoly.var("lambda"), -2])}).localize(6), Rat(-1), 5),
+     ValueError, "coefficients use the spectral parameter"),
+], ids=["frobenius_below_resonance", "one_over_z", "lambda_in_the_operator"])
 def test_monodromy_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()

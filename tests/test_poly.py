@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ellop.rationals import Rat, as_rat, falling_factorial, rat_str
+from ellop.rationals import Rat, as_rat, rat_str
 from ellop.poly import (MAX_EXPONENT, WEIGHTS, MultiPoly, RatFunc, exact_div,
                         gcd_univariate, remainder_sequence, sort_vars, sum_of_products,
                         try_div)
@@ -43,12 +43,6 @@ def test_as_rat_coercions():
 def test_rat_str():
     assert rat_str(Rat(-3, 4)) == "-3/4"
     assert rat_str(Rat(6, 3)) == "2"
-
-
-def test_falling_factorial():
-    assert falling_factorial(Rat(5), 3) == Rat(60)
-    assert falling_factorial(Rat(1, 2), 2) == Rat(-1, 4)
-    assert falling_factorial(Rat(9), 0) == Rat(1)
 
 
 @given(polys, polys, polys)
