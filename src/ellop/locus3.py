@@ -1,7 +1,7 @@
 """Third-order one-pole integrability loci.
 
-For gaps (q, r) the recursion from the middle index, on the operator
-localized only as far as it reads, meets one obstruction, at offset r; it
+For gaps (q, r) the recursion from the middle index, run in x = P, y = P'
+with nothing localized, meets one obstruction, at offset r; it
 splits into weighted-homogeneous conditions on (c, e, g2, g3), one per
 power of the spectral parameter.  This module generates them, solves them
 in triangular fashion with explicit branching, classifies the branches,
@@ -21,7 +21,7 @@ from functools import cache
 
 from .rationals import ONE, Rat
 from .poly import MultiPoly, RatFunc, try_div
-from .monodromy import Condition, ConstraintSet, obstruction_conditions
+from .monodromy import Condition, ConstraintSet, algebraic_conditions
 from .operators import (InvalidGapsError, VerificationError, third_order_from_gaps,
                         third_order_indices)
 from .interp import rational_interpolate
@@ -35,21 +35,22 @@ def constraints_for(q: int, r: int) -> ConstraintSet:
     """Integrability conditions for the gap-(q, r) one-pole family: the
     obstruction of the recursion from the middle index m1, which meets its
     one resonance at offset r = m2 - m1, one condition per spectral-
-    parameter degree, descending.  The recursion reads the coefficients
-    through z^(r-2), so the operator is localized to r - 1.  Cached, since
-    ConstraintSet is immutable."""
+    parameter degree, descending.  The recursion runs over the operator's
+    coefficients in x = P, y = P' (``monodromy.algebraic_conditions``), so
+    nothing is localized.  A condition of lambda degree d must be
+    weighted-homogeneous of weight r - 3d, or VerificationError.  Cached,
+    since ConstraintSet is immutable."""
     if q < 1 or r < 1:
         raise InvalidGapsError("gaps must be positive")
     _, m1, m2 = third_order_indices(q, r).indices
-    op = third_order_from_gaps(q, r).localize(r - 1)
-    cs = ConstraintSet(3, obstruction_conditions(op, [m1], m2), q=q, r=r)
-    for c in cs.conditions:
-        weights = c.poly.weights()
+    conditions = []
+    for c, weights in algebraic_conditions(third_order_from_gaps(q, r), m1, m2):
         if len(weights) > 1:
             raise VerificationError("condition not weighted-homogeneous")
         if weights != {r - 3 * c.lambda_degree}:
             raise VerificationError("condition weight inconsistent with gap r")
-    return cs
+        conditions.append(c)
+    return ConstraintSet(3, tuple(conditions), q=q, r=r)
 
 
 def substitute_constraints(cs: ConstraintSet, mapping) -> ConstraintSet:

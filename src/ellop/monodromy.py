@@ -7,9 +7,13 @@ the operator parameters, the spectral parameter, and the free parameters
 introduced at earlier resonances; the locus conditions are their
 coefficients with those auxiliary variables stripped off.
 
-``obstruction_conditions`` is the one path from an operator to them:
-``trivial_monodromy_constraints`` runs it from every index but the last,
-``locus3.constraints_for`` from the gap family's middle index alone.
+``obstruction_conditions`` is the path from a local operator (Laurent
+series in z) to them, and ``trivial_monodromy_constraints`` runs it from
+every index but the last.  ``algebraic_conditions`` runs one index to the
+next over a one-pole operator's coefficients in x = P, y = P', where the
+recursion is a band; ``locus3.constraints_for`` runs it from the gap
+family's middle index.  Both build rows of the recursion and hand them to
+one slot engine, ``_slot_passes``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .rationals import Rat, ZERO, as_rat
+from .rationals import ONE, Rat, ZERO, as_rat
 from .poly import (_BITS, _MASK, WEIGHTS, MultiPoly, as_multipoly, product_terms, reduced,
                    sort_vars, weight_function)
 from .series import LaurentSeries, TruncationError
@@ -103,13 +107,13 @@ class _LambdaSlots:
             self.v_weight = weights[implicit]
             self.weight = weight_function(universe, weights)
 
-    def unpack(self, numerators: dict, denom: int, weight: int) -> MultiPoly:
-        """The reduced MultiPoly of the slots `numerators` over denom, every
-        term of weight `weight` if a variable is implicit."""
-        s, lam = self.s, _field(self.universe, "lambda")
+    def _read(self, numerators: dict, weight: int):
+        """(key, lambda degree d, c) for every nonzero slot c of
+        `numerators`, key by key and d ascending, the implicit variable's
+        exponent restored for terms of weight `weight`."""
+        s = self.s
         full = 1 << s
         half = full >> 1
-        terms = {}
         for key, x in numerators.items():
             if self.implicit is not None:
                 spare = weight - self.weight(key)
@@ -120,13 +124,28 @@ class _LambdaSlots:
                     c -= full
                 if c:
                     x -= c
-                    full_key = key + (d << lam)
-                    if self.implicit is not None:
-                        full_key += ((spare - self.n * d) // self.v_weight) << self.v
-                    terms[full_key] = c
+                    if self.implicit is None:
+                        yield key, d, c
+                    else:
+                        yield key + (((spare - self.n * d) // self.v_weight) << self.v), d, c
                 x >>= s
                 d += 1
-        return reduced(self.universe, terms, denom)
+
+    def unpack(self, numerators: dict, denom: int, weight: int) -> MultiPoly:
+        """The reduced MultiPoly of the slots `numerators` over denom, every
+        term of weight `weight` if a variable is implicit."""
+        lam = _field(self.universe, "lambda")
+        return reduced(self.universe, {key + (d << lam): c
+                                       for key, d, c in self._read(numerators, weight)}, denom)
+
+    def lambda_coefficients(self, numerators: dict, weight: int) -> dict:
+        """{d: the numerators of lambda^d's coefficient}, straight from the
+        slots: keys over the universe with a zero lambda field, in the
+        order ``unpack`` would give them."""
+        out = {}
+        for key, d, c in self._read(numerators, weight):
+            out.setdefault(d, {})[key] = c
+        return out
 
 
 @dataclass
@@ -162,17 +181,79 @@ def _indicial_values(P, m, K: int):
     return [Rat(_homogeneous_horner(a, p + k * q, q), scale) for k in range(K + 1)]
 
 
-def _implicit_variable(local: dict, universe, params, weights: dict):
+def _implicit_variable(graded, universe, params, weights: dict):
     """The least-weight operator parameter in params, first in universe
-    order among equals, if every parameter has a weight and each local
-    coefficient A_(i,j) over universe is weighted-homogeneous of weight
-    i + j; else None."""
+    order among equals, if every parameter has a weight and every key of
+    each (weight w, keys) in graded is of weight w over universe; else
+    None."""
     if not set(params) <= weights.keys():
         return None
     weight = weight_function(universe, weights)
-    if any(weight(key) != i + j for (i, j), A in local.items() for key in A.terms):
+    if any(weight(key) != w for w, keys in graded for key in keys):
         return None
     return min(params, key=weights.get, default=None)
+
+
+def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
+    """The recursion's two passes over rows made by a row builder
+    (``frobenius_solve``'s in z, ``algebraic_conditions``' in x = P).
+
+    values[k] is the rational leading value at step k, zero at a resonance;
+    rows[k - 1] lists step k's coefficients (kp, Ĉ, E, has lambda), each
+    Ĉ / E (+ lambda) multiplying the earlier coefficient f_kp, with Ĉ's
+    keys cleared by ``_key_mask``.  A resonance's f_k is the next name in
+    free.  Returns the ``_LambdaSlots`` layout, the packed (numerators,
+    denominator) of every f_k, and each obstruction as (k, numerators,
+    denominator).  The slot bound is ``frobenius_solve``'s."""
+    K = len(rows)
+    den = [1] * (K + 1)
+    bound = [1] * (K + 1)
+    largest = 1
+    plan = []
+    for k, row in enumerate(rows, 1):
+        lcm = math.lcm(*(E * den[kp] for kp, _, E, _ in row))
+        a, b = values[k].numerator, values[k].denominator  # b = 1 at a resonance
+        sign_b = -b if a < 0 else b
+        mults = [lcm // (E * den[kp]) * sign_b for kp, _, E, _ in row]
+        B = sum(abs(mu) * (sum(map(abs, terms.values())) + (E if has_lambda else 0)) * bound[kp]
+                for mu, (kp, terms, E, has_lambda) in zip(mults, row))
+        largest = max(largest, B)
+        if a:
+            den[k], bound[k] = abs(a) * lcm, B
+        plan.append((mults, lcm))
+    slots = _LambdaSlots(universe, largest.bit_length() + 1, n, implicit, weights)
+    # second pass: the products, every f_kp multiplied once per k; lambda
+    # times f_kp is f_kp moved up one slot
+    one = {0: 1}
+    packed = [(one, 1)]
+    obstructions = []
+    names = iter(free)
+    for k, (row, (mults, lcm)) in enumerate(zip(rows, plan), 1):
+        parts = []
+        for mu, (kp, terms, E, has_lambda) in zip(mults, row):
+            f = packed[kp][0]
+            parts.append((mu, terms, f))
+            if has_lambda:
+                parts.append((mu * E, one, {key: x << slots.s for key, x in f.items()}))
+        terms = product_terms(parts)
+        if values[k]:
+            packed.append((terms, den[k]))
+        else:
+            obstructions.append((k, terms, lcm))
+            packed.append((MultiPoly.var(next(names)).in_universe(universe).terms, 1))
+    return slots, packed, obstructions
+
+
+def _row_entry(kp: int, terms: dict, E: int, has_lambda: bool):
+    """(kp, Ĉ, E, has lambda) for the coefficient terms / E (+ lambda) of
+    f_kp, in lowest terms; None when it is zero."""
+    if not (terms or has_lambda):
+        return None
+    g = math.gcd(E, *terms.values())
+    if g != 1:
+        terms = {key: c // g for key, c in terms.items()}
+        E //= g
+    return kp, terms, E, has_lambda
 
 
 def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
@@ -191,11 +272,12 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
 
     Layout.  f_k * P(m + k) is the sum over kp < k of C_(k,kp) * f_kp,
     where C_(k,kp) sums the scaled coefficients A_(i,j) of z^j in a_i with
-    i + j = k - kp, plus lambda when k - kp = n.  f_k is kept as N_k / D_k:
-    N_k maps monomials in every variable but lambda to one int, which holds
-    their polynomial in lambda in s-bit slots, lambda -> 2^s (Kronecker
-    substitution, ``_LambdaSlots``).  So one term product of the kernel's
-    loop (``poly.product_terms``) multiplies a whole lambda-polynomial.
+    i + j = k - kp, plus lambda when k - kp = n.  These rows go to the slot
+    engine, ``_slot_passes``.  f_k is kept as N_k / D_k: N_k maps monomials
+    in every variable but lambda to one int, which holds their polynomial
+    in lambda in s-bit slots, lambda -> 2^s (Kronecker substitution,
+    ``_LambdaSlots``).  So one term product of the kernel's loop
+    (``poly.product_terms``) multiplies a whole lambda-polynomial.
     When every A_(i,j) is weighted-homogeneous of weight i + j under
     ``poly.WEIGHTS``, with lambda weighing n and each u the offset at which
     it enters, f_k is homogeneous of weight k, so the least-weight variable
@@ -211,7 +293,7 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     at most |Ĉ|_1 max|N_kp| in size, and
         B_k = sum over kp of |mu_kp| |Ĉ|_1 B_kp,   B_0 = B_u = 1,
     bounds every coefficient of N_k, and of each obstruction.  A first pass
-    makes C, D_k and B_k without any product of f's; s is one more than the
+    makes D_k and B_k without any product of f's; s is one more than the
     bit length of the largest B, so every slot reads back and none ever
     needs widening.  Obstructions are unpacked and reduced at once; psi only
     when it is read.
@@ -250,15 +332,12 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     if any(key & lam for A in local.values() for key in A.terms):
         raise ValueError("the operator's coefficients use the spectral parameter lambda")
     weights = {**WEIGHTS, "lambda": n, **dict(zip(free, resonances))}
-    implicit = _implicit_variable(local, universe, params, weights)
+    implicit = _implicit_variable(((i + j, A.terms) for (i, j), A in local.items()),
+                                  universe, params, weights)
     keep = _key_mask(universe, implicit)
     numerators = {ij: ({key & keep: c for key, c in A.terms.items()}, A.denom)
                   for ij, A in local.items()}
-    # first pass: each C_(k,kp) as (kp, numerators, E, has lambda), the
-    # multipliers mu_kp, D_k and the bounds B_k
-    den = [1] * (K + 1)
-    bound = [1] * (K + 1)
-    largest = 1
+    # each C_(k,kp) as (kp, numerators, E, has lambda)
     one = {0: 1}
     rows = []
     for k in range(1, K + 1):
@@ -274,43 +353,13 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
         for kp, group in scaled.items():
             E = math.lcm(*(sd * d for _, sd, _, d in group))
             terms = product_terms([(sn * (E // (sd * d)), A, one) for sn, sd, A, d in group])
-            has_lambda = kp == k - n
-            if terms or has_lambda:
-                g = math.gcd(E, *terms.values())
-                if g != 1:
-                    terms = {key: c // g for key, c in terms.items()}
-                    E //= g
-                row.append((kp, terms, E, has_lambda))
-        lcm = math.lcm(*(E * den[kp] for kp, _, E, _ in row))
-        a, b = values[k].numerator, values[k].denominator  # b = 1 at a resonance
-        sign_b = -b if a < 0 else b
-        mults = [lcm // (E * den[kp]) * sign_b for kp, _, E, _ in row]
-        B = sum(abs(mu) * (sum(map(abs, terms.values())) + (E if has_lambda else 0)) * bound[kp]
-                for mu, (kp, terms, E, has_lambda) in zip(mults, row))
-        largest = max(largest, B)
-        if a:
-            den[k], bound[k] = abs(a) * lcm, B
-        rows.append((row, mults, lcm))
-    slots = _LambdaSlots(universe, largest.bit_length() + 1, n, implicit, weights)
-    # second pass: the products, every f_kp multiplied once per k; lambda
-    # times f_kp is f_kp moved up one slot
-    packed = [(one, 1)]
-    obstructions = []
-    names = iter(free)
-    for k, (row, mults, lcm) in enumerate(rows, 1):
-        parts = []
-        for mu, (kp, terms, E, has_lambda) in zip(mults, row):
-            f = packed[kp][0]
-            parts.append((mu, terms, f))
-            if has_lambda:
-                parts.append((mu * E, one, {key: x << slots.s for key, x in f.items()}))
-        terms = product_terms(parts)
-        if values[k]:
-            packed.append((terms, den[k]))
-        else:
-            obstructions.append((k, slots.unpack(terms, lcm, k)))
-            packed.append((MultiPoly.var(next(names)).in_universe(universe).terms, 1))
-    return FrobeniusSolution(obstructions, free, slots, packed)
+            if entry := _row_entry(kp, terms, E, kp == k - n):
+                row.append(entry)
+        rows.append(row)
+    slots, packed, obstructions = _slot_passes(n, values, rows, universe, free, implicit,
+                                               weights)
+    return FrobeniusSolution([(k, slots.unpack(terms, lcm, k)) for k, terms, lcm in obstructions],
+                             free, slots, packed)
 
 
 def _split_coefficients(poly: MultiPoly, names):
@@ -346,6 +395,161 @@ def obstruction_conditions(op: LocalOperator, starts, top) -> tuple:
                     continue
                 seen.add(p)
                 conditions.append(Condition(p, expo[0], (op.n, m, offset)))
+    return tuple(conditions)
+
+
+# -- the recursion in x = P, y = P' -------------------------------------------
+#
+# A function near z = 0 is A(x) + y B(x), A and B Laurent in 1/x, over the
+# basis phi_e = x^(-e/2) for even e and y x^(-(e+3)/2) for odd e; each
+# phi_e is c_e z^e (1 + O(z^4)), c_e = 1 or -2.  With Q = y^2 =
+# 4x^3 - g2 x - g3, D = d/dz, x = P and y = P' act on it as
+#     D phi_s = -s/2 phi_(s-1)                                   (s even),
+#     D phi_s = -2s phi_(s-1) + g2 (s+2)/2 phi_(s+3) + g3 (s+3)/2 phi_(s+5),
+#     x phi_s = phi_(s-2),
+#     y phi_s = phi_(s-3)                                        (s even),
+#     y phi_s = 4 phi_(s-3) - g2 phi_(s+1) - g3 phi_(s+3)       (s odd).
+# _STEPS holds each rule as (shift, a, b, g2 and g3 exponents): the term
+# (a s + b) g2^i g3^j phi_(s+shift), by the parity of s.
+_STEPS = {
+    "D": ([(-1, Rat(-1, 2), 0, 0, 0)],
+          [(-1, -2, 0, 0, 0), (3, Rat(1, 2), 1, 1, 0), (5, Rat(1, 2), Rat(3, 2), 0, 1)]),
+    "x": ([(-2, 0, 1, 0, 0)], [(-2, 0, 1, 0, 0)]),
+    "y": ([(-3, 0, 1, 0, 0)], [(-3, 0, 4, 0, 0), (1, 0, -1, 1, 0), (3, 0, -1, 0, 1)]),
+}
+
+
+@functools.cache
+def _phi_form(parity: int, steps: str) -> tuple:
+    """The operators in steps, rightmost first, applied to phi_eps for eps
+    of the given parity, as (D, ((delta, d, i, j, c), ...)): the sum of
+    (c / D) eps^d g2^i g3^j phi_(eps+delta), c an integer.  Made once per
+    process."""
+    form = {(0, 0, 0, 0): ONE}
+    for step in reversed(steps):
+        out = {}
+        for (delta, d, i, j), c in form.items():
+            for shift, a, b, di, dj in _STEPS[step][(parity + delta) % 2]:
+                # (a s + b) at s = eps + delta is a eps + (a delta + b)
+                for dd, f in ((d + 1, a), (d, a * delta + b)):
+                    if f:
+                        key = (delta + shift, dd, i + di, j + dj)
+                        out[key] = out.get(key, ZERO) + c * f
+        form = {key: c for key, c in out.items() if c}
+    D = math.lcm(*(c.denominator for c in form.values()))
+    return D, tuple((*key, int(c * D)) for key, c in form.items())
+
+
+def _algebraic_templates(L, universe) -> list:
+    """For each parity of eps, (E, {j: {key: [c_0, c_1, ...]}}): L phi_eps
+    is the sum over j of R_j(eps) phi_(eps - n + j), and R_j(eps) the sum
+    of (c_d / E) eps^d times the monomial key over universe, c_d integers.
+    Each term P^p P'^s D^(n-i) of L, read from ``EllipticElement.parts()``,
+    is one cached ``_phi_form``."""
+    n = L.n
+    g2, g3 = _field(universe, "g2"), _field(universe, "g3")
+    terms = [("D" * n, MultiPoly.const(1, universe))]
+    terms += [("y" * s + "x" * p + "D" * (n - i), coeff.in_universe(universe))
+              for i, a_i in L.coeffs.items() for p, s, coeff in a_i.parts()]
+    templates = []
+    for parity in (0, 1):
+        forms = [(_phi_form(parity, steps), coeff) for steps, coeff in terms]
+        E = math.lcm(*(D * coeff.denom for (D, _), coeff in forms))
+        table = {}
+        for (D, form), coeff in forms:
+            scale = E // (D * coeff.denom)
+            for delta, d, i, j, c in form:
+                row = table.setdefault(n + delta, {})
+                for key, num in coeff.terms.items():
+                    slot = row.setdefault(key + (i << g2) + (j << g3), [0] * (n + 1))
+                    slot[d] += c * num * scale
+        templates.append((E, {j: {key: cs for key, cs in row.items() if any(cs)}
+                              for j, row in table.items()}))
+    return templates
+
+
+def algebraic_conditions(L, m, top) -> tuple:
+    """The conditions of the recursion from the integer index m of the
+    one-pole operator L (a ``GlobalEllipticOperator``) to the next index
+    top, run over L's coefficients in x = P, y = P', with no Laurent
+    series: each nonzero lambda-coefficient of the obstruction, made
+    primitive, by descending lambda degree, each value kept once, as
+    (``Condition``, the set of its terms' weights).
+
+    The solution is psi = sum g_k phi_(m+k), g_0 = 1, and L phi_e = sum
+    over j of R_j(e) phi_(e-n+j) (``_algebraic_templates``).  So
+        g_k R_0(m + k) = -sum over kp < k of R_(k-kp)(m + kp) g_kp
+                         + lambda g_(k-n),
+    R_0(e) is c_e / c_(e-n) times the indicial polynomial P(e), and R_j
+    is zero past a fixed width (12 for the gap family, where R_j has
+    weight j): each step reads a band of earlier g's, where the z
+    recursion reads all of them.  R_j(eps) has degree at most n in eps, so its template is made
+    once per parity of eps, cleared to integers, and each row entry is one
+    integer Horner per monomial.  The rows go to the slot engine
+    ``_slot_passes``, and the conditions are read from the obstruction's
+    slots (``_LambdaSlots.lambda_coefficients``); each term is weighed once
+    for the primitive form and the returned weights.
+
+    Below top the solution is unique, so psi agrees with the z recursion's
+    through z^(top-1), and the two obstructions differ by a rational
+    factor, P(top) being 0: the conditions are those of
+    ``obstruction_conditions(L.localize(top - m - 1), [m], top)``.  top
+    must be the run's first resonance."""
+    n = L.n
+    if as_rat(m).denominator != 1:
+        raise ValueError(f"index {m} is not an integer")
+    m, K = int(m), int(top - m)
+    params = sort_vars({"g2", "g3"} | {v for a_i in L.coeffs.values()
+                                       for _, _, coeff in a_i.parts() for v in coeff.vars})
+    if "lambda" in params:
+        raise ValueError("the operator's coefficients use the spectral parameter lambda")
+    universe = sort_vars(("lambda", "u1", *params))
+    templates = _algebraic_templates(L, universe)
+    if any(j < 0 for _, table in templates for j, row in table.items() if row):
+        raise ValueError("the operator is not Fuchsian at the pole")
+    if any(set(table.get(0, {0: 0})) != {0} for _, table in templates):
+        raise ValueError("indicial polynomial has symbolic coefficients")
+    weights = {**WEIGHTS, "lambda": n, "u1": K}
+    implicit = _implicit_variable(((j, row) for _, table in templates for j, row in table.items()),
+                                  universe, params, weights)
+    keep = _key_mask(universe, implicit)
+    masked = [(E, {j: [(key & keep, cs) for key, cs in row.items()] for j, row in table.items()})
+              for E, table in templates]
+
+    def at(j, eps):
+        """(R_j(eps)'s numerators, E), R_j(eps) = numerators / E."""
+        E, table = masked[eps % 2]
+        terms = {}
+        for key, cs in table.get(j, ()):
+            v = 0
+            for c in reversed(cs):
+                v = v * eps + c
+            if v:
+                terms[key] = v
+        return terms, E
+
+    values = [Rat(terms.get(0, 0), E) for terms, E in (at(0, m + k) for k in range(K + 1))]
+    if values[0]:
+        raise ValueError(f"{m} is not an indicial root")
+    if values[K] or not all(values[1:K]):
+        raise ValueError(f"{top} is not the first resonance above {m}")
+    width = max(max(table) for _, table in templates)
+    rows = [[] for _ in range(K)]
+    for kp in range(K):
+        for j in range(1, min(width, K - kp) + 1):
+            terms, E = at(j, m + kp)
+            if entry := _row_entry(kp, {key: -c for key, c in terms.items()}, E, j == n):
+                rows[kp + j - 1].append(entry)
+    slots, _, [(_, numerators, _)] = _slot_passes(n, values, rows, universe, ["u1"], implicit,
+                                                  weights)
+    rest = sort_vars(params)
+    conditions = []
+    seen = set()
+    for d, terms in sorted(slots.lambda_coefficients(numerators, K).items(), reverse=True):
+        p, ws = reduced(universe, terms, 1).in_universe(rest).primitive_with_weights()
+        if (h := frozenset(p.terms.items())) not in seen:
+            seen.add(h)
+            conditions.append((Condition(p, d, (n, Rat(m), K)), ws))
     return tuple(conditions)
 
 

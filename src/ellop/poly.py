@@ -434,12 +434,20 @@ class MultiPoly:
 
     def primitive(self):
         """self divided by signed content: content 1, positive leading coeff."""
+        return self.primitive_with_weights()[0]
+
+    def primitive_with_weights(self):
+        """(self.primitive(), the set of the terms' homothety weights), each
+        term weighed once for both."""
         if not self.terms:
-            return self
+            return self, set()
+        weight = self._weight()
+        ranked = [(weight(k), k) for k in self.terms]
         g = math.gcd(*self.terms.values())
-        if self.terms[max(self.terms, key=self._order())] < 0:
+        if self.terms[max(ranked)[1]] < 0:
             g = -g
-        return MultiPoly(self.vars, {k: c // g for k, c in self.terms.items()})
+        return (MultiPoly(self.vars, {k: c // g for k, c in self.terms.items()}),
+                {w for w, _ in ranked})
 
     # -- structure queries ------------------------------------------------
 

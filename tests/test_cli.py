@@ -159,8 +159,9 @@ def test_a_failed_certificate_exits_1(capsys, monkeypatch, uncached_constraints)
     from ellop.poly import MultiPoly
 
     # a weight-4 condition for gap r = 2 fails constraints_for's weight check
-    monkeypatch.setattr(locus3, "obstruction_conditions", lambda op, starts, top:
-                        (Condition(MultiPoly.var("g2"), 0, "test"),))
+    g2 = MultiPoly.var("g2")
+    monkeypatch.setattr(locus3, "algebraic_conditions", lambda L, m, top:
+                        ((Condition(g2, 0, "test"), g2.weights()),))
     code, out, err = run(capsys, "constraints", "--q", "2", "--r", "2")
     assert (code, out) == (1, "")
     assert err == "error: condition weight inconsistent with gap r\n"

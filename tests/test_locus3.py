@@ -8,7 +8,8 @@ from ellop.rationals import Rat
 from ellop.poly import MultiPoly, RatFunc
 from ellop import locus3
 from ellop.monodromy import Condition, ConstraintSet
-from ellop.operators import InvalidGapsError, VerificationError
+from ellop.operators import (InvalidGapsError, VerificationError, coefficients_from_indices,
+                             third_order_indices)
 from ellop.acceptance import CLOSED_FORMS, closed_form_value
 from ellop.locus3 import (
     _State,
@@ -220,8 +221,8 @@ def test_conditions_of_the_wrong_weight_are_a_verification_error(
     cond = {"c + e": MultiPoly.var("c") + MultiPoly.var("e"),
             "g2": MultiPoly.var("g2")}[poly]
     monkeypatch.setattr(
-        locus3, "obstruction_conditions",
-        lambda op, starts, top: (Condition(cond, 0, "test"),))
+        locus3, "algebraic_conditions",
+        lambda L, m, top: ((Condition(cond, 0, "test"), cond.weights()),))
     with pytest.raises(VerificationError, match=message):
         constraints_for(2, 2)
 
@@ -291,3 +292,43 @@ def test_a_constant_condition_left_over_makes_an_inconsistent_branch():
     assert branch.classification == "inconsistent"
     assert branch.witness == MultiPoly.const(1)
     assert branch.assignments == {"c": MultiPoly.zero()}
+
+
+SMALL_PAIRS = [(q, r) for q in range(1, 23) for r in range(1, 23)
+               if (q - r) % 3 == 0 and q % 3 and r % 3]
+
+
+def test_swapping_the_gaps_is_the_adjoint():
+    # L = D^3 + (aP + c)D + (bP' + eP) has the formal adjoint
+    # -(D^3 + (aP + c)D + ((a - b)P' - eP)), whose indices are those of the
+    # (r, q) family: a is the same and b becomes a - b
+    for q, r in SMALL_PAIRS:
+        bs = coefficients_from_indices(third_order_indices(q, r))
+        swapped = coefficients_from_indices(third_order_indices(r, q))
+        a, b = bs[2], -bs[3] / 2
+        assert swapped[2] == a, (q, r)
+        assert -swapped[3] / 2 == a - b, (q, r)
+
+
+def test_every_solved_branch_lies_on_the_swapped_locus_with_e_negated():
+    # the adjoint has trivial monodromy exactly when L has, so
+    # (c, e, g2, g3) is on Locus(q, r) iff (c, -e, g2, g3) is on
+    # Locus(r, q): every solved branch of (q, r) satisfies the (r, q)
+    # conditions with e -> -e, checked by back-substitution modulo its c^2
+    # relation.  (1, 4) has two conditions and (4, 1) one, so branches are
+    # compared, not texts.  A condition of weight w has e-degrees of w's
+    # parity, so e -> -e only multiplies it by (-1)^w; a branch checked
+    # against another cell's conditions, (r + 3, q), fails in 80 of 88
+    # non-cyclic cases
+    flip = {"e": -MultiPoly.var("e")}
+    solved = 0
+    for q, r in SMALL_PAIRS:
+        swapped = [c.poly.substitute(flip) for c in constraints_for(r, q).conditions]
+        for branch in triangular_solve(constraints_for(q, r)):
+            if branch.classification in ("inconsistent", "unsolved"):
+                continue
+            _verify(swapped, branch.assignments, branch.relation)
+            solved += 1
+    assert solved > len(SMALL_PAIRS)
+    assert len(constraints_for(1, 4).conditions) == 2
+    assert len(constraints_for(4, 1).conditions) == 1

@@ -21,7 +21,9 @@ from ellop.monodromy import (
     ConstraintSet,
     _horner,
     _indicial_values,
+    algebraic_conditions,
     frobenius_solve,
+    obstruction_conditions,
     second_order_conditions,
     trivial_monodromy_constraints,
     two_gap_conditions,
@@ -266,16 +268,16 @@ def test_slots_unpack_at_the_widest_values_with_zero_slots_between(s, implicit):
 
 
 def test_constraints_for_unpacks_only_its_obstruction(monkeypatch, uncached_constraints):
-    # one unpack, of the obstruction at offset r; no f_k is unpacked per
-    # step and psi stays packed until something reads it
+    # one read of the slots, of the obstruction at offset r; no f_k is
+    # unpacked per step and psi stays packed until something reads it
     seen = []
-    unpack = monodromy._LambdaSlots.unpack
+    read = monodromy._LambdaSlots._read
 
-    def spy(self, numerators, denom, weight):
+    def spy(self, numerators, weight):
         seen.append(weight)
-        return unpack(self, numerators, denom, weight)
+        return read(self, numerators, weight)
 
-    monkeypatch.setattr(monodromy._LambdaSlots, "unpack", spy)
+    monkeypatch.setattr(monodromy._LambdaSlots, "_read", spy)
     constraints_for(10, 10)
     assert seen == [10]
     seen.clear()
@@ -289,8 +291,9 @@ def test_constraints_for_unpacks_only_its_obstruction(monkeypatch, uncached_cons
 @pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2), (1, 4), (10, 7), (13, 13)])
 def test_constraints_for_localizes_to_the_least_truncation(monkeypatch, uncached_constraints,
                                                            q, r):
-    # the recursion from the middle index runs to its resonance at offset
-    # r and reads a_2 through z^(r-2): r - 1 is enough and r - 2 is not
+    # constraints_for runs in x = P, y = P' and localizes nothing; the z
+    # recursion from the middle index to its resonance at offset r reads
+    # a_2 through z^(r-2): r - 1 is enough and r - 2 is not
     seen = []
     localize = GlobalEllipticOperator.localize
 
@@ -300,10 +303,92 @@ def test_constraints_for_localizes_to_the_least_truncation(monkeypatch, uncached
 
     monkeypatch.setattr(GlobalEllipticOperator, "localize", spy)
     constraints_for(q, r)
-    assert seen == [r - 1]
+    assert seen == []
     m1 = third_order_indices(q, r).indices[1]
     with pytest.raises(TruncationError, match=f"exponent {r - 2} beyond trusted order {r - 2}"):
         frobenius_solve(localize(third_order_from_gaps(q, r), r - 2), m1, r)
+
+
+VALID_CELLS = [(q, r) for q in range(1, 32) for r in range(1, 23)
+               if (q - r) % 3 == 0 and q % 3 and r % 3]
+
+
+def condition_list(conditions):
+    return [(c.lambda_degree, c.poly.text(), c.provenance) for c in conditions]
+
+
+def test_the_two_engines_agree_on_every_small_cell(uncached_constraints):
+    # constraints_for runs in x = P, y = P'; the z recursion on the
+    # operator localized to r - 1 must give the same conditions, in order,
+    # on all 158 valid cells with q <= 31 and r <= 22
+    assert len(VALID_CELLS) == 158
+    for q, r in VALID_CELLS:
+        _, m1, m2 = third_order_indices(q, r).indices
+        z = obstruction_conditions(third_order_from_gaps(q, r).localize(r - 1), [m1], m2)
+        assert condition_list(constraints_for(q, r).conditions) == condition_list(z), (q, r)
+
+
+def order_4_with_c_and_e():
+    # the order-4 cyclic operator with indices -1, 1, 2, 4, plus c D^2 + e P D
+    L = cyclic_L0(4, IndexData((Rat(-1), Rat(1), Rat(2), Rat(4))))
+    return GlobalEllipticOperator(4, {2: L.coeffs[2] + MultiPoly.var("c"),
+                                      3: L.coeffs[3] + EllipticElement([0, MultiPoly.var("e")]),
+                                      4: L.coeffs[4]})
+
+
+@pytest.mark.parametrize("make,m,top", [
+    # the gap family's lowest index to its middle one, offset q
+    (lambda: third_order_from_gaps(7, 4), -5, 2),
+    (lambda: third_order_from_gaps(11, 17), -12, -1),
+    # t weighs nothing in poly.WEIGHTS, so no variable is implicit
+    (lambda: third_order_with((Rat(-1), Rat(1), Rat(3)), MultiPoly.var("t")), -1, 1),
+    (lambda: third_order_with((Rat(-1), Rat(1), Rat(3)), MultiPoly.var("t")), 1, 3),
+    # order 2 (Lame, no condition) and order 4, with and without conditions
+    (lambda: GlobalEllipticOperator(2, {2: EllipticElement([0, -6])}), -2, 3),
+    (lambda: cyclic_L0(4, IndexData((Rat(-1), Rat(1), Rat(2), Rat(4))), "g3=0"), 2, 4),
+    (lambda: order_4_with_c_and_e(), -1, 1),
+    (lambda: order_4_with_c_and_e(), 1, 2),
+    (lambda: order_4_with_c_and_e(), 2, 4),
+], ids=["7-4-lowest", "11-17-lowest", "outside-weights-lowest", "outside-weights-middle",
+        "lame-6", "lemniscatic-order-4", "order-4-lowest", "order-4-second", "order-4-third"])
+def test_algebraic_conditions_match_the_z_recursion(make, m, top):
+    # the z recursion runs from m as far as its deepest resonance; the
+    # conditions of its first obstruction, at offset top - m, are split and
+    # kept as obstruction_conditions keeps them
+    L = make()
+    m = Rat(m)
+    K = int(max(L.localize(0).indicial_roots()) - m)
+    sol = frobenius_solve(L.localize(K - 1), m, K)
+    offset, obs = sol.obstructions[0]
+    assert offset == top - m
+    pieces = monodromy._split_coefficients(obs, ["lambda"] + sol.free_parameters)
+    z = []
+    for expo in sorted(pieces, reverse=True):
+        p = pieces[expo].primitive()
+        if not p.is_zero() and p not in [c for _, c, _ in z]:
+            z.append((expo[0], p, (L.n, m, offset)))
+    got = algebraic_conditions(L, m, top)
+    assert condition_list(c for c, _ in got) == [(d, p.text(), prov) for d, p, prov in z]
+    assert all(weights == c.poly.weights() for c, weights in got)
+
+
+@pytest.mark.parametrize("make,m,top,message", [
+    (lambda: third_order_with(THIRDS, MultiPoly.var("t")), Rat(-1, 3), Rat(2, 3),
+     "index -1/3 is not an integer"),
+    (lambda: third_order_from_gaps(2, 2), 0, 3, "0 is not an indicial root"),
+    (lambda: third_order_from_gaps(2, 2), -1, 3, "3 is not the first resonance above -1"),
+    (lambda: third_order_from_gaps(2, 2), 1, 2, "2 is not the first resonance above 1"),
+    (lambda: GlobalEllipticOperator(2, {2: EllipticElement([MultiPoly.var("lambda"), -2])}),
+     -1, 2, "coefficients use the spectral parameter"),
+    (lambda: GlobalEllipticOperator(2, {2: EllipticElement([0, 0, 1])}), -1, 2,
+     "not Fuchsian at the pole"),
+    (lambda: GlobalEllipticOperator(2, {2: EllipticElement([0, MultiPoly.var("a")])}), -1, 2,
+     "indicial polynomial has symbolic coefficients"),
+], ids=["non-integer-index", "not-a-root", "resonance-before-top", "top-not-a-resonance",
+        "lambda-in-the-operator", "not-fuchsian", "symbolic-indicial"])
+def test_algebraic_conditions_guards(make, m, top, message):
+    with pytest.raises(ValueError, match=message):
+        algebraic_conditions(make(), m, top)
 
 
 def test_one_universe_holds_every_free_parameter_from_the_first_step():
