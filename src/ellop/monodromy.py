@@ -12,7 +12,9 @@ series in z) to them, and ``trivial_monodromy_constraints`` runs it from
 every index but the last.  ``algebraic_conditions`` runs one index to the
 next over a one-pole operator's coefficients in x = P, y = P', where the
 recursion is a band; ``locus3.constraints_for`` runs it from the gap
-family's middle index.  Both build rows of the recursion and hand them to
+family's middle index.  Each path writes the recursion's coefficients as
+integer templates in the index eps (one in z, one per parity of eps in
+x), and one row builder, ``_template_rows``, reads the rows from them for
 one slot engine, ``_slot_passes``.
 """
 
@@ -27,7 +29,7 @@ from .rationals import ONE, Rat, ZERO, as_rat
 from .poly import (_BITS, _MASK, WEIGHTS, MultiPoly, as_multipoly, product_terms, reduced,
                    sort_vars, weight_function)
 from .series import LaurentSeries, TruncationError
-from .operators import IndexData, LocalOperator, _homogeneous_horner, homogeneous_integrable
+from .operators import IndexData, LocalOperator, _falling, homogeneous_integrable
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,7 @@ def _key_mask(universe, implicit) -> int:
 
 class _LambdaSlots:
     """The layout of the Frobenius recursion's coefficients over one
-    universe (see ``frobenius_solve``).
+    universe (see ``_slot_passes``).
 
     A polynomial is a dict from keys to ints.  A key is a universe key whose
     lambda field is zero (``_key_mask``), and so is the field of the
@@ -170,17 +172,6 @@ def _horner(coeffs, x):
     return v
 
 
-def _indicial_values(P, m, K: int):
-    """[P(m + k) for k = 0..K] for rational coefficients P, low to high, and
-    rational m = p/q: each value is one integer Horner over the common
-    denominator D of P, as D q^d P((p + kq)/q) / (D q^d), d = deg P."""
-    den = math.lcm(*(c.denominator for c in P))
-    p, q = m.numerator, m.denominator
-    a = [c.numerator * (den // c.denominator) for c in P]
-    scale = den * q ** (len(P) - 1)
-    return [Rat(_homogeneous_horner(a, p + k * q, q), scale) for k in range(K + 1)]
-
-
 def _implicit_variable(graded, universe, params, weights: dict):
     """The least-weight operator parameter in params, first in universe
     order among equals, if every parameter has a weight and every key of
@@ -195,16 +186,38 @@ def _implicit_variable(graded, universe, params, weights: dict):
 
 
 def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
-    """The recursion's two passes over rows made by a row builder
-    (``frobenius_solve``'s in z, ``algebraic_conditions``' in x = P).
+    """The recursion's two passes over the leading values and rows made by
+    ``_template_rows``.
 
-    values[k] is the rational leading value at step k, zero at a resonance;
-    rows[k - 1] lists step k's coefficients (kp, Ĉ, E, has lambda), each
-    Ĉ / E (+ lambda) multiplying the earlier coefficient f_kp, with Ĉ's
-    keys cleared by ``_key_mask``.  A resonance's f_k is the next name in
-    free.  Returns the ``_LambdaSlots`` layout, the packed (numerators,
-    denominator) of every f_k, and each obstruction as (k, numerators,
-    denominator).  The slot bound is ``frobenius_solve``'s."""
+    values[k] is the rational leading value R_0(m + k) at step k, zero at a
+    resonance; rows[k - 1] lists step k's coefficients (kp, Ĉ, E, has
+    lambda), each Ĉ / E (+ lambda) multiplying the earlier coefficient
+    g_kp, with Ĉ's keys cleared by ``_key_mask``.  A resonance's g_k is the
+    next name in free.  Returns the ``_LambdaSlots`` layout, the packed
+    (numerators, denominator) of every g_k, and each obstruction as (k,
+    numerators, denominator).
+
+    Layout.  g_k is kept as N_k / D_k: N_k maps monomials in every variable
+    but lambda (and the implicit one, if any) to one int, which holds their
+    polynomial in lambda in s-bit slots, lambda -> 2^s (Kronecker
+    substitution, ``_LambdaSlots``).  So one term product of the kernel's
+    loop (``poly.product_terms``) multiplies a whole lambda-polynomial, and
+    lambda times g_kp is g_kp moved up one slot.
+
+    Slot width.  With values[k] = a / b, b > 0, the recursion is N_k = sum
+    over kp of mu_kp Ĉ N_kp (+ mu_kp E lambda N_kp), where mu_kp = sign(a)
+    b L_k / (E D_kp), L_k is the lcm over kp of E D_kp and D_k = |a| L_k;
+    at a resonance the obstruction is the same sum with mu_kp = L_k /
+    (E D_kp), over L_k.  No step reduces the content.  A coefficient of
+    Ĉ N_kp sums at most one product per term of Ĉ, so it is at most
+    |Ĉ|_1 max|N_kp| in size, and
+        B_k = sum over kp of |mu_kp| (|Ĉ|_1 + [has lambda] E) B_kp,
+        B_0 = B_u = 1,
+    bounds every coefficient of N_k, and of each obstruction.  The first
+    pass makes D_k and B_k without any product of g's; s is one more than
+    the bit length of the largest B, so every slot reads back and none ever
+    needs widening.  The second pass makes the products, every g_kp
+    multiplied once per k."""
     K = len(rows)
     den = [1] * (K + 1)
     bound = [1] * (K + 1)
@@ -222,8 +235,6 @@ def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
             den[k], bound[k] = abs(a) * lcm, B
         plan.append((mults, lcm))
     slots = _LambdaSlots(universe, largest.bit_length() + 1, n, implicit, weights)
-    # second pass: the products, every f_kp multiplied once per k; lambda
-    # times f_kp is f_kp moved up one slot
     one = {0: 1}
     packed = [(one, 1)]
     obstructions = []
@@ -244,118 +255,108 @@ def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
     return slots, packed, obstructions
 
 
-def _row_entry(kp: int, terms: dict, E: int, has_lambda: bool):
-    """(kp, Ĉ, E, has lambda) for the coefficient terms / E (+ lambda) of
-    f_kp, in lowest terms; None when it is zero."""
-    if not (terms or has_lambda):
-        return None
-    g = math.gcd(E, *terms.values())
-    if g != 1:
-        terms = {key: c // g for key, c in terms.items()}
-        E //= g
-    return kp, terms, E, has_lambda
+def _template_rows(templates, n: int, m, K: int, keep: int):
+    """The leading values and rows for ``_slot_passes`` of the recursion
+        g_k R_0(m + k) = -sum over kp < k of R_(k-kp)(m + kp) g_kp
+                         + lambda g_(k-n)
+    from k = 1 to K, read from one template of the R_j per residue of eps.
+
+    For m = p/q and eps = t/q, (E, {j: {key: [c_0, ..., c_n]}}) =
+    templates[t % len(templates)] gives R_j(eps) as the sum of (c_d / E)
+    eps^d times the monomial key; R_0 is a constant.  Each template is
+    scaled once to c_d q^(n-d) over E q^n, its keys cleared by keep, so
+    R_j(eps) is one integer Horner at t per key.  Returns [R_0(m + k) for k
+    = 0..K], and rows[k - 1], which lists by ascending kp each nonzero
+    -R_(k-kp)(m + kp) (+ lambda when k - kp = n) as (kp, Ĉ, E', has
+    lambda), Ĉ / E' in lowest terms."""
+    p, q = m.numerator, m.denominator
+    powers = [q ** (n - d) for d in range(n + 1)]
+    scaled = [(E * powers[0], {j: [(key & keep, [c * s for c, s in zip(cs, powers)][::-1])
+                                   for key, cs in row.items()] for j, row in table.items()})
+              for E, table in templates]
+    width = max([n, *(j for _, table in templates for j in table)])
+    values = []
+    rows = [[] for _ in range(K)]
+    for kp in range(K + 1):
+        t = p + kp * q
+        E, table = scaled[t % len(scaled)]
+        for j in range(min(width, K - kp) + 1):
+            terms = {}
+            for key, cs in table.get(j, ()):
+                v = 0
+                for c in cs:
+                    v = v * t + c
+                if v:
+                    terms[key] = v
+            if not j:
+                values.append(Rat(terms.get(0, 0), E))
+            elif terms or j == n:
+                g = math.gcd(E, *terms.values())
+                rows[kp + j - 1].append((kp, {key: -c // g for key, c in terms.items()}, E // g,
+                                         j == n))
+    return values, rows
 
 
 def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     """Run the recursion psi = z^m (1 + sum f_k z^k) up to order K.
 
     The spectral parameter is the symbol lambda, which the operator's
-    coefficients may not use.  At a resonant offset k (indicial value of
-    m + k is zero) the inhomogeneous term is recorded as an obstruction and
-    f_k becomes a fresh free parameter u1, u2, ...
+    coefficients may not use.  At a resonant offset k (m + k an indicial
+    root) the inhomogeneous term is recorded as an obstruction and f_k
+    becomes a fresh free parameter u1, u2, ...
 
-    m may be any rational root.  The indicial values P(m + k) come from one
-    integer Horner each (``_indicial_values``), the scale factor
-    -(m + kp)(m + kp - 1)...(m + kp - n + i + 1) of a_i's coefficients
-    against f_kp is made once per (kp, i), and the indicial roots are the
-    operator's own (``LocalOperator.indicial_roots``).
-
-    Layout.  f_k * P(m + k) is the sum over kp < k of C_(k,kp) * f_kp,
-    where C_(k,kp) sums the scaled coefficients A_(i,j) of z^j in a_i with
-    i + j = k - kp, plus lambda when k - kp = n.  These rows go to the slot
-    engine, ``_slot_passes``.  f_k is kept as N_k / D_k: N_k maps monomials
-    in every variable but lambda to one int, which holds their polynomial
-    in lambda in s-bit slots, lambda -> 2^s (Kronecker substitution,
-    ``_LambdaSlots``).  So one term product of the kernel's loop
-    (``poly.product_terms``) multiplies a whole lambda-polynomial.
-    When every A_(i,j) is weighted-homogeneous of weight i + j under
-    ``poly.WEIGHTS``, with lambda weighing n and each u the offset at which
-    it enters, f_k is homogeneous of weight k, so the least-weight variable
-    (e for the gap family) leaves the keys as well and is restored from the
-    weight when unpacking.  Otherwise only lambda is packed.
-
-    Slot width.  With C_(k,kp) = Ĉ / E in lowest terms and P(m + k) = a / b,
-    b > 0, the recursion is N_k = sum over kp of mu_kp Ĉ N_kp, where
-    mu_kp = sign(a) b L_k / (E D_kp), L_k is the lcm over kp of E D_kp and
-    D_k = |a| L_k; at a resonance the obstruction is the same sum with
-    mu_kp = L_k / (E D_kp), over L_k.  No step reduces the content.  A
-    coefficient of Ĉ N_kp sums at most one product per term of Ĉ, so it is
-    at most |Ĉ|_1 max|N_kp| in size, and
-        B_k = sum over kp of |mu_kp| |Ĉ|_1 B_kp,   B_0 = B_u = 1,
-    bounds every coefficient of N_k, and of each obstruction.  A first pass
-    makes D_k and B_k without any product of f's; s is one more than the
-    bit length of the largest B, so every slot reads back and none ever
-    needs widening.  Obstructions are unpacked and reduced at once; psi only
+    m may be any rational indicial root; the roots, and so the resonances,
+    are the operator's own (``LocalOperator.indicial_roots``).  The
+    operator maps z^eps to the sum over J of R_J(eps) z^(eps-n+J), where
+        R_J(eps) = sum over i + j = J of A_(i,j) eps(eps-1)...(eps-n+i+1),
+    A_(i,j) is the coefficient of z^j in a_i, through z^(K-i), and D^n is
+    the term i = 0, A = 1; R_0 is the indicial polynomial.  These make one
+    template, cleared to integers over the lcm of the A's denominators, and
+    the f_k are the g_k of ``_template_rows``, whose rows go to the slot
+    engine ``_slot_passes``.  When every A_(i,j) is weighted-homogeneous of
+    weight i + j under ``poly.WEIGHTS``, with lambda weighing n and each u
+    the offset at which it enters, f_k is homogeneous of weight k, so the
+    least-weight variable (e for the gap family) leaves the keys as well
+    and is restored from the weight when unpacking.  Otherwise only lambda
+    is packed.  Obstructions are unpacked and reduced at once; psi only
     when it is read.
     """
     m = as_rat(m)
     n = op.n
-    values = _indicial_values(op.indicial_coefficients(), m, K)
-    if values[0] != 0:
+    roots = op.indicial_roots()
+    if m not in roots:
         raise ValueError(f"{m} is not an indicial root")
     # refuse truncations that cannot see every resonance
-    offsets = [int(rt - m) for rt in op.indicial_roots()
-               if (rt - m).denominator == 1 and rt > m]
+    offsets = [int(rt - m) for rt in roots if (rt - m).denominator == 1 and rt > m]
     if offsets and K < max(offsets):
         raise TruncationError(
             f"K={K} below deepest resonance offset {max(offsets)}"
         )
-    # scale[kp][i] multiplies the coefficients of a_i against f_kp, as an
-    # integer numerator over q^(n-i) for m = p/q; zero factors are left out
-    p, q = m.numerator, m.denominator
-    scale = [{i: (num, q ** (n - i)) for i in range(2, n + 1)
-              if (num := -math.prod(p + (kp - l) * q for l in range(n - i)))}
-             for kp in range(K)]
     # f_k is the free parameter u1, u2, ... at each resonant offset k, so
     # every coefficient, lambda and f_k lives over one universe, made here
-    resonances = [k for k in range(1, K + 1) if values[k] == 0]
+    resonances = sorted(set(offsets))
     free = [f"u{i}" for i in range(1, len(resonances) + 1)]
     params = sort_vars(v for a_i in op.coeffs.values() for c in a_i.coeffs for v in c.vars
                        if v != "lambda")
     universe = sort_vars(("lambda", *free, *params))
-    # (i, j) -> the nonzero coefficient of z^j in a_i, through z^(K-i); the
-    # leading z^-i terms are the indicial polynomial's
-    local = {(i, j): A for i, a_i in op.coeffs.items()
-             for j in range(a_i.low, K - i + 1) if j != -i
-             if (A := a_i.coefficient(j).in_universe(universe)).terms}
+    local = [(0, 0, MultiPoly.const(1, universe))]
+    local += [(i, j, A) for i, a_i in op.coeffs.items() for j in range(a_i.low, K - i + 1)
+              if (A := a_i.coefficient(j).in_universe(universe)).terms]
     lam = _MASK << _field(universe, "lambda")
-    if any(key & lam for A in local.values() for key in A.terms):
+    if any(key & lam for _, _, A in local for key in A.terms):
         raise ValueError("the operator's coefficients use the spectral parameter lambda")
+    E = math.lcm(*(A.denom for _, _, A in local))
+    table = {}
+    for i, j, A in local:
+        falling = [c.numerator * (E // A.denom) for c in _falling(n - i)]
+        row = table.setdefault(i + j, {})
+        for key, c in A.terms.items():
+            slot = row.setdefault(key, [0] * (n + 1))
+            for d, f in enumerate(falling):
+                slot[d] += c * f
     weights = {**WEIGHTS, "lambda": n, **dict(zip(free, resonances))}
-    implicit = _implicit_variable(((i + j, A.terms) for (i, j), A in local.items()),
-                                  universe, params, weights)
-    keep = _key_mask(universe, implicit)
-    numerators = {ij: ({key & keep: c for key, c in A.terms.items()}, A.denom)
-                  for ij, A in local.items()}
-    # each C_(k,kp) as (kp, numerators, E, has lambda)
-    one = {0: 1}
-    rows = []
-    for k in range(1, K + 1):
-        scaled = {}  # kp -> [(scale num, scale den, A numerators, A den)]
-        for (i, j), (A, d) in numerators.items():
-            if j <= k - i:
-                group = scaled.setdefault(k - i - j, [])
-                if s := scale[k - i - j].get(i):
-                    group.append((*s, A, d))
-        if k >= n:
-            scaled.setdefault(k - n, [])
-        row = []
-        for kp, group in scaled.items():
-            E = math.lcm(*(sd * d for _, sd, _, d in group))
-            terms = product_terms([(sn * (E // (sd * d)), A, one) for sn, sd, A, d in group])
-            if entry := _row_entry(kp, terms, E, kp == k - n):
-                row.append(entry)
-        rows.append(row)
+    implicit = _implicit_variable(table.items(), universe, params, weights)
+    values, rows = _template_rows([(E, table)], n, m, K, _key_mask(universe, implicit))
     slots, packed, obstructions = _slot_passes(n, values, rows, universe, free, implicit,
                                                weights)
     return FrobeniusSolution([(k, slots.unpack(terms, lcm, k)) for k, terms, lcm in obstructions],
@@ -483,12 +484,12 @@ def algebraic_conditions(L, m, top) -> tuple:
     R_0(e) is c_e / c_(e-n) times the indicial polynomial P(e), and R_j
     is zero past a fixed width (12 for the gap family, where R_j has
     weight j): each step reads a band of earlier g's, where the z
-    recursion reads all of them.  R_j(eps) has degree at most n in eps, so its template is made
-    once per parity of eps, cleared to integers, and each row entry is one
-    integer Horner per monomial.  The rows go to the slot engine
-    ``_slot_passes``, and the conditions are read from the obstruction's
-    slots (``_LambdaSlots.lambda_coefficients``); each term is weighed once
-    for the primitive form and the returned weights.
+    recursion reads all of them.  R_j(eps) has degree at most n in eps, so
+    its template is made once per parity of eps, cleared to integers; the
+    rows are read from the two (``_template_rows``) and go to the slot
+    engine ``_slot_passes``, and the conditions are read from the
+    obstruction's slots (``_LambdaSlots.lambda_coefficients``); each term
+    is weighed once for the primitive form and the returned weights.
 
     Below top the solution is unique, so psi agrees with the z recursion's
     through z^(top-1), and the two obstructions differ by a rational
@@ -512,34 +513,11 @@ def algebraic_conditions(L, m, top) -> tuple:
     weights = {**WEIGHTS, "lambda": n, "u1": K}
     implicit = _implicit_variable(((j, row) for _, table in templates for j, row in table.items()),
                                   universe, params, weights)
-    keep = _key_mask(universe, implicit)
-    masked = [(E, {j: [(key & keep, cs) for key, cs in row.items()] for j, row in table.items()})
-              for E, table in templates]
-
-    def at(j, eps):
-        """(R_j(eps)'s numerators, E), R_j(eps) = numerators / E."""
-        E, table = masked[eps % 2]
-        terms = {}
-        for key, cs in table.get(j, ()):
-            v = 0
-            for c in reversed(cs):
-                v = v * eps + c
-            if v:
-                terms[key] = v
-        return terms, E
-
-    values = [Rat(terms.get(0, 0), E) for terms, E in (at(0, m + k) for k in range(K + 1))]
+    values, rows = _template_rows(templates, n, m, K, _key_mask(universe, implicit))
     if values[0]:
         raise ValueError(f"{m} is not an indicial root")
     if values[K] or not all(values[1:K]):
         raise ValueError(f"{top} is not the first resonance above {m}")
-    width = max(max(table) for _, table in templates)
-    rows = [[] for _ in range(K)]
-    for kp in range(K):
-        for j in range(1, min(width, K - kp) + 1):
-            terms, E = at(j, m + kp)
-            if entry := _row_entry(kp, {key: -c for key, c in terms.items()}, E, j == n):
-                rows[kp + j - 1].append(entry)
     slots, _, [(_, numerators, _)] = _slot_passes(n, values, rows, universe, ["u1"], implicit,
                                                   weights)
     rest = sort_vars(params)

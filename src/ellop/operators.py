@@ -150,26 +150,21 @@ class LocalOperator:
         return self.coeffs[i].coefficient(-i)
 
     @functools.cached_property
-    def _indicial(self):
-        """(coefficients low to high, rational roots) of the indicial
-        polynomial, made once per operator."""
+    def _roots(self):
+        """The indicial polynomial's rational roots, found once per
+        operator."""
         bs = {}
         for i in range(2, self.n + 1):
             b = self.b(i)
             if not b.is_constant():
                 raise ValueError("indicial polynomial has symbolic coefficients")
             bs[i] = b.constant_value()
-        P = indicial_coefficients(self.n, bs)
-        return tuple(P), tuple(_rational_roots(P))
-
-    def indicial_coefficients(self):
-        """The indicial polynomial's coefficients, low to high."""
-        return list(self._indicial[0])
+        return tuple(_rational_roots(indicial_coefficients(self.n, bs)))
 
     def indicial_roots(self):
         """The indicial polynomial's rational roots, with multiplicity, in
         ``_rational_roots`` order."""
-        return self._indicial[1]
+        return self._roots
 
 
 def _homogeneous_horner(a, t: int, s: int) -> int:

@@ -1,6 +1,7 @@
 """Frobenius recursion, resonance obstructions, closed-form conditions."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -13,6 +14,7 @@ from ellop.operators import (
     IndexData,
     coefficients_from_indices,
     cyclic_L0,
+    indicial_coefficients,
     third_order_from_gaps,
     third_order_indices,
 )
@@ -20,7 +22,7 @@ from ellop import monodromy
 from ellop.monodromy import (
     ConstraintSet,
     _horner,
-    _indicial_values,
+    _template_rows,
     algebraic_conditions,
     frobenius_solve,
     obstruction_conditions,
@@ -115,10 +117,14 @@ def test_frobenius_solution_with_a_resonance_at_the_last_step(q, r):
     [Rat(4)],
 ])
 def test_integer_horner_indicial_values_are_the_fraction_horner(coeffs, m):
-    K = 9
-    got = _indicial_values(coeffs, m, K)
-    assert got == [_horner(coeffs, m + k) for k in range(K + 1)]
-    assert all(type(v) is Rat for v in got)
+    # a template holding only R_0 = coeffs, cleared to integers: the rows
+    # hold nothing but lambda, at k - kp = n
+    K, n = 9, len(coeffs) - 1
+    E = math.lcm(*(c.denominator for c in coeffs))
+    values, rows = _template_rows([(E, {0: {0: [int(c * E) for c in coeffs]}})], n, m, K, -1)
+    assert values == [_horner(coeffs, m + k) for k in range(K + 1)]
+    assert all(type(v) is Rat for v in values)
+    assert rows == [[(k - n, {}, 1, True)] if 0 < n <= k else [] for k in range(1, K + 1)]
 
 
 def falling_factorial(s, k):
@@ -133,7 +139,7 @@ def reference_recursion(op, m, K):
     """The recursion one summand at a time in MultiPoly arithmetic: f_k and
     the obstructions, {k: MultiPoly} each."""
     n = op.n
-    P = op.indicial_coefficients()
+    P = indicial_coefficients(n, {i: op.b(i).constant_value() for i in range(2, n + 1)})
     lam = MultiPoly.var("lambda")
     f = {0: MultiPoly.const(1)}
     obstructions = {}
