@@ -34,7 +34,6 @@ from .operators import (
     third_order_from_gaps,
 )
 from .monodromy import (
-    _horner,
     second_order_conditions,
     trivial_monodromy_constraints,
     two_gap_conditions,
@@ -127,6 +126,13 @@ CLOSED_FORMS = {
                  ((26876, 24213, 6684, 547), 1),
                  ((332, 143, 11), 1))),
 }
+
+
+def _horner(coeffs, x):
+    v = ZERO
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
 
 
 def closed_form_value(form, q):

@@ -297,24 +297,6 @@ def cryst3_residuals(cfg: Cryst3Config) -> list:
     return fam_p + fam_z
 
 
-def cryst3_H(cfg: Cryst3Config) -> complex:
-    """H = sum p_i^3 + sum_{i,r} (A_r wp(z_i - eta_r) p_i + B_r wp'(z_i -
-    eta_r)) - 3 sum_{i != j, s} wp(z_i - eps^s z_j) p_i."""
-    lat, n, zs, ps, A, B = _cryst3_input(cfg)
-    val = sum(p**3 for p in ps)
-    for i in range(n):
-        for r in range(3):
-            wp, wpp = wp01(zs[i] - ETA[r], lat)
-            val += A[r] * wp * ps[i]
-            val += B[r] * wpp
-        for j in range(n):
-            if j == i:
-                continue
-            for s in range(3):
-                val -= 3 * wp01(zs[i] - _EPS**s * zs[j], lat)[0] * ps[i]
-    return val
-
-
 def cryst3_grad_H(cfg: Cryst3Config) -> list:
     """(dH/dp_i, dH/dz_i), differentiating H termwise by the chain rule.
 
@@ -370,22 +352,6 @@ def _inozemtsev_input(points, ms, lat: Lattice):
                     f"points[{j}] meets the reflection orbit of points[{k}]"
                 )
     return zs, ms, ws
-
-
-def inozemtsev_U(points, ms, lat: Lattice) -> complex:
-    """U = sum_{i,j} (m_i + 1/2)^2 wp(z_j - w_i)
-    + sum_{k != j} (wp(z_j - z_k) + wp(z_j + z_k))."""
-    zs, ms, ws = _inozemtsev_input(points, ms, lat)
-    val = 0j
-    for z in zs:
-        for mi, w in zip(ms, ws):
-            val += (mi + 0.5) ** 2 * wp01(z - w, lat)[0]
-    for j in range(len(zs)):
-        for k in range(len(zs)):
-            if k == j:
-                continue
-            val += wp01(zs[j] - zs[k], lat)[0] + wp01(zs[j] + zs[k], lat)[0]
-    return val
 
 
 def inozemtsev_gradient(points, ms, lat: Lattice) -> list:

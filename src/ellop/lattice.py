@@ -164,11 +164,6 @@ def _invariants(tau_r: complex, mu: complex):
     return g2, g3
 
 
-def lattice_invariants(tau: complex):
-    """(g2, g3) of Z + tau*Z via normalized Eisenstein q-series."""
-    return _invariants(*_reduce(_check_tau(tau)))
-
-
 def make_lattice(tau: complex) -> Lattice:
     tau = _check_tau(tau)
     tau_r, mu = _reduce(tau)

@@ -157,20 +157,6 @@ class FrobeniusSolution:
     slots: _LambdaSlots = field(repr=False)
     packed: list = field(repr=False)  # (numerators in slots, denominator) of each f_k
 
-    @functools.cached_property
-    def psi(self) -> LaurentSeries:
-        """1 + sum f_k z^k, the solution being z^m * psi, unpacked when
-        first read."""
-        return LaurentSeries(0, [self.slots.unpack(num, den, k)
-                                 for k, (num, den) in enumerate(self.packed)], len(self.packed))
-
-
-def _horner(coeffs, x):
-    v = ZERO
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
-
 
 def _implicit_variable(graded, universe, params, weights: dict):
     """The least-weight operator parameter in params, first in universe
@@ -318,8 +304,8 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     the offset at which it enters, f_k is homogeneous of weight k, so the
     least-weight variable (e for the gap family) leaves the keys as well
     and is restored from the weight when unpacking.  Otherwise only lambda
-    is packed.  Obstructions are unpacked and reduced at once; psi only
-    when it is read.
+    is packed.  Obstructions are unpacked and reduced at once; the f_k
+    stay packed, in ``packed`` with their layout in ``slots``.
     """
     m = as_rat(m)
     n = op.n

@@ -14,9 +14,9 @@ compares their exponent tuples lexicographically.  The top bit of every
 field is a guard bit, so exponents range over 0 .. MAX_EXPONENT = 32767: a
 sum of two exponents never carries into the neighbouring field, and an
 operation whose result would hold a larger exponent raises OverflowError
-instead of returning a wrong polynomial.  Nothing
-outside this module reads keys; `items`, `from_terms` and `monomial_vars`
-speak in exponent tuples.
+instead of returning a wrong polynomial.  Nothing in the program outside
+this module reads keys; `items` and `monomial_vars` speak in exponent
+tuples.
 
 Sums of products go through one kernel, `sum_of_products`: (sum of s*P*Q) /
 divisor over one universe, accumulated in a single integer dict over the lcm
@@ -251,21 +251,6 @@ class MultiPoly:
     def zero(cls, variables=()):
         return cls(tuple(variables))
 
-    @classmethod
-    def from_terms(cls, variables, terms):
-        """Polynomial with coefficient terms[expo] at each exponent tuple."""
-        variables = tuple(variables)
-        rats = {}
-        for expo, cf in terms.items():
-            if len(expo) != len(variables):
-                raise ValueError(f"exponent {expo} does not match {variables}")
-            cf = as_rat(cf)
-            if cf != 0:
-                rats[_pack(expo)] = cf
-        denom = math.lcm(*(int(cf.denominator) for cf in rats.values()))
-        return cls(variables, {k: int(cf.numerator) * (denom // int(cf.denominator))
-                               for k, cf in rats.items()}, denom)
-
     def items(self):
         """[(exponent tuple, rational coefficient)] of every term, in term order."""
         n = len(self.vars)
@@ -425,10 +410,6 @@ class MultiPoly:
         first, then lex."""
         weight = self._weight()
         return lambda k: (weight(k), k)
-
-    def weights(self):
-        """The set of homothety weights of the terms, in one pass."""
-        return set(map(self._weight(), self.terms))
 
     # -- normalization ----------------------------------------------------
 

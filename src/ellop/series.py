@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from functools import cache
 
-from .rationals import Rat
 from .poly import MultiPoly, as_multipoly
 
 
@@ -16,10 +15,10 @@ class LaurentSeries:
     """Coefficients for exponents low .. order-1; `order` is the first
     untrusted exponent.  Coefficients are MultiPoly (rationals embed).
 
-    The arithmetic, ``__add__`` through ``truncate``, is the generic series
-    algebra.  The program builds its series directly (``to_series`` and the
-    Frobenius recursion sum each coefficient at once); the tests keep this
-    algebra as the reference those direct sums are compared against.
+    The program builds its series directly (``to_series`` sums each
+    coefficient at once) and only reads them, so the class has no
+    arithmetic.  The generic series algebra, the reference those direct sums
+    are compared against, lives with the tests, in ``tests/reference.py``.
     Nothing prints a series: output shows its MultiPoly coefficients."""
 
     __slots__ = ("low", "coeffs", "order")
@@ -37,20 +36,6 @@ class LaurentSeries:
         self.coeffs = coeffs
         self.order = order
 
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int):
-        return cls(order, [], order)
-
-    @classmethod
-    def monomial(cls, coeff, expo: int, order: int):
-        if expo >= order:
-            return cls.zero(order)
-        return cls(expo, [coeff], order)
-
-    # -- access ------------------------------------------------------------
-
     def coefficient(self, k: int) -> MultiPoly:
         if k >= self.order:
             raise TruncationError(f"exponent {k} beyond trusted order {self.order}")
@@ -64,78 +49,6 @@ class LaurentSeries:
             if not self.coeffs[k - self.low].is_zero():
                 return k
         return None
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentSeries):
-            other = LaurentSeries.monomial(other, 0, self.order)
-        order = min(self.order, other.order)
-        low = min(self.low, other.low)
-        coeffs = []
-        for k in range(low, order):
-            a = self.coeffs[k - self.low] if self.low <= k < self.order else MultiPoly.zero()
-            b = other.coeffs[k - other.low] if other.low <= k < other.order else MultiPoly.zero()
-            coeffs.append(a + b)
-        return LaurentSeries(low, coeffs, order)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LaurentSeries(self.low, [-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentSeries):
-            other = LaurentSeries.monomial(other, 0, self.order)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentSeries):
-            c = as_multipoly(other)
-            return LaurentSeries(self.low, [x * c for x in self.coeffs], self.order)
-        # product trusted while both factors are trusted
-        order = min(self.low + other.order, other.low + self.order)
-        low = self.low + other.low
-        n = order - low
-        acc = [MultiPoly.zero() for _ in range(max(n, 0))]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= n:
-                    break
-                if b.is_zero():
-                    continue
-                acc[k] = acc[k] + a * b
-        return LaurentSeries(low, acc, order)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers of a series are not supported")
-        out = LaurentSeries.monomial(1, 0, self.order + abs(self.low) * (k + 1) + 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def differentiate(self) -> "LaurentSeries":
-        coeffs = []
-        for k in range(self.low, self.order):
-            coeffs.append(self.coeffs[k - self.low] * Rat(k))
-        return LaurentSeries(self.low - 1, coeffs, self.order - 1)
-
-    def shift(self, m: int) -> "LaurentSeries":
-        """Multiply by z^m for integer m."""
-        return LaurentSeries(self.low + m, list(self.coeffs), self.order + m)
-
-    def truncate(self, order: int) -> "LaurentSeries":
-        if order > self.order:
-            raise TruncationError(
-                f"cannot extend trusted order {self.order} to {order}"
-            )
-        return LaurentSeries(min(self.low, order), self.coeffs[: order - self.low], order)
 
 
 def _wp_laurent(K: int, g2, g3, c=None) -> dict:
@@ -187,15 +100,6 @@ def wp_power_coefficient(i: int, prime: int, k: int) -> MultiPoly:
         if p.terms:
             out = out + p * wp_power_coefficient(i - 1, prime, k - j)
     return out
-
-
-def wp_series(K: int) -> LaurentSeries:
-    """Weierstrass P as a Laurent series, trusted through z^(K-1), with
-    coefficients polynomials in g2, g3.  Each c_k of ``_wp_laurent`` is made
-    once per process, whatever K first asks for it."""
-    if K < 0:
-        raise ValueError("K must be nonnegative")
-    return LaurentSeries(-2, [_wp_coefficient(k) for k in range(-2, K)], K)
 
 
 def wp_series_numeric(K: int, g2: complex, g3: complex):

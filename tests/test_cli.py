@@ -161,7 +161,7 @@ def test_a_failed_certificate_exits_1(capsys, monkeypatch, uncached_constraints)
     # a weight-4 condition for gap r = 2 fails constraints_for's weight check
     g2 = MultiPoly.var("g2")
     monkeypatch.setattr(locus3, "algebraic_conditions", lambda L, m, top:
-                        ((Condition(g2, 0, "test"), g2.weights()),))
+                        ((Condition(g2, 0, "test"), g2.primitive_with_weights()[1]),))
     code, out, err = run(capsys, "constraints", "--q", "2", "--r", "2")
     assert (code, out) == (1, "")
     assert err == "error: condition weight inconsistent with gap r\n"
@@ -675,7 +675,7 @@ def test_the_runtime_loads_no_test_only_reference():
     # process start pays for importing either.  numpy loads at the first
     # loop or Newton solve, not at import
     code = ("import sys, ellop, ellop.cli, ellop.acceptance, ellop.cm, ellop.oracle; "
-            "ellop.make_lattice(1j); "
+            "ellop.lattice.make_lattice(1j); "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'mpmath', 'numpy')))")
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True,

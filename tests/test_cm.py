@@ -15,16 +15,16 @@ from ellop.cm import (
     cm3_F,
     cm3_H1,
     cm3_residuals,
-    cryst3_H,
     cryst3_grad_H,
     cryst3_residuals,
     finite_gap_residuals,
     hexagonal_fold_residual,
     hexagonal_lattice,
-    inozemtsev_U,
     inozemtsev_gradient,
     newton_critical,
 )
+
+from reference import cryst3_H, inozemtsev_U
 
 
 SQ = make_lattice(1j)

@@ -12,6 +12,8 @@ from ellop.linalg import solve_linear_over_field
 from ellop import interp
 from ellop.interp import ReconstructionError, rational_interpolate
 
+from reference import from_terms
+
 
 rats = st.fractions(min_value=-20, max_value=20, max_denominator=5).map(
     lambda f: Rat(f.numerator, f.denominator)
@@ -60,7 +62,7 @@ def test_a_solution_with_a_denominator_is_none():
 
 
 def _q_poly(coeffs):
-    return MultiPoly.from_terms(("q",), {(i,): c for i, c in enumerate(coeffs)})
+    return from_terms(("q",), {(i,): c for i, c in enumerate(coeffs)})
 
 
 def _samples(f, xs):

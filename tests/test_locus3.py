@@ -222,7 +222,8 @@ def test_conditions_of_the_wrong_weight_are_a_verification_error(
             "g2": MultiPoly.var("g2")}[poly]
     monkeypatch.setattr(
         locus3, "algebraic_conditions",
-        lambda L, m, top: ((Condition(cond, 0, "test"), cond.weights()),))
+        lambda L, m, top: ((Condition(cond, 0, "test"),
+                           cond.primitive_with_weights()[1]),))
     with pytest.raises(VerificationError, match=message):
         constraints_for(2, 2)
 

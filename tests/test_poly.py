@@ -12,6 +12,8 @@ from ellop.poly import (MAX_EXPONENT, WEIGHTS, MultiPoly, RatFunc, exact_div,
                         gcd_univariate, remainder_sequence, sort_vars, sum_of_products,
                         try_div)
 
+from reference import from_terms
+
 
 rats = st.fractions(
     min_value=-30, max_value=30, max_denominator=6
@@ -87,9 +89,9 @@ def test_primitive_and_content():
 def test_weighted_homogeneity():
     # weights: e = 1, c = 2, g2 = 4
     p = MultiPoly.var("c", 1) * MultiPoly.var("e", 2) + MultiPoly.var("g2")
-    assert p.weights() == {4}
+    assert p.primitive_with_weights()[1] == {4}
     q = p + MultiPoly.var("e")
-    assert q.weights() == {1, 4}
+    assert q.primitive_with_weights()[1] == {1, 4}
 
 
 def test_exact_division():
@@ -156,8 +158,8 @@ def test_hash_ignores_unused_universe_variables():
     assert p == q and hash(p) == hash(q)
     assert len({p, q}) == 1
     # the same value built over differently ordered universes
-    a = MultiPoly.from_terms(("g2", "e", "c"), {(0, 2, 1): Rat(3, 4), (1, 0, 0): 1})
-    b = MultiPoly.from_terms(("c", "e", "g2"), {(0, 0, 1): 1, (1, 2, 0): Rat(3, 4)})
+    a = from_terms(("g2", "e", "c"), {(0, 2, 1): Rat(3, 4), (1, 0, 0): 1})
+    b = from_terms(("c", "e", "g2"), {(0, 0, 1): 1, (1, 2, 0): Rat(3, 4)})
     assert a == b and hash(a) == hash(b)
     assert hash(MultiPoly.const(Rat(5, 2), ("c",))) == hash(Rat(5, 2))
     den = MultiPoly.var("g2") + 1
@@ -251,8 +253,8 @@ def test_remainder_sequence_and_gcd_match_the_fraction_reference(seed):
     # gcd_univariate reads the numerators of polynomials with denominators,
     # over universes holding variables they do not use
     d = rnd.randint(1, 12)
-    A = MultiPoly.from_terms(("c", "x"), {(0, i): Rat(v, d) for i, v in enumerate(a)})
-    B = MultiPoly.from_terms(("x", "y"), {(i, 0): Rat(v, 7) for i, v in enumerate(b)})
+    A = from_terms(("c", "x"), {(0, i): Rat(v, d) for i, v in enumerate(a)})
+    B = from_terms(("x", "y"), {(i, 0): Rat(v, 7) for i, v in enumerate(b)})
     assert _coefficient_list(gcd_univariate(A, B, "x")) == g
 
 
@@ -451,7 +453,7 @@ def random_pair(rng, max_terms=6, max_expo=4):
         cf = Fraction(rng.randint(-24, 24), rng.choice((1, 1, 2, 3, 4, 6, 9)))
         if cf:
             terms[expo] = cf
-    return MultiPoly.from_terms(universe, terms), RefPoly(universe, terms)
+    return from_terms(universe, terms), RefPoly(universe, terms)
 
 
 def assert_same(p, ref):
@@ -459,7 +461,7 @@ def assert_same(p, ref):
     assert p.items() == list(ref.terms.items())
     assert p.text() == ref.text()
     # == compares the stored form, so this also checks that p is reduced
-    assert p == MultiPoly.from_terms(ref.vars, ref.terms)
+    assert p == from_terms(ref.vars, ref.terms)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -546,7 +548,7 @@ def test_exponent_overflow_raises():
     with pytest.raises(OverflowError):
         MultiPoly.var("x", MAX_EXPONENT + 1)
     with pytest.raises(OverflowError):
-        MultiPoly.from_terms(("c", "e"), {(0, MAX_EXPONENT + 1): 1})
+        from_terms(("c", "e"), {(0, MAX_EXPONENT + 1): 1})
     # the quotient times a lower term of the divisor overflows e
     a = MultiPoly.var("c") * MultiPoly.var("e", MAX_EXPONENT - 1)
     with pytest.raises(OverflowError):
@@ -596,7 +598,7 @@ def test_sum_of_products_matches_reference(seed):
     value = RefPoly(universe, {})
     for s, rp, rq in ref_triples:
         value = value + (rp * rq) * s
-    assert got == MultiPoly.from_terms(universe, (value * (1 / divisor)).terms)
+    assert got == from_terms(universe, (value * (1 / divisor)).terms)
 
 
 def test_sum_of_products_edge_cases():
@@ -669,7 +671,7 @@ C, E, Q = MultiPoly.var("c"), MultiPoly.var("e"), MultiPoly.var("q")
 
 
 @pytest.mark.parametrize("call,error,message", [
-    (lambda: MultiPoly.from_terms(("c", "e"), {(1,): 1}), ValueError,
+    (lambda: from_terms(("c", "e"), {(1,): 1}), ValueError,
      r"exponent \(1,\) does not match \('c', 'e'\)"),
     (lambda: (C + E).in_universe(("e",)), ValueError, r"uses variables missing from \('e',\)"),
     (lambda: (C + 1).constant_value(), ValueError, "not a constant: c"),
