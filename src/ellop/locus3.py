@@ -459,14 +459,13 @@ def scan_grid(r_values, q_offset: int = 9, curve: str = "generic") -> ScanReport
     return report
 
 
+_CYCLIC_POINT = {"c": MultiPoly.zero(), "e": MultiPoly.zero(), "g2": MultiPoly.zero()}
+
+
 def _check_cyclic_point(cs: ConstraintSet):
-    """The cyclic operator on the equianharmonic curve (c = e = g2 = 0)
-    must annihilate every condition."""
-    zero = MultiPoly.zero()
-    for c in cs.conditions:
-        v = c.poly.substitute({"c": zero, "e": zero, "g2": zero})
-        if not v.is_zero():
-            raise VerificationError("cyclic point fails the constraints")
+    """The cyclic point (c = e = g2 = 0) must annihilate every condition."""
+    if substitute_constraints(cs, _CYCLIC_POINT).conditions:
+        raise VerificationError("cyclic point fails the constraints")
 
 
 def _var_text(b: LocusBranch, v: str, curve: str = "generic") -> str:

@@ -15,7 +15,8 @@ recursion is a band; ``locus3.constraints_for`` runs it from the gap
 family's middle index.  Each path writes the recursion's coefficients as
 integer templates in the index eps (one in z, one per parity of eps in
 x), and one row builder, ``_template_rows``, reads the rows from them for
-one slot engine, ``_slot_passes``.
+one slot engine, ``_slot_passes``, from whose slots one reader,
+``_split_coefficients``, reads the conditions.
 """
 
 from __future__ import annotations
@@ -140,15 +141,6 @@ class _LambdaSlots:
         return reduced(self.universe, {key + (d << lam): c
                                        for key, d, c in self._read(numerators, weight)}, denom)
 
-    def lambda_coefficients(self, numerators: dict, weight: int) -> dict:
-        """{d: the numerators of lambda^d's coefficient}, straight from the
-        slots: keys over the universe with a zero lambda field, in the
-        order ``unpack`` would give them."""
-        out = {}
-        for key, d, c in self._read(numerators, weight):
-            out.setdefault(d, {})[key] = c
-        return out
-
 
 @dataclass
 class FrobeniusSolution:
@@ -156,6 +148,7 @@ class FrobeniusSolution:
     free_parameters: list    # names of parameters introduced at resonances
     slots: _LambdaSlots = field(repr=False)
     packed: list = field(repr=False)  # (numerators in slots, denominator) of each f_k
+    packed_obstructions: list = field(repr=False)  # (offset k, numerators in slots, denominator)
 
 
 def _implicit_variable(graded, universe, params, weights: dict):
@@ -304,8 +297,8 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     the offset at which it enters, f_k is homogeneous of weight k, so the
     least-weight variable (e for the gap family) leaves the keys as well
     and is restored from the weight when unpacking.  Otherwise only lambda
-    is packed.  Obstructions are unpacked and reduced at once; the f_k
-    stay packed, in ``packed`` with their layout in ``slots``.
+    is packed.  Obstructions are unpacked and reduced at once and kept in
+    slots too (``packed_obstructions``), as the f_k are (``packed``).
     """
     m = as_rat(m)
     n = op.n
@@ -346,19 +339,35 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     slots, packed, obstructions = _slot_passes(n, values, rows, universe, free, implicit,
                                                weights)
     return FrobeniusSolution([(k, slots.unpack(terms, lcm, k)) for k, terms, lcm in obstructions],
-                             free, slots, packed)
+                             free, slots, packed, obstructions)
 
 
-def _split_coefficients(poly: MultiPoly, names):
-    """All coefficients of poly w.r.t. monomials in names: {expo: MultiPoly}."""
-    out = {(): poly}
-    for nm in names:
-        new = {}
-        for key, p in out.items():
-            for d, c in p.coefficients_in(nm).items():
-                new[key + (d,)] = c
-        out = new
-    return out
+def _split_coefficients(slots: _LambdaSlots, obstructions, free, provenance, seen: set) -> list:
+    """The conditions of one run's obstructions, each (offset k, numerators
+    in slots, denominator), as [(``Condition``, its terms' weights)]; the
+    run's provenance is (n, m) and its resonance parameters are free.
+    Each term goes to the group of its lambda degree and free fields, with
+    those fields cleared, and each group is made primitive over the other
+    variables.  Groups come by descending lambda degree, then free
+    exponents in the order of free.  A value in seen is skipped, and each
+    value kept is added to it."""
+    universe = slots.universe
+    fields = [_field(universe, name) for name in free]
+    free_fields = sum(_MASK << f for f in fields)
+    keep = ~free_fields
+    rest = tuple(v for v in universe if v != "lambda" and v not in free)
+    conditions = []
+    for k, numerators, _ in obstructions:
+        groups = {}
+        for key, d, c in slots._read(numerators, k):
+            groups.setdefault((d, key & free_fields), {})[key & keep] = c
+        for group in sorted(groups, reverse=True,
+                            key=lambda g: (g[0], *((g[1] >> f) & _MASK for f in fields))):
+            p, ws = reduced(universe, groups[group], 1).in_universe(rest).primitive_with_weights()
+            if (h := frozenset(p.terms.items())) not in seen:
+                seen.add(h)
+                conditions.append((Condition(p, group[0], (*provenance, k)), ws))
+    return conditions
 
 
 def obstruction_conditions(op: LocalOperator, starts, top) -> tuple:
@@ -366,23 +375,14 @@ def obstruction_conditions(op: LocalOperator, starts, top) -> tuple:
     the offset top - m: every nonzero coefficient of every obstruction
     with respect to the spectral parameter and the free resonance
     parameters, made primitive, by descending exponents, each value kept
-    once at its first occurrence."""
+    once at its first occurrence over all starts (``_split_coefficients``)."""
     conditions = []
-    seen = set()  # MultiPoly ==/hash ignore unused universe variables
+    seen = set()
     for m in starts:
         sol = frobenius_solve(op, m, int(top - m))
-        for offset, obs in sol.obstructions:
-            pieces = _split_coefficients(obs, ["lambda"] + sol.free_parameters)
-            for expo in sorted(pieces, reverse=True):
-                p = pieces[expo]
-                if p.is_zero():
-                    continue
-                p = p.primitive()
-                if p in seen:
-                    continue
-                seen.add(p)
-                conditions.append(Condition(p, expo[0], (op.n, m, offset)))
-    return tuple(conditions)
+        conditions += _split_coefficients(sol.slots, sol.packed_obstructions,
+                                          sol.free_parameters, (op.n, m), seen)
+    return tuple(c for c, _ in conditions)
 
 
 # -- the recursion in x = P, y = P' -------------------------------------------
@@ -474,8 +474,8 @@ def algebraic_conditions(L, m, top) -> tuple:
     its template is made once per parity of eps, cleared to integers; the
     rows are read from the two (``_template_rows``) and go to the slot
     engine ``_slot_passes``, and the conditions are read from the
-    obstruction's slots (``_LambdaSlots.lambda_coefficients``); each term
-    is weighed once for the primitive form and the returned weights.
+    obstruction's slots by ``_split_coefficients``, as the z recursion's
+    are.  u1 enters at top, so the obstruction has no free parameter.
 
     Below top the solution is unique, so psi agrees with the z recursion's
     through z^(top-1), and the two obstructions differ by a rational
@@ -504,17 +504,9 @@ def algebraic_conditions(L, m, top) -> tuple:
         raise ValueError(f"{m} is not an indicial root")
     if values[K] or not all(values[1:K]):
         raise ValueError(f"{top} is not the first resonance above {m}")
-    slots, _, [(_, numerators, _)] = _slot_passes(n, values, rows, universe, ["u1"], implicit,
-                                                  weights)
-    rest = sort_vars(params)
-    conditions = []
-    seen = set()
-    for d, terms in sorted(slots.lambda_coefficients(numerators, K).items(), reverse=True):
-        p, ws = reduced(universe, terms, 1).in_universe(rest).primitive_with_weights()
-        if (h := frozenset(p.terms.items())) not in seen:
-            seen.add(h)
-            conditions.append((Condition(p, d, (n, Rat(m), K)), ws))
-    return tuple(conditions)
+    # drop the packed g_k before the split, so they do not add to its peak memory
+    slots, obstructions = _slot_passes(n, values, rows, universe, ["u1"], implicit, weights)[::2]
+    return tuple(_split_coefficients(slots, obstructions, ["u1"], (n, Rat(m)), set()))
 
 
 def trivial_monodromy_constraints(op: LocalOperator) -> ConstraintSet:

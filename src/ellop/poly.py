@@ -23,8 +23,8 @@ divisor over one universe, accumulated in a single integer dict over the lcm
 of the denominators and reduced once, in the term order that P*Q followed by
 `+` would give when each P is a single term.  Its term loop,
 `product_terms`, and its reduction, `reduced`, are separate functions, so
-that the Frobenius recursion (``monodromy.frobenius_solve``) runs the same
-loop on its packed layout, where each int holds a polynomial in the
+that both Frobenius recursions (``monodromy._slot_passes``) run the same
+loop on their packed layout, where each int holds a polynomial in the
 spectral parameter.  `MultiPoly.substitute` makes one call with a
 (monomial, cached power product) pair per term that does not vanish, and
 the product of two MultiPolys is one call with a single triple; so is the

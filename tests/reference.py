@@ -9,6 +9,9 @@ src/ellop holds only what a program path runs):
 - ``wp_series``: Weierstrass P as a ``Series`` over Q[g2, g3];
 - ``from_terms``: a MultiPoly from exponent tuples;
 - ``psi``: the series of a ``frobenius_solve`` solution, unpacked;
+- ``split_coefficients``: an obstruction's coefficients by repeated
+  ``MultiPoly.coefficients_in``, which ``monodromy._split_coefficients``
+  reads from the slots instead;
 - ``cryst3_H`` and ``inozemtsev_U``: the potentials whose gradients
   ``cm.cryst3_grad_H`` and ``cm.inozemtsev_gradient`` compute.
 """
@@ -149,6 +152,18 @@ def psi(sol) -> Series:
     z^m * psi: its packed f_k, unpacked."""
     return Series(0, [sol.slots.unpack(num, den, k)
                       for k, (num, den) in enumerate(sol.packed)], len(sol.packed))
+
+
+def split_coefficients(poly: MultiPoly, names):
+    """All coefficients of poly w.r.t. monomials in names: {expo: MultiPoly}."""
+    out = {(): poly}
+    for nm in names:
+        new = {}
+        for key, p in out.items():
+            for d, c in p.coefficients_in(nm).items():
+                new[key + (d,)] = c
+        out = new
+    return out
 
 
 def cryst3_H(cfg: Cryst3Config) -> complex:

@@ -134,13 +134,13 @@ def test_an_on_locus_point_moved_off_fails_numerical_monodromy(monkeypatch):
 def _patch_call(monkeypatch, name, n, change):
     """Make the n-th call (from 1) of acceptance.<name> return change(its
     result); every other call returns what it returns.  Returns the list
-    of every call's arguments."""
+    of every call's positional arguments."""
     real = getattr(acceptance, name)
     calls = []
 
-    def patched(*args):
+    def patched(*args, **kwargs):
         calls.append(args)
-        out = real(*args)
+        out = real(*args, **kwargs)
         return change(out) if len(calls) == n else out
 
     monkeypatch.setattr(acceptance, name, patched)
@@ -151,6 +151,50 @@ def _one_report(i, **fields):
     """A change for _patch_call: report i of a list gets the given fields."""
     return lambda reports: [replace(rep, **fields) if j == i else rep
                             for j, rep in enumerate(reports)]
+
+
+@pytest.mark.parametrize("name, n, change, detail", [
+    # the first cell is (1, 1), whose one branch is a one-parameter family
+    # and whose one condition is e
+    ("triangular_solve", 1, lambda branches: branches * 2,
+     "(q,r)=(1,1): branch structure ['one-parameter-family', 'one-parameter-family']"),
+    ("constraints_for", 1, lambda cs: replace(cs, conditions=cs.conditions * 2),
+     "(q,r)=(1,1): conditions not {e}"),
+    # (2, 2) is the first cell with a closed form, c = -e^2/3; twice that
+    # leaves 3c + e^2 at -e^2
+    ("_annihilating_substitution", 1, lambda sub: {**sub, "c": sub["c"] * 2},
+     "(q,r)=(2,2): residual -e^2"),
+], ids=["branch-structure", "conditions-not-e", "residual"])
+def test_each_failed_check_fails_closed_form_loci(monkeypatch, name, n, change, detail):
+    _patch_call(monkeypatch, name, n, change)
+    assert acceptance.criterion_closed_form_loci(0) == (False, detail)
+
+
+def test_a_truncated_constant_that_fits_fails_j_invariants(monkeypatch):
+    # calls 1-7 read the seven j-values; the eighth reads g2/e4 at (8, 8),
+    # which is made to match the truncated constant 767835508
+    scale, ((p8, k),), den = acceptance.CLOSED_FORMS[8, "g2/e4"]
+    bad = (scale, (((767835508,) + p8[1:], k),), den)
+    calls = _patch_call(monkeypatch, "branch_quantity", 8,
+                        lambda _: acceptance.closed_form_value(bad, 8))
+    assert acceptance.criterion_j_invariants(0) == (
+        False, "degree-8 constant adjudication failed")
+    assert [quantity for _, quantity in calls] == ["j"] * 7 + ["g2/e4"]
+
+
+def test_a_wrong_reconstruction_fails_rational_reconstruction(monkeypatch):
+    # the first reconstruction is c/e2 at r = 2, -1/3 for every q
+    _patch_call(monkeypatch, "reconstruct_in_q", 1, lambda f: f + 1)
+    assert acceptance.criterion_reconstruction(0) == (
+        False, "r=2 c/e2: got (q^2 + 2*q - 2)/(q^2 + 2*q + 1)")
+
+
+def test_a_non_cyclic_branch_fails_high_r_scan(monkeypatch):
+    # the first row of the scan is branch 0 of (14, 14)
+    _patch_call(monkeypatch, "scan_grid", 1, lambda report: replace(
+        report, rows=[replace(report.rows[0], classification="finite-set"), *report.rows[1:]]))
+    assert acceptance.criterion_high_r_scan(0) == (
+        False, "non-cyclic branches: [(14, 14, 'finite-set')]")
 
 
 @pytest.mark.parametrize("name, n, change, detail", [
@@ -262,12 +306,16 @@ def _shift_first(delta):
 
 
 @pytest.mark.parametrize("name, n, change, detail", [
+    ("ref_c_over_e2", 1, lambda ratio: ratio * 2,
+     "c = -3p^2 does not match the (2,2) locus under e = 3p"),
     ("cm3_residuals", 1, _shift_first(1e-11), "single-pole critical residual too large"),
     ("finite_gap_residuals", 1, lambda res: [1e-11, *res[1:]], "half-period residual 1e-11"),
     ("newton_critical", 1, lambda out: replace(out, residual_norm=1e-9), "Newton residual 1e-09"),
-], ids=["single-pole", "half-period", "newton-residual"])
+], ids=["locus-ratio", "single-pole", "half-period", "newton-residual"])
 def test_each_failed_check_fails_many_body(monkeypatch, name, n, change, detail):
-    # cm3_residuals' first call is the single pole, its second the gradient
+    # ref_c_over_e2's only call is the (2, 2) ratio c/e^2 = -1/3, which
+    # c = -3p^2 at e = 3p must match; cm3_residuals' first call is the
+    # single pole, its second the gradient
     # check; the only finite_gap_residuals and newton_critical calls are the
     # half-period pair and the pinned two-pole solve
     _patch_call(monkeypatch, name, n, change)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from ellop.rationals import Rat
-from ellop.poly import MultiPoly
+from ellop.poly import MultiPoly, sort_vars
 from ellop.series import LaurentSeries, TruncationError
 from ellop.elliptic import EllipticElement
 from ellop.operators import (
@@ -20,6 +20,7 @@ from ellop.operators import (
 )
 from ellop import monodromy
 from ellop.monodromy import (
+    Condition,
     ConstraintSet,
     _template_rows,
     algebraic_conditions,
@@ -32,7 +33,7 @@ from ellop.monodromy import (
 from ellop.locus3 import constraints_for
 from ellop.acceptance import _horner
 
-from reference import from_terms, psi, wp_series
+from reference import from_terms, psi, split_coefficients, wp_series
 
 
 def lame_local(K):
@@ -372,7 +373,7 @@ def test_algebraic_conditions_match_the_z_recursion(make, m, top):
     sol = frobenius_solve(L.localize(K - 1), m, K)
     offset, obs = sol.obstructions[0]
     assert offset == top - m
-    pieces = monodromy._split_coefficients(obs, ["lambda"] + sol.free_parameters)
+    pieces = split_coefficients(obs, ["lambda"] + sol.free_parameters)
     z = []
     for expo in sorted(pieces, reverse=True):
         p = pieces[expo].primitive()
@@ -381,6 +382,77 @@ def test_algebraic_conditions_match_the_z_recursion(make, m, top):
     got = algebraic_conditions(L, m, top)
     assert condition_list(c for c, _ in got) == [(d, p.text(), prov) for d, p, prov in z]
     assert all(weights == c.poly.primitive_with_weights()[1] for c, weights in got)
+
+
+def reference_conditions(op, starts, top):
+    """obstruction_conditions by the reference split of every unpacked
+    obstruction, each value kept once over all starts."""
+    conditions = []
+    seen = set()
+    for m in starts:
+        sol = frobenius_solve(op, m, int(top - m))
+        for offset, obs in sol.obstructions:
+            pieces = split_coefficients(obs, ["lambda"] + sol.free_parameters)
+            for expo in sorted(pieces, reverse=True):
+                p = pieces[expo].primitive()
+                if p not in seen:
+                    seen.add(p)
+                    conditions.append(Condition(p, expo[0], (op.n, m, offset)))
+    return conditions
+
+
+def gap_run(q, r):
+    # the full run of the gap family: every index but the last, to the last
+    *starts, top = third_order_indices(q, r).indices
+    return third_order_from_gaps(q, r).localize(q + r - 1), starts, top
+
+
+GAP_CELLS = [(q, r) for q in range(1, 8) for r in range(1, 8)
+             if (q - r) % 3 == 0 and q % 3 and r % 3]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (order_4_with_c_and_e().localize(4), [Rat(-1)], 4),
+    lambda: (third_order_from_gaps(2, 5).localize(6), [Rat(-2)], 5),
+    *(lambda q=q, r=r: gap_run(q, r) for q, r in GAP_CELLS),
+], ids=["order-4-lowest", "2-5-lowest", *(f"gaps-{q}-{r}" for q, r in GAP_CELLS)])
+def test_obstruction_conditions_match_the_reference_split(make):
+    # the slots are read by lambda degree and free exponents, descending;
+    # the reference unpacks each obstruction and splits it by repeated
+    # coefficients_in, so both must keep the same values in the same order
+    op, starts, top = make()
+    got = obstruction_conditions(op, starts, top)
+    want = reference_conditions(op, starts, top)
+    assert got == tuple(want)
+    assert [(c.poly.vars, list(c.poly.terms.items()), c.poly.text()) for c in got] == [
+        (c.poly.vars, list(c.poly.terms.items()), c.poly.text()) for c in want]
+
+
+def test_split_groups_follow_the_order_of_the_free_parameters():
+    # u10 sorts between u1 and u2 in the universe, but its coefficient
+    # comes after u2's, as in the reference split over lambda, u1, u2, u10
+    universe = sort_vars(("lambda", "c", "e", "u1", "u2", "u10"))
+    free = ["u1", "u2", "u10"]
+    c, e = MultiPoly.var("c"), MultiPoly.var("e")
+    lam, u1, u2, u10 = (MultiPoly.var(v) for v in ("lambda", "u1", "u2", "u10"))
+    # lambda c u2 + c^2 u10 + e u1 u10 + e^3 u2 + 5 c e - lambda e^2, each
+    # lambda-polynomial in 8-bit slots
+    s = 8
+    numerators = {}
+    for poly, slots in ((c * u2, 1 << s), (c * c * u10, 1), (e * u1 * u10, 1), (e ** 3 * u2, 1),
+                        (c * e, 5), (e * e, -1 << s)):
+        (key,) = poly.in_universe(universe).terms
+        numerators[key] = slots
+    layout = monodromy._LambdaSlots(universe, s, 3, None, {})
+    obs = layout.unpack(numerators, 1, 0)
+    assert obs == (lam * c * u2 + c * c * u10 + e * u1 * u10 + e ** 3 * u2 + c * e * 5
+                   - lam * e * e)
+    got = monodromy._split_coefficients(layout, [(4, numerators, 1)], free, (3, Rat(0)), set())
+    pieces = split_coefficients(obs, ["lambda"] + free)
+    want = [(expo[0], pieces[expo].primitive().text()) for expo in sorted(pieces, reverse=True)]
+    assert [(cond.lambda_degree, cond.poly.text()) for cond, _ in got] == want == [
+        (1, "c"), (1, "e^2"), (0, "e"), (0, "e^3"), (0, "c^2"), (0, "c*e")]
+    assert all(cond.provenance == (3, 0, 4) for cond, _ in got)
 
 
 @pytest.mark.parametrize("make,m,top,message", [

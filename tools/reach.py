@@ -33,6 +33,8 @@ PERFBENCH = ROOT / "perfbench"
 
 #: functions the probe does not enter that stay in src, and why
 ALLOWED = {
+    "poly.MultiPoly.__eq__": "value equality across universes; tests compare polynomials with ==",
+    "poly.MultiPoly.__hash__": "a class that defines __eq__ needs it to stay hashable",
     "poly.MultiPoly.__str__": "error messages show a polynomial through it "
                               "(\"not a constant: {self}\")",
     "poly.MultiPoly.__repr__": "how a failing test or a debugger shows a polynomial",
