@@ -268,7 +268,33 @@ def criterion_high_r_scan(seed=0):
 
 
 def criterion_leading_condition(seed=0):
-    """Whenever r = 3s + 1, the top spectral coefficient is a multiple of e."""
+    """Whenever r = 3s + 1, the top spectral coefficient is a multiple of e.
+
+    Lemma: for every valid (q, r) with r = 3s + 1 the first condition of
+    ``constraints_for(q, r)`` is e, at lambda degree s; this criterion
+    checks 12 cells of it.
+
+    Proof.  Run the x-form recursion from the middle index m = m1
+    (``monodromy.algebraic_conditions``): g_k R_0(m + k) = -sum over kp of
+    R_(k-kp)(m + kp) g_kp + lambda g_(k-3), where R_j has weight j in
+    (c, e, g2, g3), e weighing 1 and lambda 3.  The coefficient of lambda^d
+    in g_k has weight k - 3d (its co-weight), and the obstruction at k = r
+    has weight r - 3d at degree d, so its top degree is s, of weight 1: it
+    is C e.  Terms of co-weight <= 1 come only from terms of co-weight <= 1,
+    that is from R_0, R_1 and lambda.  Write G_d for the constant lambda^d
+    coefficient of g_(3d), so G_0 = 1 and G_d = G_(d-1) / R_0(m + 3d), and
+    rho for the coefficient of e in R_1.  Then
+        C = -sum over i = 0..s of rho(m + 3i) G_i
+            prod over j = i..s-1 of 1 / R_0(m + 3j + 1).
+    (1) rho = 1: the only weight-1 term of L is e P, and x phi_eps =
+    phi_(eps-2).  (2) R_0(eps) = (c_eps / c_(eps-3)) P(eps), where the
+    ratio is -2 or -1/2 and P is the monic indicial cubic with roots
+    m0 < m1 < m2 = m1 + r; P < 0 on (m1, m2), so R_0(m + k) > 0 for
+    0 < k < r.  Every index above is below r, so each G_i and every
+    summand is positive, C < 0, and the top condition, made primitive, is
+    e.  ``tests/test_acceptance.py`` checks (1), (2) and the first
+    condition from the templates on every such cell with r <= 22 and
+    q <= 31."""
     for r in (7, 10, 13, 16, 19, 22):
         for q in (r, r + 3):
             cs = constraints_for(q, r)

@@ -16,7 +16,10 @@ family's middle index.  Each path writes the recursion's coefficients as
 integer templates in the index eps (one in z, one per parity of eps in
 x), and one row builder, ``_template_rows``, reads the rows from them for
 one slot engine, ``_slot_passes``, from whose slots one reader,
-``_split_coefficients``, reads the conditions.
+``_split_coefficients``, reads the conditions.  The engine's second pass
+is a generator that holds only the band of earlier coefficients that a
+later row reads, and each caller keeps what it reads: ``frobenius_solve``
+every f_k, ``algebraic_conditions`` only the obstruction.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ class FrobeniusSolution:
     obstructions: list       # (offset k, MultiPoly inhomogeneous term)
     free_parameters: list    # names of parameters introduced at resonances
     slots: _LambdaSlots = field(repr=False)
-    packed: list = field(repr=False)  # (numerators in slots, denominator) of each f_k
+    packed: list = field(repr=False)  # (numerators in slots, denominator) of every f_k, for psi
     packed_obstructions: list = field(repr=False)  # (offset k, numerators in slots, denominator)
 
 
@@ -172,9 +175,10 @@ def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
     resonance; rows[k - 1] lists step k's coefficients (kp, Ĉ, E, has
     lambda), each Ĉ / E (+ lambda) multiplying the earlier coefficient
     g_kp, with Ĉ's keys cleared by ``_key_mask``.  A resonance's g_k is the
-    next name in free.  Returns the ``_LambdaSlots`` layout, the packed
-    (numerators, denominator) of every g_k, and each obstruction as (k,
-    numerators, denominator).
+    next name in free.  Returns the ``_LambdaSlots`` layout and a generator
+    of the second pass's steps, each (k, numerators, denominator of g_k,
+    obstruction): the obstruction is (numerators, denominator) at a
+    resonance and None elsewhere.
 
     Layout.  g_k is kept as N_k / D_k: N_k maps monomials in every variable
     but lambda (and the implicit one, if any) to one int, which holds their
@@ -196,13 +200,20 @@ def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
     pass makes D_k and B_k without any product of g's; s is one more than
     the bit length of the largest B, so every slot reads back and none ever
     needs widening.  The second pass makes the products, every g_kp
-    multiplied once per k."""
+    multiplied once per k.  It holds only its band: the first pass records
+    the last step that reads each g_kp, the second drops g_kp after that
+    step, and a g_k that no row reads, such as the x path's u1 at the top,
+    is never held.  What the caller does not keep of the steps is freed
+    as it goes."""
     K = len(rows)
     den = [1] * (K + 1)
     bound = [1] * (K + 1)
+    last = [0] * (K + 1)  # the last step whose row reads g_kp, 0 if none
     largest = 1
     plan = []
     for k, row in enumerate(rows, 1):
+        for kp, _, _, _ in row:
+            last[kp] = k
         lcm = math.lcm(*(E * den[kp] for kp, _, E, _ in row))
         a, b = values[k].numerator, values[k].denominator  # b = 1 at a resonance
         sign_b = -b if a < 0 else b
@@ -214,24 +225,30 @@ def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
             den[k], bound[k] = abs(a) * lcm, B
         plan.append((mults, lcm))
     slots = _LambdaSlots(universe, largest.bit_length() + 1, n, implicit, weights)
-    one = {0: 1}
-    packed = [(one, 1)]
-    obstructions = []
-    names = iter(free)
-    for k, (row, (mults, lcm)) in enumerate(zip(rows, plan), 1):
-        parts = []
-        for mu, (kp, terms, E, has_lambda) in zip(mults, row):
-            f = packed[kp][0]
-            parts.append((mu, terms, f))
-            if has_lambda:
-                parts.append((mu * E, one, {key: x << slots.s for key, x in f.items()}))
-        terms = product_terms(parts)
-        if values[k]:
-            packed.append((terms, den[k]))
-        else:
-            obstructions.append((k, terms, lcm))
-            packed.append((MultiPoly.var(next(names)).in_universe(universe).terms, 1))
-    return slots, packed, obstructions
+
+    def steps():
+        one = {0: 1}
+        band = {0: one}
+        names = iter(free)
+        for k, (row, (mults, lcm)) in enumerate(zip(rows, plan), 1):
+            parts = []
+            for mu, (kp, terms, E, has_lambda) in zip(mults, row):
+                f = band[kp]
+                parts.append((mu, terms, f))
+                if has_lambda:
+                    parts.append((mu * E, one, {key: x << slots.s for key, x in f.items()}))
+                if last[kp] == k:
+                    del band[kp]
+            terms = product_terms(parts)
+            obstruction = None
+            if not values[k]:  # den[k] stays 1
+                obstruction = terms, lcm
+                terms = MultiPoly.var(next(names)).in_universe(universe).terms
+            if last[k]:
+                band[k] = terms
+            yield k, terms, den[k], obstruction
+
+    return slots, steps()
 
 
 def _template_rows(templates, n: int, m, K: int, keep: int):
@@ -298,7 +315,8 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     least-weight variable (e for the gap family) leaves the keys as well
     and is restored from the weight when unpacking.  Otherwise only lambda
     is packed.  Obstructions are unpacked and reduced at once and kept in
-    slots too (``packed_obstructions``), as the f_k are (``packed``).
+    slots too (``packed_obstructions``); every f_k is kept from the
+    engine's steps, in slots (``packed``).
     """
     m = as_rat(m)
     n = op.n
@@ -336,8 +354,13 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     weights = {**WEIGHTS, "lambda": n, **dict(zip(free, resonances))}
     implicit = _implicit_variable(table.items(), universe, params, weights)
     values, rows = _template_rows([(E, table)], n, m, K, _key_mask(universe, implicit))
-    slots, packed, obstructions = _slot_passes(n, values, rows, universe, free, implicit,
-                                               weights)
+    slots, steps = _slot_passes(n, values, rows, universe, free, implicit, weights)
+    packed = [({0: 1}, 1)]
+    obstructions = []
+    for k, g, D, obstruction in steps:
+        packed.append((g, D))
+        if obstruction:
+            obstructions.append((k, *obstruction))
     return FrobeniusSolution([(k, slots.unpack(terms, lcm, k)) for k, terms, lcm in obstructions],
                              free, slots, packed, obstructions)
 
@@ -475,7 +498,9 @@ def algebraic_conditions(L, m, top) -> tuple:
     rows are read from the two (``_template_rows``) and go to the slot
     engine ``_slot_passes``, and the conditions are read from the
     obstruction's slots by ``_split_coefficients``, as the z recursion's
-    are.  u1 enters at top, so the obstruction has no free parameter.
+    are.  Only the obstruction is kept, so each g_k lives only while the
+    band still reads it.  u1 enters at top, so the obstruction has no free
+    parameter.
 
     Below top the solution is unique, so psi agrees with the z recursion's
     through z^(top-1), and the two obstructions differ by a rational
@@ -504,8 +529,8 @@ def algebraic_conditions(L, m, top) -> tuple:
         raise ValueError(f"{m} is not an indicial root")
     if values[K] or not all(values[1:K]):
         raise ValueError(f"{top} is not the first resonance above {m}")
-    # drop the packed g_k before the split, so they do not add to its peak memory
-    slots, obstructions = _slot_passes(n, values, rows, universe, ["u1"], implicit, weights)[::2]
+    slots, steps = _slot_passes(n, values, rows, universe, ["u1"], implicit, weights)
+    obstructions = [(k, *obstruction) for k, _, _, obstruction in steps if obstruction]
     return tuple(_split_coefficients(slots, obstructions, ["u1"], (n, Rat(m)), set()))
 
 

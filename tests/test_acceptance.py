@@ -12,9 +12,11 @@ import pytest
 
 from ellop import acceptance
 from ellop.elliptic import EllipticElement
-from ellop.monodromy import Condition, ConstraintSet, trivial_monodromy_constraints
-from ellop.operators import GlobalEllipticOperator, third_order_from_gaps
-from ellop.poly import MultiPoly, RatFunc
+from ellop.locus3 import constraints_for
+from ellop.monodromy import (Condition, ConstraintSet, _algebraic_templates,
+                             trivial_monodromy_constraints)
+from ellop.operators import GlobalEllipticOperator, third_order_from_gaps, third_order_indices
+from ellop.poly import MultiPoly, RatFunc, sort_vars
 from ellop.rationals import Rat
 from ellop.series import TruncationError
 
@@ -298,6 +300,42 @@ def test_a_leading_condition_other_than_e_fails_leading_condition(monkeypatch):
                 lambda cs: replace(cs, conditions=cs.conditions[1:]))
     assert acceptance.criterion_leading_condition(0) == (
         False, "(q,r)=(7,7): leading condition 28224*c^2 + 636*c*e^2 + e^4 - 1555200*g2")
+
+
+def test_the_sign_lemma_gives_the_leading_condition_e_for_every_r_1_mod_3():
+    # criterion_leading_condition's lemma, from the x-form templates: on every
+    # valid cell with r = 3s + 1 <= 22 and q <= 31, rho(m1 + 3i) = 1 and
+    # R_0(m1 + k) > 0 for 0 < k < r, so C < 0; and with C != 0 the first
+    # condition of constraints_for is e, at lambda degree s
+    universe = sort_vars(("lambda", "u1", "c", "e", "g2", "g3"))
+    (e_key,) = MultiPoly.var("e").in_universe(universe).terms
+    cells = [(q, r) for r in range(1, 23, 3) for q in range(1, 32, 3)]
+    for q, r in cells:
+        s = (r - 1) // 3
+        _, m1, _ = third_order_indices(q, r).indices
+        m1 = int(m1)
+        templates = _algebraic_templates(third_order_from_gaps(q, r), universe)
+
+        def R(j, eps):
+            E, table = templates[eps % 2]
+            return {key: Rat(sum(c * eps ** d for d, c in enumerate(cs)), E)
+                    for key, cs in table[j].items()}
+
+        R0 = [R(0, m1 + k)[0] for k in range(r)]
+        assert all(v > 0 for v in R0[1:]), (q, r)
+        assert all(R(1, m1 + 3 * i) == {e_key: 1} for i in range(s + 1)), (q, r)
+        G = [Rat(1)]
+        for d in range(1, s + 1):
+            G.append(G[-1] / R0[3 * d])
+        C = Rat(0)
+        for i in range(s + 1):
+            tail = Rat(1)
+            for j in range(i, s):
+                tail /= R0[3 * j + 1]
+            C -= G[i] * tail
+        assert C < 0, (q, r)
+        lead = constraints_for(q, r).conditions[0]
+        assert (lead.poly.text(), lead.lambda_degree) == ("e", s), (q, r)
 
 
 def _shift_first(delta):
