@@ -345,7 +345,7 @@ def criterion_engine_equivalences(seed=0):
         if full.satisfied() != closed.satisfied():
             return False, f"gaps-(2,2) disagreement at trial {trial}"
     # third order one-pole family: the middle-index run in x = P, y = P'
-    # (constraints_for) vs the all-index run on the Laurent series
+    # (constraints_for) vs the lowest-index run on the Laurent series
     pairs = [(2, 2), (1, 1), (4, 4), (5, 2), (2, 5)]
     for trial in range(10):
         q, r = pairs[trial % len(pairs)]

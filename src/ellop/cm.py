@@ -41,21 +41,25 @@ def _on_pole(z: complex, lat: Lattice) -> bool:
     return near_pole(reduce_to_cell(z, lat), lat)
 
 
+def _validate_points(zs, lat: Lattice, special, mults, on_special: str, shared: str):
+    """Raise InvalidConfigurationError, point by point, if zs[i] lies within
+    1e-8 shortest periods of a special point (message on_special), or
+    zs[i] - g zs[j], j < i, of a period for a multiplier g of the group
+    (message shared); the messages are formatted with i and j."""
+    for i, z in enumerate(zs):
+        if any(_on_pole(z - w, lat) for w in special):
+            raise InvalidConfigurationError(on_special.format(i=i))
+        for j in range(i):
+            if any(_on_pole(z - g * zs[j], lat) for g in mults):
+                raise InvalidConfigurationError(shared.format(i=i, j=j))
+
+
 class _Poles:
     """The validation shared by configurations of distinct poles."""
 
     def validate(self, lat: Lattice):
-        zs = self.points
-        for i in range(len(zs)):
-            if _on_pole(zs[i], lat):
-                raise InvalidConfigurationError(
-                    f"points[{i}] sits on a pole of the kernel"
-                )
-            for j in range(i):
-                if _on_pole(zs[i] - zs[j], lat):
-                    raise InvalidConfigurationError(
-                        f"points[{i}] and points[{j}] coincide modulo the lattice"
-                    )
+        _validate_points(self.points, lat, (0,), (1,), "points[{i}] sits on a pole of the kernel",
+                         "points[{i}] and points[{j}] coincide modulo the lattice")
 
 
 @dataclass(frozen=True)
@@ -240,21 +244,11 @@ class Cryst3Config:
         return tuple(a / 2 - b for a, b in zip(self.alphas, self.betas))
 
     def validate(self):
-        lat = hexagonal_lattice()
-        zs = self.points
         # (1 - eps^s) z is a period only at the fixed points, so a point
-        # that meets its own Z3 image is rejected here already
-        for i, z in enumerate(zs):
-            if any(_on_pole(z - eta, lat) for eta in ETA):
-                raise InvalidConfigurationError(
-                    f"points[{i}] hits a fixed point of the Z3 action"
-                )
-        for i in range(len(zs)):
-            for j in range(i):
-                if any(_on_pole(zs[i] - _EPS**s * zs[j], lat) for s in (0, 1, 2)):
-                    raise InvalidConfigurationError(
-                        f"points[{i}] and points[{j}] share a Z3 orbit"
-                    )
+        # that meets its own Z3 image is rejected as a fixed point
+        _validate_points(self.points, hexagonal_lattice(), ETA, (1, _EPS, _EPS**2),
+                         "points[{i}] hits a fixed point of the Z3 action",
+                         "points[{i}] and points[{j}] share a Z3 orbit")
 
 
 def _cryst3_input(cfg: Cryst3Config):
@@ -342,15 +336,9 @@ def _inozemtsev_input(points, ms, lat: Lattice):
         raise InvalidConfigurationError("need the four parameters m0..m3")
     ws = (0j, 0.5 + 0j, lat.tau / 2, (1 + lat.tau) / 2)
     # 2z is a period only at the half periods, so a point that meets its
-    # own reflection -z is rejected by the first check
-    for j, z in enumerate(zs):
-        if any(_on_pole(z - w, lat) for w in ws):
-            raise InvalidConfigurationError(f"points[{j}] hits a half-period point")
-        for k in range(j):
-            if _on_pole(z - zs[k], lat) or _on_pole(z + zs[k], lat):
-                raise InvalidConfigurationError(
-                    f"points[{j}] meets the reflection orbit of points[{k}]"
-                )
+    # own reflection -z is rejected as a half-period point
+    _validate_points(zs, lat, ws, (1, -1), "points[{i}] hits a half-period point",
+                     "points[{i}] meets the reflection orbit of points[{j}]")
     return zs, ms, ws
 
 

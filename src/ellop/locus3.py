@@ -95,8 +95,8 @@ class LocusBranch:
 
 def j_invariant(g2, g3):
     """j = 1728 g2^3 / (g2^3 - 27 g3^2); "infinite" at zero discriminant."""
-    g2 = RatFunc.from_value(g2)
-    g3 = RatFunc.from_value(g3)
+    g2 = RatFunc(g2)
+    g3 = RatFunc(g3)
     disc = g2**3 - g3**2 * 27
     if disc.is_zero():
         return "infinite"

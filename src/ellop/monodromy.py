@@ -8,8 +8,8 @@ introduced at earlier resonances; the locus conditions are their
 coefficients with those auxiliary variables stripped off.
 
 ``obstruction_conditions`` is the path from a local operator (Laurent
-series in z) to them, and ``trivial_monodromy_constraints`` runs it from
-every index but the last.  ``algebraic_conditions`` runs one index to the
+series in z) to them, and ``trivial_monodromy_constraints`` runs it once,
+from the lowest index.  ``algebraic_conditions`` runs one index to the
 next over a one-pole operator's coefficients in x = P, y = P', where the
 recursion is a band; ``locus3.constraints_for`` runs it from the gap
 family's middle index.  Each path writes the recursion's coefficients as
@@ -365,21 +365,22 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
                              free, slots, packed, obstructions)
 
 
-def _split_coefficients(slots: _LambdaSlots, obstructions, free, provenance, seen: set) -> list:
+def _split_coefficients(slots: _LambdaSlots, obstructions, free, provenance) -> list:
     """The conditions of one run's obstructions, each (offset k, numerators
     in slots, denominator), as [(``Condition``, its terms' weights)]; the
     run's provenance is (n, m) and its resonance parameters are free.
     Each term goes to the group of its lambda degree and free fields, with
     those fields cleared, and each group is made primitive over the other
     variables.  Groups come by descending lambda degree, then free
-    exponents in the order of free.  A value in seen is skipped, and each
-    value kept is added to it."""
+    exponents in the order of free, and each value is kept once, at its
+    first occurrence over the run."""
     universe = slots.universe
     fields = [_field(universe, name) for name in free]
     free_fields = sum(_MASK << f for f in fields)
     keep = ~free_fields
     rest = tuple(v for v in universe if v != "lambda" and v not in free)
     conditions = []
+    seen = set()
     for k, numerators, _ in obstructions:
         groups = {}
         for key, d, c in slots._read(numerators, k):
@@ -393,19 +394,15 @@ def _split_coefficients(slots: _LambdaSlots, obstructions, free, provenance, see
     return conditions
 
 
-def obstruction_conditions(op: LocalOperator, starts, top) -> tuple:
-    """The conditions of the recursion run from each index m in starts to
-    the offset top - m: every nonzero coefficient of every obstruction
-    with respect to the spectral parameter and the free resonance
-    parameters, made primitive, by descending exponents, each value kept
-    once at its first occurrence over all starts (``_split_coefficients``)."""
-    conditions = []
-    seen = set()
-    for m in starts:
-        sol = frobenius_solve(op, m, int(top - m))
-        conditions += _split_coefficients(sol.slots, sol.packed_obstructions,
-                                          sol.free_parameters, (op.n, m), seen)
-    return tuple(c for c, _ in conditions)
+def obstruction_conditions(op: LocalOperator, m, top) -> tuple:
+    """The conditions of the recursion run from the index m to the offset
+    top - m: every nonzero coefficient of every obstruction with respect to
+    the spectral parameter and the free resonance parameters, made
+    primitive, by descending exponents, each value kept once at its first
+    occurrence (``_split_coefficients``)."""
+    sol = frobenius_solve(op, m, int(top - m))
+    return tuple(c for c, _ in _split_coefficients(sol.slots, sol.packed_obstructions,
+                                                   sol.free_parameters, (op.n, m)))
 
 
 # -- the recursion in x = P, y = P' -------------------------------------------
@@ -505,7 +502,7 @@ def algebraic_conditions(L, m, top) -> tuple:
     Below top the solution is unique, so psi agrees with the z recursion's
     through z^(top-1), and the two obstructions differ by a rational
     factor, P(top) being 0: the conditions are those of
-    ``obstruction_conditions(L.localize(top - m - 1), [m], top)``.  top
+    ``obstruction_conditions(L.localize(top - m - 1), m, top)``.  top
     must be the run's first resonance."""
     n = L.n
     if as_rat(m).denominator != 1:
@@ -531,18 +528,25 @@ def algebraic_conditions(L, m, top) -> tuple:
         raise ValueError(f"{top} is not the first resonance above {m}")
     slots, steps = _slot_passes(n, values, rows, universe, ["u1"], implicit, weights)
     obstructions = [(k, *obstruction) for k, _, _, obstruction in steps if obstruction]
-    return tuple(_split_coefficients(slots, obstructions, ["u1"], (n, Rat(m)), set()))
+    return tuple(_split_coefficients(slots, obstructions, ["u1"], (n, Rat(m))))
 
 
 def trivial_monodromy_constraints(op: LocalOperator) -> ConstraintSet:
     """Conditions on the operator parameters for trivial local monodromy.
 
-    The recursion runs from every index but the last, up to the last
-    (``obstruction_conditions``).  The free-parameter coefficients of an
-    obstruction reproduce obstructions of higher indices, so stripping them
-    this way cuts out exactly the trivial-monodromy locus.  Fewer than n
-    rational indicial roots, or indices that fail
-    ``homogeneous_integrable``, give an unsatisfiable set.
+    Fewer than n rational indicial roots, or indices that fail
+    ``homogeneous_integrable``, give an unsatisfiable set.  Otherwise the
+    indices m_0 < m_1 < ... are integers, and the recursion runs once, from
+    m_0 to the highest index (``obstruction_conditions``).  Below the first
+    resonance k_1 = m_1 - m_0 the run is unique, and f_(k_1) is the free
+    parameter u1.  The recursion is linear, so every later f_k and
+    obstruction is affine in u1, and u1's coefficient runs the same
+    recursion from the index m_1.  By induction over the indices, the
+    obstructions of each higher index's run, and their coefficients in its
+    own free parameters, are u-coefficients of the run from m_0.  So the
+    groups that ``_split_coefficients`` keeps from it are those of the runs
+    from every index, each value at its first occurrence, and they all
+    vanish iff no index's run is obstructed: trivial local monodromy.
     """
     n = op.n
     roots = op.indicial_roots()
@@ -552,8 +556,7 @@ def trivial_monodromy_constraints(op: LocalOperator) -> ConstraintSet:
     ok, reason = homogeneous_integrable(idx, n)
     if not ok:
         return ConstraintSet(n, unsatisfiable=True, reason=reason)
-    *starts, top = idx.indices
-    return ConstraintSet(n, obstruction_conditions(op, starts, top))
+    return ConstraintSet(n, obstruction_conditions(op, idx.indices[0], idx.indices[-1]))
 
 
 def second_order_conditions(m: int, u: LaurentSeries) -> ConstraintSet:

@@ -727,12 +727,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_value(cls, v):
-        if isinstance(v, RatFunc):
-            return v
-        return cls(v)
-
     def is_zero(self):
         return self.num.is_zero()
 
@@ -784,8 +778,6 @@ class RatFunc:
         return self._coerce(other) / self
 
     def __pow__(self, k: int):
-        if k < 0:
-            return RatFunc(self.den, self.num) ** (-k)
         return RatFunc(self.num**k, self.den**k)
 
     def __eq__(self, other):

@@ -16,14 +16,11 @@ ONE = Rat(1)
 
 
 def as_rat(x):
-    """Coerce ints, Fractions, strings like "3/4", and other exact
-    rationals (anything with integer numerator and denominator)."""
+    """Coerce ints, Fractions and strings like "3/4"."""
     if isinstance(x, Rat):
         return x
     if isinstance(x, (int, str)):
         return Rat(x)
-    if hasattr(x, "numerator") and hasattr(x, "denominator"):
-        return Rat(int(x.numerator), int(x.denominator))
     raise TypeError(f"cannot coerce {x!r} to an exact rational")
 
 

@@ -54,6 +54,12 @@ def test_symmetric_sampling_gives_up_when_every_gradient_draw_raises(monkeypatch
     assert detail.startswith("residual/gradient: fewer than 20 of")
 
 
+def test_a_criterion_that_raises_is_a_failure(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [("raises", _raise)])
+    assert acceptance.run_all() == [
+        ("raises", False, "exception: ArithmeticError('evaluation fails everywhere')")]
+
+
 def test_named_reference_values():
     # the benchmark workloads call these three names, so their values are pinned
     assert acceptance.ref_c_over_e2(5, 8) == Rat(-43, 3456)

@@ -55,6 +55,11 @@ def test_homog_check(capsys):
     assert json.loads(out)["integrable"] is False
 
 
+def test_homog_check_with_too_few_indices(capsys):
+    assert run(capsys, "homog-check", "--n", "3", "--indices=-1,1") == (
+        0, '{"integrable": false, "reason": "wrong number of indices"}\n', "")
+
+
 @pytest.mark.parametrize("n,indices", [("0", ""), ("1", "5"), ("-2", "1,2")])
 def test_homog_check_rejects_an_order_below_2(capsys, n, indices):
     # no operator of order below 2 exists: indicial exits 2 with this message
@@ -225,6 +230,12 @@ def test_commute_found_and_not_found(capsys):
     assert json.loads(out)["found"] is False
 
 
+def test_an_operator_spec_with_a_trailing_comma_is_the_same_operator(capsys):
+    # an empty chunk between commas is skipped
+    assert run(capsys, "commute", "--operator", "second:a=-2,", "--order", "3") == run(
+        capsys, "commute", "--operator", "second:a=-2", "--order", "3")
+
+
 # SHA-256 of the stdout of `ellop commute --operator OP --order M`
 COMMUTE_DIGESTS = {
     ("second:a=-2", 3): "5911188e0404994b3c0e82f1d85a53f3e389b64b3f616edb2bf5875cf1f8b26a",
@@ -345,6 +356,12 @@ def test_cm2_residuals(capsys):
     assert doc["max_abs"] < 1e-10
 
 
+def test_cm2_residuals_of_a_point_of_multiplicity_0(capsys):
+    # points[0] has no residual, and weighs 0 in the residuals of points[1]
+    assert run(capsys, "cm2-residuals", "--points", "0.13+0.21j;0.41-0.07j", "--mults",
+               "0,1") == (0, '{"residuals": [[0.0, 0.0]], "max_abs": 0.0}\n', "")
+
+
 @pytest.mark.parametrize("mults,index", [("4,1", 0), ("0,4", 1)])
 def test_cm2_residuals_names_a_multiplicity_above_3(capsys, mults, index):
     code, out, err = run(capsys, "cm2-residuals",
@@ -423,6 +440,16 @@ def test_many_body_output_is_pinned(capsys, name, tau):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == MANY_BODY_DIGESTS[name, tau]
+
+
+def test_cryst3_reports_the_first_point_that_fails(capsys):
+    # points[1] = eps points[0], and points[2] is the fixed point eta_1: the
+    # shared orbit of points[1] is met first, as points are checked in turn
+    code, out, err = run(capsys, "cryst3-crit",
+                         "--points", "0.23+0.14j;-0.23624355652982137+0.12918584287042092j;"
+                         "0.5773502691896258j", "--momenta", "0;0;0",
+                         "--alphas", "1;1;1", "--betas", "0;0;0")
+    assert (code, out, err) == (2, "", "error: points[1] and points[0] share a Z3 orbit\n")
 
 
 def test_cm3_solve(capsys):

@@ -295,6 +295,47 @@ def test_a_constant_condition_left_over_makes_an_inconsistent_branch():
     assert branch.assignments == {"c": MultiPoly.zero()}
 
 
+def solve(*polys):
+    return triangular_solve(ConstraintSet(3, tuple(Condition(p, 0, "test") for p in polys)))
+
+
+E, G2, G3 = MultiPoly.var("e"), MultiPoly.var("g2"), MultiPoly.var("g3")
+
+
+@pytest.mark.parametrize("p", [(C + E) * G3 + C ** 3, E * C * C + G2 * G2],
+                         ids=["pivot-not-a-monomial", "square-over-a-nonconstant"])
+def test_a_condition_no_rule_solves_stays_unsolved(p):
+    # (c + e) g3: the pivot of g3 is no single-variable monomial.  e c^2:
+    # the pure quadratic in c has a nonconstant leading coefficient
+    (branch,) = solve(p)
+    assert (branch.classification, branch.residuals, branch.relation) == ("unsolved", [p], None)
+
+
+def test_a_nonzero_square_relation_counts_as_a_constraint():
+    (branch,) = solve(C * C - G2 * G2)
+    assert branch.relation == ("c", G2 * G2)
+    assert branch.classification == "finite-set"
+
+
+def test_a_nonzero_constant_square_relation_divides_the_quantity():
+    # c^2 = 4 and g2 = 3 c^2 = 12, so g2 / c^2 = 3
+    (branch,) = solve(C * C - 4, G2 - C * C * 3)
+    assert (branch.relation, branch.assignments) == (("c", MultiPoly.const(4)),
+                                                     {"g2": MultiPoly.const(12)})
+    assert branch_quantity(branch, "g2/c2") == 3
+    assert branch_quantity(branch, "c2/g2") == Rat(1, 3)
+
+
+@pytest.mark.parametrize("polys,j,text", [
+    ((G2, G3), "cusp", "cusp"),
+    ((G2, G3 - E ** 6), RatFunc(0), "0"),
+], ids=["cusp", "j-zero"])
+def test_the_j_of_a_branch_on_a_special_curve(polys, j, text):
+    (branch,) = solve(*polys)
+    assert branch.j() == j
+    assert locus3._j_text(branch) == text
+
+
 SMALL_PAIRS = [(q, r) for q in range(1, 23) for r in range(1, 23)
                if (q - r) % 3 == 0 and q % 3 and r % 3]
 

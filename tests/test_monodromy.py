@@ -13,6 +13,7 @@ from ellop.elliptic import EllipticElement
 from ellop.operators import (
     GlobalEllipticOperator,
     IndexData,
+    LocalOperator,
     coefficients_from_indices,
     cyclic_L0,
     indicial_coefficients,
@@ -31,7 +32,7 @@ from ellop.monodromy import (
     trivial_monodromy_constraints,
     two_gap_conditions,
 )
-from ellop.locus3 import constraints_for
+from ellop.locus3 import constraints_for, solved_branch
 from ellop.acceptance import _horner
 
 from reference import from_terms, psi, split_coefficients, wp_series
@@ -95,7 +96,7 @@ def test_frobenius_solution_solves_the_operator(q, r):
 @pytest.mark.parametrize("q,r", [(1, 1), (2, 2), (5, 2), (2, 5), (4, 4)])
 def test_frobenius_solution_with_a_resonance_at_the_last_step(q, r):
     # K is the deepest resonance offset, as constraints_for runs the middle
-    # index and trivial_monodromy_constraints every lower one: the last f_K
+    # index and trivial_monodromy_constraints the lowest one: the last f_K
     # is a free parameter
     op = third_order_from_gaps(q, r).localize(q + r + 4)
     *starts, top = sorted(op.indicial_roots())
@@ -354,7 +355,7 @@ def test_the_two_engines_agree_on_every_small_cell(uncached_constraints):
     assert len(VALID_CELLS) == 158
     for q, r in VALID_CELLS:
         _, m1, m2 = third_order_indices(q, r).indices
-        z = obstruction_conditions(third_order_from_gaps(q, r).localize(r - 1), [m1], m2)
+        z = obstruction_conditions(third_order_from_gaps(q, r).localize(r - 1), m1, m2)
         assert condition_list(constraints_for(q, r).conditions) == condition_list(z), (q, r)
 
 
@@ -403,8 +404,9 @@ def test_algebraic_conditions_match_the_z_recursion(make, m, top):
 
 
 def reference_conditions(op, starts, top):
-    """obstruction_conditions by the reference split of every unpacked
-    obstruction, each value kept once over all starts."""
+    """The conditions of the runs from every index in starts to top, by the
+    reference split of every unpacked obstruction, each value kept once
+    over all starts."""
     conditions = []
     seen = set()
     for m in starts:
@@ -419,27 +421,69 @@ def reference_conditions(op, starts, top):
     return conditions
 
 
+def every_start(op):
+    # every index but the last, to the last
+    *starts, top = sorted(op.indicial_roots())
+    return op, starts, top
+
+
 def gap_run(q, r):
-    # the full run of the gap family: every index but the last, to the last
-    *starts, top = third_order_indices(q, r).indices
-    return third_order_from_gaps(q, r).localize(q + r - 1), starts, top
+    return every_start(third_order_from_gaps(q, r).localize(q + r - 1))
+
+
+def with_coefficients(op, f):
+    # op with the coefficient c of z^k in a_i replaced by f(i, k, c)
+    return LocalOperator(op.n, {i: LaurentSeries(
+        a.low, [f(i, k, a.coefficient(k)) for k in range(a.low, a.order)], a.order)
+        for i, a in op.coeffs.items()})
+
+
+def cyclic_order_4():
+    # indices -1, 1, 2, 4
+    return cyclic_L0(4, IndexData((Rat(-1), Rat(1), Rat(2), Rat(4)))).localize(4)
+
+
+def perturbed_order_4():
+    # its Laurent terms below the leading ones moved by t, s and t*s
+    t, s = MultiPoly.var("t"), MultiPoly.var("s")
+    moved = {(2, 0): t, (3, 1): s, (4, 0): t * s}
+    return every_start(with_coefficients(cyclic_order_4(),
+                                         lambda i, k, c: c + moved.get((i, k), 0)))
+
+
+def on_solved_branch(q, r):
+    # the branch's assignments substituted into the localized operator,
+    # whose Laurent coefficients carry g2 and g3
+    assignments = solved_branch(q, r).assignments
+    op = third_order_from_gaps(q, r).localize(q + r - 1)
+    return every_start(with_coefficients(op, lambda i, k, c: c.substitute(assignments)))
 
 
 GAP_CELLS = [(q, r) for q in range(1, 8) for r in range(1, 8)
              if (q - r) % 3 == 0 and q % 3 and r % 3]
+BRANCH_CELLS = [(4, 1), (5, 2), (4, 4), (10, 4), (8, 5), (11, 5), (10, 7), (8, 8), (10, 10)]
 
 
 @pytest.mark.parametrize("make", [
     lambda: (order_4_with_c_and_e().localize(4), [Rat(-1)], 4),
     lambda: (third_order_from_gaps(2, 5).localize(6), [Rat(-2)], 5),
     *(lambda q=q, r=r: gap_run(q, r) for q, r in GAP_CELLS),
-], ids=["order-4-lowest", "2-5-lowest", *(f"gaps-{q}-{r}" for q, r in GAP_CELLS)])
+    lambda: every_start(cyclic_order_4()),
+    lambda: every_start(cyclic_L0(6, IndexData((Rat(-1), Rat(0), Rat(2), Rat(3), Rat(4),
+                                                Rat(7)))).localize(7)),
+    perturbed_order_4,
+    *(lambda q=q, r=r: on_solved_branch(q, r) for q, r in BRANCH_CELLS),
+], ids=["order-4-lowest", "2-5-lowest", *(f"gaps-{q}-{r}" for q, r in GAP_CELLS),
+        "cyclic-4", "cyclic-6", "perturbed-order-4",
+        *(f"branch-{q}-{r}" for q, r in BRANCH_CELLS)])
 def test_obstruction_conditions_match_the_reference_split(make):
     # the slots are read by lambda degree and free exponents, descending;
     # the reference unpacks each obstruction and splits it by repeated
-    # coefficients_in, so both must keep the same values in the same order
+    # coefficients_in, so both must keep the same values in the same order.
+    # The reference runs from every start, the engine from the lowest
+    # alone, whose free-parameter coefficients hold the higher starts' runs
     op, starts, top = make()
-    got = obstruction_conditions(op, starts, top)
+    got = obstruction_conditions(op, starts[0], top)
     want = reference_conditions(op, starts, top)
     assert got == tuple(want)
     assert [(c.poly.vars, list(c.poly.terms.items()), c.poly.text()) for c in got] == [
@@ -465,7 +509,7 @@ def test_split_groups_follow_the_order_of_the_free_parameters():
     obs = layout.unpack(numerators, 1, 0)
     assert obs == (lam * c * u2 + c * c * u10 + e * u1 * u10 + e ** 3 * u2 + c * e * 5
                    - lam * e * e)
-    got = monodromy._split_coefficients(layout, [(4, numerators, 1)], free, (3, Rat(0)), set())
+    got = monodromy._split_coefficients(layout, [(4, numerators, 1)], free, (3, Rat(0)))
     pieces = split_coefficients(obs, ["lambda"] + free)
     want = [(expo[0], pieces[expo].primitive().text()) for expo in sorted(pieces, reverse=True)]
     assert [(cond.lambda_degree, cond.poly.text()) for cond, _ in got] == want == [
@@ -531,6 +575,31 @@ def test_full_mode_keeps_each_condition_once(q, r, expected):
     low = min(op.indicial_roots())
     assert [(c.lambda_degree, c.poly.text(), c.provenance) for c in cs.conditions] == [
         (d, text, (3, low, offset)) for d, text, offset in expected]
+
+
+def test_trivial_monodromy_runs_the_recursion_once_from_the_lowest_index(monkeypatch):
+    runs = []
+
+    def spy(op, m, K):
+        runs.append((m, K))
+        return frobenius_solve(op, m, K)
+
+    monkeypatch.setattr(monodromy, "frobenius_solve", spy)
+    for op, (low, *_, top) in ((third_order_from_gaps(4, 4).localize(7), (-3, 1, 5)),
+                               (perturbed_order_4()[0], (-1, 1, 2, 4)),
+                               (lame_local(6), (-1, 2))):
+        runs.clear()
+        trivial_monodromy_constraints(op)
+        assert runs == [(low, top - low)]
+
+
+def test_indices_in_one_residue_class_are_unsatisfiable():
+    # indices 0, 0, 3, all 0 mod 3
+    op = LocalOperator(3, {2: LaurentSeries(-2, [-2], 4), 3: LaurentSeries(-3, [0], 4)})
+    assert sorted(op.indicial_roots()) == [0, 0, 3]
+    cs = trivial_monodromy_constraints(op)
+    assert (cs.unsatisfiable, cs.reason) == (True, "indices repeat a residue class mod n")
+    assert not cs.satisfied()
 
 
 def test_trivial_monodromy_detects_generic_failure():

@@ -102,6 +102,16 @@ def test_drop_constant():
     assert dropped.to_series(1).coefficient(0).is_zero()
 
 
+@pytest.mark.parametrize("elem,text", [
+    (EllipticElement([1, 1]), "1 + P"),
+    (EllipticElement([0, -1]), "-P"),
+    (EllipticElement([0, MultiPoly.var("c") + 1]), "(c + 1)*P"),
+    (EllipticElement(), "0"),
+], ids=["unit-coefficient", "minus-one", "sum-coefficient", "zero"])
+def test_elliptic_text(elem, text):
+    assert elem.text() == text
+
+
 def reference_to_series(elem, K):
     """elem's Laurent series through z^(K-1), made by generic series
     arithmetic: sum of c P^i and c P^i P' over the parts, at a guard order
