@@ -75,6 +75,11 @@ def _parse_ilist(text: str):
     return [int(t) for t in text.split(",") if t.strip()]
 
 
+#: the keys each kind of operator spec reads
+_OPERATOR_KEYS = {"second": {"a"}, "third": {"q", "r", "c", "e"},
+                  "cyclic": {"n", "indices", "curve"}}
+
+
 def _parse_operator(spec: str):
     """Operator mini-language -> (GlobalEllipticOperator, numeric values).
 
@@ -82,7 +87,8 @@ def _parse_operator(spec: str):
     third:q=2,r=2,c=-3,e=3 the third order gap family at numeric (c, e)
     cyclic:n=4,indices=-1|1|2|4,curve=lemniscatic
 
-    A value that is not an exact rational is taken as a complex number.
+    A value that is not an exact rational is taken as a complex number.  A
+    key that the kind does not read (_OPERATOR_KEYS) is an error.
     """
     try:
         kind, _, body = spec.partition(":")
@@ -91,7 +97,10 @@ def _parse_operator(spec: str):
             if not chunk:
                 continue
             k, _, v = chunk.partition("=")
-            kv[k.strip()] = v.strip()
+            k = k.strip()
+            if kind in _OPERATOR_KEYS and k not in _OPERATOR_KEYS[kind]:
+                raise ValueError(f"unknown key {k!r}")
+            kv[k] = v.strip()
         if kind == "second":
             try:
                 a, vals = _rat_arg(kv["a"]), {}

@@ -5,7 +5,8 @@ exact polynomial division, so the eliminated rows stay polynomial.  The
 update for pivot column col touches columns col+1..ncols only, since the
 rows below the pivot are zero left of col; a zero entry skips its product
 and a zero numerator skips its division.  Back-substitution stays in the
-ring too: a quotient that is not exact ends the solve.  The solver keeps
+ring too: it solves for d times the solution, d the last pivot, so every
+quotient is exact.  The solver keeps
 its name, ``solve_linear_over_field``: the benchmark's layer tracer hooks it
 by that name.
 """
@@ -16,11 +17,15 @@ from .poly import MultiPoly, exact_div, try_div
 
 
 def solve_linear_over_field(matrix, rhs):
-    """The polynomial solution of M x = rhs with free unknowns set to 0.
+    """A polynomial solution of M x = d rhs, the free unknowns set to 0.
 
-    Entries of matrix and rhs are MultiPoly.  Returns one MultiPoly per
-    unknown, or None when the system is inconsistent or that solution has a
-    denominator.  A system without unknowns is solved by [] exactly when
+    Entries of matrix and rhs are MultiPoly.  Returns (d, x), x one
+    MultiPoly per unknown, or None exactly when the system is inconsistent.
+    d is 1 when the solution x of M x = rhs is polynomial.  Otherwise d is
+    the last Bareiss pivot, the determinant of the pivot rows and columns,
+    so by Cramer's rule d x is polynomial, and it comes back in place of x.
+    So whether a system is solved does not depend on the order of its
+    unknowns.  A system without unknowns is solved by (1, []) exactly when
     rhs is zero.  Raises ValueError unless rhs has one entry per row and
     the rows have equal length.
     """
@@ -74,13 +79,15 @@ def solve_linear_over_field(matrix, rhs):
 
     if any(not rows[r][ncols].is_zero() for r in range(prow, nrows)):
         return None
-    solution = [MultiPoly.zero() for _ in range(ncols)]
+    d = prev_pivot
+    scaled = [MultiPoly.zero() for _ in range(ncols)]
     for r, col in reversed(pivots):
-        acc = rows[r][ncols]
+        acc = d * rows[r][ncols]
         for k in range(col + 1, ncols):
             if not rows[r][k].is_zero():
-                acc = acc - rows[r][k] * solution[k]
-        solution[col] = try_div(acc, rows[r][col])
-        if solution[col] is None:
-            return None
-    return solution
+                acc = acc - rows[r][k] * scaled[k]
+        scaled[col] = exact_div(acc, rows[r][col])
+    plain = [try_div(v, d) for v in scaled]
+    if any(v is None for v in plain):
+        return d, scaled
+    return MultiPoly.const(1), plain

@@ -183,8 +183,6 @@ def triangular_solve(cs: ConstraintSet, universe=GENERIC_UNIVERSE):
     Anything else is left as an unsolved residual.  Every surviving branch
     is verified by exact back-substitution.
     """
-    if cs.unsatisfiable:
-        return []
     original = [c.poly for c in cs.conditions]
     state = _State(original, {}, None, [], [])
     branches = []

@@ -45,20 +45,18 @@ class Condition:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Parameter conditions cutting out an integrability locus (immutable)."""
+    """Parameter conditions cutting out an integrability locus (immutable).
+    Each condition is nonzero, so a point lies on the locus iff
+    ``locus3.substitute_constraints`` leaves no condition there."""
 
     n: int
     conditions: tuple = ()
-    unsatisfiable: bool = False
-    reason: str | None = None
     q: int | None = None
     r: int | None = None
 
-    def satisfied(self) -> bool:
-        """For constant conditions: does the data lie on the locus?"""
-        if self.unsatisfiable:
-            return False
-        return all(c.poly.is_zero() for c in self.conditions)
+    def __post_init__(self):
+        if any(c.poly.is_zero() for c in self.conditions):
+            raise ValueError("a condition of a constraint set is zero")
 
     def to_json(self) -> str:
         doc = {"n": self.n}
@@ -66,10 +64,6 @@ class ConstraintSet:
             doc["q"] = self.q
         if self.r is not None:
             doc["r"] = self.r
-        if self.unsatisfiable:
-            doc["unsatisfiable"] = True
-            if self.reason:
-                doc["reason"] = self.reason
         doc["conditions"] = [
             {"lambda_degree": c.lambda_degree, "poly": c.poly.text()}
             for c in self.conditions
@@ -535,7 +529,8 @@ def trivial_monodromy_constraints(op: LocalOperator) -> ConstraintSet:
     """Conditions on the operator parameters for trivial local monodromy.
 
     Fewer than n rational indicial roots, or indices that fail
-    ``homogeneous_integrable``, give an unsatisfiable set.  Otherwise the
+    ``homogeneous_integrable``, raise ValueError("indices not integrable:
+    <reason>"), as ``cyclic_L0`` does for such indices.  Otherwise the
     indices m_0 < m_1 < ... are integers, and the recursion runs once, from
     m_0 to the highest index (``obstruction_conditions``).  Below the first
     resonance k_1 = m_1 - m_0 the run is unique, and f_(k_1) is the free
@@ -551,11 +546,11 @@ def trivial_monodromy_constraints(op: LocalOperator) -> ConstraintSet:
     n = op.n
     roots = op.indicial_roots()
     if len(roots) < n:
-        return ConstraintSet(n, unsatisfiable=True, reason="non-rational indices")
+        raise ValueError("indices not integrable: non-rational indices")
     idx = IndexData(roots)
     ok, reason = homogeneous_integrable(idx, n)
     if not ok:
-        return ConstraintSet(n, unsatisfiable=True, reason=reason)
+        raise ValueError(f"indices not integrable: {reason}")
     return ConstraintSet(n, obstruction_conditions(op, idx.indices[0], idx.indices[-1]))
 
 

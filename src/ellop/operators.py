@@ -275,6 +275,14 @@ class GlobalEllipticOperator:
         return LocalOperator(self.n, {i: c.to_series(K) for i, c in self.coeffs.items()})
 
     def substitute(self, mapping) -> "GlobalEllipticOperator":
+        """Values for the coefficients' parameters.  g2 and g3 are refused:
+        they belong to the curve P'^2 = 4P^3 - g2 P - g3, which the ring's
+        products and the Laurent expansion keep symbolic and the numeric
+        evaluator takes from the lattice, so no reader of the operator
+        would see values put in here."""
+        if {"g2", "g3"} & set(mapping):
+            raise ValueError("cannot substitute g2 and g3 into an operator: the "
+                             "expansion of P keeps them symbolic")
         return GlobalEllipticOperator(
             self.n, {i: c.substitute(mapping) for i, c in self.coeffs.items()}
         )
@@ -384,9 +392,9 @@ def _slots(op: dict) -> dict:
 
 
 def find_commuting(L: GlobalEllipticOperator, m: int):
-    """Search for a monic order-m operator M with [L, M] = 0.  Returns an
-    operator dict {power: EllipticElement} or None.  Raises ValueError if m
-    is not coprime to L's order n or m < 1.
+    """Search for an order-m operator M = d D^m + ... with [L, M] = 0.
+    Returns an operator dict {power: EllipticElement} or None.  Raises
+    ValueError if m is not coprime to L's order n or m < 1.
 
     M is D^m plus unknown multiples of the terms P^a (P')^b D^(m-i), (a, b)
     over _elliptic_basis(w*i).  L's pole weight w is the least integer
@@ -394,11 +402,14 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
     where pole(P^a (P')^b) = 2a + 3b.  [L, M] is linear in M, so each term
     gives one column of a linear system, the slots of its commutator with
     L, and the right-hand side is -[L, D^m].  The system is solved in the
-    polynomial ring: no partner is found when it is inconsistent or its
-    solution with the free unknowns at 0 has a denominator.
+    polynomial ring (``solve_linear_over_field``), with the free unknowns
+    at 0: no partner is found only when it is inconsistent.  d is 1, so M
+    is monic, unless that solution has a denominator in the parameters;
+    then d is the polynomial that clears it, which is constant in z, so
+    [L, M] = 0 still holds and is checked.
 
-    The bound loses no partner.  Call sum_j b_j D^j (j < 0 too) of weight d
-    when pole(b_j) <= w*(d - j) for every j.  Weights add under products,
+    The bound loses no partner.  Call sum_j b_j D^j (j < 0 too) of weight k
+    when pole(b_j) <= w*(k - j) for every j.  Weights add under products,
     since the s-th derivative of a coefficient deepens its pole by
     s <= w*s.  L has weight n, so Q = L^(1/n) = D + q_2 D^-1 + ... has
     weight 1: the coefficient of D^(n-i) in Q^n is n*q_i plus terms in
@@ -408,7 +419,8 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
     that commutes with L, lies in the span of the columns.  A wider basis
     adds only columns that are 0 in every solution and kernel vector: each
     is a pivot column, the other columns keep their pivots, and the
-    solution with free unknowns at 0, or None, is the same."""
+    solution with free unknowns at 0, or None, is the same; only d, when it
+    is not 1, may change by a factor constant in z."""
     n = L.n
     if math.gcd(n, m) != 1:
         raise ValueError(f"order {m} not coprime to {n}")
@@ -429,11 +441,12 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
     slots = sorted(top.keys() | {s for col in columns for s in col},
                    key=lambda s: (-s[0], s[1], s[2]))
     zero = MultiPoly.zero()
-    sol = solve_linear_over_field([[col.get(s, zero) for col in columns] for s in slots],
-                                  [-top.get(s, zero) for s in slots])
-    if sol is None:
+    solved = solve_linear_over_field([[col.get(s, zero) for col in columns] for s in slots],
+                                     [-top.get(s, zero) for s in slots])
+    if solved is None:
         return None
-    out = {m: one}
+    d, sol = solved
+    out = {m: EllipticElement([d])}
     for (p, term), v in zip(terms, sol):
         out[p] = out.get(p, EllipticElement.zero()) + term * v
     out = _op_clean(out)

@@ -12,9 +12,8 @@ import pytest
 
 from ellop import acceptance
 from ellop.elliptic import EllipticElement
-from ellop.locus3 import constraints_for
-from ellop.monodromy import (Condition, ConstraintSet, _algebraic_templates,
-                             trivial_monodromy_constraints)
+from ellop.locus3 import constraints_for, substitute_constraints
+from ellop.monodromy import Condition, _algebraic_templates, trivial_monodromy_constraints
 from ellop.operators import GlobalEllipticOperator, third_order_from_gaps, third_order_indices
 from ellop.poly import MultiPoly, RatFunc, sort_vars
 from ellop.rationals import Rat
@@ -256,21 +255,19 @@ def test_a_partner_for_a_minus_5_2_fails_commuting_certificate(monkeypatch):
         False, "spurious partner found for a = -5/2")
 
 
-def _flip(cs):
-    """A change for _patch_call: a constraint set with the other verdict."""
-    return ConstraintSet(cs.n, unsatisfiable=cs.satisfied())
+def _nowhere(cs):
+    """A change for _patch_call: a constraint set that no point satisfies."""
+    return replace(cs, conditions=(Condition(MultiPoly.const(1), 0, "test"),))
 
 
 @pytest.mark.parametrize("name, n, change, detail", [
     # calls 1-20 are the order-2 trials, 21-40 the gaps-(2,2) trials and
-    # 41-50 the full runs of the one-pole family; trial 0 of each is on its
-    # locus
-    ("trivial_monodromy_constraints", 1, _flip, "order-2 disagreement at trial 0 (m=1)"),
-    ("trivial_monodromy_constraints", 21, _flip, "gaps-(2,2) disagreement at trial 0"),
-    ("trivial_monodromy_constraints", 41, _flip, "middle/full disagreement at (q,r)=(2,2)"),
-    ("constraints_for", 1,
-     lambda cs: replace(cs, conditions=(Condition(MultiPoly.const(1), 0, "test"),)),
-     "middle/full disagreement at (q,r)=(2,2)"),
+    # 41-45 the full runs of the one-pole family, one per cell, (2, 2)
+    # first; trial 0 of each block is on its locus
+    ("trivial_monodromy_constraints", 1, _nowhere, "order-2 disagreement at trial 0 (m=1)"),
+    ("trivial_monodromy_constraints", 21, _nowhere, "gaps-(2,2) disagreement at trial 0"),
+    ("trivial_monodromy_constraints", 41, _nowhere, "middle/full disagreement at (q,r)=(2,2)"),
+    ("constraints_for", 1, _nowhere, "middle/full disagreement at (q,r)=(2,2)"),
 ], ids=["order-2", "gaps-2-2", "full-run", "middle-run"])
 def test_each_disagreement_fails_engine_equivalences(monkeypatch, name, n, change, detail):
     _patch_call(monkeypatch, name, n, change)
@@ -279,7 +276,9 @@ def test_each_disagreement_fails_engine_equivalences(monkeypatch, name, n, chang
 
 def test_engine_equivalences_localizes_to_the_least_truncation(monkeypatch):
     # each full run of the one-pole family starts from the lowest index and
-    # reads through z^(q+r-2): q + r - 1 is enough and q + r - 2 is not
+    # reads through z^(q+r-2): q + r - 1 is enough and q + r - 2 is not.
+    # The z engine runs once per cell, 45 runs in all, and no value is put
+    # into an operator
     seen = []
     localize = GlobalEllipticOperator.localize
 
@@ -288,15 +287,61 @@ def test_engine_equivalences_localizes_to_the_least_truncation(monkeypatch):
         return localize(self, K)
 
     monkeypatch.setattr(GlobalEllipticOperator, "localize", spy)
+    monkeypatch.setattr(GlobalEllipticOperator, "substitute", None)
+    runs = _patch_call(monkeypatch, "trivial_monodromy_constraints", 0, None)
     assert acceptance.criterion_engine_equivalences(0)[0]
     pairs = [(2, 2), (1, 1), (4, 4), (5, 2), (2, 5)]
-    assert seen == [q + r - 1 for q, r in pairs * 2]
+    assert seen == [q + r - 1 for q, r in pairs]
+    assert len(runs) == 45
     monkeypatch.undo()
     for q, r in pairs:
         op = third_order_from_gaps(q, r).substitute(
-            {v: MultiPoly.const(1) for v in ("c", "e", "g2", "g3")})
+            {v: MultiPoly.const(1) for v in ("c", "e")})
         with pytest.raises(TruncationError, match=f"beyond trusted order {q + r - 2}"):
             trivial_monodromy_constraints(op.localize(q + r - 2))
+
+
+@pytest.mark.parametrize("t", [Rat(1), Rat(-2, 3)], ids=["t=1", "t=-2/3"])
+def test_both_engines_read_a_point_of_the_4_4_locus_as_on_it(t):
+    # e = 0 and c^2/g2 = 12 (CLOSED_FORMS[4, "c2/g2"] at q = 4) is the (4, 4)
+    # locus, and g3 is free on it.  The P expansion keeps g2 and g3
+    # symbolic, so both engines' conditions are read at the point; a value
+    # for g2 put into the operator never reached the z run, which read this
+    # point as off the locus
+    def point(g2):
+        return {v: MultiPoly.const(x) for v, x in (("c", 12 * t), ("e", 0), ("g2", g2), ("g3", 5))}
+
+    on, off = point(12 * t * t), point(12 * t * t + 1)
+    with pytest.raises(ValueError, match="g2 and g3"):
+        third_order_from_gaps(4, 4).substitute(on)
+    for cs in (trivial_monodromy_constraints(third_order_from_gaps(4, 4).localize(7)),
+               constraints_for(4, 4)):
+        assert cs.conditions
+        assert substitute_constraints(cs, on).conditions == ()
+        assert substitute_constraints(cs, off).conditions != ()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_engine_equivalences_samples_the_4_4_locus_on_it(monkeypatch, seed):
+    # the third block's trial 2, at (4, 4), takes e = 0 and g2 = c^2/12;
+    # each trial reads the z run's conditions, then constraints_for's, at
+    # its point, and both must read it as on the locus
+    reads = []
+    real = acceptance.substitute_constraints
+
+    def spy(cs, point):
+        out = real(cs, point)
+        reads.append((point, out.conditions))
+        return out
+
+    monkeypatch.setattr(acceptance, "substitute_constraints", spy)
+    assert acceptance.criterion_engine_equivalences(seed) == (
+        True, "50 randomized equivalence samples agree")
+    assert len(reads) == 20
+    (point, z), (same, x) = reads[4:6]
+    assert point is same and point["e"].is_zero()
+    assert (point["g2"] * 12 - point["c"] * point["c"]).is_zero()
+    assert z == x == ()
 
 
 def test_a_leading_condition_other_than_e_fails_leading_condition(monkeypatch):

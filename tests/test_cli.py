@@ -236,6 +236,20 @@ def test_an_operator_spec_with_a_trailing_comma_is_the_same_operator(capsys):
         capsys, "commute", "--operator", "second:a=-2", "--order", "3")
 
 
+@pytest.mark.parametrize("argv", [
+    ("monodromy", "--operator", "third:q=2,r=2,c=-3,e=3,g2=5", "--lambda", "0.7"),
+    ("commute", "--operator", "second:a=-2,b=7", "--order", "3"),
+    ("commute", "--operator", "cyclic:n=4,indices=-1|1|2|4,curve=lemniscatic,zz=1",
+     "--order", "3"),
+], ids=["third-g2", "second-b", "cyclic-zz"])
+def test_an_operator_spec_with_a_key_its_kind_does_not_read_is_a_usage_error(capsys, argv):
+    # g2 and b would be dropped silently, and the operator built without them
+    spec = argv[2]
+    key = spec.rpartition(",")[2].partition("=")[0]
+    assert run(capsys, *argv) == (
+        2, "", f"error: bad operator spec {spec!r}: unknown key {key!r}\n")
+
+
 # SHA-256 of the stdout of `ellop commute --operator OP --order M`
 COMMUTE_DIGESTS = {
     ("second:a=-2", 3): "5911188e0404994b3c0e82f1d85a53f3e389b64b3f616edb2bf5875cf1f8b26a",

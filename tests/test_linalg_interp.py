@@ -25,9 +25,9 @@ rats = st.fractions(min_value=-20, max_value=20, max_denominator=5).map(
 def test_solution_satisfies_system(rows):
     matrix = [[MultiPoly.const(v) for v in row] for row in rows]
     rhs = [MultiPoly.const(sum(row, Rat(0))) for row in rows]
-    sol = solve_linear_over_field(matrix, rhs)
+    d, sol = solve_linear_over_field(matrix, rhs)
     # x = (1, 1, 1) solves it, and a constant pivot divides exactly
-    assert sol is not None
+    assert d == MultiPoly.const(1)
     for row, b in zip(matrix, rhs):
         acc = MultiPoly.zero()
         for cf, x in zip(row, sol):     # free unknowns come back as zero
@@ -40,7 +40,8 @@ def test_all_ones_solution_exists():
     rows = [[1, 2, 3], [2, 0, 1], [5, 5, 5]]
     matrix = [[MultiPoly.const(Rat(v)) for v in row] for row in rows]
     rhs = [MultiPoly.const(Rat(sum(row))) for row in rows]
-    sol = solve_linear_over_field(matrix, rhs)
+    d, sol = solve_linear_over_field(matrix, rhs)
+    assert d == MultiPoly.const(1)
     assert [v.text() for v in sol] == ["1", "1", "1"]
 
 
@@ -50,12 +51,24 @@ def test_inconsistent_system_has_no_solution():
     assert solve_linear_over_field(matrix, rhs) is None
 
 
-def test_a_solution_with_a_denominator_is_none():
-    # g2 x = 1 has the solution 1/g2, which is not in the polynomial ring;
-    # 2 x = 1 has 1/2, which is
-    one = MultiPoly.const(1)
-    assert solve_linear_over_field([[MultiPoly.var("g2")]], [one]) is None
-    assert solve_linear_over_field([[MultiPoly.const(2)]], [one]) == [MultiPoly.const(Rat(1, 2))]
+def test_a_denominator_is_cleared_by_the_last_pivot():
+    # g2 x = 1 has the solution 1/g2, which is not in the polynomial ring:
+    # it comes back scaled by the last pivot, g2, as g2 x = 1 with x = 1.
+    # 2 x = 1 has 1/2, which is, so its pivot 2 scales nothing
+    one, g2 = MultiPoly.const(1), MultiPoly.var("g2")
+    assert solve_linear_over_field([[g2]], [one]) == (g2, [one])
+    assert solve_linear_over_field([[MultiPoly.const(2)]], [one]) == (
+        one, [MultiPoly.const(Rat(1, 2))])
+
+
+def test_both_column_orders_find_a_solution():
+    # (g2, 1) x = 1 pivots on g2 with x_1 free at 0, so x_0 = 1/g2 and the
+    # solution comes scaled by g2; (1, g2) x = 1 pivots on 1 and gives
+    # x = (1, 0).  Reporting no solution for the first order would make the
+    # answer depend on the order of the unknowns
+    one, zero, g2 = MultiPoly.const(1), MultiPoly.zero(), MultiPoly.var("g2")
+    assert solve_linear_over_field([[g2, one]], [one]) == (g2, [one, zero])
+    assert solve_linear_over_field([[one, g2]], [one]) == (one, [one, zero])
 
 
 # -- interpolation -------------------------------------------------------------
@@ -194,16 +207,18 @@ def test_system_without_unknowns_reports_nonzero_rhs():
     zero = MultiPoly.zero()
     rhs = [zero, MultiPoly.const(Rat(-2, 3)), MultiPoly.var("c")]
     assert solve_linear_over_field([[], [], []], rhs) is None
-    assert solve_linear_over_field([[], []], [zero, zero]) == []
-    assert solve_linear_over_field([], []) == []
+    one = MultiPoly.const(1)
+    assert solve_linear_over_field([[], []], [zero, zero]) == (one, [])
+    assert solve_linear_over_field([], []) == (one, [])
 
 
 # -- equivalence with plain dense elimination ----------------------------------
 #
 # The solver skips work known to be zero and back-substitutes in the
 # polynomial ring.  This copy does all of the elimination, a Bareiss update
-# of every column, and back-substitutes in RatFunc arithmetic; the two must
-# agree on every output.
+# of every column, and back-substitutes in RatFunc arithmetic, scaling a
+# solution with a denominator by the last pivot; the two must agree on
+# every output.
 
 
 def _dense_bareiss_solve(matrix, rhs):
@@ -232,9 +247,9 @@ def _dense_bareiss_solve(matrix, rhs):
         for k in range(col + 1, ncols):
             acc = acc - RatFunc(rows[r][k]) * solution[k]
         solution[col] = acc / RatFunc(rows[r][col])
-    if not all(v.is_polynomial() for v in solution):
-        return None
-    return [v.as_poly() for v in solution]
+    if all(v.is_polynomial() for v in solution):
+        return MultiPoly.const(1), [v.as_poly() for v in solution]
+    return prev, [(v * RatFunc(prev)).as_poly() for v in solution]
 
 
 def _random_poly(rng):
@@ -272,8 +287,8 @@ def _random_sparse_system(seed):
     return matrix, rhs
 
 
-def _texts(values):
-    return None if values is None else [v.text() for v in values]
+def _texts(solved):
+    return None if solved is None else [v.text() for v in (solved[0], *solved[1])]
 
 
 @pytest.mark.parametrize("block", range(8))

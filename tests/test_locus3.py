@@ -283,10 +283,6 @@ def test_branch_quantity_errors(branch, quantity, message):
         branch_quantity(branch, quantity)
 
 
-def test_an_unsatisfiable_set_has_no_branch():
-    assert triangular_solve(ConstraintSet(3, unsatisfiable=True, reason="test")) == []
-
-
 def test_a_constant_condition_left_over_makes_an_inconsistent_branch():
     cs = ConstraintSet(3, (Condition(C, 0, "test"), Condition(C + 1, 0, "test")))
     (branch,) = triangular_solve(cs)

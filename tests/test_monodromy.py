@@ -556,7 +556,7 @@ def test_one_universe_holds_every_free_parameter_from_the_first_step():
 def test_constraint_sets_are_immutable():
     cs = constraints_for(5, 5)
     assert isinstance(cs.conditions, tuple) and (cs.q, cs.r) == (5, 5)
-    for name, value in (("q", 7), ("conditions", ()), ("unsatisfiable", True)):
+    for name, value in (("q", 7), ("conditions", ()), ("r", 1)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cs, name, value)
     assert hash(cs) == hash(constraints_for(5, 5))
@@ -597,9 +597,9 @@ def test_indices_in_one_residue_class_are_unsatisfiable():
     # indices 0, 0, 3, all 0 mod 3
     op = LocalOperator(3, {2: LaurentSeries(-2, [-2], 4), 3: LaurentSeries(-3, [0], 4)})
     assert sorted(op.indicial_roots()) == [0, 0, 3]
-    cs = trivial_monodromy_constraints(op)
-    assert (cs.unsatisfiable, cs.reason) == (True, "indices repeat a residue class mod n")
-    assert not cs.satisfied()
+    with pytest.raises(ValueError) as err:
+        trivial_monodromy_constraints(op)
+    assert str(err.value) == "indices not integrable: indices repeat a residue class mod n"
 
 
 def test_trivial_monodromy_detects_generic_failure():
@@ -615,10 +615,11 @@ def test_trivial_monodromy_full_vs_point():
     # a = -2 is integrable, a = -5/2 is not
     good = GlobalEllipticOperator(2, {2: EllipticElement([0, -2])})
     bad = GlobalEllipticOperator(2, {2: EllipticElement([0, Rat(-5, 2)])})
-    assert trivial_monodromy_constraints(good.localize(8)).satisfied()
-    cs = trivial_monodromy_constraints(bad.localize(8))
-    assert cs.unsatisfiable
-    assert not cs.satisfied()
+    assert trivial_monodromy_constraints(good.localize(8)).conditions == ()
+    # the indices of a = -5/2 are (1 +- sqrt(11))/2
+    with pytest.raises(ValueError) as err:
+        trivial_monodromy_constraints(bad.localize(8))
+    assert str(err.value) == "indices not integrable: non-rational indices"
 
 
 def test_third_order_conditions_match_known_locus():
@@ -626,7 +627,6 @@ def test_third_order_conditions_match_known_locus():
     assert [c.poly.text() for c in cs.conditions] == ["3*c + e^2"]
     on = {"c": MultiPoly.var("e", 2, Rat(-1, 3))}
     off = {"c": MultiPoly.var("e", 2)}
-    assert not cs.unsatisfiable
     assert all(c.poly.substitute(on).is_zero() for c in cs.conditions)
     assert not all(c.poly.substitute(off).is_zero() for c in cs.conditions)
 
@@ -642,7 +642,7 @@ def test_second_order_lame_is_unconditional():
     for m in (1, 2, 3):
         u = wp_series(2 * m + 2) * Rat(-m * (m + 1))
         cs = second_order_conditions(m, u)
-        assert not cs.unsatisfiable and not cs.conditions
+        assert not cs.conditions
 
 
 def test_second_order_flags_odd_coefficient():
@@ -702,7 +702,11 @@ def test_monodromy_guards(call, error, message):
         call()
 
 
-def test_an_unsatisfiable_set_prints_its_reason():
-    cs = ConstraintSet(3, unsatisfiable=True, reason="non-rational indices")
-    assert cs.to_json() == ('{"n": 3, "unsatisfiable": true, "reason": "non-rational indices", '
-                            '"conditions": []}')
+def test_a_constraint_set_refuses_a_zero_condition():
+    # a zero condition holds everywhere; a set holds only nonzero ones, so
+    # a point is on its locus iff substituting it leaves no condition
+    one = Condition(MultiPoly.const(1), 0, "test")
+    with pytest.raises(ValueError, match="a condition of a constraint set is zero"):
+        ConstraintSet(3, (one, Condition(MultiPoly.zero(), 0, "test")))
+    assert ConstraintSet(3, (one,)).to_json() == (
+        '{"n": 3, "conditions": [{"lambda_degree": 0, "poly": "1"}]}')

@@ -151,6 +151,17 @@ def test_cyclic_order_five_warns():
         cyclic_L0(5, idx)
 
 
+def test_substitute_refuses_g2_and_g3():
+    # the P expansion keeps g2 and g3 symbolic, so values for them would
+    # reach neither localize nor any other reader of the coefficients
+    op = third_order_from_gaps(4, 4)
+    for mapping in ({"g2": 3}, {"g3": 5}, {"c": 1, "e": 2, "g2": 3, "g3": 5}):
+        with pytest.raises(ValueError, match="g2 and g3"):
+            op.substitute({k: MultiPoly.const(v) for k, v in mapping.items()})
+    got = op.substitute({"c": MultiPoly.const(1), "e": MultiPoly.const(2)})
+    assert [a.text() for a in got.coeffs.values()] == ["1 - 15*P", "2*P - 15/2*P'"]
+
+
 def test_find_commuting_integrable_point():
     L = GlobalEllipticOperator(2, {2: EllipticElement([0, -2])})
     M = find_commuting(L, 3)
