@@ -61,7 +61,7 @@ def substitute_constraints(cs: ConstraintSet, mapping) -> ConstraintSet:
         p = c.poly.substitute(mapping)
         if p.is_zero():
             continue
-        out.append(Condition(p.primitive(), c.lambda_degree, c.provenance))
+        out.append(Condition(p.primitive(), c.lambda_degree))
     return ConstraintSet(cs.n, tuple(out), q=cs.q, r=cs.r)
 
 

@@ -7,19 +7,21 @@ the operator parameters, the spectral parameter, and the free parameters
 introduced at earlier resonances; the locus conditions are their
 coefficients with those auxiliary variables stripped off.
 
-``obstruction_conditions`` is the path from a local operator (Laurent
-series in z) to them, and ``trivial_monodromy_constraints`` runs it once,
-from the lowest index.  ``algebraic_conditions`` runs one index to the
-next over a one-pole operator's coefficients in x = P, y = P', where the
-recursion is a band; ``locus3.constraints_for`` runs it from the gap
-family's middle index.  Each path writes the recursion's coefficients as
-integer templates in the index eps (one in z, one per parity of eps in
-x), and one row builder, ``_template_rows``, reads the rows from them for
-one slot engine, ``_slot_passes``, from whose slots one reader,
-``_split_coefficients``, reads the conditions.  The engine's second pass
-is a generator that holds only the band of earlier coefficients that a
-later row reads, and each caller keeps what it reads: ``frobenius_solve``
-every f_k, ``algebraic_conditions`` only the obstruction.
+Each engine has one entry, from an operator and an index to the
+conditions.  ``obstruction_conditions(op, m, top)`` runs the recursion over
+a local operator's Laurent series in z, and ``trivial_monodromy_constraints``
+runs it once, from the lowest index to the highest.
+``algebraic_conditions(L, m, top)`` runs it over a one-pole operator's
+coefficients in x = P, y = P', where the recursion is a band;
+``locus3.constraints_for`` runs it from the gap family's middle index.
+Each engine writes the recursion's coefficients as integer templates in the
+index eps (one in z, one per parity of eps in x), and one row builder,
+``_template_rows``, reads the rows from them for one slot engine,
+``_slot_passes``, from whose obstructions one reader,
+``_split_coefficients``, reads the conditions.  The engine's second pass is
+a generator that holds only the band of earlier coefficients that a later
+row reads, and both entries keep only the obstructions.  ``frobenius_solve``
+keeps every f_k of a z run; no program path runs it.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from .rationals import ONE, Rat, ZERO, as_rat
 from .poly import (_BITS, _MASK, WEIGHTS, MultiPoly, as_multipoly, product_terms, reduced,
                    sort_vars, weight_function)
-from .series import LaurentSeries, TruncationError
+from .series import LaurentSeries
 from .operators import IndexData, LocalOperator, _falling, homogeneous_integrable
 
 
@@ -40,7 +42,6 @@ from .operators import IndexData, LocalOperator, _falling, homogeneous_integrabl
 class Condition:
     poly: MultiPoly          # content 1, positive leading coefficient
     lambda_degree: int
-    provenance: tuple        # (order n, index, resonance offset)
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,7 @@ class FrobeniusSolution:
     obstructions: list       # (offset k, MultiPoly inhomogeneous term)
     free_parameters: list    # names of parameters introduced at resonances
     slots: _LambdaSlots = field(repr=False)
-    packed: list = field(repr=False)  # (numerators in slots, denominator) of every f_k, for psi
-    packed_obstructions: list = field(repr=False)  # (offset k, numerators in slots, denominator)
+    packed: list = field(repr=False)  # (numerators in slots, denominator) of every f_k
 
 
 def _implicit_variable(graded, universe, params, weights: dict):
@@ -287,46 +287,28 @@ def _template_rows(templates, n: int, m, K: int, keep: int):
     return values, rows
 
 
-def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
-    """Run the recursion psi = z^m (1 + sum f_k z^k) up to order K.
+def _laurent_passes(op: LocalOperator, m, K: int):
+    """The recursion psi = z^m (1 + sum f_k z^k) from the index m to the
+    offset K, as (free, slots, steps) of ``_slot_passes``.
 
     The spectral parameter is the symbol lambda, which the operator's
     coefficients may not use.  At a resonant offset k (m + k an indicial
-    root) the inhomogeneous term is recorded as an obstruction and f_k
-    becomes a fresh free parameter u1, u2, ...
-
-    m may be any rational indicial root; the roots, and so the resonances,
-    are the operator's own (``LocalOperator.indicial_roots``).  The
-    operator maps z^eps to the sum over J of R_J(eps) z^(eps-n+J), where
+    root) the inhomogeneous term is an obstruction and f_k is the next free
+    parameter of free.  m may be any rational indicial root.  The operator
+    maps z^eps to the sum over J of R_J(eps) z^(eps-n+J), where
         R_J(eps) = sum over i + j = J of A_(i,j) eps(eps-1)...(eps-n+i+1),
     A_(i,j) is the coefficient of z^j in a_i, through z^(K-i), and D^n is
     the term i = 0, A = 1; R_0 is the indicial polynomial.  These make one
     template, cleared to integers over the lcm of the A's denominators, and
-    the f_k are the g_k of ``_template_rows``, whose rows go to the slot
-    engine ``_slot_passes``.  When every A_(i,j) is weighted-homogeneous of
-    weight i + j under ``poly.WEIGHTS``, with lambda weighing n and each u
-    the offset at which it enters, f_k is homogeneous of weight k, so the
-    least-weight variable (e for the gap family) leaves the keys as well
-    and is restored from the weight when unpacking.  Otherwise only lambda
-    is packed.  Obstructions are unpacked and reduced at once and kept in
-    slots too (``packed_obstructions``); every f_k is kept from the
-    engine's steps, in slots (``packed``).
-    """
-    m = as_rat(m)
+    the f_k are the g_k of ``_template_rows``.  When every A_(i,j) is
+    weighted-homogeneous of weight i + j under ``poly.WEIGHTS``, with
+    lambda weighing n and each u the offset at which it enters, f_k is
+    homogeneous of weight k, so the least-weight variable (e for the gap
+    family) leaves the keys as well; otherwise only lambda is packed."""
     n = op.n
-    roots = op.indicial_roots()
-    if m not in roots:
-        raise ValueError(f"{m} is not an indicial root")
-    # refuse truncations that cannot see every resonance
-    offsets = [int(rt - m) for rt in roots if (rt - m).denominator == 1 and rt > m]
-    if offsets and K < max(offsets):
-        raise TruncationError(
-            f"K={K} below deepest resonance offset {max(offsets)}"
-        )
-    # f_k is the free parameter u1, u2, ... at each resonant offset k, so
-    # every coefficient, lambda and f_k lives over one universe, made here
-    resonances = sorted(set(offsets))
-    free = [f"u{i}" for i in range(1, len(resonances) + 1)]
+    # m is one of R_0's n roots, so at most n - 1 resonances lie above it;
+    # lambda, every f_k and every coefficient live over one universe
+    free = [f"u{i}" for i in range(1, n)]
     params = sort_vars(v for a_i in op.coeffs.values() for c in a_i.coeffs for v in c.vars
                        if v != "lambda")
     universe = sort_vars(("lambda", *free, *params))
@@ -345,24 +327,37 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
             slot = row.setdefault(key, [0] * (n + 1))
             for d, f in enumerate(falling):
                 slot[d] += c * f
-    weights = {**WEIGHTS, "lambda": n, **dict(zip(free, resonances))}
+    if set(table[0]) != {0}:
+        raise ValueError("indicial polynomial has symbolic coefficients")
+    weights = {**WEIGHTS, "lambda": n}
     implicit = _implicit_variable(table.items(), universe, params, weights)
     values, rows = _template_rows([(E, table)], n, m, K, _key_mask(universe, implicit))
-    slots, steps = _slot_passes(n, values, rows, universe, free, implicit, weights)
+    if values[0]:
+        raise ValueError(f"{m} is not an indicial root")
+    weights.update(zip(free, (k for k in range(1, K + 1) if not values[k])))
+    return (free, *_slot_passes(n, values, rows, universe, free, implicit, weights))
+
+
+def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
+    """The z run from the index m to the offset K (``_laurent_passes``)
+    with every f_k kept in slots (``packed``) and each obstruction
+    unpacked.  No program path reads the solution: the tests check the
+    engine through it, and perfbench's ``monodromy.frobenius`` span hooks
+    this name and counts the terms of ``obstructions``."""
+    free, slots, steps = _laurent_passes(op, as_rat(m), K)
     packed = [({0: 1}, 1)]
     obstructions = []
     for k, g, D, obstruction in steps:
         packed.append((g, D))
         if obstruction:
-            obstructions.append((k, *obstruction))
-    return FrobeniusSolution([(k, slots.unpack(terms, lcm, k)) for k, terms, lcm in obstructions],
-                             free, slots, packed, obstructions)
+            obstructions.append((k, slots.unpack(*obstruction, k)))
+    return FrobeniusSolution(obstructions, free[:len(obstructions)], slots, packed)
 
 
-def _split_coefficients(slots: _LambdaSlots, obstructions, free, provenance) -> list:
+def _split_coefficients(slots: _LambdaSlots, obstructions, free) -> list:
     """The conditions of one run's obstructions, each (offset k, numerators
     in slots, denominator), as [(``Condition``, its terms' weights)]; the
-    run's provenance is (n, m) and its resonance parameters are free.
+    run's resonance parameters are free.
     Each term goes to the group of its lambda degree and free fields, with
     those fields cleared, and each group is made primitive over the other
     variables.  Groups come by descending lambda degree, then free
@@ -384,7 +379,7 @@ def _split_coefficients(slots: _LambdaSlots, obstructions, free, provenance) -> 
             p, ws = reduced(universe, groups[group], 1).in_universe(rest).primitive_with_weights()
             if (h := frozenset(p.terms.items())) not in seen:
                 seen.add(h)
-                conditions.append((Condition(p, group[0], (*provenance, k)), ws))
+                conditions.append((Condition(p, group[0]), ws))
     return conditions
 
 
@@ -393,10 +388,11 @@ def obstruction_conditions(op: LocalOperator, m, top) -> tuple:
     top - m: every nonzero coefficient of every obstruction with respect to
     the spectral parameter and the free resonance parameters, made
     primitive, by descending exponents, each value kept once at its first
-    occurrence (``_split_coefficients``)."""
-    sol = frobenius_solve(op, m, int(top - m))
-    return tuple(c for c, _ in _split_coefficients(sol.slots, sol.packed_obstructions,
-                                                   sol.free_parameters, (op.n, m)))
+    occurrence (``_split_coefficients``).  Only the obstructions are kept,
+    so each f_k lives only while a later row still reads it."""
+    free, slots, steps = _laurent_passes(op, as_rat(m), int(top - m))
+    obstructions = [(k, *obstruction) for k, _, _, obstruction in steps if obstruction]
+    return tuple(c for c, _ in _split_coefficients(slots, obstructions, free))
 
 
 # -- the recursion in x = P, y = P' -------------------------------------------
@@ -522,7 +518,7 @@ def algebraic_conditions(L, m, top) -> tuple:
         raise ValueError(f"{top} is not the first resonance above {m}")
     slots, steps = _slot_passes(n, values, rows, universe, ["u1"], implicit, weights)
     obstructions = [(k, *obstruction) for k, _, _, obstruction in steps if obstruction]
-    return tuple(_split_coefficients(slots, obstructions, ["u1"], (n, Rat(m))))
+    return tuple(_split_coefficients(slots, obstructions, ["u1"]))
 
 
 def trivial_monodromy_constraints(op: LocalOperator) -> ConstraintSet:
@@ -569,7 +565,7 @@ def second_order_conditions(m: int, u: LaurentSeries) -> ConstraintSet:
         cj = u.coefficient(j)
         if cj.is_zero():
             continue
-        conditions.append(Condition(cj.primitive(), 0, (2, Rat(-m), j + 2)))
+        conditions.append(Condition(cj.primitive(), 0))
     return ConstraintSet(2, tuple(conditions))
 
 
@@ -583,14 +579,14 @@ def two_gap_conditions(a_coeffs, b_coeffs) -> ConstraintSet:
     if not (a[0] - Rat(-3)).is_zero() or not (b[0] - Rat(3)).is_zero():
         raise ValueError("principal parts must be a0 = -3, b0 = 3")
     raw = [
-        (a[1], 2),
-        (b[2], 2),
-        (a[2] * 3 + b[1] * b[1], 2),
-        (b[4] * 3 - a[4] * 3 - b[1] * a[3], 4),
+        a[1],
+        b[2],
+        a[2] * 3 + b[1] * b[1],
+        b[4] * 3 - a[4] * 3 - b[1] * a[3],
     ]
     conditions = []
-    for p, offset in raw:
+    for p in raw:
         if p.is_zero():
             continue
-        conditions.append(Condition(p.primitive(), 0, (3, Rat(-1), offset)))
+        conditions.append(Condition(p.primitive(), 0))
     return ConstraintSet(3, tuple(conditions))

@@ -257,7 +257,7 @@ def test_a_partner_for_a_minus_5_2_fails_commuting_certificate(monkeypatch):
 
 def _nowhere(cs):
     """A change for _patch_call: a constraint set that no point satisfies."""
-    return replace(cs, conditions=(Condition(MultiPoly.const(1), 0, "test"),))
+    return replace(cs, conditions=(Condition(MultiPoly.const(1), 0),))
 
 
 @pytest.mark.parametrize("name, n, change, detail", [

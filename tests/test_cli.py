@@ -166,13 +166,13 @@ def test_a_failed_certificate_exits_1(capsys, monkeypatch, uncached_constraints)
     # a weight-4 condition for gap r = 2 fails constraints_for's weight check
     g2 = MultiPoly.var("g2")
     monkeypatch.setattr(locus3, "algebraic_conditions", lambda L, m, top:
-                        ((Condition(g2, 0, "test"), g2.primitive_with_weights()[1]),))
+                        ((Condition(g2, 0), g2.primitive_with_weights()[1]),))
     code, out, err = run(capsys, "constraints", "--q", "2", "--r", "2")
     assert (code, out) == (1, "")
     assert err == "error: condition weight inconsistent with gap r\n"
     # a condition that the cyclic point c = e = g2 = 0 does not satisfy
     monkeypatch.setattr(locus3, "constraints_for", lambda q, r: ConstraintSet(
-        3, (Condition(MultiPoly.var("g3"), 0, "test"),), q=q, r=r))
+        3, (Condition(MultiPoly.var("g3"), 0),), q=q, r=r))
     code, out, err = run(capsys, "locus", "--r", "2", "--q-max", "2")
     assert (code, out) == (1, "")
     assert err == "error: cyclic point fails the constraints\n"

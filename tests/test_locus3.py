@@ -173,7 +173,7 @@ def test_linear_rule_needs_a_polynomial_quotient():
     # c^3, so no rule applies and the condition stays unsolved
     c, e, g3 = (MultiPoly.var(v) for v in ("c", "e", "g3"))
     p = e * g3 + c * c * c
-    branches = triangular_solve(ConstraintSet(3, (Condition(p, 0, "test"),)))
+    branches = triangular_solve(ConstraintSet(3, (Condition(p, 0),)))
     assert [b.classification for b in branches] == ["unsolved"]
     assert branches[0].residuals == [p]
     assert branches[0].assignments == {}
@@ -184,8 +184,8 @@ def test_a_monomial_with_three_candidates_fans_out_without_overlap():
     # on c = 0; the second condition leaves c^2 != 0 on the first two, and
     # is -g2*e^2 on the third, which forks again: g2 = 0 with e != 0, e = 0
     c, e, g2 = (MultiPoly.var(v) for v in ("c", "e", "g2"))
-    cs = ConstraintSet(3, (Condition(c * e * g2, 1, "test"),
-                           Condition(c * c - g2 * e * e, 0, "test")))
+    cs = ConstraintSet(3, (Condition(c * e * g2, 1),
+                           Condition(c * c - g2 * e * e, 0)))
     got = [(b.classification, {v: a.text() for v, a in b.assignments.items()},
             b.nonzero) for b in triangular_solve(cs)]
     assert got == [
@@ -207,9 +207,9 @@ def test_failed_back_substitution_is_a_verification_error():
 
 def test_a_condition_off_the_cyclic_point_is_a_verification_error():
     c = MultiPoly.var("c")
-    _check_cyclic_point(ConstraintSet(3, (Condition(c * c, 0, "test"),)))
+    _check_cyclic_point(ConstraintSet(3, (Condition(c * c, 0),)))
     with pytest.raises(VerificationError, match="cyclic point"):
-        _check_cyclic_point(ConstraintSet(3, (Condition(c + 1, 0, "test"),)))
+        _check_cyclic_point(ConstraintSet(3, (Condition(c + 1, 0),)))
 
 
 @pytest.mark.parametrize("poly,message", [
@@ -222,7 +222,7 @@ def test_conditions_of_the_wrong_weight_are_a_verification_error(
             "g2": MultiPoly.var("g2")}[poly]
     monkeypatch.setattr(
         locus3, "algebraic_conditions",
-        lambda L, m, top: ((Condition(cond, 0, "test"),
+        lambda L, m, top: ((Condition(cond, 0),
                            cond.primitive_with_weights()[1]),))
     with pytest.raises(VerificationError, match=message):
         constraints_for(2, 2)
@@ -284,7 +284,7 @@ def test_branch_quantity_errors(branch, quantity, message):
 
 
 def test_a_constant_condition_left_over_makes_an_inconsistent_branch():
-    cs = ConstraintSet(3, (Condition(C, 0, "test"), Condition(C + 1, 0, "test")))
+    cs = ConstraintSet(3, (Condition(C, 0), Condition(C + 1, 0)))
     (branch,) = triangular_solve(cs)
     assert branch.classification == "inconsistent"
     assert branch.witness == MultiPoly.const(1)
@@ -292,7 +292,7 @@ def test_a_constant_condition_left_over_makes_an_inconsistent_branch():
 
 
 def solve(*polys):
-    return triangular_solve(ConstraintSet(3, tuple(Condition(p, 0, "test") for p in polys)))
+    return triangular_solve(ConstraintSet(3, tuple(Condition(p, 0) for p in polys)))
 
 
 E, G2, G3 = MultiPoly.var("e"), MultiPoly.var("g2"), MultiPoly.var("g3")

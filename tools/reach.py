@@ -43,6 +43,10 @@ ALLOWED = {
     "poly.RatFunc.__str__": "as_poly's error message shows a rational function through it",
     "poly.RatFunc.__repr__": "how a failing test or a debugger shows a rational function",
     "poly.RatFunc.substitute": "perfbench's poly.substitute span hooks it",
+    "monodromy.frobenius_solve": "perfbench's monodromy.frobenius span hooks it; tests read "
+                                 "every f_k of a z run through it",
+    "monodromy._LambdaSlots.unpack": "frobenius_solve unpacks the obstructions for that span, "
+                                     "and tests the f_k",
     "elliptic.EllipticElement.__eq__": "value equality; tests compare ring elements with ==",
 }
 
