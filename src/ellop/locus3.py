@@ -210,8 +210,7 @@ def _run(state: _State, sink: list):
             for pos, v in enumerate(cands[1:], start=1):
                 side = state.fork()
                 side.nonzero.extend(cands[:pos])
-                side.assign(v, MultiPoly.zero())
-                side.conds.insert(0, p)
+                side.assign(v, MultiPoly.zero())  # which zeroes the monomial p
                 _run(side, sink)
             state.assign(cands[0], MultiPoly.zero())
             continue
@@ -225,15 +224,14 @@ def _run(state: _State, sink: list):
 
 def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
     # p is normalized, so every variable it uses is unassigned
+    used = p.used_vars()
     for x in PRECEDENCE:
-        if x not in p.used_vars():
+        if x not in used or (state.relation is not None and state.relation[0] == x):
             continue
-        if state.relation is not None and state.relation[0] == x:
+        parts = p.coefficients_in(x)
+        if max(parts) != 1:
             continue
-        if p.degree_in(x) != 1:
-            continue
-        A = p.coefficient_of(x, 1)
-        B = p.coefficient_of(x, 0)
+        A, B = parts[1], parts.get(0, MultiPoly.zero(p.vars))
         if A.is_constant():
             state.assign(x, B * (-1 / A.constant_value()))
             return True
@@ -486,8 +484,4 @@ def _j_text(b: LocusBranch, curve: str = "generic") -> str:
     if curve == "nodal":
         return "infinite"
     j = b.j()
-    if isinstance(j, str):
-        return j
-    if j.is_zero():
-        return "0"
-    return j.text()
+    return j if isinstance(j, str) else j.text()

@@ -14,14 +14,14 @@ runs it once, from the lowest index to the highest.
 ``algebraic_conditions(L, m, top)`` runs it over a one-pole operator's
 coefficients in x = P, y = P', where the recursion is a band;
 ``locus3.constraints_for`` runs it from the gap family's middle index.
-Each engine writes the recursion's coefficients as integer templates in the
-index eps (one in z, one per parity of eps in x), and one row builder,
-``_template_rows``, reads the rows from them for one slot engine,
-``_slot_passes``, from whose obstructions one reader,
-``_split_coefficients``, reads the conditions.  The engine's second pass is
-a generator that holds only the band of earlier coefficients that a later
-row reads, and both entries keep only the obstructions.  ``frobenius_solve``
-keeps every f_k of a z run; no program path runs it.
+Each engine only builds the recursion's coefficients as integer templates
+in the index eps (one in z, one per parity of eps in x).  One runner,
+``_slot_passes``, runs both: it reads the rows (``_template_rows``) and the
+resonances, and its second pass is a generator that holds only the band of
+earlier coefficients that a later row reads; one reader,
+``_split_coefficients``, drains it and reads the conditions from the
+obstructions.  ``frobenius_solve`` keeps every f_k of a z run; no program
+path runs it.
 """
 
 from __future__ import annotations
@@ -161,18 +161,19 @@ def _implicit_variable(graded, universe, params, weights: dict):
     return min(params, key=weights.get, default=None)
 
 
-def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
-    """The recursion's two passes over the leading values and rows made by
-    ``_template_rows``.
+def _slot_passes(templates, n: int, m, K: int, universe, params, free):
+    """The one runner of both recursions: its two passes from the index m
+    to the offset K over an engine's templates (``_template_rows``).
 
-    values[k] is the rational leading value R_0(m + k) at step k, zero at a
-    resonance; rows[k - 1] lists step k's coefficients (kp, Ĉ, E, has
-    lambda), each Ĉ / E (+ lambda) multiplying the earlier coefficient
-    g_kp, with Ĉ's keys cleared by ``_key_mask``.  A resonance's g_k is the
-    next name in free.  Returns the ``_LambdaSlots`` layout and a generator
-    of the second pass's steps, each (k, numerators, denominator of g_k,
-    obstruction): the obstruction is (numerators, denominator) at a
-    resonance and None elsewhere.
+    A non-constant R_0, or R_0(m) != 0, raises ValueError.  values[k] is
+    R_0(m + k), zero at a resonance, whose g_k is the next name in free,
+    weighing k; rows[k - 1] lists step k's coefficients (kp, Ĉ, E, has
+    lambda), each Ĉ / E (+ lambda) multiplying g_kp, with Ĉ's keys cleared
+    by ``_key_mask`` of the implicit variable among params, if any.
+    Returns the resonant offsets, the ``_LambdaSlots`` layout and a
+    generator of the second pass's steps, each (k, numerators, denominator
+    of g_k, obstruction): the obstruction is (numerators, denominator) at
+    a resonance and None elsewhere.
 
     Layout.  g_k is kept as N_k / D_k: N_k maps monomials in every variable
     but lambda (and the implicit one, if any) to one int, which holds their
@@ -199,7 +200,16 @@ def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
     step, and a g_k that no row reads, such as the x path's u1 at the top,
     is never held.  What the caller does not keep of the steps is freed
     as it goes."""
-    K = len(rows)
+    if any(set(table.get(0, {0: 0})) != {0} for _, table in templates):
+        raise ValueError("indicial polynomial has symbolic coefficients")
+    weights = {**WEIGHTS, "lambda": n}
+    implicit = _implicit_variable(((j, row) for _, table in templates for j, row in table.items()),
+                                  universe, params, weights)
+    values, rows = _template_rows(templates, n, m, K, _key_mask(universe, implicit))
+    if values[0]:
+        raise ValueError(f"{m} is not an indicial root")
+    resonances = [k for k in range(1, K + 1) if not values[k]]
+    weights.update(zip(free, resonances))
     den = [1] * (K + 1)
     bound = [1] * (K + 1)
     last = [0] * (K + 1)  # the last step whose row reads g_kp, 0 if none
@@ -242,7 +252,7 @@ def _slot_passes(n: int, values, rows, universe, free, implicit, weights: dict):
                 band[k] = terms
             yield k, terms, den[k], obstruction
 
-    return slots, steps()
+    return resonances, slots, steps()
 
 
 def _template_rows(templates, n: int, m, K: int, keep: int):
@@ -289,7 +299,7 @@ def _template_rows(templates, n: int, m, K: int, keep: int):
 
 def _laurent_passes(op: LocalOperator, m, K: int):
     """The recursion psi = z^m (1 + sum f_k z^k) from the index m to the
-    offset K, as (free, slots, steps) of ``_slot_passes``.
+    offset K, as (free, *``_slot_passes``).
 
     The spectral parameter is the symbol lambda, which the operator's
     coefficients may not use.  At a resonant offset k (m + k an indicial
@@ -327,15 +337,7 @@ def _laurent_passes(op: LocalOperator, m, K: int):
             slot = row.setdefault(key, [0] * (n + 1))
             for d, f in enumerate(falling):
                 slot[d] += c * f
-    if set(table[0]) != {0}:
-        raise ValueError("indicial polynomial has symbolic coefficients")
-    weights = {**WEIGHTS, "lambda": n}
-    implicit = _implicit_variable(table.items(), universe, params, weights)
-    values, rows = _template_rows([(E, table)], n, m, K, _key_mask(universe, implicit))
-    if values[0]:
-        raise ValueError(f"{m} is not an indicial root")
-    weights.update(zip(free, (k for k in range(1, K + 1) if not values[k])))
-    return (free, *_slot_passes(n, values, rows, universe, free, implicit, weights))
+    return (free, *_slot_passes([(E, table)], n, m, K, universe, params, free))
 
 
 def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
@@ -344,7 +346,7 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     unpacked.  No program path reads the solution: the tests check the
     engine through it, and perfbench's ``monodromy.frobenius`` span hooks
     this name and counts the terms of ``obstructions``."""
-    free, slots, steps = _laurent_passes(op, as_rat(m), K)
+    free, _, slots, steps = _laurent_passes(op, as_rat(m), K)
     packed = [({0: 1}, 1)]
     obstructions = []
     for k, g, D, obstruction in steps:
@@ -354,10 +356,10 @@ def frobenius_solve(op: LocalOperator, m, K: int) -> FrobeniusSolution:
     return FrobeniusSolution(obstructions, free[:len(obstructions)], slots, packed)
 
 
-def _split_coefficients(slots: _LambdaSlots, obstructions, free) -> list:
-    """The conditions of one run's obstructions, each (offset k, numerators
-    in slots, denominator), as [(``Condition``, its terms' weights)]; the
-    run's resonance parameters are free.
+def _split_coefficients(slots: _LambdaSlots, steps, free) -> list:
+    """The conditions of one run's obstructions, drained from its steps
+    (``_slot_passes``) before the first split, as [(``Condition``, its
+    terms' weights)]; the run's resonance parameters are free.
     Each term goes to the group of its lambda degree and free fields, with
     those fields cleared, and each group is made primitive over the other
     variables.  Groups come by descending lambda degree, then free
@@ -370,7 +372,8 @@ def _split_coefficients(slots: _LambdaSlots, obstructions, free) -> list:
     rest = tuple(v for v in universe if v != "lambda" and v not in free)
     conditions = []
     seen = set()
-    for k, numerators, _ in obstructions:
+    obstructions = [(k, obstruction[0]) for k, _, _, obstruction in steps if obstruction]
+    for k, numerators in obstructions:
         groups = {}
         for key, d, c in slots._read(numerators, k):
             groups.setdefault((d, key & free_fields), {})[key & keep] = c
@@ -390,9 +393,8 @@ def obstruction_conditions(op: LocalOperator, m, top) -> tuple:
     primitive, by descending exponents, each value kept once at its first
     occurrence (``_split_coefficients``).  Only the obstructions are kept,
     so each f_k lives only while a later row still reads it."""
-    free, slots, steps = _laurent_passes(op, as_rat(m), int(top - m))
-    obstructions = [(k, *obstruction) for k, _, _, obstruction in steps if obstruction]
-    return tuple(c for c, _ in _split_coefficients(slots, obstructions, free))
+    free, _, slots, steps = _laurent_passes(op, as_rat(m), int(top - m))
+    return tuple(c for c, _ in _split_coefficients(slots, steps, free))
 
 
 # -- the recursion in x = P, y = P' -------------------------------------------
@@ -481,13 +483,11 @@ def algebraic_conditions(L, m, top) -> tuple:
     is zero past a fixed width (12 for the gap family, where R_j has
     weight j): each step reads a band of earlier g's, where the z
     recursion reads all of them.  R_j(eps) has degree at most n in eps, so
-    its template is made once per parity of eps, cleared to integers; the
-    rows are read from the two (``_template_rows``) and go to the slot
-    engine ``_slot_passes``, and the conditions are read from the
-    obstruction's slots by ``_split_coefficients``, as the z recursion's
-    are.  Only the obstruction is kept, so each g_k lives only while the
-    band still reads it.  u1 enters at top, so the obstruction has no free
-    parameter.
+    its template is made once per parity of eps, cleared to integers, and
+    the two go to the runner ``_slot_passes``, whose obstruction's slots
+    ``_split_coefficients`` reads, as for the z recursion.  Only the
+    obstruction is kept, so each g_k lives only while the band still reads
+    it.  u1 enters at top, so the obstruction has no free parameter.
 
     Below top the solution is unique, so psi agrees with the z recursion's
     through z^(top-1), and the two obstructions differ by a rational
@@ -506,19 +506,10 @@ def algebraic_conditions(L, m, top) -> tuple:
     templates = _algebraic_templates(L, universe)
     if any(j < 0 for _, table in templates for j, row in table.items() if row):
         raise ValueError("the operator is not Fuchsian at the pole")
-    if any(set(table.get(0, {0: 0})) != {0} for _, table in templates):
-        raise ValueError("indicial polynomial has symbolic coefficients")
-    weights = {**WEIGHTS, "lambda": n, "u1": K}
-    implicit = _implicit_variable(((j, row) for _, table in templates for j, row in table.items()),
-                                  universe, params, weights)
-    values, rows = _template_rows(templates, n, m, K, _key_mask(universe, implicit))
-    if values[0]:
-        raise ValueError(f"{m} is not an indicial root")
-    if values[K] or not all(values[1:K]):
+    resonances, slots, steps = _slot_passes(templates, n, m, K, universe, params, ["u1"])
+    if resonances != [K]:
         raise ValueError(f"{top} is not the first resonance above {m}")
-    slots, steps = _slot_passes(n, values, rows, universe, ["u1"], implicit, weights)
-    obstructions = [(k, *obstruction) for k, _, _, obstruction in steps if obstruction]
-    return tuple(_split_coefficients(slots, obstructions, ["u1"]))
+    return tuple(_split_coefficients(slots, steps, ["u1"]))
 
 
 def trivial_monodromy_constraints(op: LocalOperator) -> ConstraintSet:

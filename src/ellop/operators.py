@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 from .rationals import ONE, Rat, ZERO, as_rat
-from .poly import MultiPoly, remainder_sequence
+from .poly import MultiPoly, exact_div, remainder_sequence
 from .elliptic import EllipticElement
 from .linalg import solve_linear_over_field
 
@@ -405,7 +405,9 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
     polynomial ring (``solve_linear_over_field``), with the free unknowns
     at 0: no partner is found only when it is inconsistent.  d is 1, so M
     is monic, unless that solution has a denominator in the parameters;
-    then d is the polynomial that clears it, which is constant in z, so
+    then d is the polynomial that clears it, which is constant in z, and M
+    is divided by the gcd of its coefficients' integer numerators and by
+    the largest monomial in the parameters that divides them all, so
     [L, M] = 0 still holds and is checked.
 
     The bound loses no partner.  Call sum_j b_j D^j (j < 0 too) of weight k
@@ -446,6 +448,13 @@ def find_commuting(L: GlobalEllipticOperator, m: int):
     if solved is None:
         return None
     d, sol = solved
+    if d != 1:
+        # d and sol are M's coefficients
+        coeffs = [c for c in (d, *sol) if c.terms]
+        common = MultiPoly.const(math.gcd(*(k for c in coeffs for k in c.terms.values())))
+        for v in set().union(*(c.used_vars() for c in coeffs)):
+            common = common * MultiPoly.var(v, min(min(c.coefficients_in(v)) for c in coeffs))
+        d, sol = exact_div(d, common), [exact_div(c, common) for c in sol]
     out = {m: EllipticElement([d])}
     for (p, term), v in zip(terms, sol):
         out[p] = out.get(p, EllipticElement.zero()) + term * v

@@ -12,6 +12,9 @@ src/ellop holds only what a program path runs):
 - ``split_coefficients``: an obstruction's coefficients by repeated
   ``MultiPoly.coefficients_in``, which ``monodromy._split_coefficients``
   reads from the slots instead;
+- ``standing_conditions``: the z-engine certificate of a solved branch of
+  the gap family, with ``every_start`` and ``with_coefficients``; the tests
+  and ``tools/certify.py`` run it;
 - ``cryst3_H`` and ``inozemtsev_U``: the potentials whose gradients
   ``cm.cryst3_grad_H`` and ``cm.inozemtsev_gradient`` compute.
 """
@@ -22,6 +25,9 @@ import math
 
 from ellop.cm import ETA, _EPS, Cryst3Config, _cryst3_input, _inozemtsev_input
 from ellop.lattice import Lattice, wp01
+from ellop.locus3 import _reduce_relation_poly
+from ellop.monodromy import trivial_monodromy_constraints
+from ellop.operators import LocalOperator, third_order_from_gaps
 from ellop.poly import MultiPoly, _pack, as_multipoly
 from ellop.rationals import Rat, as_rat
 from ellop.series import LaurentSeries, TruncationError, _wp_coefficient
@@ -164,6 +170,37 @@ def split_coefficients(poly: MultiPoly, names):
                 new[key + (d,)] = c
         out = new
     return out
+
+
+def every_start(op):
+    """op, its indices but the last, and the last."""
+    *starts, top = sorted(op.indicial_roots())
+    return op, starts, top
+
+
+def with_coefficients(op, f):
+    """op with the coefficient c of z^k in a_i replaced by f(i, k, c)."""
+    return LocalOperator(op.n, {i: LaurentSeries(
+        a.low, [f(i, k, a.coefficient(k)) for k in range(a.low, a.order)], a.order)
+        for i, a in op.coeffs.items()})
+
+
+def standing_conditions(branch, assignments, curve=None):
+    """The conditions of trivial monodromy at every index of the branch's
+    localized operator, third_order_from_gaps(q, r).localize(q + r - 1),
+    that do not vanish modulo the branch's c^2 relation.  assignments go
+    into its Laurent coefficients, which carry g2 and g3; curve, a mapping
+    of g2 and g3 such as g2 = 3 w^2, g3 = w^3 on the nodal curve, goes in
+    with them, assignments put into it first."""
+    if curve is not None:
+        assignments = {**assignments, **{v: p.substitute(assignments) for v, p in curve.items()}}
+    op, _, _ = every_start(with_coefficients(
+        third_order_from_gaps(branch.q, branch.r).localize(branch.q + branch.r - 1),
+        lambda i, k, c: c.substitute(assignments)))
+    polys = [c.poly for c in trivial_monodromy_constraints(op).conditions]
+    if branch.relation is not None:
+        polys = [_reduce_relation_poly(p, *branch.relation) for p in polys]
+    return [p for p in polys if not p.is_zero()]
 
 
 def cryst3_H(cfg: Cryst3Config) -> complex:

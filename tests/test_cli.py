@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -288,6 +289,19 @@ def test_commute_output_is_pinned(capsys, operator, order):
     code, out, _ = run(capsys, "commute", "--operator", operator, "--order", str(order))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COMMUTE_DIGESTS[operator, order]
+
+
+def test_a_scaled_partner_is_divided_by_what_its_coefficients_share():
+    # (2, 5) at c = e = 0 has no monic partner of order 7: the solve scales
+    # it, and every coefficient was a multiple of 14572743731591310213120
+    # g2^5 g3.  Divided by that, no integer > 1 and no monomial in g2, g3
+    # divides them all; the factor 5 g2^3 - 32 g3^2 stays, since poly has
+    # no multivariate gcd.  `commute` prints the text of each coefficient
+    M = operators.find_commuting(_parse_operator("third:q=2,r=5,c=0,e=0")[0], 7)
+    assert M[7].text() == "-15*g2^4 + 96*g2*g3^2"
+    coeffs = [c for element in M.values() for _, _, c in element.parts()]
+    assert math.gcd(*(n for c in coeffs for n in c.terms.values())) == 1
+    assert all(any(min(c.coefficients_in(v)) == 0 for c in coeffs) for v in ("g2", "g3"))
 
 
 def test_commute_solves_one_column_per_term_within_the_pole_weight(capsys, monkeypatch):

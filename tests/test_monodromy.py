@@ -32,11 +32,12 @@ from ellop.monodromy import (
     trivial_monodromy_constraints,
     two_gap_conditions,
 )
-from ellop.locus3 import (_reduce_relation_poly, constraints_for, solved_branch,
-                          triangular_solve)
+from ellop.locus3 import (_CURVE_SUBS, _CURVE_UNIVERSE, constraints_for, solved_branch,
+                          substitute_constraints, triangular_solve)
 from ellop.acceptance import _horner
 
-from reference import from_terms, psi, split_coefficients, wp_series
+from reference import (every_start, from_terms, psi, split_coefficients, standing_conditions,
+                       with_coefficients, wp_series)
 
 
 def lame_local(K):
@@ -422,21 +423,8 @@ def reference_conditions(op, starts, top):
     return conditions
 
 
-def every_start(op):
-    # every index but the last, to the last
-    *starts, top = sorted(op.indicial_roots())
-    return op, starts, top
-
-
 def gap_run(q, r):
     return every_start(third_order_from_gaps(q, r).localize(q + r - 1))
-
-
-def with_coefficients(op, f):
-    # op with the coefficient c of z^k in a_i replaced by f(i, k, c)
-    return LocalOperator(op.n, {i: LaurentSeries(
-        a.low, [f(i, k, a.coefficient(k)) for k in range(a.low, a.order)], a.order)
-        for i, a in op.coeffs.items()})
 
 
 def cyclic_order_4():
@@ -491,20 +479,6 @@ def test_obstruction_conditions_match_the_reference_split(make):
         (c.poly.vars, list(c.poly.terms.items()), c.poly.text()) for c in want]
 
 
-def standing_conditions(branch, assignments):
-    """The conditions of trivial monodromy at every index of the branch's
-    localized operator with assignments put into its Laurent coefficients,
-    which carry g2 and g3, that do not vanish modulo the branch's c^2
-    relation."""
-    op, _, _ = every_start(with_coefficients(
-        third_order_from_gaps(branch.q, branch.r).localize(branch.q + branch.r - 1),
-        lambda i, k, c: c.substitute(assignments)))
-    polys = [c.poly for c in trivial_monodromy_constraints(op).conditions]
-    if branch.relation is not None:
-        polys = [_reduce_relation_poly(p, *branch.relation) for p in polys]
-    return [p for p in polys if not p.is_zero()]
-
-
 def test_every_sampled_branch_has_trivial_monodromy_by_the_z_engine():
     # an independent certificate of the x engine's branches: one z run from
     # the lowest index, whose free-parameter coefficients hold every higher
@@ -522,6 +496,27 @@ def test_every_sampled_branch_has_trivial_monodromy_by_the_z_engine():
         (v, value), *_ = b.assignments.items()
         moved = MultiPoly.const(1) if value.is_zero() else value * 2
         assert standing_conditions(b, {**b.assignments, v: moved}), (b.q, b.r, v)
+
+
+def test_the_z_engine_certifies_the_c_squared_relations_of_nodal_branches():
+    # on the nodal curve g2 = 3 w^2, g3 = w^3 the first solved branches with
+    # a c^2 relation appear (c^2 = 36 w^2 at (4, 4)): 30 of them in the 158
+    # valid cells with q <= 31 and r <= 22, at r = 4 and 7 or at q = 4 and
+    # 7.  Every condition vanishes modulo the relation, and not without
+    # it, nor with the relation's value doubled
+    nodal = _CURVE_SUBS["nodal"]
+    branches = [b for q, r in VALID_CELLS
+                for b in triangular_solve(substitute_constraints(constraints_for(q, r), nodal),
+                                          _CURVE_UNIVERSE["nodal"])
+                if b.relation is not None and b.classification != "unsolved"]
+    assert len(branches) == 30
+    assert {b.classification for b in branches} == {"finite-set"}
+    for b in branches:
+        var, square = b.relation
+        assert standing_conditions(b, b.assignments, nodal) == [], (b.q, b.r)
+        for moved in (None, (var, square * 2)):
+            off = dataclasses.replace(b, relation=moved)
+            assert standing_conditions(off, b.assignments, nodal), (b.q, b.r, moved)
 
 
 def test_split_groups_follow_the_order_of_the_free_parameters():
@@ -543,7 +538,8 @@ def test_split_groups_follow_the_order_of_the_free_parameters():
     obs = layout.unpack(numerators, 1, 0)
     assert obs == (lam * c * u2 + c * c * u10 + e * u1 * u10 + e ** 3 * u2 + c * e * 5
                    - lam * e * e)
-    got = monodromy._split_coefficients(layout, [(4, numerators, 1)], free)
+    # one step of a run, at offset 4, whose obstruction is numerators over 1
+    got = monodromy._split_coefficients(layout, [(4, {}, 1, (numerators, 1))], free)
     pieces = split_coefficients(obs, ["lambda"] + free)
     want = [(expo[0], pieces[expo].primitive().text()) for expo in sorted(pieces, reverse=True)]
     assert [(cond.lambda_degree, cond.poly.text()) for cond, _ in got] == want == [

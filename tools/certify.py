@@ -1,0 +1,91 @@
+"""Certifies the gap family's solved branches by the z engine.
+
+    python tools/certify.py
+
+Run it from anywhere; it imports ellop from src/ and the certificate,
+``standing_conditions``, from tests/reference.py.  The certificate puts a
+branch's assignments into the Laurent coefficients of
+third_order_from_gaps(q, r).localize(q + r - 1) and runs the z engine from
+the lowest index (``monodromy.trivial_monodromy_constraints``), whose
+conditions decide trivial monodromy at every index.  A branch passes when
+every condition vanishes, modulo its c^2 relation if it has one.  The z
+engine shares only the slot runner with the x engine that found the
+branch: its template comes from the Laurent series.
+
+It checks three sets of branches:
+
+- generic: every solved branch (not inconsistent, not unsolved) of the
+  158 valid cells with q <= 31 and r <= 22;
+- nodal: every solved branch with a c^2 relation of the same cells on the
+  nodal curve g2 = 3 w^2, g3 = w^3 (``locus --curve nodal``);
+- cyclic: the cyclic point of each of the 112 cells that the pins of
+  ``locus --r R`` scan, 23 <= R <= 64, at q = R, R+3, R+6 and R+9.
+
+Inconsistent branches stay out: one takes up to about 2 s at r = 64.  It
+prints the number of branches of each set and one line for each branch
+that leaves a condition, and exits 1 if there is any such branch, or a
+cell without its cyclic point.  It takes no options.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from ellop.locus3 import (_CURVE_SUBS, _CURVE_UNIVERSE, constraints_for,  # noqa: E402
+                          substitute_constraints, triangular_solve, valid_r)
+from reference import standing_conditions  # noqa: E402
+
+UNSOLVED = ("inconsistent", "unsolved")
+
+
+def cells(r_values, q_values):
+    return [(q, r) for r in r_values for q in q_values(r)
+            if valid_r(r) and q % 3 and (q - r) % 3 == 0]
+
+
+def branch_sets():
+    """{name: [(branch, curve substitution or None)]}, and the cells
+    without a cyclic point."""
+    low = cells(range(1, 23), lambda r: range(1, 32))
+    nodal = _CURVE_SUBS["nodal"]
+    sets = {
+        "generic": [(b, None) for q, r in low for b in triangular_solve(constraints_for(q, r))
+                    if b.classification not in UNSOLVED],
+        "nodal": [(b, nodal) for q, r in low
+                  for b in triangular_solve(substitute_constraints(constraints_for(q, r), nodal),
+                                            _CURVE_UNIVERSE["nodal"])
+                  if b.relation is not None and b.classification not in UNSOLVED],
+        "cyclic": [],
+    }
+    missing = []
+    for q, r in cells(range(23, 65), lambda r: range(r, r + 10, 3)):
+        points = [b for b in triangular_solve(constraints_for(q, r))
+                  if b.classification == "cyclic-point"]
+        sets["cyclic"] += [(b, None) for b in points]
+        if not points:
+            missing.append((q, r))
+    return sets, missing
+
+
+def main() -> int:
+    sets, missing = branch_sets()
+    failed = bool(missing)
+    for q, r in missing:
+        print(f"q={q} r={r}: no cyclic-point branch")
+    for name, branches in sets.items():
+        print(f"{name}: {len(branches)} branches")
+        for b, curve in branches:
+            standing = standing_conditions(b, b.assignments, curve)
+            if standing:
+                failed = True
+                print(f"  q={b.q} r={b.r} {b.classification}: {len(standing)} conditions stand,"
+                      f" the first {standing[0].text()}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
