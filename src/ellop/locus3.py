@@ -56,13 +56,9 @@ def constraints_for(q: int, r: int) -> ConstraintSet:
 def substitute_constraints(cs: ConstraintSet, mapping) -> ConstraintSet:
     """Apply a substitution (e.g. a degenerate-curve parametrization) to
     every condition, dropping those that become zero."""
-    out = []
-    for c in cs.conditions:
-        p = c.poly.substitute(mapping)
-        if p.is_zero():
-            continue
-        out.append(Condition(p.primitive(), c.lambda_degree))
-    return ConstraintSet(cs.n, tuple(out), q=cs.q, r=cs.r)
+    reduced = ((_normalize(c.poly, mapping, None), c.lambda_degree) for c in cs.conditions)
+    kept = tuple(Condition(p, d) for p, d in reduced if not p.is_zero())
+    return ConstraintSet(cs.n, kept, q=cs.q, r=cs.r)
 
 
 # -- branch solving ----------------------------------------------------------
@@ -116,6 +112,10 @@ def _reduce_relation_poly(p: MultiPoly, var: str, val: MultiPoly) -> MultiPoly:
 
 
 def _normalize(p: MultiPoly, assignments, relation) -> MultiPoly:
+    """p with assignments substituted, reduced modulo relation's c^2 = value
+    and made primitive: the one reduction of a condition, for the solve,
+    ``_verify`` and ``substitute_constraints``.  A p that uses no mapped
+    variable keeps its universe."""
     if not p.used_vars().isdisjoint(assignments):
         p = p.substitute(assignments)
     if relation is not None and relation[0] in p.used_vars():
@@ -123,13 +123,6 @@ def _normalize(p: MultiPoly, assignments, relation) -> MultiPoly:
     if p.is_zero():
         return p
     return p.primitive()
-
-
-def _single_var_monomial(p: MultiPoly):
-    vs = p.monomial_vars()
-    if vs is not None and len(vs) == 1:
-        return vs[0]
-    return None
 
 
 class _State:
@@ -235,9 +228,10 @@ def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
         if A.is_constant():
             state.assign(x, B * (-1 / A.constant_value()))
             return True
-        v = _single_var_monomial(A)
-        if v is None:
+        vs = A.monomial_vars()
+        if vs is None or len(vs) != 1:
             continue
+        (v,) = vs
         value = try_div(-B, A)
         if value is None:
             continue
@@ -256,23 +250,17 @@ def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
 def _try_square(state: _State, p: MultiPoly) -> bool:
     if "c" in state.assignments or state.relation is not None:
         return False
-    if p.degree_in("c") != 2 or not p.coefficient_of("c", 1).is_zero():
+    parts = p.coefficients_in("c")
+    if max(parts) != 2 or 1 in parts or not parts[2].is_constant():
         return False
-    A = p.coefficient_of("c", 2)
-    if not A.is_constant():
-        return False
-    B = p.coefficient_of("c", 0)
+    A, B = parts[2], parts.get(0, MultiPoly.zero(p.vars))
     state.relation = ("c", B * (-1 / A.constant_value()))
     return True
 
 
 def _verify(original, assignments, relation):
-    for p in original:
-        val = p.substitute(assignments)
-        if relation is not None:
-            val = _reduce_relation_poly(val, *relation)
-        if not val.is_zero():
-            raise VerificationError("branch fails back-substitution")
+    if any(not _normalize(p, assignments, relation).is_zero() for p in original):
+        raise VerificationError("branch fails back-substitution")
 
 
 def _finalize(state: _State, witness, original, universe, q, r) -> LocusBranch:

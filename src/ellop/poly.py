@@ -452,9 +452,6 @@ class MultiPoly:
             out.setdefault((k >> shift) & _MASK, {})[sub] = c
         return {p: _lowest_terms(rest, d, self.denom) for p, d in out.items()}
 
-    def coefficient_of(self, name: str, power: int) -> "MultiPoly":
-        return self.coefficients_in(name).get(power, MultiPoly.zero(self.vars))
-
     def derivative(self, name: str) -> "MultiPoly":
         """The partial derivative in `name`, in the universe of self."""
         if name not in self.vars:

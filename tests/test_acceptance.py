@@ -53,6 +53,14 @@ def test_symmetric_sampling_gives_up_when_every_gradient_draw_raises(monkeypatch
     assert detail.startswith("residual/gradient: fewer than 20 of")
 
 
+def test_symmetric_third_order_passes_where_the_gradient_entries_are_large():
+    # at acceptance seed 4 a component reaches 5.2e7, where residual and
+    # gradient agree to about 1e-13 of it, an absolute gap of 5.5e-6
+    ok, detail = acceptance.criterion_symmetric_third_order(4)
+    assert ok, detail
+    assert detail.startswith("identity ")
+
+
 def test_a_criterion_that_raises_is_a_failure(monkeypatch):
     monkeypatch.setattr(acceptance, "CRITERIA", [("raises", _raise)])
     assert acceptance.run_all() == [

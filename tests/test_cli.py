@@ -196,19 +196,86 @@ def test_jtable(capsys):
     assert len(lines) == 3
 
 
-# SHA-256 of the stdout of `ellop ARGV`: exotic-j rows whose j is a
-# RatFunc, unsolved nodal rows with a `c^2 = ...` square relation, cusps,
-# and the j table
+# SHA-256 of the stdout of `ellop ARGV`: `locus` at every valid r <= 22 on
+# the generic, nodal and cuspidal curves, which holds exotic-j rows whose j
+# is a RatFunc, unsolved nodal rows with a `c^2 = ...` square relation,
+# cusps and inconsistent branches, and the j table
 LOCUS_DIGESTS = {
+    ("locus", "--r", "1"): "b215c8896a4eb8600f5dd0df9f0275a50b0af4fd563d072d5577bfbab35a2a6a",
+    ("locus", "--r", "2"): "530841265e0bb6486a18285ce3338b60860da1bffe1065f4c8c31f2de3a2913f",
+    ("locus", "--r", "4"): "cb8b6167591e6f2def79a1bf33bb820d90c8316891f78e6660a28e70236faf02",
+    ("locus", "--r", "5"): "9b5fce59c222a8a7cbacc14333f88e0e7b45030eefe21fd5cc19f2f4a152c4c5",
+    ("locus", "--r", "7"): "76799420f9b95f5845c097ee80b12863378810a239665cf3f7aa2762dbbfca65",
     ("locus", "--r", "8"): "c3c43a267136efeee17552a80f704a9aba1c7120e9a894d2e001b84e5d189407",
     ("locus", "--r", "10"): "eba80892b562ee5667e411bb1aaa42116f71bc1fa866f68b99eec01fd172f05f",
+    ("locus", "--r", "11"): "9d748f8b76ef0801f358167c149d4d530a38719788f307f60d0b2b7619fb7427",
     ("locus", "--r", "13"): "f7a983b7781a2f570c2a1a1679f755fe48f666007ea90d45b520516a7ea9a215",
+    ("locus", "--r", "14"): "07f7e71e395f03fd743461563ed7cff63eea0a9d69807223d57ec00ead61fb17",
+    ("locus", "--r", "16"): "284847403869e8f598ec971145c693cbcc4a977605af5fb64213982e13ed582f",
+    ("locus", "--r", "17"): "b3f2a25048c4f12b2ad9e42e0c68dcedac2bab5c64e3abcfc5cbf8616ae1150a",
+    ("locus", "--r", "19"): "e25a6a017e96d3f01637d469d9aee43659f1ba50b87a9b7885b715493027b30f",
+    ("locus", "--r", "20"): "2a1f344229757583ae2dc4eada2d415cfba735ef87bdd903716bd381171ecde5",
+    ("locus", "--r", "22"): "a7ae61c50e83e79c64d02ec41f696419a60d24dd528dfc43671fe597e11366cc",
+    ("locus", "--r", "1", "--curve", "nodal"):
+        "924c8ba745ce6c55dbf0542625c50e1457986d24554a9bde4ab9f5c3cef975d2",
+    ("locus", "--r", "2", "--curve", "nodal"):
+        "a9065ddef40fdea156b65ce1f29e6c26e31b8c0ee9b33e0578c3c01a5517eb25",
+    ("locus", "--r", "4", "--curve", "nodal"):
+        "5aa5c0c879ffe720a44f18dbba425a88fe94409c3d869fd3d1fa6cc0664e86f1",
     ("locus", "--r", "5", "--curve", "nodal"):
         "9c4ff5c505d09f133e0f820ce49d74139f8b8e04d9cb23ba1aa59df1ec93e41a",
+    ("locus", "--r", "7", "--curve", "nodal"):
+        "02d2322d79a6878ebcc57374877b5815b6fa610689e861503eaac6532c1ce124",
+    ("locus", "--r", "8", "--curve", "nodal"):
+        "eb11661c49468e64faf39ce531e48c24df05839ab1ea1bd28302f3912ae6e107",
+    ("locus", "--r", "10", "--curve", "nodal"):
+        "96ee4a4a5b5c9b6b179668f07d7f7b9464edd7d6271c97847e26f9eb0c8b8314",
+    ("locus", "--r", "11", "--curve", "nodal"):
+        "68b1d890815fc38c4cb5932fea26676398a478c3be9e61bf7562dbb7aaa9bd8a",
+    ("locus", "--r", "13", "--curve", "nodal"):
+        "a267870857182915e9ceb9c596b393ce49971d4b4764d40a89266543c6fb991e",
+    ("locus", "--r", "14", "--curve", "nodal"):
+        "544bd7bf902d7c145676c343b8be6e8c5446e20649367b713b6139ff53533000",
+    ("locus", "--r", "16", "--curve", "nodal"):
+        "d1a651cb21e584430fcac2a294b9e9a65c19efafc5a25cccef1cfa8f83462306",
+    ("locus", "--r", "17", "--curve", "nodal"):
+        "e07b36c2061cbc7a74b616c183ef8e59e77af24e682aaf33c9698fc18d2f8b9c",
+    ("locus", "--r", "19", "--curve", "nodal"):
+        "c0f39f5fb6c172482095c3070a7f568dc3baedb28d74a3049e86345410b58b89",
+    ("locus", "--r", "20", "--curve", "nodal"):
+        "6ee1ff636b50b93e6c8a980a33cad8b646b95516d0a13a42ccefe35fd21a8761",
     ("locus", "--r", "22", "--curve", "nodal"):
         "c28ccb18cdf8ac933c38eb6c6ffaf264f95c7becb5bf49136a97ff8ee35bed68",
+    ("locus", "--r", "1", "--curve", "cuspidal"):
+        "3cdc1e5c0d5b3773c420c05a6fa159a1d757960605f9a37cce7fe93b3503e80c",
+    ("locus", "--r", "2", "--curve", "cuspidal"):
+        "73e5a576380aed6b6edd509e2c496b6aa4c3fac9f2290cc7a23b0a467441b799",
     ("locus", "--r", "4", "--curve", "cuspidal"):
         "b75eeea12099c10a0ce1c8f1239347518c1362e265856bb327c694a4f8478dc3",
+    ("locus", "--r", "5", "--curve", "cuspidal"):
+        "8fa52d5404d59ac6fa67355e3ab7401cabf128f4ae63c4ed7c2a6515c54b2ea9",
+    ("locus", "--r", "7", "--curve", "cuspidal"):
+        "b11603e9515e5ccc8f299ec05f21b1c06832f47ac4b1a574c5a64cd25cd450e0",
+    ("locus", "--r", "8", "--curve", "cuspidal"):
+        "4cd57685abfc9f454fb5c9af30c51631fa10d683c825125faaf517f2e77d0039",
+    ("locus", "--r", "10", "--curve", "cuspidal"):
+        "90c0c5d0b9a0828365eab608fd1831bbf8e2f818de6641cf4bbf2ccd3ab9f015",
+    ("locus", "--r", "11", "--curve", "cuspidal"):
+        "282c584d27facd7a8ec572d1b3311c0ab9cf088db7618ea85c1dd4849f56d036",
+    ("locus", "--r", "13", "--curve", "cuspidal"):
+        "450ea471f64d7eadaacf8e110f3f532c80498b989da1c946ca177c0e072ca4b0",
+    ("locus", "--r", "14", "--curve", "cuspidal"):
+        "1723417c061e1698cf0423a10009253f26e04ba226b098867976734a6b781c96",
+    ("locus", "--r", "16", "--curve", "cuspidal"):
+        "938fdbc611231b91ed4a51fadb51cb7810d5b7a2ae1eb2173998dc7d8a5503a3",
+    ("locus", "--r", "17", "--curve", "cuspidal"):
+        "5d8696f95c03f4b278ece3e0e248154e1e32c6de00ccfbea91f009d3bcfeefda",
+    ("locus", "--r", "19", "--curve", "cuspidal"):
+        "7ae2bf3782a5db2b46c85a0858be156423342b81f69eb62866e8ef7577aa22ab",
+    ("locus", "--r", "20", "--curve", "cuspidal"):
+        "317b2aa001e617278ebaca5b68e1aa61320fdc1304b93d325f6a0918b18278e8",
+    ("locus", "--r", "22", "--curve", "cuspidal"):
+        "ab39c17dd4cd1c88e0a9f51700d5af58ce6db56a732ea66ab74a2d2deb90a434",
     ("jtable", "--r", "10"): "2d73b4d2828c2b7be71f17997b8b4dfefe3503de5d600738f32671c0245b1ccb",
 }
 

@@ -12,19 +12,27 @@ every condition vanishes, modulo its c^2 relation if it has one.  The z
 engine shares only the slot runner with the x engine that found the
 branch: its template comes from the Laurent series.
 
-It checks three sets of branches:
+An inconsistent branch passes when one of its conditions cannot vanish
+there: a nonzero constant, or a monomial in the variables that the branch
+assumes nonzero.  Such a condition is the z engine's witness that the
+branch holds no point.
+
+It checks five sets of branches:
 
 - generic: every solved branch (not inconsistent, not unsolved) of the
   158 valid cells with q <= 31 and r <= 22;
 - nodal: every solved branch with a c^2 relation of the same cells on the
   nodal curve g2 = 3 w^2, g3 = w^3 (``locus --curve nodal``);
 - cyclic: the cyclic point of each of the 112 cells that the pins of
-  ``locus --r R`` scan, 23 <= R <= 64, at q = R, R+3, R+6 and R+9.
+  ``locus --r R`` scan, 23 <= R <= 64, at q = R, R+3, R+6 and R+9;
+- inconsistent: every inconsistent branch of the 158 cells of generic;
+- inconsistent-high: every inconsistent branch of the 48 of those 112
+  cells with R <= 40.
 
-Inconsistent branches stay out: one takes up to about 2 s at r = 64.  It
-prints the number of branches of each set and one line for each branch
-that leaves a condition, and exits 1 if there is any such branch, or a
-cell without its cyclic point.  It takes no options.
+Inconsistent branches with R > 40 stay out: one takes 1.4-2.2 s at R = 64.
+It prints the number of branches of each set and one line for each branch
+that fails, and exits 1 if there is any such branch, or a cell without its
+cyclic point.  It takes no options.
 """
 
 from __future__ import annotations
@@ -42,6 +50,13 @@ from reference import standing_conditions  # noqa: E402
 UNSOLVED = ("inconsistent", "unsolved")
 
 
+def has_witness(branch, standing) -> bool:
+    """A condition in standing cannot vanish on branch: a nonzero constant or
+    a monomial in the variables that branch assumes nonzero."""
+    return any((vs := p.monomial_vars()) is not None and set(vs) <= set(branch.nonzero)
+               for p in standing)
+
+
 def cells(r_values, q_values):
     return [(q, r) for r in r_values for q in q_values(r)
             if valid_r(r) and q % 3 and (q - r) % 3 == 0]
@@ -50,22 +65,29 @@ def cells(r_values, q_values):
 def branch_sets():
     """{name: [(branch, curve substitution or None)]}, and the cells
     without a cyclic point."""
-    low = cells(range(1, 23), lambda r: range(1, 32))
+    low = {(q, r): triangular_solve(constraints_for(q, r))
+           for q, r in cells(range(1, 23), lambda r: range(1, 32))}
     nodal = _CURVE_SUBS["nodal"]
     sets = {
-        "generic": [(b, None) for q, r in low for b in triangular_solve(constraints_for(q, r))
+        "generic": [(b, None) for branches in low.values() for b in branches
                     if b.classification not in UNSOLVED],
         "nodal": [(b, nodal) for q, r in low
                   for b in triangular_solve(substitute_constraints(constraints_for(q, r), nodal),
                                             _CURVE_UNIVERSE["nodal"])
                   if b.relation is not None and b.classification not in UNSOLVED],
         "cyclic": [],
+        "inconsistent": [(b, None) for branches in low.values() for b in branches
+                         if b.classification == "inconsistent"],
+        "inconsistent-high": [],
     }
     missing = []
     for q, r in cells(range(23, 65), lambda r: range(r, r + 10, 3)):
-        points = [b for b in triangular_solve(constraints_for(q, r))
-                  if b.classification == "cyclic-point"]
+        branches = triangular_solve(constraints_for(q, r))
+        points = [b for b in branches if b.classification == "cyclic-point"]
         sets["cyclic"] += [(b, None) for b in points]
+        if r <= 40:
+            sets["inconsistent-high"] += [(b, None) for b in branches
+                                          if b.classification == "inconsistent"]
         if not points:
             missing.append((q, r))
     return sets, missing
@@ -80,7 +102,12 @@ def main() -> int:
         print(f"{name}: {len(branches)} branches")
         for b, curve in branches:
             standing = standing_conditions(b, b.assignments, curve)
-            if standing:
+            if b.classification == "inconsistent":
+                if not has_witness(b, standing):
+                    failed = True
+                    print(f"  q={b.q} r={b.r} inconsistent: none of its {len(standing)}"
+                          " standing conditions is a witness")
+            elif standing:
                 failed = True
                 print(f"  q={b.q} r={b.r} {b.classification}: {len(standing)} conditions stand,"
                       f" the first {standing[0].text()}")
