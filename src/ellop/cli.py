@@ -372,7 +372,7 @@ def _cmd_monodromy(args) -> int:
     lat = make_lattice(args.tau)
     ev = elliptic_evaluator(op, vals, lat)
     rep = monodromy_matrix(ev, op.n, 0, args.radius * lat.shortest,
-                           args.lam, args.tol)
+                           args.lam, args.tol, lat.mu)
     print(rep.to_json())
     return 0
 

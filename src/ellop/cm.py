@@ -26,7 +26,6 @@ from .lattice import (
     Lattice,
     make_lattice,
     near_pole,
-    reduce_to_cell,
     wp01,
     wp_derivative,
 )
@@ -36,21 +35,16 @@ class InvalidConfigurationError(ValueError):
     pass
 
 
-def _on_pole(z: complex, lat: Lattice) -> bool:
-    """Is z within 1e-8 shortest periods of a point of lat?"""
-    return near_pole(reduce_to_cell(z, lat), lat)
-
-
 def _validate_points(zs, lat: Lattice, special, mults, on_special: str, shared: str):
     """Raise InvalidConfigurationError, point by point, if zs[i] lies within
     1e-8 shortest periods of a special point (message on_special), or
     zs[i] - g zs[j], j < i, of a period for a multiplier g of the group
     (message shared); the messages are formatted with i and j."""
     for i, z in enumerate(zs):
-        if any(_on_pole(z - w, lat) for w in special):
+        if any(near_pole(z - w, lat) for w in special):
             raise InvalidConfigurationError(on_special.format(i=i))
         for j in range(i):
-            if any(_on_pole(z - g * zs[j], lat) for g in mults):
+            if any(near_pole(z - g * zs[j], lat) for g in mults):
                 raise InvalidConfigurationError(shared.format(i=i, j=j))
 
 

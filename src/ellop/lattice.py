@@ -2,12 +2,12 @@
 
 make_lattice reduces tau once to tau' in the SL2(Z) fundamental domain, with
 Z + tau*Z = mu*(Z + tau'*Z), so that wp(z) = mu^-2 wp(z/mu; tau') and
-wp'(z) = mu^-3 wp'(z/mu; tau') (DLMF 23.18).  On the reduced lattice a short
-fixed float64 theta series gives wp and wp' as theta quotients (DLMF 23.6);
-near the pole the truncated Laurent series takes over.  wp01 is the one
-evaluator: it reads (wp, wp') at a point, and wp_derivative gives the
-derivatives of order two to five from that pair by the algebraic recurrences
-implied by the defining relation, never by numerical differentiation.  A
+wp'(z) = mu^-3 wp'(z/mu; tau') (DLMF 23.18).  wp01, the one evaluator,
+reduces z/mu once, to w0 of minimal norm modulo Z + tau'*Z, and reads wp, wp'
+of the reduced lattice at w0 as theta quotients of a short fixed float64
+series (DLMF 23.6), or near the pole from the Laurent series.  wp_derivative
+gives the derivatives of order two to five from that pair by the algebraic
+recurrences of the defining relation, never by numerical differentiation.  A
 point within 1e-8 shortest periods of a lattice point is a pole (near_pole).
 Only the invariants g2, g3 are computed in extended precision, in stdlib
 decimal, once per lattice.
@@ -43,9 +43,10 @@ _TINY = Decimal(10) ** (-_DPS - 10)
 # |q|^n drops below 10^-(_DPS+5) by n = 15.
 _EISENSTEIN_TERMS = 16
 _SERIES_TERMS = 80
-# After reduction the n-th theta term is at most e^(-pi Im tau' n^2) times the
-# first (see _wp01_theta), and Im tau' >= sqrt(3)/2: the first omitted term,
-# n = 6, is below e^-97 even with the factor (2n+1)^3 of the third derivative.
+# On the minimal-norm cell the n-th theta term is at most
+# e^(-pi Im tau' n^2 + pi n/(4 Im tau')) times the first (see _wp01_theta), and
+# Im tau' >= sqrt(3)/2: the first omitted term, n = 6, is below e^-92, and
+# below e^-84 with the factor (2n+1)^3 of the third derivative.
 _THETA_TERMS = 6
 _ODD = tuple((2 * n + 1, (2 * n + 1) ** 2, (2 * n + 1) ** 3) for n in range(_THETA_TERMS))
 # per-call constants of _wp01_theta, made once by the same expressions
@@ -191,8 +192,8 @@ def make_lattice(tau: complex) -> Lattice:
 HEX_TAU = complex(-0.5, math.sqrt(3) / 2)  # the hexagonal (equianharmonic) cell
 
 
-def reduce_to_cell(z: complex, lat: Lattice) -> complex:
-    """Minimal-norm representative of z modulo the lattice.
+def _cell_point(z: complex, lat: Lattice) -> complex:
+    """Minimal-norm representative w0 of z/mu modulo Z + tau'*Z.
 
     z/mu is rounded to the nearest point w0 of the reduced parallelogram
     grid; when |w0| < 0.49 that is the answer, and otherwise the shortest
@@ -206,31 +207,33 @@ def reduce_to_cell(z: complex, lat: Lattice) -> complex:
     # m + n*tau' has norm at least 1 - 1e-11; below 0.49, w0 is then
     # strictly shorter than every other candidate, which have norm above 0.5
     if abs(w0) < 0.49:
-        return lat.mu * w0
+        return w0
     best = w0
     for m in (-1, 0, 1):
         for n in (-1, 0, 1):
             cand = w0 - m - n * tau
             if abs(cand) < abs(best):
                 best = cand
-    return lat.mu * best
+    return best
 
 
-def _wp01_theta(z: complex, lat: Lattice):
-    """(wp, wp') by theta quotients on the reduced lattice; z away from the
-    lattice points."""
-    tau = lat.tau_reduced
-    w = complex(z) / lat.mu
-    w -= round(w.imag / tau.imag) * tau
-    w -= round(w.real)
+def reduce_to_cell(z: complex, lat: Lattice) -> complex:
+    """Minimal-norm representative of z modulo the lattice, in units of z."""
+    return lat.mu * _cell_point(z, lat)
+
+
+def _wp01_theta(w: complex, lat: Lattice):
+    """(wp, wp') of Z + tau'*Z at w, away from 0, by theta quotients."""
     flip = w.imag < 0                   # wp is even, wp' odd
     if flip:
         w = -w
-    # Now |Re w| <= 1/2 and 0 <= Im w <= Im tau'/2.  Times 2 e^(iv), v = pi w,
-    # the n-th term of theta1 and its derivatives is a_n - b_n (sine) or
-    # a_n + b_n (cosine) times a power of 2n+1, where
-    # b_n = (-1)^n p^(n(n+1)) e^(-2inv) has modulus at most e^(-pi Im tau' n^2)
-    # and a_n = b_n e^(2i(2n+1)v) is no larger, so nothing overflows.
+    # Now |Re w| <= 1/2 and 0 <= Im w <= h, the height of the top corner of
+    # the minimal-norm cell: h = y/2 + (|x| - x^2)/(2y) <= y/2 + 1/(8y) for
+    # tau' = x + iy, 1/sqrt 3 at HEX_TAU.  Times 2 e^(iv), v = pi w, the n-th
+    # term of theta1 and its derivatives is a_n - b_n (sine) or a_n + b_n
+    # (cosine) times a power of 2n+1; b_n = (-1)^n p^(n(n+1)) e^(-2inv) has
+    # modulus at most e^(-pi y n(n+1) + 2 pi n h), and a_n = b_n e^(2i(2n+1)v)
+    # is no larger, so nothing overflows.
     v = math.pi * w
     s = cmath.exp(2j * v)
     s2 = s * s
@@ -250,14 +253,11 @@ def _wp01_theta(z: complex, lat: Lattice):
     r2 = s2_sum / s0
     wp = _PI2 * (r2 - u * u) + lat.wp_shift
     wpp = 1j * _PI3 * (c3 / s0 - 3 * u * r2 + 2 * u**3)
-    if flip:
-        wpp = -wpp
-    m = 1 / lat.mu
-    return wp * m * m, wpp * m * m * m
+    return wp, -wpp if flip else wpp
 
 
-def _wp01_series(z: complex, lat: Lattice):
-    w = complex(z) / lat.mu
+def _wp01_series(w: complex, lat: Lattice):
+    """(wp, wp') of Z + tau'*Z at w by its Laurent series."""
     wp = 0j
     wpp = 0j
     for k, c in enumerate(lat.wp_laurent, -2):
@@ -265,29 +265,29 @@ def _wp01_series(z: complex, lat: Lattice):
             wk = w**k
             wp += c * wk
             wpp += k * c * wk / w
-    m = 1 / lat.mu
-    return wp * m * m, wpp * m * m * m
+    return wp, wpp
 
 
-def near_pole(z0: complex, lat: Lattice) -> bool:
-    """Is z0, a value of reduce_to_cell, within 1e-8 shortest periods of 0,
-    that is, the point it stands for within that of a lattice point?  wp01
-    raises NearPoleError there, and the many-body layer (cm) calls two such
-    points coincident."""
-    return abs(z0) < 1e-8 * lat.shortest
+def near_pole(z: complex, lat: Lattice) -> bool:
+    """Is z within 1e-8 shortest periods of a lattice point?  wp01 raises
+    NearPoleError exactly there, and the many-body layer (cm) calls two
+    such points coincident."""
+    return abs(_cell_point(z, lat)) * abs(lat.mu) < 1e-8 * lat.shortest
 
 
 def wp01(z: complex, lat: Lattice):
     """(wp(z), wp'(z)): the Laurent series below 0.1 of the shortest period
     from the nearest lattice point, theta quotients elsewhere; NearPoleError
-    within 1e-8 of the shortest period from a lattice point."""
-    z0 = reduce_to_cell(z, lat)
-    if near_pole(z0, lat):
+    within 1e-8 of the shortest period from a lattice point.  Either path
+    reads Z + tau'*Z at w0 = _cell_point(z), scaled by mu^-2 and mu^-3."""
+    w0 = _cell_point(z, lat)
+    dist = abs(w0) * abs(lat.mu)        # from the nearest lattice point
+    if dist < 1e-8 * lat.shortest:
         raise NearPoleError(f"z is within 1e-8 of a lattice point, in units "
                             f"of the shortest period: {z}")
-    if abs(z0) < 0.1 * lat.shortest:
-        return _wp01_series(z0, lat)
-    return _wp01_theta(z0, lat)
+    wp, wpp = (_wp01_series if dist < 0.1 * lat.shortest else _wp01_theta)(w0, lat)
+    m = 1 / lat.mu
+    return wp * m * m, wpp * m * m * m
 
 
 def wp_eval(z: complex, lat: Lattice, d: int = 0) -> complex:

@@ -126,7 +126,7 @@ def elliptic_batch_evaluator(pairs, lat: Lattice):
 
 
 def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
-                       lams, tol: float = 1e-12) -> list:
+                       lams, tol: float = 1e-12, mu: complex = 1) -> list:
     """Fundamental matrices around the circle |z - center| = radius, one
     MonodromyReport per operator and spectral value in lams, operator-major:
     the reports of the evaluator's first operator, in the order of lams,
@@ -137,7 +137,12 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
     ops, is read from its value at the base point center + radius, which
     the first right-hand-side call reuses.  Columns start as the identity
     at the base point; the loop runs counterclockwise once.  deviation is
-    the max-norm distance of the result from the identity.  All operators
+    the max-norm distance of the result from the identity.  mu, the
+    Lattice.mu of the evaluator's lattice, sets the frame of the matrices:
+    row and column k carry d^k/dw^k = mu^k d^k/dz^k in w = z/mu, so entry
+    (i, j) is mu^(i-j) times its z-frame value.  The reduced lattice's
+    shortest period is about 1 in w, so a thin lattice's deviation is read
+    at the scale of any other.  All operators
     and spectral values share one integration, so each right-hand-side
     call evaluates the coefficients once.
 
@@ -227,9 +232,14 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
                         "spacing of the floats, or the loop took more than "
                         f"{dop853.MAX_STEPS} steps")
     # rows of each matrix carry derivative orders, columns the transported
-    # solutions; the start basis is the identity in those coordinates
+    # solutions; the start basis is the identity in those coordinates, and
+    # in the frame of mu too.  At mu = 1 they are reported as integrated
+    k = np.arange(n)
+    frame = complex(mu) ** (k[:, None] - k)
     reports = []
     for lam, M in zip(lams * ops, y.reshape(blocks, n, n)):
+        if mu != 1:
+            M = M * frame
         dev = float(np.max(np.abs(M - np.eye(n))))
         det = complex(np.linalg.det(M))
         reports.append(MonodromyReport(M, dev, det, lam, (center, radius)))
@@ -237,9 +247,10 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
 
 
 def monodromy_matrix(evaluator, n: int, center: complex, radius: float,
-                     lam: complex, tol: float = 1e-12) -> MonodromyReport:
+                     lam: complex, tol: float = 1e-12,
+                     mu: complex = 1) -> MonodromyReport:
     """The MonodromyReport of one spectral value; see monodromy_matrices."""
-    return monodromy_matrices(evaluator, n, center, radius, [lam], tol)[0]
+    return monodromy_matrices(evaluator, n, center, radius, [lam], tol, mu)[0]
 
 
 def integrability_verdict(evaluator, n: int, radius: float, lambdas=None):

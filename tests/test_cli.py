@@ -516,15 +516,15 @@ MANY_BODY_DIGESTS = {
     ("inozemtsev", "0.3+1.1j"):
         "2bc40c690f9282e00c7e40d9612a472425d0f00dbd922570632c38b0ab188944",
     ("inozemtsev", "0.2j"):
-        "b1208877e3260c5a06ef4fb47f0a583fc0a6c516eb0779f0f07090b617b9b388",
+        "3097e6dfe575aebe46d14678001e401742b837c0ad2a697a7954e15bb4b512b5",
     ("monodromy", "1j"):
         "c9b2bb79e53377a562ce1a55ab70858b74bebf67def9a41163be2c7d4b5a7998",
     ("monodromy", "0.3+1.1j"):
         "816e531fbadb7f37870dfbf77060c47cc901792cf011585831f405baae28d355",
     ("monodromy", "0.2j"):
-        "08e323dc5f3b6f1baf1aa66379dbc9585977f246f1374a1d8218a87e53250b7d",
+        "49105b91f0a536f1bf4176abc32afab53e705d28109acafe94aa2761cad81360",
     ("cryst3", None):
-        "15c8f7c90bd6127605ab72c2eed97a7683233e2a29a5532f937fb48ce9780384",
+        "17b8262326abefb0cc0b6163a0db5d4de2221edaaf1e7277d64e4a3c7ea5f4d1",
 }
 
 
@@ -674,6 +674,17 @@ def test_monodromy_on_a_thin_lattice(capsys):
     assert (code, err) == (0, "")
     doc = _finite_json(out)
     assert doc["path"]["radius"] == pytest.approx(0.2e-5)
+
+
+@pytest.mark.parametrize("tau", ["1e-5j", "1e-3j", "0.2j"])
+def test_integrable_lame_reads_trivial_on_a_thin_lattice(capsys, tau):
+    # the entry of row i, column j of the z-frame matrix carries a factor
+    # mu^(j-i); in the frame of w = z/mu the deviation does not grow as the
+    # lattice thins (1.29e-7 at 1e-5i in the z frame)
+    code, out, err = run(capsys, "monodromy", "--operator", "second:a=-2",
+                         "--lambda", "1", "--tau", tau)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["deviation"] < 1e-10
 
 
 def test_monodromy_on_a_lattice_too_thin_for_float_invariants_exits_2(capsys):

@@ -15,7 +15,6 @@ from ellop.lattice import (
     InvalidLatticeError,
     NearPoleError,
     make_lattice,
-    _wp01_theta,
     reduce_to_cell,
     wp01,
     wp_derivative,
@@ -30,13 +29,14 @@ HX = make_lattice(HEX_TAU)
 TAUS = (1j, HEX_TAU, 0.3 + 1.1j, 0.2j, 0.1j, 0.05j, 2.5 + 0.07j)
 
 
-def reference_wp01(z, tau):
-    """(wp, wp') from 30-digit mpmath theta quotients on Z + tau*Z; z a
-    minimal representative away from 0."""
+def reference_wp01(z, tau, mu=1):
+    """(wp, wp') from 30-digit mpmath theta quotients on mu*(Z + tau*Z); z,
+    a float or an mpmath number, a minimal representative away from 0."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
+        mu = mp.mpc(mu)
         p = mp.e ** (1j * mp.pi * mp.mpc(tau))
-        v = mp.pi * mp.mpc(z)
+        v = mp.pi * mp.mpc(z) / mu
         t0 = mp.jtheta(1, v, p)
         t1 = mp.jtheta(1, v, p, 1)
         t2 = mp.jtheta(1, v, p, 2)
@@ -46,7 +46,7 @@ def reference_wp01(z, tau):
         r1 = t1 / t0
         wp = -mp.pi**2 * (t2 / t0 - r1**2) + mp.pi**2 * d3 / (3 * d1)
         wpp = -mp.pi**3 * (t3 / t0 - 3 * r1 * t2 / t0 + 2 * r1**3)
-        return complex(wp), complex(wpp)
+        return complex(wp / mu**2), complex(wpp / mu**3)
 
 
 def sample_points(lat, count, margin, seed=0):
@@ -266,6 +266,67 @@ def test_wp_matches_the_mpmath_reference():
             assert abs(wp_eval(z, lat, 1) - ref1) * s**3 <= 1e-11
 
 
+def accuracy_points(lat, count, seed=17):
+    """Seeded points of Z + tau*Z, count of each kind: near the corners of
+    the minimal-norm cell, where |w0| > 0.55 in units of mu (the cell of
+    HEX_TAU reaches 1/sqrt 3); on both sides of the 0.1 series cutoff; and
+    anywhere in the cell.  Each is moved by m + n*tau' with |m| and |n*tau'|
+    at most 3, so that the rounding of a point far out, which wp_eval's
+    accuracy excludes, stays below the error of the evaluation."""
+    rng = random.Random(seed)
+    tr, mu = lat.tau_reduced, lat.mu
+    s = lat.shortest / abs(mu)          # the shortest period of Z + tau'*Z
+    k = int(3 / abs(tr))
+    ws = []
+    while len(ws) < count:
+        w = reduce_to_cell(mu * (rng.random() + rng.random() * tr), lat) / mu
+        if abs(w) > 0.55:
+            ws.append(w)
+    ws += [(0.1 + rng.choice((-1, 1)) * rng.uniform(1e-6, 0.02)) * s
+           * cmath.exp(1j * rng.uniform(0, 2 * math.pi)) for _ in range(count)]
+    ws += [rng.uniform(-0.5, 0.5) + rng.uniform(-0.5, 0.5) * tr for _ in range(count)]
+    return [mu * (w + rng.randint(-3, 3) + rng.randint(-k, k) * tr) for w in ws]
+
+
+def wp01_error(z, lat):
+    """The larger of the errors of wp01's wp and wp' at z, in units where
+    the shortest period is 1, against the mpmath reference at z reduced in
+    30 digits by the periods that reduce_to_cell subtracts."""
+    mp = pytest.importorskip("mpmath")
+    tr, mu, s = lat.tau_reduced, lat.mu, lat.shortest
+    d = (z - reduce_to_cell(z, lat)) / mu
+    n = round(d.imag / tr.imag)
+    m = round(d.real - n * tr.real)
+    with mp.workdps(30):
+        z0 = mp.mpc(z) - mp.mpc(mu) * (m + n * mp.mpc(tr))
+    ref, ref1 = reference_wp01(z0, tr, mu)
+    wp, wpp = wp01(z, lat)
+    return max(abs(wp - ref) * s**2, abs(wpp - ref1) * s**3)
+
+
+# The largest wp01_error over accuracy_points(lat, 20), recorded on x86-64
+# with glibc's libm when wp01 still reduced each point twice (to mu*w0, then
+# into a strip of the theta path's own): reducing once is no less accurate
+# on any lattice.  On every lattice the maximum lies near the series cutoff
+# or near the pole.  At the corners, which the strip moved to |Im w| <=
+# Im tau'/2, the largest error rose on HEX_TAU from 1.4e-14 to 7.1e-14.
+WP01_ERROR_BOUNDS = {
+    1j: 2.0534562131829764e-12,
+    HEX_TAU: 1.343622598387279e-11,
+    0.3 + 1.1j: 2.195657534210564e-12,
+    0.2j: 8.964433335388557e-11,
+    1e-3j: 2.9893023173855406e-11,
+    2.5 + 0.07j: 5.833149385759342e-11,
+}
+
+
+@pytest.mark.parametrize("tau", list(WP01_ERROR_BOUNDS))
+def test_wp01_error_is_within_its_recorded_bound(tau):
+    lat = make_lattice(tau)
+    points = accuracy_points(lat, 20)
+    assert max(wp01_error(z, lat) for z in points) <= WP01_ERROR_BOUNDS[tau]
+
+
 def test_wp_residuals_on_thin_lattices():
     # the defining relation scales like length^-6, wp like length^-2
     for tau in TAUS + (0.4 + 0.05j, -0.3 + 0.6j):
@@ -292,9 +353,9 @@ def test_wp_on_a_very_thin_lattice_is_the_trigonometric_limit():
             want = -math.pi**2 / 3 / mu**2
         got = wp_eval(mu * w, lat, 0)
         assert abs(got - want) * lat.shortest**2 <= 1e-12
-        # the theta path reduces its argument itself; the shift by 2000i
-        # costs about 2000 ulps of w
-        far = _wp01_theta(mu * (w + 3 + 2 * lat.tau_reduced), lat)[0]
+        # a far point reduces to the same w; the shift by 2000i costs about
+        # 2000 ulps of w
+        far = wp01(mu * (w + 3 + 2 * lat.tau_reduced), lat)[0]
         assert abs(far - want) * lat.shortest**2 <= 1e-10
 
 
@@ -410,10 +471,10 @@ def pinned_points(lat, seed):
 # libm; another libm may round cmath.exp differently.
 WP01_DIGESTS = {
     1j: "e07a2f9c51e7a6cca254c8c3bcd9768ef0366c850f16326aed38e72d0f01bcf2",
-    HEX_TAU: "88e3d50caf026ba2c8ad11f9d6ae3aa8cfa564853d48e3370014e1c02c371be7",
-    0.3 + 1.1j: "4ea3b8601199acc3434bc8f8b8b45dbf4859551f75f907909aa2577df3d6b0ec",
-    0.2j: "6efc41a813cf0c14cc6253adfd6b064b9a5901f443add2c22ba9692eb2b3cee7",
-    1e-3j: "c62aa3b04e583af4ae58467ccdf4d040fa155c8ca21d054552d8be02c9f66def",
+    HEX_TAU: "2c0297e0a684ade2dde93122ef6d79416edfe0b3117d6b7aaab9bda4c9433db9",
+    0.3 + 1.1j: "397d21734d97c0af8285a3055ac6a2586245f823ecb5b6598b889a601c31ba0d",
+    0.2j: "2fb25d04b2ab3da3d22db582977ce7ad7f4b3b53c4b9874c84abbf35f53c0b5c",
+    1e-3j: "c2813f849b2079619d25bea500f31355c94cc01f666afafc327e7956f6dd1886",
 }
 
 

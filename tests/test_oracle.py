@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import random
 import struct
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from branch_points import branch_point, off_branch_point
+from ellop.locus3 import constraints_for, triangular_solve
 from ellop.rationals import Rat
 from ellop.elliptic import EllipticElement
 from ellop.operators import GlobalEllipticOperator
@@ -438,3 +441,29 @@ def transport_digest(name):
 @pytest.mark.parametrize("name", list(TRANSPORT_DIGESTS))
 def test_loop_transport_bits_are_pinned(name):
     assert transport_digest(name) == TRANSPORT_DIGESTS[name]
+
+
+# one-parameter-family and finite-set cells with q + r <= 15, from r = 1 to
+# 13; on 0.3+1.1i, (4, 7) and (4, 10) read the smallest off/on ratios of all
+# 25 such branches there, 7e5 and 4e6
+BRANCH_CELLS = ((1, 1), (13, 1), (2, 2), (11, 2), (1, 4), (4, 4), (2, 5), (5, 5),
+                (4, 7), (5, 8), (4, 10), (1, 13))
+
+
+@pytest.mark.parametrize("q,r", BRANCH_CELLS)
+def test_a_solved_branch_reads_trivial_and_a_point_off_it_does_not(q, r):
+    lat = make_lattice(0.3 + 1.1j)
+    (branch,) = [b for b in triangular_solve(constraints_for(q, r))
+                 if b.classification in ("one-parameter-family", "finite-set")]
+    on = branch_point(branch, lat, random.Random(100 * q + r))
+    for g in ("g2", "g3"):
+        assert abs(on[g] - getattr(lat, g)) <= 1e-13 * abs(getattr(lat, g))
+    op = third_order_from_gaps(q, r)
+    pairs = [(op, {v: p[v] for v in ("c", "e")}) for p in (on, off_branch_point(branch, on))]
+    reports = monodromy_matrices(elliptic_batch_evaluator(pairs, lat), 3, 0,
+                                 0.2 * lat.shortest, DEFAULT_LAMBDAS)
+    k = len(DEFAULT_LAMBDAS)
+    on_dev = max(rep.deviation for rep in reports[:k])
+    off_dev = max(rep.deviation for rep in reports[k:])
+    assert on_dev <= 1e-8
+    assert off_dev >= 100 * on_dev
