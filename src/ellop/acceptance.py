@@ -258,12 +258,9 @@ def criterion_reconstruction(seed=0):
 def criterion_high_r_scan(seed=0):
     """For 14 <= r <= 22 every branch is the cyclic point (or inconsistent)."""
     report = scan_grid(range(14, 23), q_offset=9, curve="generic")
-    if not report.supports_conjecture:
-        bad = [
-            (row.r, row.q, row.classification)
-            for row in report.rows
-            if row.classification not in ("cyclic-point", "inconsistent")
-        ]
+    bad = [(row.r, row.q, row.classification) for row in report.rows
+           if row.classification not in ("cyclic-point", "inconsistent")]
+    if bad:
         return False, f"non-cyclic branches: {bad}"
     return True, f"{len(report.rows)} branches, all cyclic-point/inconsistent"
 

@@ -29,6 +29,7 @@ from .operators import (
     third_order_from_gaps,
 )
 from .locus3 import (
+    _j_text,
     constraints_for,
     reconstruct_in_q,
     scan_grid,
@@ -288,9 +289,7 @@ def _cmd_jtable(args) -> int:
     rows = ["q,j"]
     for k in range(args.count):
         q = args.r + 3 * k
-        b = solved_branch(q, args.r)
-        j = b.j()
-        rows.append(f"{q},{j if isinstance(j, str) else j.text()}")
+        rows.append(f"{q},{_j_text(solved_branch(q, args.r))}")
     print("\n".join(rows))
     return 0
 

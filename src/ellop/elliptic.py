@@ -28,7 +28,7 @@ _WPP = _CUBIC.derivative(_P) / 2
 def _coefficient(c) -> MultiPoly:
     """c as a MultiPoly; ValueError if it uses the ring variable P."""
     c = as_multipoly(c)
-    if c.degree_in(_P):
+    if _P in c.used_vars():
         raise ValueError(f"coefficient {c} uses the ring variable {_P}")
     return c
 

@@ -290,10 +290,24 @@ def wp01(z: complex, lat: Lattice):
     return wp * m * m, wpp * m * m * m
 
 
+# Near a pole no absolute bound holds: wp^(d) grows like (d + 1)!/rho^(d+2)
+# at rho shortest periods from a lattice point.  Below rho = 0.1 wp01 sums
+# the Laurent series at w0, and below 0.03 its leading term 1/w0^2 exceeds
+# the next, g2 w0^2/20, by 1e5 or more.  So wp and wp' carry the few
+# roundings of z/mu, 1/w0^2, -2/w0^3 and the mu scaling, about 4u relative
+# (u = 2^-53 = 1.1e-16), and wp_derivative adds about 2u per product: its
+# terms share the phase of the leading one there (12 wp'^2 and 12 wp wp''
+# are 48/w0^6 and 72/w0^6), so none cancels.  Orders 0-5 read at most
+# 8.7e-16 relative on tau = i and HEX_TAU at rho = 0.002-0.05 (x86-64,
+# glibc's libm); 2e-15 leaves a factor 2.  With |wp'| = 2/rho^3, 2e-15
+# relative is 1e-10 absolute at rho = 0.034, the 0.03 of the docstring.
 def wp_eval(z: complex, lat: Lattice, d: int = 0) -> complex:
-    """wp^(d)(z) for 0 <= d <= 5, absolute accuracy about 1e-10 in units
-    where the shortest period is 1, for every tau.  The rounding of z itself,
-    about 1e-16*|z|, adds to this when z lies many shortest periods out."""
+    """wp^(d)(z) for 0 <= d <= 5.  In units where the shortest period is 1,
+    for every tau, the error is at most 2e-15 |wp^(d)(z)| within 0.03 of a
+    lattice point; elsewhere it is about 1e-10 for wp and wp', and about
+    1e-10 max(1, |wp^(d)(z)|) for the higher orders, polynomials in the two.
+    A rounding of z by about 1e-16*|z| adds |wp^(d+1)(z)| times that, which
+    counts near a pole other than 0 and far out."""
     return wp_derivative(*wp01(z, lat), lat.g2, d)
 
 

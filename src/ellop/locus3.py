@@ -76,12 +76,8 @@ class LocusBranch:
     classification: str
     witness: MultiPoly | None = None
 
-    def curve(self):
-        """(g2, g3) as MultiPoly or None when unconstrained."""
-        return self.assignments.get("g2"), self.assignments.get("g3")
-
     def j(self):
-        g2, g3 = self.curve()
+        g2, g3 = self.assignments.get("g2"), self.assignments.get("g3")
         if g2 is None or g3 is None:
             return "generic"
         if g2.is_zero() and g3.is_zero():
@@ -384,13 +380,6 @@ class ScanReport:
     curve: str
     rows: list = field(default_factory=list)
 
-    @property
-    def supports_conjecture(self) -> bool:
-        return all(
-            row.classification in ("cyclic-point", "inconsistent")
-            for row in self.rows
-        )
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -402,19 +391,12 @@ class ScanReport:
         return buf.getvalue()
 
 
-_CURVE_SUBS = {
-    "generic": None,
-    "cuspidal": {"g2": MultiPoly.zero(), "g3": MultiPoly.zero()},
-    "nodal": {
-        "g2": MultiPoly.var("w", 2, 3),
-        "g3": MultiPoly.var("w", 3),
-    },
-}
-
-_CURVE_UNIVERSE = {
-    "generic": GENERIC_UNIVERSE,
-    "cuspidal": ("c", "e"),
-    "nodal": ("c", "e", "w"),
+#: curve name -> (its g2 and g3 as polynomials, or None when they stay
+#: free; the variables it solves over)
+_CURVES = {
+    "generic": (None, GENERIC_UNIVERSE),
+    "cuspidal": ({"g2": MultiPoly.zero(), "g3": MultiPoly.zero()}, ("c", "e")),
+    "nodal": ({"g2": MultiPoly.var("w", 2, 3), "g3": MultiPoly.var("w", 3)}, ("c", "e", "w")),
 }
 
 
@@ -422,19 +404,29 @@ def valid_r(r: int) -> bool:
     return r >= 1 and r % 3 != 0
 
 
+def curve_branches(q: int, r: int, curve: str = "generic") -> list:
+    """The branches of the gap-(q, r) locus on a curve: the conditions of
+    ``constraints_for`` with the curve's g2 and g3 put in, solved by
+    ``triangular_solve`` over the curve's variables."""
+    if curve not in _CURVES:
+        raise ValueError(f"unknown curve mode {curve!r}")
+    mapping, universe = _CURVES[curve]
+    cs = constraints_for(q, r)
+    if mapping is not None:
+        cs = substitute_constraints(cs, mapping)
+    return triangular_solve(cs, universe)
+
+
 def scan_grid(r_values, q_offset: int = 9, curve: str = "generic") -> ScanReport:
-    if curve not in _CURVE_SUBS:
+    if curve not in _CURVES:
         raise ValueError(f"unknown curve mode {curve!r}")
     report = ScanReport(curve)
     for r in sorted(r_values):
         if not valid_r(r):
             continue
         for q in range(r, r + q_offset + 1, 3):
-            cs = constraints_for(q, r)
-            _check_cyclic_point(cs)
-            if _CURVE_SUBS[curve] is not None:
-                cs = substitute_constraints(cs, _CURVE_SUBS[curve])
-            for bid, b in enumerate(triangular_solve(cs, _CURVE_UNIVERSE[curve])):
+            _check_cyclic_point(constraints_for(q, r))
+            for bid, b in enumerate(curve_branches(q, r, curve)):
                 report.rows.append(ScanRow(
                     r, q, bid, b.classification,
                     _var_text(b, "c", curve), _var_text(b, "g2", curve),
@@ -457,7 +449,7 @@ def _var_text(b: LocusBranch, v: str, curve: str = "generic") -> str:
         return f"c^2 = {b.relation[1].text()}"
     if v in ("g2", "g3") and curve != "generic":
         # w may itself have been forced to zero on this branch
-        return _CURVE_SUBS[curve][v].substitute(b.assignments).text()
+        return _CURVES[curve][0][v].substitute(b.assignments).text()
     a = b.assignments.get(v)
     if a is None:
         return "free"

@@ -432,12 +432,6 @@ class MultiPoly:
 
     # -- structure queries ------------------------------------------------
 
-    def degree_in(self, name: str) -> int:
-        if name not in self.vars or not self.terms:
-            return 0
-        shift = _BITS * (len(self.vars) - 1 - self.vars.index(name))
-        return max((k >> shift) & _MASK for k in self.terms)
-
     def coefficients_in(self, name: str):
         """Split as a univariate polynomial in `name`: {power: MultiPoly}."""
         if name not in self.vars:

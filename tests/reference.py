@@ -185,15 +185,25 @@ def with_coefficients(op, f):
         for i, a in op.coeffs.items()})
 
 
-def standing_conditions(branch, assignments, curve=None):
+#: g2 and g3 on each curve that standing_conditions takes by name; the
+#: nodal curve is y^2 = 4x^3 - 3w^2 x - w^3 = 4(x + w/2)^2 (x - w).  They
+#: are written out here, not read from locus3, so that the certificate
+#: checks the program's curves too
+CURVE_INVARIANTS = {
+    "generic": {},
+    "nodal": {"g2": MultiPoly.var("w", 2, 3), "g3": MultiPoly.var("w", 3)},
+}
+
+
+def standing_conditions(branch, assignments, curve="generic"):
     """The conditions of trivial monodromy at every index of the branch's
     localized operator, third_order_from_gaps(q, r).localize(q + r - 1),
     that do not vanish modulo the branch's c^2 relation.  assignments go
-    into its Laurent coefficients, which carry g2 and g3; curve, a mapping
-    of g2 and g3 such as g2 = 3 w^2, g3 = w^3 on the nodal curve, goes in
-    with them, assignments put into it first."""
-    if curve is not None:
-        assignments = {**assignments, **{v: p.substitute(assignments) for v, p in curve.items()}}
+    into its Laurent coefficients, which carry g2 and g3; on the curve
+    named by curve, its CURVE_INVARIANTS go in with them, assignments put
+    into them first."""
+    assignments = {**assignments, **{v: p.substitute(assignments)
+                                     for v, p in CURVE_INVARIANTS[curve].items()}}
     op, _, _ = every_start(with_coefficients(
         third_order_from_gaps(branch.q, branch.r).localize(branch.q + branch.r - 1),
         lambda i, k, c: c.substitute(assignments)))

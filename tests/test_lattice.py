@@ -327,6 +327,28 @@ def test_wp01_error_is_within_its_recorded_bound(tau):
     assert max(wp01_error(z, lat) for z in points) <= WP01_ERROR_BOUNDS[tau]
 
 
+def test_wp_near_a_pole_is_within_its_relative_bound():
+    # wp_eval's bound within 0.03 shortest periods of a lattice point, where
+    # wp' reaches 7e4 to 2.5e8 and no absolute bound holds: every order is
+    # within 2e-15 of its size.  The references of orders 2-5 put the mpmath
+    # (wp, wp') into the same polynomials in 30 digits
+    mp = pytest.importorskip("mpmath")
+    rng = random.Random(3)
+    for tau in (1j, HEX_TAU):
+        lat = make_lattice(tau)
+        g2 = reference_invariants(tau)[0]
+        for rho in (0.002, 0.005, 0.01, 0.03):
+            for _ in range(5):
+                z = rho * lat.shortest * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                with mp.workdps(30):
+                    wp, wp1 = (mp.mpc(v) for v in reference_wp01(z, tau))
+                    wp2 = 6 * wp**2 - mp.mpc(g2) / 2
+                    refs = (wp, wp1, wp2, 12 * wp * wp1, 12 * wp1**2 + 12 * wp * wp2,
+                            36 * wp1 * wp2 + 144 * wp**2 * wp1)
+                    for d, ref in enumerate(refs):
+                        assert abs(wp_eval(z, lat, d) - ref) <= 2e-15 * abs(ref), (tau, rho, d)
+
+
 def test_wp_residuals_on_thin_lattices():
     # the defining relation scales like length^-6, wp like length^-2
     for tau in TAUS + (0.4 + 0.05j, -0.3 + 0.6j):

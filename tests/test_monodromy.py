@@ -32,8 +32,7 @@ from ellop.monodromy import (
     trivial_monodromy_constraints,
     two_gap_conditions,
 )
-from ellop.locus3 import (_CURVE_SUBS, _CURVE_UNIVERSE, constraints_for, solved_branch,
-                          substitute_constraints, triangular_solve)
+from ellop.locus3 import constraints_for, curve_branches, solved_branch, triangular_solve
 from ellop.acceptance import _horner
 
 from reference import (every_start, from_terms, psi, split_coefficients, standing_conditions,
@@ -504,19 +503,16 @@ def test_the_z_engine_certifies_the_c_squared_relations_of_nodal_branches():
     # valid cells with q <= 31 and r <= 22, at r = 4 and 7 or at q = 4 and
     # 7.  Every condition vanishes modulo the relation, and not without
     # it, nor with the relation's value doubled
-    nodal = _CURVE_SUBS["nodal"]
-    branches = [b for q, r in VALID_CELLS
-                for b in triangular_solve(substitute_constraints(constraints_for(q, r), nodal),
-                                          _CURVE_UNIVERSE["nodal"])
+    branches = [b for q, r in VALID_CELLS for b in curve_branches(q, r, "nodal")
                 if b.relation is not None and b.classification != "unsolved"]
     assert len(branches) == 30
     assert {b.classification for b in branches} == {"finite-set"}
     for b in branches:
         var, square = b.relation
-        assert standing_conditions(b, b.assignments, nodal) == [], (b.q, b.r)
+        assert standing_conditions(b, b.assignments, "nodal") == [], (b.q, b.r)
         for moved in (None, (var, square * 2)):
             off = dataclasses.replace(b, relation=moved)
-            assert standing_conditions(off, b.assignments, nodal), (b.q, b.r, moved)
+            assert standing_conditions(off, b.assignments, "nodal"), (b.q, b.r, moved)
 
 
 def test_split_groups_follow_the_order_of_the_free_parameters():

@@ -217,8 +217,9 @@ def _proportional(p, q):
 
 
 def _coefficient_list(p: MultiPoly):
-    out = [0] * (p.degree_in("x") + 1) if p.terms else []
-    for (e,), cf in p.in_universe(("x",)).items():
+    items = p.in_universe(("x",)).items()
+    out = [0] * (max((e for (e,), _ in items), default=-1) + 1)
+    for (e,), cf in items:
         out[e] = cf
     return out
 

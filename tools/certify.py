@@ -17,7 +17,7 @@ there: a nonzero constant, or a monomial in the variables that the branch
 assumes nonzero.  Such a condition is the z engine's witness that the
 branch holds no point.
 
-It checks five sets of branches:
+It checks five sets of branches, each found by ``locus3.curve_branches``:
 
 - generic: every solved branch (not inconsistent, not unsolved) of the
   158 valid cells with q <= 31 and r <= 22;
@@ -43,8 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from ellop.locus3 import (_CURVE_SUBS, _CURVE_UNIVERSE, constraints_for,  # noqa: E402
-                          substitute_constraints, triangular_solve, valid_r)
+from ellop.locus3 import curve_branches, valid_r  # noqa: E402
 from reference import standing_conditions  # noqa: E402
 
 UNSOLVED = ("inconsistent", "unsolved")
@@ -63,30 +62,25 @@ def cells(r_values, q_values):
 
 
 def branch_sets():
-    """{name: [(branch, curve substitution or None)]}, and the cells
-    without a cyclic point."""
-    low = {(q, r): triangular_solve(constraints_for(q, r))
-           for q, r in cells(range(1, 23), lambda r: range(1, 32))}
-    nodal = _CURVE_SUBS["nodal"]
+    """{name: [(branch, the name of its curve)]}, and the cells without a
+    cyclic point."""
+    low = cells(range(1, 23), lambda r: range(1, 32))
+    generic = [b for q, r in low for b in curve_branches(q, r)]
     sets = {
-        "generic": [(b, None) for branches in low.values() for b in branches
-                    if b.classification not in UNSOLVED],
-        "nodal": [(b, nodal) for q, r in low
-                  for b in triangular_solve(substitute_constraints(constraints_for(q, r), nodal),
-                                            _CURVE_UNIVERSE["nodal"])
+        "generic": [(b, "generic") for b in generic if b.classification not in UNSOLVED],
+        "nodal": [(b, "nodal") for q, r in low for b in curve_branches(q, r, "nodal")
                   if b.relation is not None and b.classification not in UNSOLVED],
         "cyclic": [],
-        "inconsistent": [(b, None) for branches in low.values() for b in branches
-                         if b.classification == "inconsistent"],
+        "inconsistent": [(b, "generic") for b in generic if b.classification == "inconsistent"],
         "inconsistent-high": [],
     }
     missing = []
     for q, r in cells(range(23, 65), lambda r: range(r, r + 10, 3)):
-        branches = triangular_solve(constraints_for(q, r))
+        branches = curve_branches(q, r)
         points = [b for b in branches if b.classification == "cyclic-point"]
-        sets["cyclic"] += [(b, None) for b in points]
+        sets["cyclic"] += [(b, "generic") for b in points]
         if r <= 40:
-            sets["inconsistent-high"] += [(b, None) for b in branches
+            sets["inconsistent-high"] += [(b, "generic") for b in branches
                                           if b.classification == "inconsistent"]
         if not points:
             missing.append((q, r))
