@@ -151,12 +151,15 @@ class _State:
         if self.relation is None:
             return
         var, square = self.relation
-        if var == x:
-            # c = value turns c^2 = square into a condition
-            self.conds.insert(0, value * value - square)
+        if x in square.used_vars():
+            square = square.substitute(sub)
+        if var == x or square.is_zero():
+            # c = value, or c^2 = 0, returns the relation to the conditions
+            # as c^2 - square, which the next step reduces
+            self.conds.insert(0, MultiPoly.var(var) ** 2 - square)
             self.relation = None
-        elif x in square.used_vars():
-            self.relation = (var, square.substitute(sub))
+        else:
+            self.relation = (var, square)
 
 
 def triangular_solve(cs: ConstraintSet, universe=GENERIC_UNIVERSE):
@@ -169,8 +172,11 @@ def triangular_solve(cs: ConstraintSet, universe=GENERIC_UNIVERSE):
     polynomial, i.e. when A is a nonzero constant or a single-variable
     monomial dividing B, and in the monomial case the branch forks on the
     vanishing of A; a pure quadratic in c is kept as a square relation.
-    Anything else is left as an unsolved residual.  Every surviving branch
-    is verified by exact back-substitution.
+    The relation's c is solved like any other variable, and c = value turns
+    c^2 = V into the condition value^2 - V; a relation whose value becomes
+    0 returns as the condition c^2, so c = 0.  Anything else is left as an
+    unsolved residual.  Every surviving branch is verified by exact
+    back-substitution.
     """
     original = [c.poly for c in cs.conditions]
     state = _State(original, {}, None, [], [])
@@ -186,9 +192,6 @@ def _run(state: _State, sink: list):
         p = _normalize(state.conds.pop(0), state.assignments, state.relation)
         if p.is_zero():
             continue
-        if p.is_constant():
-            sink.append((state, p))
-            return
         mono = p.monomial_vars()
         if mono is not None:
             cands = [v for v in mono if v not in state.nonzero]
@@ -215,7 +218,7 @@ def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
     # p is normalized, so every variable it uses is unassigned
     used = p.used_vars()
     for x in PRECEDENCE:
-        if x not in used or (state.relation is not None and state.relation[0] == x):
+        if x not in used:
             continue
         parts = p.coefficients_in(x)
         if max(parts) != 1:
@@ -244,8 +247,8 @@ def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
 
 
 def _try_square(state: _State, p: MultiPoly) -> bool:
-    if "c" in state.assignments or state.relation is not None:
-        return False
+    # p is normalized: it has no c once c is assigned, and c-degree <= 1
+    # under a relation
     parts = p.coefficients_in("c")
     if max(parts) != 2 or 1 in parts or not parts[2].is_constant():
         return False
@@ -272,23 +275,22 @@ def _finalize(state: _State, witness, original, universe, q, r) -> LocusBranch:
         cls = "unsolved"
     else:
         _verify(original, assignments, relation)
-        cls = _classify(assignments, relation, universe)
+        cls = _classify(assignments, relation)
     return LocusBranch(
         q, r, assignments, relation, free, state.nonzero, state.residuals, cls, witness
     )
 
 
-def _classify(assignments, relation, universe) -> str:
+def _classify(assignments, relation) -> str:
     def zero(v):
         a = assignments.get(v)
         return a is not None and a.is_zero()
 
-    czero = zero("c") or (relation is not None and relation[1].is_zero())
-    if czero and zero("e"):
+    if zero("c") and zero("e"):
         return "cyclic-point"
-    constraints = sum(1 for v in ("g2", "g3", "w") if v in universe and v in assignments)
-    if relation is not None and not relation[1].is_zero():
-        constraints += 1
+    # a relation's value is never zero: c^2 = 0 is solved as c = 0
+    constraints = sum(1 for v in ("g2", "g3", "w") if v in assignments)
+    constraints += relation is not None
     if constraints >= 2:
         return "exotic-j"
     if constraints == 1:
@@ -406,12 +408,14 @@ def valid_r(r: int) -> bool:
 
 def curve_branches(q: int, r: int, curve: str = "generic") -> list:
     """The branches of the gap-(q, r) locus on a curve: the conditions of
-    ``constraints_for`` with the curve's g2 and g3 put in, solved by
-    ``triangular_solve`` over the curve's variables."""
+    ``constraints_for``, checked at the cyclic point, with the curve's g2
+    and g3 put in, solved by ``triangular_solve`` over the curve's
+    variables."""
     if curve not in _CURVES:
         raise ValueError(f"unknown curve mode {curve!r}")
     mapping, universe = _CURVES[curve]
     cs = constraints_for(q, r)
+    _check_cyclic_point(cs)
     if mapping is not None:
         cs = substitute_constraints(cs, mapping)
     return triangular_solve(cs, universe)
@@ -425,7 +429,6 @@ def scan_grid(r_values, q_offset: int = 9, curve: str = "generic") -> ScanReport
         if not valid_r(r):
             continue
         for q in range(r, r + q_offset + 1, 3):
-            _check_cyclic_point(constraints_for(q, r))
             for bid, b in enumerate(curve_branches(q, r, curve)):
                 report.rows.append(ScanRow(
                     r, q, bid, b.classification,

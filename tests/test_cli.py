@@ -198,8 +198,11 @@ def test_jtable(capsys):
 
 # SHA-256 of the stdout of `ellop ARGV`: `locus` at every valid r <= 22 on
 # the generic, nodal and cuspidal curves, which holds exotic-j rows whose j
-# is a RatFunc, unsolved nodal rows with a `c^2 = ...` square relation,
-# cusps and inconsistent branches, and the j table
+# is a RatFunc, nodal rows with a `c^2 = ...` square relation, unsolved
+# nodal rows at r = 2 (mod 3), cusps and inconsistent branches, and the j
+# table.  The nodal keys at r = 10, 13, 16, 19 and 22 were recorded when
+# the solver began to solve for the relation's variable, which decided
+# their cells
 LOCUS_DIGESTS = {
     ("locus", "--r", "1"): "b215c8896a4eb8600f5dd0df9f0275a50b0af4fd563d072d5577bfbab35a2a6a",
     ("locus", "--r", "2"): "530841265e0bb6486a18285ce3338b60860da1bffe1065f4c8c31f2de3a2913f",
@@ -229,23 +232,23 @@ LOCUS_DIGESTS = {
     ("locus", "--r", "8", "--curve", "nodal"):
         "eb11661c49468e64faf39ce531e48c24df05839ab1ea1bd28302f3912ae6e107",
     ("locus", "--r", "10", "--curve", "nodal"):
-        "96ee4a4a5b5c9b6b179668f07d7f7b9464edd7d6271c97847e26f9eb0c8b8314",
+        "8a59b79cfc3b27394ac5e84040fb9ae639e29c48a00f5eb6f654136fb3ba00f1",
     ("locus", "--r", "11", "--curve", "nodal"):
         "68b1d890815fc38c4cb5932fea26676398a478c3be9e61bf7562dbb7aaa9bd8a",
     ("locus", "--r", "13", "--curve", "nodal"):
-        "a267870857182915e9ceb9c596b393ce49971d4b4764d40a89266543c6fb991e",
+        "67029aecce481491987904642b02df1fc153fa44af6b20c3472a64ba0117dd7a",
     ("locus", "--r", "14", "--curve", "nodal"):
         "544bd7bf902d7c145676c343b8be6e8c5446e20649367b713b6139ff53533000",
     ("locus", "--r", "16", "--curve", "nodal"):
-        "d1a651cb21e584430fcac2a294b9e9a65c19efafc5a25cccef1cfa8f83462306",
+        "aa039c2a8415c0d0bb24366832102ff36ad825539154d848d6ab1fc8f61e0cf9",
     ("locus", "--r", "17", "--curve", "nodal"):
         "e07b36c2061cbc7a74b616c183ef8e59e77af24e682aaf33c9698fc18d2f8b9c",
     ("locus", "--r", "19", "--curve", "nodal"):
-        "c0f39f5fb6c172482095c3070a7f568dc3baedb28d74a3049e86345410b58b89",
+        "c8109321cb6c236fb85ab344dd6add1cc74436fa18b07de3e3547f36c7d66c2b",
     ("locus", "--r", "20", "--curve", "nodal"):
         "6ee1ff636b50b93e6c8a980a33cad8b646b95516d0a13a42ccefe35fd21a8761",
     ("locus", "--r", "22", "--curve", "nodal"):
-        "c28ccb18cdf8ac933c38eb6c6ffaf264f95c7becb5bf49136a97ff8ee35bed68",
+        "3b87b9dad18f8418e0abcb93a441aaedde0e5988d9ef25903c5f5fd7853f4296",
     ("locus", "--r", "1", "--curve", "cuspidal"):
         "3cdc1e5c0d5b3773c420c05a6fa159a1d757960605f9a37cce7fe93b3503e80c",
     ("locus", "--r", "2", "--curve", "cuspidal"):
@@ -285,6 +288,16 @@ def test_locus_output_is_pinned(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == LOCUS_DIGESTS[argv]
+
+
+def test_the_nodal_locus_at_r_13_is_decided(capsys):
+    # each cell holds the cyclic point c = e = w = 0, and the branch that
+    # solves the c^2 relation's linear condition for c, which holds no point
+    code, out, err = run(capsys, "locus", "--r", "13", "--curve", "nodal")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(row[1], row[3]) for row in rows] == [
+        (q, cls) for q in ("13", "16", "19", "22") for cls in ("cyclic-point", "inconsistent")]
 
 
 def test_commute_found_and_not_found(capsys):

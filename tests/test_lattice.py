@@ -288,19 +288,25 @@ def accuracy_points(lat, count, seed=17):
     return [mu * (w + rng.randint(-3, 3) + rng.randint(-k, k) * tr) for w in ws]
 
 
-def wp01_error(z, lat):
-    """The larger of the errors of wp01's wp and wp' at z, in units where
-    the shortest period is 1, against the mpmath reference at z reduced in
-    30 digits by the periods that reduce_to_cell subtracts."""
+def reduced_reference_wp01(z, lat):
+    """reference_wp01 at z reduced in 30 digits by the periods that
+    reduce_to_cell subtracts."""
     mp = pytest.importorskip("mpmath")
-    tr, mu, s = lat.tau_reduced, lat.mu, lat.shortest
+    tr, mu = lat.tau_reduced, lat.mu
     d = (z - reduce_to_cell(z, lat)) / mu
     n = round(d.imag / tr.imag)
     m = round(d.real - n * tr.real)
     with mp.workdps(30):
         z0 = mp.mpc(z) - mp.mpc(mu) * (m + n * mp.mpc(tr))
-    ref, ref1 = reference_wp01(z0, tr, mu)
+    return reference_wp01(z0, tr, mu)
+
+
+def wp01_error(z, lat):
+    """The larger of the errors of wp01's wp and wp' at z, in units where
+    the shortest period is 1, against the mpmath reference."""
+    ref, ref1 = reduced_reference_wp01(z, lat)
     wp, wpp = wp01(z, lat)
+    s = lat.shortest
     return max(abs(wp - ref) * s**2, abs(wpp - ref1) * s**3)
 
 
@@ -347,6 +353,29 @@ def test_wp_near_a_pole_is_within_its_relative_bound():
                             36 * wp1 * wp2 + 144 * wp**2 * wp1)
                     for d, ref in enumerate(refs):
                         assert abs(wp_eval(z, lat, d) - ref) <= 2e-15 * abs(ref), (tau, rho, d)
+
+
+def test_wp_higher_orders_are_within_their_bound_away_from_the_poles():
+    # wp_eval's bound for orders 2-5 outside 0.03 shortest periods of a
+    # lattice point, in units where the shortest period is 1 (wp^(d) scales
+    # like length^-(d + 2)): 1e-10 max(1, |wp^(d)|).  On x86-64 with glibc's
+    # libm the largest error is 2.3e-11 max(1, |wp^(d)|), near the 0.1
+    # series cutoff.  The references put the mpmath (wp, wp') into the same
+    # polynomials in 30 digits
+    mp = pytest.importorskip("mpmath")
+    for tau in (1j, HEX_TAU, 0.2j, 0.3 + 1.1j):
+        lat = make_lattice(tau)
+        g2 = reference_invariants(tau)[0]
+        for z in accuracy_points(lat, 20):
+            with mp.workdps(30):
+                wp, wp1 = (mp.mpc(v) for v in reduced_reference_wp01(z, lat))
+                wp2 = 6 * wp**2 - mp.mpc(g2) / 2
+                refs = (wp2, 12 * wp * wp1, 12 * wp1**2 + 12 * wp * wp2,
+                        36 * wp1 * wp2 + 144 * wp**2 * wp1)
+                for d, ref in enumerate(refs, start=2):
+                    scale = lat.shortest ** (d + 2)
+                    err = abs(wp_eval(z, lat, d) - ref) * scale
+                    assert err <= 1e-10 * max(1, abs(ref) * scale), (tau, z, d)
 
 
 def test_wp_residuals_on_thin_lattices():

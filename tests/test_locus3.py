@@ -140,12 +140,16 @@ def test_scan_degenerate_curves():
 
 
 def test_nodal_scan_solves_a_square_relation():
-    # from r = 13 on, the nodal solve leaves c^2 = f(w) and reduces the
-    # remaining conditions modulo it
-    (row,) = scan_grid([13], q_offset=0, curve="nodal").rows
-    assert (row.r, row.q, row.branch, row.classification) == (13, 13, 0, "unsolved")
-    assert (row.c_text, row.g2_text, row.g3_text, row.j_text) == (
-        "c^2 = 54208/57*w^2", "3*w^2", "w^3", "infinite")
+    # at (13, 13) the nodal solve reaches e = 0 and c^2 = 54208/57 w^2, and
+    # then 55989 c w^4 + 114532 w^5, linear in c with the pivot w^4: off
+    # w = 0, c = -114532/55989 w breaks the relation, and on w = 0 the
+    # relation's value vanishes, so c = 0
+    rows = scan_grid([13], q_offset=0, curve="nodal").rows
+    assert [(row.r, row.q, row.branch, row.classification, row.c_text, row.g2_text,
+             row.g3_text, row.j_text) for row in rows] == [
+        (13, 13, 0, "cyclic-point", "0", "0", "0", "infinite"),
+        (13, 13, 1, "inconsistent", "-114532/55989*w", "3*w^2", "w^3", "none"),
+    ]
 
 
 def test_curve_branches_rejects_an_unknown_curve():
@@ -350,6 +354,18 @@ def test_a_condition_no_rule_solves_stays_unsolved(p):
     # the pure quadratic in c has a nonconstant leading coefficient
     (branch,) = solve(p)
     assert (branch.classification, branch.residuals, branch.relation) == ("unsolved", [p], None)
+
+
+def test_a_condition_linear_in_the_relations_variable_is_solved_for_it():
+    # c^2 = 4 w^2, then c w - 2 w^2: c = 2 w where w != 0, which meets the
+    # relation, and on w = 0 the relation's value vanishes, so c = 0
+    cs = ConstraintSet(3, (Condition(C * C - W * W * 4, 0), Condition(C * W - W * W * 2, 0)))
+    got = [(b.classification, {v: a.text() for v, a in b.assignments.items()}, b.relation,
+            b.nonzero, b.residuals) for b in triangular_solve(cs, ("c", "e", "w"))]
+    assert got == [
+        ("finite-set", {"w": "0", "c": "0"}, None, [], []),
+        ("one-parameter-family", {"c": "2*w"}, None, ["w"], []),
+    ]
 
 
 def test_a_nonzero_square_relation_counts_as_a_constraint():

@@ -21,8 +21,9 @@ It checks five sets of branches, each found by ``locus3.curve_branches``:
 
 - generic: every solved branch (not inconsistent, not unsolved) of the
   158 valid cells with q <= 31 and r <= 22;
-- nodal: every solved branch with a c^2 relation of the same cells on the
-  nodal curve g2 = 3 w^2, g3 = w^3 (``locus --curve nodal``);
+- nodal: every decided branch (not unsolved) of the same cells on the
+  nodal curve g2 = 3 w^2, g3 = w^3 (``locus --curve nodal``), the
+  inconsistent ones among them;
 - cyclic: the cyclic point of each of the 112 cells that the pins of
   ``locus --r R`` scan, 23 <= R <= 64, at q = R, R+3, R+6 and R+9;
 - inconsistent: every inconsistent branch of the 158 cells of generic;
@@ -69,7 +70,7 @@ def branch_sets():
     sets = {
         "generic": [(b, "generic") for b in generic if b.classification not in UNSOLVED],
         "nodal": [(b, "nodal") for q, r in low for b in curve_branches(q, r, "nodal")
-                  if b.relation is not None and b.classification not in UNSOLVED],
+                  if b.classification != "unsolved"],
         "cyclic": [],
         "inconsistent": [(b, "generic") for b in generic if b.classification == "inconsistent"],
         "inconsistent-high": [],
