@@ -29,6 +29,7 @@ from .operators import (
     third_order_from_gaps,
 )
 from .locus3 import (
+    _CURVES,
     _j_text,
     constraints_for,
     reconstruct_in_q,
@@ -177,8 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--q-max", type=int, default=None,
                    help=f"largest q (default r + 9); at most {_SCAN_MAX} values "
                         f"of q, so at most r + {3 * _SCAN_MAX - 1}")
-    s.add_argument("--curve", choices=("generic", "cuspidal", "nodal"),
-                   default="generic")
+    s.add_argument("--curve", choices=tuple(_CURVES), default="generic")
 
     s = sub.add_parser("reconstruct",
                        help="locus quantity as a rational function of q")

@@ -39,7 +39,14 @@ def constraints_for(q: int, r: int) -> ConstraintSet:
     coefficients in x = P, y = P' (``monodromy.algebraic_conditions``), so
     nothing is localized.  A condition of lambda degree d must be
     weighted-homogeneous of weight r - 3d, or VerificationError.  Cached,
-    since ConstraintSet is immutable."""
+    since ConstraintSet is immutable.
+
+    Lemma: every condition vanishes at the cyclic point c = e = g2 = 0.
+    Proof: a condition is a polynomial in c, e, g2, g3 (weights 2, 1, 4, 6)
+    whose terms all weigh r - 3d, by the check below.  A term free of c, e
+    and g2 is a constant times g3^y, of weight 6y = 0 (mod 3), and r - 3d is
+    not, since ``third_order_indices`` refuses 3 | r.  So every term has a
+    factor c, e or g2."""
     if q < 1 or r < 1:
         raise InvalidGapsError("gaps must be positive")
     _, m1, m2 = third_order_indices(q, r).indices
@@ -167,11 +174,11 @@ def triangular_solve(cs: ConstraintSet, universe=GENERIC_UNIVERSE):
 
     Rules, in order, applied to each condition after substituting what is
     already solved: pure monomials force a variable to zero (branching when
-    several could vanish); a condition A*x + B linear in the highest-weight
-    unsolved variable x is solved for x = -B/A when that quotient is a
-    polynomial, i.e. when A is a nonzero constant or a single-variable
-    monomial dividing B, and in the monomial case the branch forks on the
-    vanishing of A; a pure quadratic in c is kept as a square relation.
+    several could vanish); a condition is solved as A*x + B for x = -B/A in
+    the first variable x in PRECEDENCE order (g3, g2, c, e, w) in which it is
+    linear with A a nonzero constant or a single-variable monomial dividing
+    B, and in the monomial case the branch forks on the vanishing of A; a
+    pure quadratic in c is kept as a square relation.
     The relation's c is solved like any other variable, and c = value turns
     c^2 = V into the condition value^2 - V; a relation whose value becomes
     0 returns as the condition c^2, so c = 0.  Anything else is left as an
@@ -344,10 +351,7 @@ def branch_quantity(branch: LocusBranch, quantity: str):
         raise ValueError(f"{quantity} is not determined on this branch")
     v = expr.evaluate_exact(point)
     if relation is not None:
-        c2 = relation[1].constant_value()
-        if c2 == 0:
-            raise ValueError("zero square relation")
-        v = v / c2
+        v = v / relation[1].constant_value()
     return 1 / v if flip else v
 
 
@@ -394,11 +398,13 @@ class ScanReport:
 
 
 #: curve name -> (its g2 and g3 as polynomials, or None when they stay
-#: free; the variables it solves over)
+#: free; the variables it solves over; its fixed j text, or None when j
+#: varies by branch)
 _CURVES = {
-    "generic": (None, GENERIC_UNIVERSE),
-    "cuspidal": ({"g2": MultiPoly.zero(), "g3": MultiPoly.zero()}, ("c", "e")),
-    "nodal": ({"g2": MultiPoly.var("w", 2, 3), "g3": MultiPoly.var("w", 3)}, ("c", "e", "w")),
+    "generic": (None, GENERIC_UNIVERSE, None),
+    "cuspidal": ({"g2": MultiPoly.zero(), "g3": MultiPoly.zero()}, ("c", "e"), "cusp"),
+    "nodal": ({"g2": MultiPoly.var("w", 2, 3), "g3": MultiPoly.var("w", 3)}, ("c", "e", "w"),
+              "infinite"),
 }
 
 
@@ -408,14 +414,13 @@ def valid_r(r: int) -> bool:
 
 def curve_branches(q: int, r: int, curve: str = "generic") -> list:
     """The branches of the gap-(q, r) locus on a curve: the conditions of
-    ``constraints_for``, checked at the cyclic point, with the curve's g2
-    and g3 put in, solved by ``triangular_solve`` over the curve's
-    variables."""
+    ``constraints_for``, which vanish at the cyclic point by its lemma, with
+    the curve's g2 and g3 put in, solved by ``triangular_solve`` over the
+    curve's variables."""
     if curve not in _CURVES:
         raise ValueError(f"unknown curve mode {curve!r}")
-    mapping, universe = _CURVES[curve]
+    mapping, universe, _ = _CURVES[curve]
     cs = constraints_for(q, r)
-    _check_cyclic_point(cs)
     if mapping is not None:
         cs = substitute_constraints(cs, mapping)
     return triangular_solve(cs, universe)
@@ -438,15 +443,6 @@ def scan_grid(r_values, q_offset: int = 9, curve: str = "generic") -> ScanReport
     return report
 
 
-_CYCLIC_POINT = {"c": MultiPoly.zero(), "e": MultiPoly.zero(), "g2": MultiPoly.zero()}
-
-
-def _check_cyclic_point(cs: ConstraintSet):
-    """The cyclic point (c = e = g2 = 0) must annihilate every condition."""
-    if substitute_constraints(cs, _CYCLIC_POINT).conditions:
-        raise VerificationError("cyclic point fails the constraints")
-
-
 def _var_text(b: LocusBranch, v: str, curve: str = "generic") -> str:
     if v == "c" and b.relation is not None:
         return f"c^2 = {b.relation[1].text()}"
@@ -462,9 +458,5 @@ def _var_text(b: LocusBranch, v: str, curve: str = "generic") -> str:
 def _j_text(b: LocusBranch, curve: str = "generic") -> str:
     if b.classification == "inconsistent":
         return "none"
-    if curve == "cuspidal":
-        return "cusp"
-    if curve == "nodal":
-        return "infinite"
-    j = b.j()
+    j = _CURVES[curve][2] or b.j()
     return j if isinstance(j, str) else j.text()

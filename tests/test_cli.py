@@ -161,22 +161,23 @@ def test_reconstruction_error_exits_2(capsys, monkeypatch):
 
 def test_a_failed_certificate_exits_1(capsys, monkeypatch, uncached_constraints):
     from ellop import locus3
-    from ellop.monodromy import Condition, ConstraintSet
+    from ellop.monodromy import Condition
     from ellop.poly import MultiPoly
 
+    def conditions(poly):
+        return lambda L, m, top: ((Condition(poly, 0), poly.primitive_with_weights()[1]),)
+
     # a weight-4 condition for gap r = 2 fails constraints_for's weight check
-    g2 = MultiPoly.var("g2")
-    monkeypatch.setattr(locus3, "algebraic_conditions", lambda L, m, top:
-                        ((Condition(g2, 0), g2.primitive_with_weights()[1]),))
+    monkeypatch.setattr(locus3, "algebraic_conditions", conditions(MultiPoly.var("g2")))
     code, out, err = run(capsys, "constraints", "--q", "2", "--r", "2")
     assert (code, out) == (1, "")
     assert err == "error: condition weight inconsistent with gap r\n"
-    # a condition that the cyclic point c = e = g2 = 0 does not satisfy
-    monkeypatch.setattr(locus3, "constraints_for", lambda q, r: ConstraintSet(
-        3, (Condition(MultiPoly.var("g3"), 0),), q=q, r=r))
-    code, out, err = run(capsys, "locus", "--r", "2", "--q-max", "2")
+    # g3 does not vanish at the cyclic point c = e = g2 = 0, and its weight,
+    # 6, fails the same check
+    monkeypatch.setattr(locus3, "algebraic_conditions", conditions(MultiPoly.var("g3")))
+    code, out, err = run(capsys, "locus", "--r", "2")
     assert (code, out) == (1, "")
-    assert err == "error: cyclic point fails the constraints\n"
+    assert err == "error: condition weight inconsistent with gap r\n"
 
 
 def test_no_solved_branch_exits_2(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from ellop.operators import (InvalidGapsError, VerificationError, coefficients_f
 from ellop.acceptance import CLOSED_FORMS, closed_form_value
 from ellop.locus3 import (
     _State,
-    _check_cyclic_point,
     _normalize,
     _verify,
     constraints_for,
@@ -254,21 +253,19 @@ def test_failed_back_substitution_is_a_verification_error():
         _verify([x - 1], {}, ("x", MultiPoly.const(1)))
 
 
-def test_a_condition_off_the_cyclic_point_is_a_verification_error():
-    c = MultiPoly.var("c")
-    _check_cyclic_point(ConstraintSet(3, (Condition(c * c, 0),)))
-    with pytest.raises(VerificationError, match="cyclic point"):
-        _check_cyclic_point(ConstraintSet(3, (Condition(c + 1, 0),)))
-
-
+# g3 and 1 do not vanish at the cyclic point c = e = g2 = 0; their weights,
+# 6 and 0, are multiples of 3, so the weight check refuses them at every r
 @pytest.mark.parametrize("poly,message", [
     ("c + e", "not weighted-homogeneous"),
     ("g2", "weight inconsistent"),
+    ("g3", "weight inconsistent"),
+    ("1", "weight inconsistent"),
 ])
 def test_conditions_of_the_wrong_weight_are_a_verification_error(
         monkeypatch, uncached_constraints, poly, message):
     cond = {"c + e": MultiPoly.var("c") + MultiPoly.var("e"),
-            "g2": MultiPoly.var("g2")}[poly]
+            "g2": MultiPoly.var("g2"), "g3": MultiPoly.var("g3"),
+            "1": MultiPoly.const(1)}[poly]
     monkeypatch.setattr(
         locus3, "algebraic_conditions",
         lambda L, m, top: ((Condition(cond, 0),
@@ -311,6 +308,14 @@ def test_frontier_outputs_are_pinned(q, r):
     assert h.hexdigest() == FRONTIER_DIGESTS[q, r]
 
 
+def test_every_condition_vanishes_at_the_cyclic_point():
+    # constraints_for's lemma: the weight check leaves no term free of c, e
+    # and g2
+    cyclic_point = {v: MultiPoly.zero() for v in ("c", "e", "g2")}
+    for q, r in LOW_CELLS + sorted(FRONTIER_DIGESTS):
+        assert substitute_constraints(constraints_for(q, r), cyclic_point).conditions == (), (q, r)
+
+
 def synthetic_branch(assignments, relation=None):
     return LocusBranch(2, 2, assignments, relation, [], [], [], "exotic-j")
 
@@ -323,10 +328,7 @@ C, W = MultiPoly.var("c"), MultiPoly.var("w")
     (synthetic_branch({"e": C}, ("c", W * W)), "c/e2", "c is determined only up to sign"),
     (synthetic_branch({}), "g2/e4", "g2 is not determined on this branch"),
     (synthetic_branch({"g2": C * C * 3}, ("c", W * W)), "g2/c2", "square relation is not constant"),
-    (synthetic_branch({"g2": C * C * 3}, ("c", MultiPoly.zero())), "g2/c2",
-     "zero square relation"),
-], ids=["j_string", "c_up_to_sign", "target_undetermined", "relation_not_constant",
-        "zero_relation"])
+], ids=["j_string", "c_up_to_sign", "target_undetermined", "relation_not_constant"])
 def test_branch_quantity_errors(branch, quantity, message):
     with pytest.raises(ValueError, match=message):
         branch_quantity(branch, quantity)
