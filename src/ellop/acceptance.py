@@ -255,11 +255,16 @@ def criterion_reconstruction(seed=0):
     return True, f"{len(_RECONSTRUCTED)} rational functions recovered exactly"
 
 
+#: the classes a branch may take at high r, the rule that high-r-scan and the
+#: CLI pins of ``locus`` past r = 22 (tools/pins.py) both check
+HIGH_R_CLASSES = ("cyclic-point", "inconsistent")
+
+
 def criterion_high_r_scan(seed=0):
     """For 14 <= r <= 22 every branch is the cyclic point (or inconsistent)."""
     report = scan_grid(range(14, 23), q_offset=9, curve="generic")
     bad = [(row.r, row.q, row.classification) for row in report.rows
-           if row.classification not in ("cyclic-point", "inconsistent")]
+           if row.classification not in HIGH_R_CLASSES]
     if bad:
         return False, f"non-cyclic branches: {bad}"
     return True, f"{len(report.rows)} branches, all cyclic-point/inconsistent"
