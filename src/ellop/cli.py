@@ -266,7 +266,7 @@ def _cmd_locus(args) -> int:
     if not valid_r(args.r):
         raise ValueError(f"r={args.r} does not occur (must be positive, not "
                          "divisible by 3)")
-    offset = 9 if args.q_max is None else max(0, args.q_max - args.r)
+    offset = 9 if args.q_max is None else args.q_max - args.r
     if offset // 3 >= _SCAN_MAX:
         raise ValueError(f"--q-max {args.q_max} asks for {offset // 3 + 1} values "
                          f"of q; at most {_SCAN_MAX} are allowed")

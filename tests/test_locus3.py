@@ -28,6 +28,7 @@ from ellop.locus3 import (
     triangular_solve,
     valid_r,
 )
+from pinned import lines_of, pins
 
 
 def test_valid_r():
@@ -80,33 +81,13 @@ def test_reconstruct_matches_closed_form():
     assert (got - expect).is_zero()
 
 
-# SHA-256 of reconstruct_in_q(r, quantity).text(), recorded when each of
-# these 17 quantities was read against a hand-tuned degree bound
-RECONSTRUCT_DIGESTS = {
-    (2, "c/e2"): "d48a2a72b7325878eab8682681be55f8205e2ef8f1e5f1d568c67ecc0911d0d6",
-    (5, "c/e2"): "f5dcebf99114a5a629814a93431758c6bd63c178369913ad8f3c5bd80e1fc09d",
-    (8, "c/e2"): "21e9d1343cb88ce1d2c3cb4ad78429d32c6f06538ead31113e4b7bae1952e832",
-    (5, "g2/e4"): "d25eb6225bde7090f053b25e62a64acfff26e17bff5b4c682448895c21c26583",
-    (8, "g2/e4"): "0b7ed402666f382ad500e167697c2bf9c7226d38677dca538986976b30676636",
-    (4, "g2/c2"): "1af6ebd33a2cceb113284a605be0da63ce7497b0a3f5610b92a32af3047cab4c",
-    (7, "g2/c2"): "a53c4d10323a7ce8e0dbeecff0aa4952eeee5f6562a919da7f9d75a28f87a1ba",
-    (10, "g2/c2"): "a370d09c385f22030a2252e8a952eabc9e28f1784d44e4c132c2ff15e3021fa6",
-    (13, "g2/c2"): "a69c987bf7c4f1ddefa4466856d3f8a112ad7a91e5e21619e9e2b58c45339ce4",
-    (10, "g3/c3"): "8936532af233ca9c5afc23efa36312749a85e80e5b143cfa5f48e42798738660",
-    (13, "g3/c3"): "af6c6bffd1d6ae6f9b42d16ca0d335921b4d5967ed267f2e8e5d19eac95df4b2",
-    (4, "c2/g2"): "fd125000849b1705d5492d3194ef206cbdc8614a3893c8031bf49d35d2bc4410",
-    (7, "c2/g2"): "4f46c71fafb59e6256f087a45d48a638cb5b5c832b56a889b9245dbb7dab1b2b",
-    (8, "g3/e6"): "338aecf4d3eef6517053b4f688aa0c69e0cf9fa18ad500cd0c2c70a5bcdd1d13",
-    (8, "j"): "45f1dc22eb5f0cefa69fc8efbb81ad9356e7506481f4916305676d4bbbf0b2b2",
-    (10, "j"): "acfc90a5fa30114cafdf55deee0105793b990c9dccca02180f6e04cb87e6c29c",
-    (13, "j"): "688637348821fdc57246d2e995951f215316424cb0cd3b041d28fe491db9dc4e",
-}
-
-
-@pytest.mark.parametrize("r,quantity", sorted(RECONSTRUCT_DIGESTS))
-def test_reconstruction_is_pinned(r, quantity):
-    text = reconstruct_in_q(r, quantity).text()
-    assert hashlib.sha256(text.encode()).hexdigest() == RECONSTRUCT_DIGESTS[r, quantity]
+# the reconstruct lines of tests/cli-pins.txt, under the ids R-QUANTITY of the
+# digest table they came from; each pins the JSON that `ellop reconstruct`
+# prints, whose value is reconstruct_in_q(r, quantity).text()
+@pytest.mark.parametrize("pin", lines_of("reconstruct"),
+                         ids=lambda pin: f"{pin.args[2]}-{pin.args[4]}")
+def test_reconstruction_is_pinned(pin):
+    assert pins.check(pin) == []
 
 
 def test_reconstruct_rejects_unknown_quantity():

@@ -1,25 +1,29 @@
-"""Checks the CLI pins of .github/cli-pins.txt, in one process.
+"""Checks every pinned CLI output, in one process.
 
     python tools/pins.py
 
-Run it from anywhere; it imports ellop from src/.  Each line of the pins
-file is `exit sha256 args...`, and `ellop args...` must exit with that code
-and print a stdout with that SHA-256.  Every line runs through
-``ellop.cli.main`` here, with its stdout captured; a line that does not match
-prints its args, the exit code and digest it got, and the pinned ones.
+Run it from anywhere; it imports ellop from src/.  Every pinned output of
+`ellop` is a line `exit sha256 args...` of one of two files: tests/cli-pins.txt,
+the lines that tier-1 also runs, and .github/cli-pins.txt, the slow ones that
+CI runs.  `ellop args...` must exit with that code and print a stdout with
+that SHA-256.  ``check`` judges one line, through ``ellop.cli.main`` with its
+stdout and stderr captured; a line that does not match prints its args, the
+exit code and digest it got, and the pinned ones.
 
-Three more checks ride along:
+More checks ride along:
 
-- the ``constraints`` lines run first, with numpy blocked, as does the import
-  of ellop, so the pins also show that the exact path never loads numpy;
-- every row that a ``locus`` line prints has a class in
+- a line pinned to exit 0 must write nothing to stderr;
+- the lines of the subcommands in EXACT run with numpy blocked, as does the
+  import of ellop, so the pins also show that the exact path never loads
+  numpy; this script runs them before any other line;
+- every row that a ``locus`` line with r in HIGH_R prints has a class in
   ``acceptance.HIGH_R_CLASSES``, the cyclic point or inconsistent;
-- every valid r from 23 to 64 has a ``locus`` line on the generic curve and
-  on the cuspidal one, and on the nodal one when r = 1 (mod 3); each
+- every valid r in HIGH_R has a ``locus`` line on the generic curve and on
+  the cuspidal one, and on the nodal one when r = 1 (mod 3); each
   (r, curve) without one is named.
 
-It runs every line before it exits, with 1 if any check failed.  It takes no
-options.
+It runs every line of both files before it exits, with 1 if any check
+failed.  It takes no options.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-PINS = ROOT / ".github" / "cli-pins.txt"
+#: the lines that tier-1 runs, and the slow ones that only CI runs
+TIER1 = ROOT / "tests" / "cli-pins.txt"
+SLOW = ROOT / ".github" / "cli-pins.txt"
 sys.path[:0] = [str(ROOT / "src")]
 
 
@@ -58,7 +64,10 @@ with numpy_blocked():
     from ellop.acceptance import HIGH_R_CLASSES  # noqa: E402
     from ellop.locus3 import valid_r  # noqa: E402
 
-#: the r that the locus lines must cover
+#: the subcommands that do exact work only, as README's Install section lists them
+EXACT = frozenset({"constraints", "locus", "jtable", "reconstruct", "commute", "indicial",
+                   "homog-check"})
+#: the r of the class rule, which the locus lines must cover
 HIGH_R = range(23, 65)
 
 
@@ -68,7 +77,7 @@ class Pin(NamedTuple):
     args: list
 
 
-def read_pins(path=PINS) -> list:
+def read_pins(path) -> list:
     """The pins of path, in file order; blank and # lines are skipped."""
     pins = []
     for line in path.read_text().splitlines():
@@ -78,18 +87,23 @@ def read_pins(path=PINS) -> list:
     return pins
 
 
+def subcommand(args):
+    """The subcommand that args name, or None for a usage error without one."""
+    return next((a for a in args if a in cli._DISPATCH), None)
+
+
 def run(args) -> tuple:
-    """`ellop args` in this process: its exit code and its stdout.  An
-    exception that escapes main exits 1 with its traceback, as it would in a
-    process of its own."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """`ellop args` in this process: its exit code, its stdout and its
+    stderr.  An exception that escapes main exits 1 with its traceback, as it
+    would in a process of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(list(args))
         except Exception:
             traceback.print_exc()
             code = 1
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def off_class_rows(stdout: str) -> list:
@@ -100,14 +114,19 @@ def off_class_rows(stdout: str) -> list:
 
 def check(pin) -> list:
     """One line per way in which pin fails."""
-    code, stdout = run(pin.args)
+    command = subcommand(pin.args)
+    with numpy_blocked() if command in EXACT else contextlib.nullcontext():
+        code, stdout, stderr = run(pin.args)
     sha = hashlib.sha256(stdout.encode()).hexdigest()
     args = " ".join(pin.args)
+    tail = stderr.strip().rpartition("\n")[2]
     problems = []
     if (code, sha) != (pin.code, pin.sha):
-        problems.append(f"{args}: exit {code}, sha256 {sha}; "
-                        f"pinned exit {pin.code}, sha256 {pin.sha}")
-    if pin.args[0] == "locus":
+        problems.append(f"{args}: exit {code}, sha256 {sha}; pinned exit {pin.code}, "
+                        f"sha256 {pin.sha}" + (f"; stderr ends {tail!r}" if tail else ""))
+    elif code == 0 and stderr:
+        problems.append(f"{args}: exit 0, but stderr ends {tail!r}")
+    if command == "locus" and code == 0 and cli.build_parser().parse_args(pin.args).r in HIGH_R:
         problems += [f"{args}: {','.join(row.values())}" for row in off_class_rows(stdout)]
     return problems
 
@@ -117,18 +136,17 @@ def missing(pins) -> list:
     a locus line."""
     parser = cli.build_parser()
     pinned = {(a.r, a.curve) for a in (parser.parse_args(p.args) for p in pins
-                                       if p.args[0] == "locus")}
+                                       if subcommand(p.args) == "locus")}
     return [(r, curve) for r in HIGH_R if valid_r(r)
             for curve in ("generic", "cuspidal", "nodal")
             if (r, curve) not in pinned and (curve != "nodal" or r % 3 == 1)]
 
 
 def main() -> int:
-    pins = read_pins()
-    with numpy_blocked():
-        problems = [line for pin in pins if pin.args[0] == "constraints"
-                    for line in check(pin)]
-    problems += [line for pin in pins if pin.args[0] != "constraints" for line in check(pin)]
+    pins = read_pins(TIER1) + read_pins(SLOW)
+    # the exact lines first, before a numeric line has loaded numpy
+    ordered = sorted(pins, key=lambda pin: subcommand(pin.args) not in EXACT)
+    problems = [line for pin in ordered for line in check(pin)]
     problems += [f"locus --r {r} --curve {curve} has no pin line" for r, curve in missing(pins)]
     for line in problems:
         print(line)

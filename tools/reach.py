@@ -2,12 +2,13 @@
 
     python tools/reach.py
 
-Run it from anywhere; it imports ellop from src/ and the benchmark's
-workloads from perfbench/.  In this one process, under ``sys.setprofile``,
-it runs a fixed probe:
+Run it from anywhere; it imports ellop from src/, tools/pins.py and the
+benchmark's workloads from perfbench/.  In this one process, under
+``sys.setprofile``, it runs a fixed probe:
 
-- the CLI commands in COMMANDS, which between them run all 13 subcommands,
-  `verify-paper` and a few usage errors among them;
+- every line of tests/cli-pins.txt, through ``pins.run`` of tools/pins.py:
+  the pinned CLI runs that tier-1 checks, which between them run all 13
+  subcommands, `verify-paper` and a few usage errors among them;
 - ``acceptance.run_all(4)``, a seed at which a criterion fails;
 - one pass of each perfbench workload at seed 0, checks included.
 
@@ -20,8 +21,6 @@ it printed anything.  Functions are named "<module>.<qualified name>", as in
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
 import json
 import os
 import sys
@@ -50,36 +49,6 @@ ALLOWED = {
     "elliptic.EllipticElement.__eq__": "value equality; tests compare ring elements with ==",
 }
 
-#: CLI argument vectors; each subcommand runs at least once
-COMMANDS = (
-    ("indicial", "--n", "2", "--b2", "-6"),
-    ("indicial", "--n", "3", "--b2", "-12", "--b3", "1/2"),
-    ("indicial", "--n", "1"),
-    ("homog-check", "--n", "3", "--indices=-1,1,3"),
-    ("constraints", "--q", "2", "--r", "2"),
-    ("constraints", "--q", "3", "--r", "3"),
-    ("locus", "--r", "2", "--q-max", "5"),
-    ("locus", "--r", "13", "--q-max", "13", "--curve", "nodal"),
-    ("reconstruct", "--r", "2", "--quantity", "c/e2"),
-    ("reconstruct", "--r", "4", "--quantity", "c2/g2"),
-    ("jtable", "--r", "1", "--count", "2"),
-    ("commute", "--operator", "second:a=-2", "--order", "3"),
-    ("commute", "--operator", "cyclic:n=3,indices=-1|1|3,curve=lemniscatic", "--order", "4"),
-    ("cm2-residuals", "--points", "0.13+0.21j;0.41-0.07j", "--mults", "1,1"),
-    ("cm3-crit", "--points", "0.21+0.11j;0.62-0.07j", "--momenta", "0.4;-0.4", "--c", "1.0"),
-    ("cm3-crit", "--points", "0.21+0.11j;0.62-0.07j", "--momenta", "0.4;-0.4", "--c", "1.0",
-     "--solve"),
-    ("cryst3-crit", "--points", "0.23+0.14j;-0.11+0.39j", "--momenta", "0.5;0.2-0.1j",
-     "--alphas", "1.2;0.7;1.1", "--betas", "0.3;-0.2;0.1"),
-    ("inozemtsev-grad", "--points", "0.21+0.33j;0.57-0.12j", "--ms", "1;0.5;0.25;0.1"),
-    ("monodromy", "--operator", "second:a=-2", "--lambda", "1.5"),
-    ("monodromy", "--operator", "second:a=0.5j", "--lambda", "1", "--tau", "0.3+1.1j"),
-    ("monodromy", "--operator", "third:q=2,r=2,c=-3,e=3", "--lambda", "0.7"),
-    ("monodromy", "--operator", "junk:x=1", "--lambda", "1"),
-    ("--seed", "0", "verify-paper"),
-)
-
-
 def defined() -> dict:
     """{(path, first line): name} of every function and method in src/ellop.
     The first line is that of the first decorator if there is one, which is
@@ -104,7 +73,7 @@ def defined() -> dict:
 
 def probe() -> set:
     """(path, first line) of every code object the probe entered."""
-    sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH)]
+    sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH), str(ROOT / "tools")]
     entered = set()
 
     def profile(frame, event, arg):
@@ -113,13 +82,12 @@ def probe() -> set:
 
     sys.setprofile(profile)
     try:
-        from ellop import acceptance, cli
+        from ellop import acceptance
+        import pins
         import workloads
 
-        for argv in COMMANDS:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                cli.main(list(argv))
+        for pin in pins.read_pins(pins.TIER1):
+            pins.run(pin.args)
         acceptance.run_all(4)
         reference = json.loads((PERFBENCH / "reference.json").read_text())
         for workload in workloads.WORKLOADS.values():
