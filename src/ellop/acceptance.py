@@ -39,6 +39,7 @@ from .monodromy import (
     two_gap_conditions,
 )
 from .locus3 import (
+    _read_quantity,
     constraints_for,
     reconstruct_in_q,
     scan_grid,
@@ -212,10 +213,8 @@ def _annihilating_substitution(r: int, values: dict, branch) -> dict:
     forms leave g3 free at r = 8, so it is read off the solved branch."""
     sub = {"e": MultiPoly.zero()} if r % 3 == 1 else {}
     for quantity, v in values.items():
-        target, base = quantity.split("/")
-        if target == "c2":
-            target, base, v = base, target, 1 / v
-        sub[target] = MultiPoly.var(base[0], int(base[1:]), v)
+        target, base, power, inverted = _read_quantity(quantity)
+        sub[target] = MultiPoly.var(base, power, 1 / v if inverted else v)
     if r == 8:
         sub["g3"] = MultiPoly.var("e", 6, branch_quantity(branch, "g3/e6"))
     return sub
@@ -525,26 +524,29 @@ def criterion_many_body(seed=0):
     return True, "single/double pole cross-checks pass; Newton converged"
 
 
-#: samples each check of criterion_symmetric_third_order takes, and the most
-#: draws it may spend on them; a draw that lands on a pole or an orbit
-#: collision raises a ValueError or an ArithmeticError and is skipped, and
-#: any other exception propagates
+#: samples each check of criterion_symmetric_third_order takes
 _SYMMETRIC_SAMPLES = 20
-_SYMMETRIC_DRAWS = 200
+#: the most draws a sampled check spends per sample; a draw on a pole or an
+#: orbit collision raises a ValueError or an ArithmeticError; only these are skipped
+_DRAWS_PER_SAMPLE = 10
 
 
-def _bounded_samples(attempt):
-    """_SYMMETRIC_SAMPLES results of attempt(), or None if that many do not
-    evaluate within _SYMMETRIC_DRAWS attempts."""
+def _bounded_samples(attempt, samples):
+    """samples results of attempt(), or None if that many do not evaluate
+    within _DRAWS_PER_SAMPLE * samples attempts."""
     out = []
-    for _ in range(_SYMMETRIC_DRAWS):
+    for _ in range(_DRAWS_PER_SAMPLE * samples):
         try:
             out.append(attempt())
         except (ValueError, ArithmeticError):
             continue
-        if len(out) == _SYMMETRIC_SAMPLES:
+        if len(out) == samples:
             return out
     return None
+
+
+def _too_few(samples):
+    return f"fewer than {samples} of {_DRAWS_PER_SAMPLE * samples} sampled points evaluate"
 
 
 #: relative bound on each residual/gradient component.  Both sides sum up to
@@ -578,15 +580,14 @@ def criterion_symmetric_third_order(seed=0):
         return (max(abs(a - b) for a, b in pairs),
                 max(abs(a - b) / max(1, abs(a), abs(b)) for a, b in pairs))
 
-    short = (f"fewer than {_SYMMETRIC_SAMPLES} of {_SYMMETRIC_DRAWS} "
-             "sampled points evaluate")
-    ids = _bounded_samples(fold_residual)
+    short = _too_few(_SYMMETRIC_SAMPLES)
+    ids = _bounded_samples(fold_residual, _SYMMETRIC_SAMPLES)
     if ids is None:
         return False, f"fold identity: {short}"
     worst_id = max(ids)
     if worst_id > 1e-10:
         return False, f"fold identity residual {worst_id}"
-    gaps = _bounded_samples(gradient_gap)
+    gaps = _bounded_samples(gradient_gap, _SYMMETRIC_SAMPLES)
     if gaps is None:
         return False, f"residual/gradient: {short}"
     worst = max(gap for gap, _ in gaps)
@@ -602,20 +603,21 @@ def criterion_elliptic_numerics(seed=0):
     worst_per = 0.0
     for tau in (1j, HEX_TAU, 0.3 + 1.1j):
         lat = make_lattice(tau)
-        count = 0
-        while count < 100:
+
+        def residuals():
             z = rng.uniform(0, 1) + rng.uniform(0, 1) * lat.tau
             if abs(reduce_to_cell(z, lat)) < 0.15 * lat.shortest:
-                continue
+                raise ValueError("near a lattice point")
             w, w1 = wp01(z, lat)
-            rel = abs(w1 * w1 - 4 * w**3 + lat.g2 * w + lat.g3)
+            return (abs(w1 * w1 - 4 * w**3 + lat.g2 * w + lat.g3),
+                    abs(wp_eval(z + 1, lat) - w), abs(wp_eval(z + lat.tau, lat) - w))
+
+        points = _bounded_samples(residuals, 100)
+        if points is None:
+            return False, f"relation/periodicity: {_too_few(100)}"
+        for rel, *shifts in points:
             worst_rel = max(worst_rel, rel)
-            worst_per = max(
-                worst_per,
-                abs(wp_eval(z + 1, lat) - w),
-                abs(wp_eval(z + lat.tau, lat) - w),
-            )
-            count += 1
+            worst_per = max(worst_per, *shifts)
         # independent check of the evaluator against the raw series
         coeffs = wp_series_numeric(40, lat.g2, lat.g3)
         for frac in (0.12, 0.2):

@@ -19,7 +19,6 @@ from .elliptic import EllipticElement
 from .operators import (
     GlobalEllipticOperator,
     IndexData,
-    InvalidGapsError,
     VerificationError,
     _rational_roots,
     cyclic_L0,
@@ -38,7 +37,7 @@ from .locus3 import (
     valid_r,
 )
 from .lattice import make_lattice
-from .oracle import PathError, _pair, _sig15, elliptic_evaluator, monodromy_matrix
+from .oracle import LOOP_TOL, PathError, _pair, _sig15, elliptic_evaluator, monodromy_matrix
 from .cm import (
     CMConfig2,
     CMConfig3,
@@ -129,8 +128,7 @@ def _parse_operator(spec: str):
             curve = {"generic": "generic", "equianharmonic": "g2=0",
                      "lemniscatic": "g3=0"}[kv.get("curve", "generic")]
             return cyclic_L0(n, idx, curve), {}
-    except (KeyError, ValueError, InvalidGapsError,
-            argparse.ArgumentTypeError) as exc:
+    except (KeyError, ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad operator spec {spec!r}: {exc}")
     raise argparse.ArgumentTypeError(f"unknown operator kind in {spec!r}")
 
@@ -227,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tau", type=_parse_complex, default=1j)
     s.add_argument("--radius", type=float, default=0.2,
                    help="fraction of the shortest period, below 1")
-    s.add_argument("--tol", type=float, default=1e-12)
+    s.add_argument("--tol", type=float, default=LOOP_TOL)
 
     sub.add_parser("verify-paper", help="run the full verification suite")
     return p

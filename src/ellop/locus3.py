@@ -142,11 +142,6 @@ class _State:
         self.nonzero = list(nonzero)
         self.residuals = list(residuals)
 
-    def fork(self):
-        return _State(
-            self.conds, self.assignments, self.relation, self.nonzero, self.residuals
-        )
-
     def assign(self, x: str, value: MultiPoly):
         """Record x = value, a polynomial in unassigned variables other than
         x, and substitute it into the earlier values."""
@@ -186,9 +181,8 @@ def triangular_solve(cs: ConstraintSet, universe=GENERIC_UNIVERSE):
     back-substitution.
     """
     original = [c.poly for c in cs.conditions]
-    state = _State(original, {}, None, [], [])
     branches = []
-    _run(state, branches)
+    _run(_State(original, {}, None, [], []), branches)
     q = cs.q if cs.q is not None else 0
     r = cs.r if cs.r is not None else 0
     return [_finalize(st, witness, original, universe, q, r) for st, witness in branches]
@@ -207,10 +201,7 @@ def _run(state: _State, sink: list):
                 return
             # overlap-free fan-out: kth branch assumes earlier cands nonzero
             for pos, v in enumerate(cands[1:], start=1):
-                side = state.fork()
-                side.nonzero.extend(cands[:pos])
-                side.assign(v, MultiPoly.zero())  # which zeroes the monomial p
-                _run(side, sink)
+                _run_zero(state, v, cands[:pos], sink)
             state.assign(cands[0], MultiPoly.zero())
             continue
         if _try_linear(state, p, sink):
@@ -219,6 +210,14 @@ def _run(state: _State, sink: list):
             continue
         state.residuals.append(p)
     sink.append((state, None))
+
+
+def _run_zero(state: _State, v: str, nonzero, sink: list):
+    """Solve a copy of state with v = 0 and the variables in nonzero not 0."""
+    side = _State(state.conds, state.assignments, state.relation,
+                  [*state.nonzero, *nonzero], state.residuals)
+    side.assign(v, MultiPoly.zero())
+    _run(side, sink)
 
 
 def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
@@ -242,11 +241,8 @@ def _try_linear(state: _State, p: MultiPoly, sink: list) -> bool:
         if value is None:
             continue
         if v not in state.nonzero:
-            # pivot coefficient may vanish: fork on v = 0
-            side = state.fork()
-            side.assign(v, MultiPoly.zero())
-            side.conds.insert(0, p)
-            _run(side, sink)
+            # A may vanish: fork on v = 0, where p, a multiple of A, vanishes
+            _run_zero(state, v, (), sink)
             state.nonzero.append(v)
         state.assign(x, value)
         return True
@@ -325,6 +321,14 @@ def solved_branch(q: int, r: int) -> LocusBranch:
     return picked[0]
 
 
+def _read_quantity(quantity: str):
+    """(target, base variable, power, inverted) of "target/baseN" or "c2/g2"."""
+    parts = quantity.split("/")
+    inverted = parts[0] == "c2"
+    target, base = parts[::-1] if inverted else parts
+    return target, base[0], int(base[1:]), inverted
+
+
 def branch_quantity(branch: LocusBranch, quantity: str):
     """Evaluate a homogeneity-invariant ratio on a solved branch, exactly."""
     if quantity == "j":
@@ -332,24 +336,20 @@ def branch_quantity(branch: LocusBranch, quantity: str):
         if isinstance(j, str):
             raise ValueError(f"j is {j} on this branch")
         return j.constant_value()
-    target, base = quantity.split("/")
-    flip = False
-    if target == "c2":  # the inverted spelling c^2 / g2
-        target, base, flip = base, "c2", True
+    target, base, power, flip = _read_quantity(quantity)
     if target == "c" and branch.relation is not None:
         raise ValueError("c is determined only up to sign on this branch")
     expr = branch.assignments.get(target)
     if expr is None:
         raise ValueError(f"{target} is not determined on this branch")
     # with c^2 = V the base is V: evaluate at c = 1, then divide by V
-    relation = branch.relation if base == "c2" else None
+    relation = branch.relation if (base, power) == ("c", 2) else None
     if relation is not None and relation[1].used_vars():
         raise ValueError("square relation is not constant")
-    point = {base[0]: ONE}
-    if not expr.used_vars() <= point.keys():
+    if not expr.used_vars() <= {base}:
         # another variable stays free, so the ratio has no value
         raise ValueError(f"{quantity} is not determined on this branch")
-    v = expr.evaluate_exact(point)
+    v = expr.evaluate_exact({base: ONE})
     if relation is not None:
         v = v / relation[1].constant_value()
     return 1 / v if flip else v

@@ -33,7 +33,7 @@ if TYPE_CHECKING:                # numpy loads at the first loop, not here
 
 DEFAULT_LAMBDAS = (1 + 0j, -2 + 1j, 5j)
 
-_VERDICT_TOL = 1e-12             # integration tolerance of integrability_verdict
+LOOP_TOL = 1e-12  # default loop tolerance: 45 times the integrator's floor of 100 eps
 
 
 class PathError(RuntimeError):
@@ -126,7 +126,7 @@ def elliptic_batch_evaluator(pairs, lat: Lattice):
 
 
 def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
-                       lams, tol: float = 1e-12, mu: complex = 1) -> list:
+                       lams, tol: float = LOOP_TOL, mu: complex = 1) -> list:
     """Fundamental matrices around the circle |z - center| = radius, one
     MonodromyReport per operator and spectral value in lams, operator-major:
     the reports of the evaluator's first operator, in the order of lams,
@@ -247,7 +247,7 @@ def monodromy_matrices(evaluator, n: int, center: complex, radius: float,
 
 
 def monodromy_matrix(evaluator, n: int, center: complex, radius: float,
-                     lam: complex, tol: float = 1e-12,
+                     lam: complex, tol: float = LOOP_TOL,
                      mu: complex = 1) -> MonodromyReport:
     """The MonodromyReport of one spectral value; see monodromy_matrices."""
     return monodromy_matrices(evaluator, n, center, radius, [lam], tol, mu)[0]
@@ -255,8 +255,8 @@ def monodromy_matrix(evaluator, n: int, center: complex, radius: float,
 
 def integrability_verdict(evaluator, n: int, radius: float, lambdas=None):
     """(verdict, reports) of the loop around the pole at 0, integrated at
-    tol = 1e-12: trivial iff every deviation < 10*tol, nontrivial iff any
-    deviation > 1e3*tol, inconclusive in between.  For an evaluator of a
+    LOOP_TOL: trivial iff every deviation < 10*LOOP_TOL, nontrivial iff any
+    deviation > 1e3*LOOP_TOL, inconclusive in between.  For an evaluator of a
     batch of operators the one verdict covers every operator: trivial iff
     all of them read trivial, nontrivial iff any of them does; the reports
     are operator-major, as monodromy_matrices gives them."""
@@ -265,12 +265,11 @@ def integrability_verdict(evaluator, n: int, radius: float, lambdas=None):
     lambdas = [complex(v) for v in lambdas]
     if len(lambdas) < 3:
         raise ValueError("need at least 3 spectral samples")
-    tol = _VERDICT_TOL
-    reports = monodromy_matrices(evaluator, n, 0j, radius, lambdas, tol)
+    reports = monodromy_matrices(evaluator, n, 0j, radius, lambdas, LOOP_TOL)
     devs = [r.deviation for r in reports]
-    if all(d < 10 * tol for d in devs):
+    if all(d < 10 * LOOP_TOL for d in devs):
         verdict = "trivial"
-    elif any(d > 1e3 * tol for d in devs):
+    elif any(d > 1e3 * LOOP_TOL for d in devs):
         verdict = "nontrivial"
     else:
         verdict = "inconclusive"

@@ -16,7 +16,9 @@ src/ellop holds only what a program path runs):
   the gap family, with ``every_start`` and ``with_coefficients``; the tests
   and ``tools/certify.py`` run it;
 - ``cryst3_H`` and ``inozemtsev_U``: the potentials whose gradients
-  ``cm.cryst3_grad_H`` and ``cm.inozemtsev_gradient`` compute.
+  ``cm.cryst3_grad_H`` and ``cm.inozemtsev_gradient`` compute;
+- ``LOW_CELLS``: the gap cells that the tests and ``tools/certify.py`` run
+  through both engines and the certificate.
 """
 
 from __future__ import annotations
@@ -31,6 +33,11 @@ from ellop.operators import LocalOperator, third_order_from_gaps
 from ellop.poly import MultiPoly, _pack, as_multipoly
 from ellop.rationals import Rat, as_rat
 from ellop.series import LaurentSeries, TruncationError, _wp_coefficient
+
+#: every valid gap cell (q, r) with q <= 31 and r <= 22, 158 of them, by q
+#: and then r; the q < r ones, which locus never scans, among them
+LOW_CELLS = [(q, r) for q in range(1, 32) for r in range(1, 23)
+             if q % 3 and r % 3 and (q - r) % 3 == 0]
 
 
 class Series(LaurentSeries):

@@ -469,6 +469,17 @@ def test_a_series_off_the_evaluator_fails_elliptic_numerics(monkeypatch):
         False, "series/evaluator gap at |z|=0.12*shortest")
 
 
+def test_draws_that_all_land_near_a_lattice_point_fail_elliptic_numerics(monkeypatch, within):
+    # every draw reduces onto the lattice point itself: the criterion gives
+    # up after its bound of ten draws per sample instead of drawing forever
+    draws = []
+    monkeypatch.setattr(acceptance, "reduce_to_cell", lambda z, lat: draws.append(z) or 0j)
+    with within(5):
+        assert acceptance.criterion_elliptic_numerics(0) == (
+            False, "relation/periodicity: fewer than 100 of 1000 sampled points evaluate")
+    assert len(draws) == 1000
+
+
 def test_a_programming_error_in_a_sampled_check_is_not_retried(monkeypatch):
     # only a draw on a pole or an orbit collision is skipped: a TypeError
     # surfaces at once instead of reading as too few evaluated points

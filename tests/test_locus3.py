@@ -29,6 +29,7 @@ from ellop.locus3 import (
     valid_r,
 )
 from pinned import lines_of, pins
+from reference import LOW_CELLS
 
 
 def test_valid_r():
@@ -135,12 +136,6 @@ def test_nodal_scan_solves_a_square_relation():
 def test_curve_branches_rejects_an_unknown_curve():
     with pytest.raises(ValueError, match="unknown curve mode 'smooth'"):
         curve_branches(2, 2, "smooth")
-
-
-# every valid cell with q <= 31 and r <= 22, the q < r ones that locus
-# never scans among them
-LOW_CELLS = [(q, r) for q in range(1, 32) for r in range(1, 23)
-             if q % 3 and r % 3 and (q - r) % 3 == 0]
 
 
 @pytest.mark.parametrize("curve,mapping,universe", [

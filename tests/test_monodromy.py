@@ -35,8 +35,8 @@ from ellop.monodromy import (
 from ellop.locus3 import constraints_for, curve_branches, solved_branch, triangular_solve
 from ellop.acceptance import _horner
 
-from reference import (every_start, from_terms, psi, split_coefficients, standing_conditions,
-                       with_coefficients, wp_series)
+from reference import (LOW_CELLS, every_start, from_terms, psi, split_coefficients,
+                       standing_conditions, with_coefficients, wp_series)
 
 
 def lame_local(K):
@@ -341,10 +341,6 @@ def test_constraints_for_localizes_to_the_least_truncation(monkeypatch, uncached
         frobenius_solve(localize(third_order_from_gaps(q, r), r - 2), m1, r)
 
 
-VALID_CELLS = [(q, r) for q in range(1, 32) for r in range(1, 23)
-               if (q - r) % 3 == 0 and q % 3 and r % 3]
-
-
 def condition_list(conditions):
     return [(c.lambda_degree, c.poly.text()) for c in conditions]
 
@@ -353,8 +349,8 @@ def test_the_two_engines_agree_on_every_small_cell(uncached_constraints):
     # constraints_for runs in x = P, y = P'; the z recursion on the
     # operator localized to r - 1 must give the same conditions, in order,
     # on all 158 valid cells with q <= 31 and r <= 22
-    assert len(VALID_CELLS) == 158
-    for q, r in VALID_CELLS:
+    assert len(LOW_CELLS) == 158
+    for q, r in LOW_CELLS:
         _, m1, m2 = third_order_indices(q, r).indices
         z = obstruction_conditions(third_order_from_gaps(q, r).localize(r - 1), m1, m2)
         assert condition_list(constraints_for(q, r).conditions) == condition_list(z), (q, r)
@@ -485,7 +481,7 @@ def test_every_sampled_branch_has_trivial_monodromy_by_the_z_engine():
     # one assignment (0 to 1, or else doubled) leaves one standing.  Every
     # ninth of the 158 valid cells with q <= 31 and r <= 22 holds 25 solved
     # branches of all four kinds
-    branches = [b for q, r in VALID_CELLS[::9] for b in triangular_solve(constraints_for(q, r))
+    branches = [b for q, r in LOW_CELLS[::9] for b in triangular_solve(constraints_for(q, r))
                 if b.classification not in ("inconsistent", "unsolved")]
     assert len(branches) == 25
     assert {b.classification for b in branches} == {
@@ -503,7 +499,7 @@ def test_the_z_engine_certifies_the_c_squared_relations_of_nodal_branches():
     # valid cells with q <= 31 and r <= 22, at r = 4 and 7 or at q = 4 and
     # 7.  Every condition vanishes modulo the relation, and not without
     # it, nor with the relation's value doubled
-    branches = [b for q, r in VALID_CELLS for b in curve_branches(q, r, "nodal")
+    branches = [b for q, r in LOW_CELLS for b in curve_branches(q, r, "nodal")
                 if b.relation is not None and b.classification != "unsolved"]
     assert len(branches) == 30
     assert {b.classification for b in branches} == {"finite-set"}

@@ -2,12 +2,13 @@
 
     python tools/certify.py
 
-Run it from anywhere; it imports ellop from src/ and the certificate,
-``standing_conditions``, from tests/reference.py.  The certificate puts a
-branch's assignments into the Laurent coefficients of
-third_order_from_gaps(q, r).localize(q + r - 1) and runs the z engine from
-the lowest index (``monodromy.trivial_monodromy_constraints``), whose
-conditions decide trivial monodromy at every index.  A branch passes when
+Run it from anywhere; it imports ellop from src/, and the certificate,
+``standing_conditions``, and the low cells, ``LOW_CELLS``, from
+tests/reference.py.  The certificate puts a branch's assignments into the
+Laurent coefficients of third_order_from_gaps(q, r).localize(q + r - 1)
+and runs the z engine from the lowest index
+(``monodromy.trivial_monodromy_constraints``), whose conditions decide
+trivial monodromy at every index.  A branch passes when
 every condition vanishes, modulo its c^2 relation if it has one.  The z
 engine shares only the slot runner with the x engine that found the
 branch: its template comes from the Laurent series.
@@ -20,7 +21,7 @@ branch holds no point.
 It checks five sets of branches, each found by ``locus3.curve_branches``:
 
 - generic: every solved branch (not inconsistent, not unsolved) of the
-  158 valid cells with q <= 31 and r <= 22;
+  158 valid cells with q <= 31 and r <= 22 (``LOW_CELLS``);
 - nodal: every decided branch (not unsolved) of the same cells on the
   nodal curve g2 = 3 w^2, g3 = w^3 (``locus --curve nodal``), the
   inconsistent ones among them;
@@ -45,7 +46,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from ellop.locus3 import curve_branches, valid_r  # noqa: E402
-from reference import standing_conditions  # noqa: E402
+from reference import LOW_CELLS, standing_conditions  # noqa: E402
 
 UNSOLVED = ("inconsistent", "unsolved")
 
@@ -57,26 +58,21 @@ def has_witness(branch, standing) -> bool:
                for p in standing)
 
 
-def cells(r_values, q_values):
-    return [(q, r) for r in r_values for q in q_values(r)
-            if valid_r(r) and q % 3 and (q - r) % 3 == 0]
-
-
 def branch_sets():
     """{name: [(branch, the name of its curve)]}, and the cells without a
     cyclic point."""
-    low = cells(range(1, 23), lambda r: range(1, 32))
-    generic = [b for q, r in low for b in curve_branches(q, r)]
+    generic = [b for q, r in LOW_CELLS for b in curve_branches(q, r)]
     sets = {
         "generic": [(b, "generic") for b in generic if b.classification not in UNSOLVED],
-        "nodal": [(b, "nodal") for q, r in low for b in curve_branches(q, r, "nodal")
+        "nodal": [(b, "nodal") for q, r in LOW_CELLS for b in curve_branches(q, r, "nodal")
                   if b.classification != "unsolved"],
         "cyclic": [],
         "inconsistent": [(b, "generic") for b in generic if b.classification == "inconsistent"],
         "inconsistent-high": [],
     }
     missing = []
-    for q, r in cells(range(23, 65), lambda r: range(r, r + 10, 3)):
+    high = [(q, r) for r in range(23, 65) if valid_r(r) for q in range(r, r + 10, 3)]
+    for q, r in high:
         branches = curve_branches(q, r)
         points = [b for b in branches if b.classification == "cyclic-point"]
         sets["cyclic"] += [(b, "generic") for b in points]

@@ -2,25 +2,34 @@
 
     python tools/pins.py
 
-Run it from anywhere; it imports ellop from src/.  Every pinned output of
-`ellop` is a line `exit sha256 args...` of one of two files: tests/cli-pins.txt,
-the lines that tier-1 also runs, and .github/cli-pins.txt, the slow ones that
-CI runs.  `ellop args...` must exit with that code and print a stdout with
-that SHA-256.  ``check`` judges one line, through ``ellop.cli.main`` with its
-stdout and stderr captured; a line that does not match prints its args, the
-exit code and digest it got, and the pinned ones.
+Run it from anywhere; it imports ellop from src/.  This docstring states
+the pin rules; the headers of both pin files, CI and README point here.
 
-More checks ride along:
+Every pinned output of `ellop` is a line `exit sha256 args...` of one of two
+files, where blank lines and # lines are comments:
 
+- tests/cli-pins.txt, the lines that tier-1 runs through ``check`` as well,
+  and that tools/reach.py runs as its probe, so they run every subcommand;
+- .github/cli-pins.txt, the lines too slow for tier-1.
+
+No args appear on two lines of the two files together.  ``check`` judges
+one line, through ``ellop.cli.main`` with its stdout and stderr captured:
+
+- `ellop args...` must exit with the pinned code and print a stdout with
+  the pinned SHA-256; a line that does not match prints its args, the exit
+  code and digest it got, and the pinned ones;
 - a line pinned to exit 0 must write nothing to stderr;
 - the lines of the subcommands in EXACT run with numpy blocked, as does the
   import of ellop, so the pins also show that the exact path never loads
   numpy; this script runs them before any other line;
 - every row that a ``locus`` line with r in HIGH_R prints has a class in
-  ``acceptance.HIGH_R_CLASSES``, the cyclic point or inconsistent;
-- every valid r in HIGH_R has a ``locus`` line on the generic curve and on
-  the cuspidal one, and on the nodal one when r = 1 (mod 3); each
-  (r, curve) without one is named.
+  ``acceptance.HIGH_R_CLASSES``, the cyclic point or inconsistent; a line
+  below HIGH_R may print any class.
+
+``missing`` checks that every valid r in HIGH_R has a ``locus`` line on the
+generic curve and on the cuspidal one, and on the nodal one when r = 1
+(mod 3), and names each (r, curve) without one.  The class rule is a
+computation over the pinned cells, not a proof that it holds at every r.
 
 It runs every line of both files before it exits, with 1 if any check
 failed.  It takes no options.

@@ -2,15 +2,14 @@
 
     python tools/reach.py
 
-Run it from anywhere; it imports ellop from src/, tools/pins.py and the
-benchmark's workloads from perfbench/.  In this one process, under
-``sys.setprofile``, it runs a fixed probe:
+Run it from anywhere; it imports ellop from src/ and tools/pins.py.  In
+this one process, under ``sys.setprofile``, it runs a fixed probe of
+program paths:
 
 - every line of tests/cli-pins.txt, through ``pins.run`` of tools/pins.py:
   the pinned CLI runs that tier-1 checks, which between them run all 13
   subcommands, `verify-paper` and a few usage errors among them;
-- ``acceptance.run_all(4)``, a seed at which a criterion fails;
-- one pass of each perfbench workload at seed 0, checks included.
+- ``acceptance.run_all(4)``, a seed at which a criterion fails.
 
 Then it prints every function or method defined in src/ellop that the probe
 never entered and that ALLOWED does not name, one per line, and exits 1 if
@@ -21,14 +20,12 @@ it printed anything.  Functions are named "<module>.<qualified name>", as in
 from __future__ import annotations
 
 import ast
-import json
 import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ellop"
-PERFBENCH = ROOT / "perfbench"
 
 #: functions the probe does not enter that stay in src, and why
 ALLOWED = {
@@ -46,6 +43,7 @@ ALLOWED = {
                                  "every f_k of a z run through it",
     "monodromy._LambdaSlots.unpack": "frobenius_solve unpacks the obstructions for that span, "
                                      "and tests the f_k",
+    "oracle.integrability_verdict": "perfbench's numeric workload calls it",
     "elliptic.EllipticElement.__eq__": "value equality; tests compare ring elements with ==",
 }
 
@@ -73,7 +71,7 @@ def defined() -> dict:
 
 def probe() -> set:
     """(path, first line) of every code object the probe entered."""
-    sys.path[:0] = [str(ROOT / "src"), str(PERFBENCH), str(ROOT / "tools")]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tools")]
     entered = set()
 
     def profile(frame, event, arg):
@@ -84,15 +82,10 @@ def probe() -> set:
     try:
         from ellop import acceptance
         import pins
-        import workloads
 
         for pin in pins.read_pins(pins.TIER1):
             pins.run(pin.args)
         acceptance.run_all(4)
-        reference = json.loads((PERFBENCH / "reference.json").read_text())
-        for workload in workloads.WORKLOADS.values():
-            inputs = workload.prepare(0, None)
-            workload.check(inputs, workload.run(inputs), reference)
     finally:
         sys.setprofile(None)
     return {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in entered}
